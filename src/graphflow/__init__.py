@@ -35,8 +35,7 @@ from .functionals import (DiscreteSet, FunctionalReport, area,
                           subgraph_set, total_variation,
                           vertical_rearrangement, w_factor)
 from .grid import (DIRICHLET, EXTERIOR, INTERIOR, GridDomain, GridField,
-                   build_domain, covariant_gradient, covariant_hessian,
-                   interpolate_to, load_field_csv, save_field_csv)
+                   build_domain, interpolate_to, load_field_csv, save_field_csv)
 from .manifold import (MetricChart, builtin_chart, chart_from_spec,
                        load_metric_table)
 
@@ -53,7 +52,7 @@ __all__ = [
     "area_directional_derivative", "boundary_attainment_report",
     "boundary_crossings", "boundary_lipschitz", "build_domain",
     "builtin_chart", "chart_from_spec", "check_dirichlet_solvability",
-    "compatibility_ramp", "covariant_gradient", "covariant_hessian", "e_eps",
+    "compatibility_ramp", "e_eps",
     "eps_continuation", "fit_boundary_graph", "flow_step", "initial_state",
     "interior_integral", "interpolate_to", "j_functional", "l_eps_apply",
     "load_field_csv", "load_metric_table", "make_barrier_spec",

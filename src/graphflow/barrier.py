@@ -35,7 +35,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import BarrierError
-from .grid import DIRICHLET, GridDomain, GridField, _region_sdf
+from .grid import DIRICHLET, GridDomain, _region_sdf, as_field
 from .manifold import christoffel_at, metric_at
 
 MIN_BARRIER_V = 1e-12
@@ -527,13 +527,6 @@ class SolvabilityReport:
         }
 
 
-def _phi_on_dirichlet(phi, domain: GridDomain) -> np.ndarray:
-    if isinstance(phi, GridField):
-        return phi.values[domain.dirichlet_index]
-    pts = domain.points[domain.dirichlet]
-    return np.asarray([float(phi(p)) for p in pts])
-
-
 def boundary_lipschitz(phi, domain: GridDomain) -> float:
     """Worst difference quotient of phi over adjacent dirichlet node pairs.
 
@@ -541,7 +534,7 @@ def boundary_lipschitz(phi, domain: GridDomain) -> float:
     geodesic approximation consistent with the staircase boundary.
     """
     didx = np.argwhere(domain.mask == DIRICHLET)
-    vals = _phi_on_dirichlet(phi, domain)
+    vals = as_field(domain, phi).values[domain.dirichlet_index]
     val_of = {tuple(ix): vals[k] for k, ix in enumerate(didx)}
     pts = domain.points
     worst = 0.0
@@ -570,7 +563,8 @@ def check_dirichlet_solvability(phi, domain: GridDomain, K: float,
     existence of a barrier certificate at every boundary point.  Never
     raises; per-point failures become uncertified entries.
     """
-    vals = _phi_on_dirichlet(phi, domain)
+    phi = as_field(domain, phi)
+    vals = phi.values[domain.dirichlet_index]
     lip = boundary_lipschitz(phi, domain)
     lip_ok = lip <= K + 1e-12
     osc = float(np.max(vals) - np.min(vals)) if vals.size else 0.0

@@ -29,7 +29,8 @@ from .continuation import (boundary_attainment_report, eps_continuation,
                            time_sequence_uniqueness_check)
 from .errors import (ConfigError, ConvergenceError, EstimateViolation,
                      FlowDiverged, GraphflowError)
-from .flow import FlowParams, q_operator, write_diagnostics_csv, _ramp_profile
+from .flow import (FlowParams, compatibility_ramp, q_operator,
+                   write_diagnostics_csv)
 from .functionals import (DiscreteSet, area, j_functional, set_perimeter,
                           subgraph_perimeter)
 from .grid import (EXTERIOR, GridField, build_domain, load_field_csv,
@@ -61,7 +62,6 @@ class ExperimentConfig:
     time_check: dict | None
     output_dir: str
     seed: int
-    threads: int
     snapshot_every_steps: int
 
     def resolved_dict(self) -> dict:
@@ -75,11 +75,14 @@ class ExperimentConfig:
             "warm_start": self.warm_start,
             "barrier": {"K": self.barrier_k, "gamma": self.barrier_gamma},
             "time_check": self.time_check, "output_dir": self.output_dir,
-            "seed": self.seed, "threads": self.threads,
+            "seed": self.seed,
             "snapshot_every_steps": self.snapshot_every_steps,
         }
 
 
+CONFIG_KEYS = ("chart", "region", "h", "phi", "u0", "flow", "schedule", "tol",
+               "warm_start", "barrier", "time_check", "output_dir", "seed",
+               "snapshot_every_steps")
 FIELD_KINDS = ("constant", "linear", "sine_product", "scherk", "radial_step",
                "csv")
 
@@ -136,6 +139,10 @@ def field_from_spec(spec: dict, domain) -> GridField:
 def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     """Validate a raw config dict, collecting every problem before raising."""
     problems = []
+    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    if unknown:
+        problems.append(f"unknown config keys {unknown}; expected keys from "
+                        f"{CONFIG_KEYS}")
 
     def need(key, default=None):
         if key in raw:
@@ -207,10 +214,6 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     if not isinstance(seed, int):
         problems.append(f"seed must be an integer, got {seed!r}")
         seed = 0
-    threads = raw.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        problems.append(f"threads must be a positive integer, got {threads!r}")
-        threads = 1
     cadence = raw.get("snapshot_every_steps", 1)
     if not isinstance(cadence, int) or cadence < 1:
         problems.append("snapshot_every_steps must be a positive integer, "
@@ -225,7 +228,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         warm_start=bool(raw.get("warm_start", True)),
         barrier_k=k, barrier_gamma=gamma, time_check=time_check,
         output_dir=str(raw.get("output_dir", "graphflow_out")),
-        seed=seed, threads=threads, snapshot_every_steps=cadence)
+        seed=seed, snapshot_every_steps=cadence)
 
 
 # --------------------------------------------------------------- persistence
@@ -426,8 +429,8 @@ def _selftest_battery(seed: int) -> dict:
     results = {}
 
     # boundary ramp closed forms
-    results["ramp"] = {"at_two_thirds": _ramp_profile(2.0 / 3.0),
-                       "at_two": _ramp_profile(2.0)}
+    results["ramp"] = {"at_two_thirds": compatibility_ramp(2.0 / 3.0, 1.0),
+                       "at_two": compatibility_ramp(2.0, 1.0)}
 
     # operator annihilates affine graphs
     chart = builtin_chart("euclidean", 2)
@@ -498,8 +501,7 @@ def run_selftest(out_override: str | None = None, seed: int = 0) -> int:
     """Run the deterministic battery and persist selftest.json + manifest."""
     try:
         out = _resolve_out("graphflow_selftest", out_override)
-        results = {"seed": seed, "threads": 1,
-                   "results": _selftest_battery(seed)}
+        results = {"seed": seed, "results": _selftest_battery(seed)}
         _dump_json(results, out / "selftest.json")
         write_manifest(out, ("selftest.json",))
         return 0

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EstimateViolation, FlowDiverged, GridError
+from .errors import ConfigError, EstimateViolation, FlowDiverged
 from .functionals import e_eps, interior_integral
-from .grid import EXTERIOR, GridDomain, GridField, gradient_sweep, hessian_sweep
+from .grid import (EXTERIOR, GridDomain, GridField, as_field, gradient_sweep,
+                   hessian_sweep)
 
 UT_BOUND_REL_TOL = 1e-3   # slack on sup|u_t| <= sup|L^eps u0|
 SUP_BOUND_REL_TOL = 1e-6  # slack on the maximum principle, scaled by data size
@@ -143,35 +144,24 @@ def compatibility_ramp(t: float, delta: float) -> float:
 def initial_state(u0: GridField, phi, params: FlowParams) -> FlowState:
     """Set up a flow run: boundary data, ramp base and a-priori bounds.
 
-    phi is a GridField or a callable on chart coordinates; the ramp base is
-    L^eps u0 carried to each dirichlet node from its interior neighbor.
+    phi is a GridField or a callable on chart coordinates.  The run starts
+    from u0 with phi imposed on the dirichlet nodes, so a mismatch between
+    u0 and phi counts as motion still to happen; the ramp base is L^eps of
+    that start carried to each dirichlet node from its interior neighbor.
     """
     dom = u0.domain
-    didx = dom.dirichlet_index
-    if isinstance(phi, GridField):
-        phi_vals = phi.values[didx]
-    elif callable(phi):
-        phi_vals = np.array([float(phi(x)) for x in dom.points[didx]])
-    else:
-        raise GridError("phi must be a GridField or a callable")
-    if not np.all(np.isfinite(phi_vals)):
-        raise GridError("boundary data is not finite on all dirichlet nodes")
+    phi_vals = as_field(dom, phi).values[dom.dirichlet_index]
+    u = u0.copy()
+    u.values[dom.dirichlet_index] = phi_vals
 
-    residual = l_eps_apply(u0, params.eps)
+    residual = l_eps_apply(u, params.eps)
     sup_l0 = float(np.max(np.abs(residual.values[dom.interior_index])))
+    ramp_base = residual.values[dom.inner_index]
 
-    ramp_base = np.zeros(len(phi_vals))
-    if params.delta > 0:
-        pos = {idx: k for k, idx in enumerate(zip(*didx))}
-        for idx, outward in dom.boundary_nodes:
-            inner = tuple(i - o for i, o in zip(idx, outward))
-            ramp_base[pos[idx]] = residual.values[inner]
-
-    used = dom.mask != EXTERIOR
-    lo = min(float(np.min(u0.values[used])), float(np.min(phi_vals)))
-    hi = max(float(np.max(u0.values[used])), float(np.max(phi_vals)))
-    return FlowState(u=u0.copy(), phi_dirichlet=phi_vals, ramp_base=ramp_base,
-                     sup_l0=sup_l0, bound_lo=lo, bound_hi=hi)
+    used = u.values[dom.mask != EXTERIOR]
+    return FlowState(u=u, phi_dirichlet=phi_vals, ramp_base=ramp_base,
+                     sup_l0=sup_l0, bound_lo=float(np.min(used)),
+                     bound_hi=float(np.max(used)))
 
 
 def stable_dt(domain: GridDomain, params: FlowParams, w: np.ndarray) -> float:

@@ -22,13 +22,12 @@ vertical rearrangement of a product-lattice set back to a graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import FunctionalError
-from .grid import (EXTERIOR, GridDomain, GridField, cell_average, cell_gradient,
-                   gradient_sweep)
+from .grid import (EXTERIOR, GridDomain, GridField, as_field, cell_average,
+                   cell_gradient, gradient_sweep)
 
 # vertical mollification band of the subgraph indicator, in t-cells
 MOLLIFY_BAND_CELLS = 3
@@ -46,20 +45,6 @@ class FunctionalReport:
     def json_dict(self) -> dict:
         return {"name": self.name, "value": self.value,
                 "boundary_term": self.boundary_term, "h": self.quadrature_h}
-
-
-def _boundary_values(phi, domain: GridDomain) -> np.ndarray:
-    """phi sampled at the dirichlet nodes; accepts GridField or callable."""
-    idx = domain.dirichlet_index
-    if isinstance(phi, GridField):
-        vals = phi.values[idx]
-    elif callable(phi):
-        vals = np.array([float(phi(x)) for x in domain.points[idx]])
-    else:
-        raise FunctionalError("boundary data must be a GridField or a callable")
-    if not np.all(np.isfinite(vals)):
-        raise FunctionalError("boundary data missing (non-finite) on dirichlet nodes")
-    return vals
 
 
 def _cell_w(domain: GridDomain, values: np.ndarray):
@@ -120,7 +105,7 @@ def j_functional(u: GridField, phi) -> FunctionalReport:
     """
     dom = u.domain
     a = area(u)
-    bvals = _boundary_values(phi, dom)
+    bvals = as_field(dom, phi).values[dom.dirichlet_index]
     uvals = u.values[dom.dirichlet_index]
     facets = dom.sqrt_det[dom.dirichlet_index] * _facet_measure(dom)
     boundary = float(np.sum(np.abs(uvals - bvals) * facets))
@@ -145,9 +130,7 @@ def e_eps(u: GridField, eps: float, f=None) -> float:
     gradsq, w = _cell_w(dom, u.values)
     integrand = w + 0.5 * eps * gradsq
     if f is not None:
-        fvals = f.values if isinstance(f, GridField) else \
-            np.apply_along_axis(f, -1, dom.points).astype(float)
-        integrand = integrand + cell_average(dom, fvals * u.values)
+        integrand = integrand + cell_average(dom, as_field(dom, f).values * u.values)
     cells = dom.cell_complete
     return float(np.sum(integrand[cells] * dom.cell_sqrt_det[cells]) * dom.cell_volume)
 
@@ -176,6 +159,10 @@ class ProductGrid:
     @property
     def dim(self):
         return self.base.dim + 1
+
+    @property
+    def h(self) -> np.ndarray:
+        return np.concatenate([self.base.h, [self.h_t]])
 
 
 def product_grid(base: GridDomain, T: float, h_t: float) -> ProductGrid:
@@ -215,12 +202,6 @@ def _used_mask(domain) -> np.ndarray:
     return domain.mask != EXTERIOR
 
 
-def _axis_spacings(domain) -> np.ndarray:
-    if isinstance(domain, ProductGrid):
-        return np.concatenate([domain.base.h, [domain.h_t]])
-    return domain.h
-
-
 def _node_sqrt_det(domain) -> np.ndarray:
     if isinstance(domain, ProductGrid):
         return np.broadcast_to(domain.base.sqrt_det[..., None], domain.shape)
@@ -238,7 +219,7 @@ def set_perimeter(E: DiscreteSet, window=None) -> float:
     dom = E.domain
     shape = dom.shape
     ndim = len(shape)
-    spacings = _axis_spacings(dom)
+    spacings = dom.h
     if window is None:
         window = tuple((0, s - 1) for s in shape)
     window = tuple((int(lo), int(hi)) for lo, hi in window)
@@ -302,17 +283,8 @@ def _product_cell_tv(pg: ProductGrid, chi: np.ndarray) -> float:
     """Cell-centered total variation of a profile on the product lattice."""
     base = pg.base
     n = base.dim
-    shape = pg.shape
-    cells_shape = tuple(s - 1 for s in shape)
-    grad = np.zeros(cells_shape + (n + 1,))
-    spacings = np.concatenate([base.h, [pg.h_t]])
-    for corner in product((0, 1), repeat=n + 1):
-        sl = tuple(slice(c, s - 1 + c) for c, s in zip(corner, shape))
-        v = chi[sl]
-        for a in range(n + 1):
-            grad[..., a] += (1.0 if corner[a] else -1.0) * v
-    for a in range(n + 1):
-        grad[..., a] /= (2 ** n) * spacings[a]
+    grad = cell_gradient(pg, chi)
+    cells_shape = grad.shape[:-1]
 
     gs = grad[..., :n]
     if base.chart.is_euclidean:
@@ -325,7 +297,7 @@ def _product_cell_tv(pg: ProductGrid, chi: np.ndarray) -> float:
 
     sdet = np.broadcast_to(base.cell_sqrt_det[..., None], cells_shape)
     complete = np.broadcast_to(base.cell_complete[..., None], cells_shape)
-    vol = float(np.prod(spacings))
+    vol = float(np.prod(pg.h))
     return float(np.sum(np.sqrt(norm2[complete]) * sdet[complete]) * vol)
 
 

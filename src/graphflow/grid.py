@@ -39,7 +39,7 @@ def _region_sdf(region, points, chart_box):
         return np.apply_along_axis(region, -1, points)
     kind = region.get("region")
     if kind == "box":
-        box = np.asarray(region.get("box", chart_box), dtype=float)
+        box = np.asarray(region.get("bounds", chart_box), dtype=float)
         lo, hi = box[:, 0], box[:, 1]
         return np.max(np.maximum(lo - points, points - hi), axis=-1)
     if kind == "disc":
@@ -117,6 +117,17 @@ class GridDomain:
                     break
         return out
 
+    @cached_property
+    def inner_index(self):
+        """Interior neighbor of each dirichlet node, aligned with dirichlet_index.
+
+        Every dirichlet node touches an interior node, so boundary_nodes
+        lists each of them once, in dirichlet_index order.
+        """
+        inner = [tuple(i - o for i, o in zip(idx, off))
+                 for idx, off in self.boundary_nodes]
+        return tuple(np.array(axis, dtype=np.intp) for axis in zip(*inner))
+
     def eroded_interior(self, iterations: int) -> np.ndarray:
         """Interior nodes at Chebyshev lattice distance > iterations from
         any non-interior node."""
@@ -136,7 +147,7 @@ class GridDomain:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return self.chart.christoffel_field.values(self.points)
+        return self.chart.christoffel(self.points)
 
     @cached_property
     def lambda_max_nodes(self) -> np.ndarray:
@@ -204,8 +215,10 @@ class GridField:
 
     @classmethod
     def from_function(cls, domain: GridDomain, fn) -> "GridField":
-        vals = np.apply_along_axis(fn, -1, domain.points).astype(float)
-        vals = np.where(domain.mask != EXTERIOR, vals, np.nan)
+        """Sample fn(x) as a float at every non-exterior node."""
+        used = domain.mask != EXTERIOR
+        vals = np.full(domain.shape, np.nan)
+        vals[used] = [float(fn(x)) for x in domain.points[used]]
         return cls(domain, vals)
 
     @classmethod
@@ -219,6 +232,22 @@ class GridField:
     def sup_abs(self) -> float:
         used = self.domain.mask != EXTERIOR
         return float(np.max(np.abs(self.values[used])))
+
+
+def as_field(domain: GridDomain, data) -> GridField:
+    """Boundary or source data, a GridField or a callable on chart
+    coordinates, as a GridField on domain.
+
+    Entry points that accept either form call this once; a callable is
+    sampled at every non-exterior node.
+    """
+    if isinstance(data, GridField):
+        if data.interior_only:
+            raise GridError("data field is not defined on dirichlet nodes")
+        return data
+    if callable(data):
+        return GridField.from_function(domain, data)
+    raise GridError("data must be a GridField or a callable")
 
 
 def build_domain(chart: MetricChart, h, region=None) -> GridDomain:
@@ -266,75 +295,6 @@ def build_domain(chart: MetricChart, h, region=None) -> GridDomain:
     mask[interior] = INTERIOR
     mask[dirichlet] = DIRICHLET
     return GridDomain(chart, h_arr, mask, region, axes)
-
-
-# -- per-node covariant stencils -------------------------------------------
-
-
-def _require_interior(u: GridField, node) -> tuple:
-    node = tuple(int(v) for v in node)
-    if u.domain.mask[node] != INTERIOR:
-        raise GridError(f"node {node} is not interior")
-    return node
-
-
-def covariant_gradient(u: GridField, node):
-    """Lowered gradient, raised gradient and |Du|^2_sigma at an interior node."""
-    node = _require_interior(u, node)
-    dom = u.domain
-    n = dom.dim
-    lowered = np.empty(n)
-    for a in range(n):
-        up = list(node)
-        dn = list(node)
-        up[a] += 1
-        dn[a] -= 1
-        lowered[a] = (u.values[tuple(up)] - u.values[tuple(dn)]) / (2.0 * dom.h[a])
-    if not np.all(np.isfinite(lowered)):
-        raise GridError(f"gradient stencil at {node} touches undefined values")
-    raised = dom.sig_inv[node] @ lowered
-    return lowered, raised, float(lowered @ raised)
-
-
-def covariant_hessian(u: GridField, node) -> np.ndarray:
-    """Covariant Hessian D^2_ij u at an interior node, mirrored exactly."""
-    node = _require_interior(u, node)
-    dom = u.domain
-    n = dom.dim
-    vals = u.values
-    hess = np.empty((n, n))
-    for a in range(n):
-        up = list(node)
-        dn = list(node)
-        up[a] += 1
-        dn[a] -= 1
-        hess[a, a] = (vals[tuple(up)] - 2.0 * vals[node] + vals[tuple(dn)]) / dom.h[a] ** 2
-    for a in range(n):
-        for b in range(a + 1, n):
-            pp = list(node)
-            pm = list(node)
-            mp = list(node)
-            mm = list(node)
-            pp[a] += 1
-            pp[b] += 1
-            pm[a] += 1
-            pm[b] -= 1
-            mp[a] -= 1
-            mp[b] += 1
-            mm[a] -= 1
-            mm[b] -= 1
-            hess[a, b] = (vals[tuple(pp)] - vals[tuple(pm)] - vals[tuple(mp)]
-                          + vals[tuple(mm)]) / (4.0 * dom.h[a] * dom.h[b])
-            hess[b, a] = hess[a, b]
-    if not np.all(np.isfinite(hess)):
-        raise GridError(f"hessian stencil at {node} touches undefined values")
-    lowered, _, _ = covariant_gradient(u, node)
-    hess -= np.einsum("kij,k->ij", dom.gamma[node], lowered)
-    # mirror once more so the covariant correction cannot break symmetry bitwise
-    for a in range(n):
-        for b in range(a + 1, n):
-            hess[b, a] = hess[a, b]
-    return hess
 
 
 # -- vectorized sweeps (valid at interior nodes, NaN elsewhere) -------------
@@ -420,12 +380,13 @@ def cell_average(domain: GridDomain, values: np.ndarray) -> np.ndarray:
     return out / 2 ** n
 
 
-def cell_gradient(domain: GridDomain, values: np.ndarray) -> np.ndarray:
+def cell_gradient(domain, values: np.ndarray) -> np.ndarray:
     """Compact cell-centered gradient from the 2^n corner values.
 
     Along each axis: difference of the opposite face averages over h.
     Second order at the cell center and free of exterior reads on
-    complete cells.
+    complete cells.  domain is any lattice with dim, shape and per-axis
+    spacings h: a GridDomain, or a ProductGrid with its vertical axis last.
     """
     n = domain.dim
     grad = np.zeros(tuple(s - 1 for s in domain.shape) + (n,))

@@ -19,7 +19,7 @@ yields metric arrays of shape (..., n, n).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -30,19 +30,6 @@ BUILTIN_KINDS = ("euclidean", "poincare_disk", "sphere_polar", "warped_product",
 
 # Positive-definiteness is sampled on this many points per axis at build time.
 _PD_SAMPLES_PER_AXIS = 9
-
-
-@dataclass(frozen=True)
-class ChristoffelField:
-    """Christoffel evaluator with a provenance tag.
-
-    ``values(x)`` returns Gamma indexed [..., k, i, j]; ``source`` is
-    ``analytic`` for closed-form kinds and ``finite-difference`` for
-    differenced ones.
-    """
-
-    values: Callable[[np.ndarray], np.ndarray]
-    source: str
 
 
 @dataclass(frozen=True)
@@ -63,13 +50,6 @@ class MetricChart:
     christoffel_h: float = 0.0
     is_euclidean: bool = False
 
-    @property
-    def christoffel_field(self) -> ChristoffelField:
-        if self.christoffel_fn is not None:
-            return ChristoffelField(self.christoffel_fn, "analytic")
-        return ChristoffelField(lambda x: fd_christoffel_at(self, x, self.christoffel_h),
-                                "finite-difference")
-
     def metric(self, x) -> np.ndarray:
         return self.metric_fn(np.asarray(x, dtype=float))
 
@@ -87,8 +67,11 @@ class MetricChart:
         return np.exp(0.5 * logdet)
 
     def christoffel(self, x) -> np.ndarray:
-        fld = self.christoffel_field
-        return fld.values(np.asarray(x, dtype=float))
+        """Gamma indexed [..., k, i, j]: closed form, else central differences."""
+        x = np.asarray(x, dtype=float)
+        if self.christoffel_fn is not None:
+            return self.christoffel_fn(x)
+        return fd_christoffel_at(self, x, self.christoffel_h)
 
     def contains(self, x, margin: float = 0.0) -> np.ndarray:
         """Componentwise box membership with an optional inner margin."""
@@ -130,11 +113,10 @@ def christoffel_at(chart: MetricChart, x) -> np.ndarray:
     Differenced charts need x at least two differencing steps inside the box.
     """
     x = _check_point_shape(chart, x)
-    fld = chart.christoffel_field
-    margin = 0.0 if fld.source == "analytic" else 2.0 * chart.christoffel_h
+    margin = 0.0 if chart.christoffel_fn is not None else 2.0 * chart.christoffel_h
     if not np.all(chart.contains(x, margin=margin)):
         raise ChartError(f"point {x} too close to the chart box edge for Christoffel stencil")
-    return fld.values(x)
+    return chart.christoffel(x)
 
 
 def fd_christoffel_at(chart: MetricChart, x, h: float) -> np.ndarray:
@@ -353,14 +335,9 @@ def builtin_chart(kind: str, n: int = 2, box=None, params: dict | None = None) -
         chart = _table_chart(n, box, params)
 
     width = min(b[1] - b[0] for b in box)
-    chart = _replace_h(chart, 1e-4 * width)
+    chart = replace(chart, christoffel_h=1e-4 * width)
     _check_positive_definite(chart)
     return chart
-
-
-def _replace_h(chart: MetricChart, h: float) -> MetricChart:
-    return MetricChart(chart.kind, chart.dim, chart.box, chart.params, chart.metric_fn,
-                       chart.inverse_fn, chart.christoffel_fn, h, chart.is_euclidean)
 
 
 def _check_positive_definite(chart: MetricChart) -> None:

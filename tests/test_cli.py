@@ -160,7 +160,7 @@ def test_parse_defaults(tmp_path):
     assert cfg.warm_start is True
     assert cfg.schedule is None
     assert (cfg.barrier_k, cfg.barrier_gamma) == (0.3, 1.1)
-    assert (cfg.seed, cfg.threads) == (0, 1)
+    assert cfg.seed == 0
     assert cfg.output_dir == "graphflow_out"
 
 
@@ -280,6 +280,15 @@ def test_run_invalid_cfl_exits_1(tmp_path, capsys):
     assert fail["exit_code"] == 1
     assert any("cfl" in p for p in fail["problems"])
     assert "cfl" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_run_unknown_top_level_key_exits_1(tmp_path):
+    cfg_path, out = write_config(tmp_path, threads=2)
+    assert main(["run", str(cfg_path)]) == 1
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["error"] == "ConfigError"
+    assert any("threads" in p for p in fail["problems"])
     assert not (out / "manifest.json").exists()
 
 
@@ -416,7 +425,6 @@ def test_selftest_is_deterministic(tmp_path, selftest_run):
 def test_selftest_battery_values(selftest_run):
     doc = json.loads((selftest_run / "selftest.json").read_text())
     assert doc["seed"] == 0
-    assert doc["threads"] == 1
     res = doc["results"]
     assert abs(res["ramp"]["at_two_thirds"] - 8.0 / 27.0) < 1e-12
     assert res["ramp"]["at_two"] == 0.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphflow import continuation
 from graphflow.barrier import check_dirichlet_solvability
 from graphflow.continuation import (boundary_attainment_report, eps_continuation,
                                     probe_mask, run_to_quasi_steady,
@@ -301,6 +302,20 @@ def test_source_norms_decrease_along_run():
     norms = res.source_norms
     assert len(norms) == 6
     assert all(b <= a for a, b in zip(norms, norms[1:]))
+
+
+def test_time_check_starts_from_the_imposed_boundary(monkeypatch):
+    # u0 = 0 disagrees with phi = x1 on the boundary; the time check must
+    # start from phi there, as run_to_quasi_steady does
+    dom = euclid(1 / 16)
+    u0 = GridField.constant(dom, 0.0)
+    starts = []
+    real = continuation.initial_state
+    monkeypatch.setattr(continuation, "initial_state",
+                        lambda *args: starts.append(real(*args)) or starts[-1])
+    time_sequence_uniqueness_check(PARAMS, lambda x: float(x[0]), u0, [0.01], [0.02])
+    state, _ = run_to_quasi_steady(PARAMS, lambda x: float(x[0]), u0, 1e-6)
+    assert starts[0].sup_l0 == state.sup_l0 > 0.0
 
 
 def test_time_sequences_validation():

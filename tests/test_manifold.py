@@ -130,7 +130,7 @@ def test_table_chart_interpolates_and_differences(tmp_path):
     assert np.max(np.abs(sig_t - sig_r)) < 5e-4
     assert np.max(np.abs(sig_t @ inv_t - np.eye(2))) < 1e-8
     gam = christoffel_at(chart, x)
-    assert chart.christoffel_field.source == "finite-difference"
+    assert chart.christoffel_fn is None  # differenced, no closed form
     assert np.max(np.abs(gam - christoffel_at(ref, x))) < 5e-3
 
 
