@@ -28,6 +28,7 @@ is applied.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -43,6 +44,7 @@ QV_MARGIN = -1e-8          # certification demands Qv below this at every sample
 ALPHA_FLOOR = 1e-6
 FIT_WINDOW_CELLS = 8       # boundary sampling window, in units of max h
 DEGENERATE_RESIDUAL = 0.05 # rms graph-fit residual / window above this is no graph
+_CROSSING_TABLES = weakref.WeakKeyDictionary()  # GridDomain -> _crossing_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,32 +130,41 @@ def _cross_on_segment(domain: GridDomain, a: np.ndarray, b: np.ndarray,
     return a + t * (b - a)
 
 
+def _crossing_table(domain: GridDomain):
+    """(lo, hi, points) of the axis-aligned lattice segments meeting the region
+    edge: flat indices of the end nodes and the crossing, ordered by axis, then
+    by lower node in C order.  Built once per domain; only segments passing
+    _cross_on_segment's endpoint tests are root-found."""
+    if domain in _CROSSING_TABLES:
+        return _CROSSING_TABLES[domain]
+    F = domain.sdf
+    lo, hi = [], []
+    for a in range(domain.dim):
+        fa = F[(slice(None),) * a + (slice(None, -1),)]
+        fb = F[(slice(None),) * a + (slice(1, None),)]
+        tiny = 1e-13 * np.maximum(np.maximum(np.abs(fa), np.abs(fb)), 1e-30)
+        hit = np.nonzero((np.abs(fa) < tiny) | (np.abs(fb) < tiny) | ~(fa * fb > 0))
+        lo.append(np.ravel_multi_index(hit, domain.shape))
+        hi.append(lo[-1] + int(np.prod(domain.shape[a + 1:])))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    pts, vals = domain.points.reshape(-1, domain.dim), F.reshape(-1)
+    cross = np.array([_cross_on_segment(domain, pts[i], pts[j], vals[i], vals[j])
+                      for i, j in zip(lo, hi)]).reshape(-1, domain.dim)
+    _CROSSING_TABLES[domain] = lo, hi, cross
+    return lo, hi, cross
+
+
 def boundary_crossings(domain: GridDomain, x0: np.ndarray,
                        window: float) -> np.ndarray:
     """Boundary points where lattice segments near x0 cross the region edge.
 
-    Scans every axis-aligned lattice segment whose endpoints lie within the
-    sup-norm window of x0 and root-finds the signed distance along it.
+    Selects the rows of the domain's crossing table whose segment endpoints
+    both lie within the sup-norm window of x0; the table root-finds the
+    signed distance along each crossing segment once per domain.
     """
-    pts = domain.points
-    F = _sdf(domain, pts.reshape(-1, domain.dim)).reshape(domain.shape)
-    near = np.all(np.abs(pts - x0) <= window + 1e-12, axis=-1)
-    found = []
-    for a in range(domain.dim):
-        lo = tuple(slice(0, s - 1) if ax == a else slice(None)
-                   for ax, s in enumerate(domain.shape))
-        hi = tuple(slice(1, s) if ax == a else slice(None)
-                   for ax, s in enumerate(domain.shape))
-        seg = near[lo] & near[hi]
-        for idx in np.argwhere(seg):
-            p = tuple(idx)
-            q = tuple(v + (1 if ax == a else 0) for ax, v in enumerate(idx))
-            cross = _cross_on_segment(domain, pts[p], pts[q], F[p], F[q])
-            if cross is not None:
-                found.append(cross)
-    if not found:
-        return np.empty((0, domain.dim))
-    arr = np.asarray(found)
+    lo, hi, cross = _crossing_table(domain)
+    near = np.all(np.abs(domain.points - x0) <= window + 1e-12, axis=-1).reshape(-1)
+    arr = cross[near[lo] & near[hi]]
     # lattice nodes sitting exactly on the boundary are seen by every
     # incident segment; keep one copy of each
     _, keep = np.unique(np.round(arr / 1e-12).astype(np.int64), axis=0,
@@ -167,11 +178,8 @@ def project_to_boundary(domain: GridDomain, idx: tuple,
     if domain.mask[idx] != DIRICHLET:
         raise BarrierError(f"node {idx} is not a dirichlet node")
     inner = tuple(i - o for i, o in zip(idx, offset))
-    a = domain.points[inner]
-    b = domain.points[idx]
-    fa = float(_sdf(domain, a[None])[0])
-    fb = float(_sdf(domain, b[None])[0])
-    cross = _cross_on_segment(domain, a, b, fa, fb)
+    cross = _cross_on_segment(domain, domain.points[inner], domain.points[idx],
+                              float(domain.sdf[inner]), float(domain.sdf[idx]))
     if cross is None:
         raise BarrierError(f"no boundary crossing between {inner} and {idx}")
     return cross

@@ -33,8 +33,8 @@ from .flow import (FlowParams, compatibility_ramp, q_operator,
                    write_diagnostics_csv)
 from .functionals import (DiscreteSet, area, j_functional, set_perimeter,
                           subgraph_perimeter)
-from .grid import (EXTERIOR, GridField, build_domain, load_field_csv,
-                   save_field_csv)
+from .grid import (EXTERIOR, REGION_KEYS, GridField, build_domain,
+                   load_field_csv, save_field_csv)
 from .manifold import builtin_chart, chart_from_spec
 
 RUN_ARTIFACTS = ("config_resolved.json", "barrier.json", "continuation.json",
@@ -139,10 +139,14 @@ def field_from_spec(spec: dict, domain) -> GridField:
 def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     """Validate a raw config dict, collecting every problem before raising."""
     problems = []
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
-    if unknown:
-        problems.append(f"unknown config keys {unknown}; expected keys from "
-                        f"{CONFIG_KEYS}")
+
+    def check_keys(name, spec, allowed):
+        unknown = sorted(set(spec) - set(allowed))
+        if unknown:
+            problems.append(f"unknown {name} keys {unknown}; expected keys "
+                            f"from {allowed}")
+
+    check_keys("config", raw, CONFIG_KEYS)
 
     def need(key, default=None):
         if key in raw:
@@ -153,6 +157,8 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     chart = need("chart")
     region = need("region")
+    if isinstance(region, dict) and region.get("region") in REGION_KEYS:
+        check_keys("region", region, ("region",) + REGION_KEYS[region["region"]])
     h = raw.get("h", 0.0)
     if not isinstance(h, (int, float)) or h <= 0:
         problems.append(f"h must be a positive number, got {h!r}")
@@ -197,6 +203,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         problems.append(f"tol must be positive, got {tol}")
 
     barrier = raw.get("barrier", {})
+    check_keys("barrier", barrier, ("K", "gamma"))
     k = float(barrier.get("K", 0.3))
     gamma = float(barrier.get("gamma", 1.1))
     if k <= 0:
@@ -209,6 +216,8 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         if (not isinstance(time_check, dict)
                 or "times_a" not in time_check or "times_b" not in time_check):
             problems.append("time_check needs times_a and times_b lists")
+        else:
+            check_keys("time_check", time_check, ("times_a", "times_b"))
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int):
@@ -283,6 +292,9 @@ def _fail(out: Path | None, exc: Exception) -> int:
               "exit_code": code}
     if isinstance(exc, ConfigError):
         record["problems"] = exc.problems
+    for key in ("step", "node"):
+        if getattr(exc, key, None) is not None:
+            record[key] = getattr(exc, key)
     if out is not None:
         _dump_json(record, out / "failure.json")
     print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

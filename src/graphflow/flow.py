@@ -37,7 +37,7 @@ SUP_BOUND_REL_TOL = 1e-6  # slack on the maximum principle, scaled by data size
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Stepping parameters; cfl is the fraction of the parabolic limit."""
+    """Stepping parameters; cfl is the fraction of stable_dt's parabolic limit."""
 
     eps: float
     delta: float = 0.0
@@ -165,11 +165,12 @@ def initial_state(u0: GridField, phi, params: FlowParams) -> FlowState:
 
 
 def stable_dt(domain: GridDomain, params: FlowParams, w: np.ndarray) -> float:
-    """Parabolic step bound cfl h_min^2 / max lambda_max(sigma^{ij}) (1 + eps W)."""
+    """Parabolic step bound cfl min(1, 2/n) h_min^2 / max lambda_max (1 + eps W),
+    lambda_max of sigma^{ij}; the explicit Laplacian is stable to h^2 / 2n."""
     h_min = float(np.min(domain.h))
     ii = domain.interior_index
     coeff = domain.lambda_max_nodes[ii] * (1.0 + params.eps * w[ii])
-    return params.cfl * h_min ** 2 / float(np.max(coeff))
+    return params.cfl * min(1.0, 2.0 / domain.dim) * h_min ** 2 / float(np.max(coeff))
 
 
 def flow_step(state: FlowState, params: FlowParams) -> FlowState:
@@ -201,9 +202,9 @@ def flow_step(state: FlowState, params: FlowParams) -> FlowState:
 
     used = dom.mask != EXTERIOR
     if not np.all(np.isfinite(new_vals[used])):
-        bad = np.argwhere(~np.isfinite(new_vals) & used)[0]
-        raise FlowDiverged(f"non-finite value at node {tuple(bad)} on step "
-                           f"{state.step + 1}", step=state.step + 1, node=tuple(bad))
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(new_vals) & used)[0])
+        raise FlowDiverged(f"non-finite value at node {bad} on step "
+                           f"{state.step + 1}", step=state.step + 1, node=bad)
 
     ut = (new_vals[ii] - vals[ii]) / dt
     sup_ut = float(np.max(np.abs(ut)))

@@ -29,6 +29,9 @@ from .errors import GridError
 from .manifold import MetricChart
 
 EXTERIOR, INTERIOR, DIRICHLET = 0, 1, 2
+# keys _region_sdf reads for each region kind, besides "region" itself
+REGION_KEYS = {"box": ("bounds",), "disc": ("center", "radius"),
+               "annulus": ("center", "r_inner", "r_outer"), "table": ("values",)}
 
 
 def _region_sdf(region, points, chart_box):
@@ -136,6 +139,12 @@ class GridDomain:
                                       iterations=iterations, border_value=0)
 
     # -- node geometry -----------------------------------------------------
+
+    @cached_property
+    def sdf(self) -> np.ndarray:
+        """Region signed distance at every node, negative strictly inside."""
+        flat = self.points.reshape(-1, self.dim)
+        return _region_sdf(self.region, flat, self.chart.box).reshape(self.shape)
 
     @cached_property
     def sig_inv(self) -> np.ndarray:

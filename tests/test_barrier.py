@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from graphflow.barrier import (boundary_crossings, check_dirichlet_solvability,
+import graphflow.barrier as barrier_mod
+from graphflow.barrier import (FIT_WINDOW_CELLS, _cross_on_segment, _sdf,
+                               boundary_crossings, check_dirichlet_solvability,
                                fit_boundary_graph, make_barrier_spec,
                                project_to_boundary, psi_eval, q_on_barrier,
                                q_on_barrier_fd, search_alpha)
 from graphflow.errors import BarrierError
-from graphflow.grid import build_domain
+from graphflow.grid import GridField, build_domain
 from graphflow.manifold import builtin_chart
 
 EUCLID = builtin_chart("euclidean", n=2)
@@ -56,6 +58,95 @@ def test_boundary_crossings_on_flat_face(square_16):
     pts = boundary_crossings(square_16, np.array([0.5, 0.0]), 0.2)
     assert pts.shape[0] >= 4
     assert np.max(np.abs(pts[:, 1])) < 1e-12
+
+
+def scan_crossings(domain, x0, window):
+    """Reference: root-find every lattice segment inside the window of x0."""
+    pts = domain.points
+    F = _sdf(domain, pts.reshape(-1, domain.dim)).reshape(domain.shape)
+    near = np.all(np.abs(pts - x0) <= window + 1e-12, axis=-1)
+    found = []
+    for a in range(domain.dim):
+        lo = tuple(slice(0, s - 1) if ax == a else slice(None)
+                   for ax, s in enumerate(domain.shape))
+        hi = tuple(slice(1, s) if ax == a else slice(None)
+                   for ax, s in enumerate(domain.shape))
+        for idx in np.argwhere(near[lo] & near[hi]):
+            p = tuple(idx)
+            q = tuple(v + (1 if ax == a else 0) for ax, v in enumerate(idx))
+            cross = _cross_on_segment(domain, pts[p], pts[q], F[p], F[q])
+            if cross is not None:
+                found.append(cross)
+    if not found:
+        return np.empty((0, domain.dim))
+    arr = np.asarray(found)
+    _, keep = np.unique(np.round(arr / 1e-12).astype(np.int64), axis=0,
+                        return_index=True)
+    return arr[np.sort(keep)]
+
+
+CROSSING_DOMAINS = {
+    "offcentre_disc": lambda: build_domain(EUCLID, 1.0 / 64, region={
+        "region": "disc", "center": [0.47, 0.53], "radius": 0.3}),
+    "annulus": lambda: build_domain(EUCLID, 1.0 / 32, region={
+        "region": "annulus", "center": [0.5, 0.5], "r_inner": 0.15,
+        "r_outer": 0.4}),
+    # edges through lattice nodes: each corner node is seen by several segments
+    "node_aligned_box": lambda: build_domain(EUCLID, 1.0 / 16, region={
+        "region": "box", "bounds": [[0.25, 0.75], [0.125, 0.875]]}),
+    "poincare_disc": lambda: build_domain(
+        builtin_chart("poincare_disk", n=2), 0.04375,
+        region={"region": "disc", "center": [0.0, 0.0], "radius": 0.5}),
+    "ball_3d": lambda: build_domain(
+        builtin_chart("euclidean", n=3), 1.0 / 16,
+        region={"region": "disc", "center": [0.5, 0.5, 0.5], "radius": 0.35}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSSING_DOMAINS))
+def test_boundary_crossings_match_per_point_scan(name):
+    dom = CROSSING_DOMAINS[name]()
+    nodes = dom.boundary_nodes
+    base = [project_to_boundary(dom, *nodes[k])
+            for k in (0, len(nodes) // 3, len(nodes) // 2, len(nodes) - 1)]
+    # plus a point away from the boundary and the lattice centre
+    centre = np.array([0.5 * (lo + hi) for lo, hi in dom.chart.box])
+    fit_window = FIT_WINDOW_CELLS * float(np.max(dom.h))
+    total = 0
+    for x0 in base + [centre, base[0] + 0.3 * fit_window]:
+        for window in (fit_window, 2.5 * float(np.max(dom.h)), 0.05, 10.0):
+            got = boundary_crossings(dom, x0, window)
+            want = scan_crossings(dom, x0, window)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            total += got.shape[0]
+    assert total > 0
+
+
+def test_boundary_crossings_dedup_node_aligned_corner():
+    dom = CROSSING_DOMAINS["node_aligned_box"]()
+    pts = boundary_crossings(dom, np.array([0.25, 0.125]), 1.0 / 16)
+    # the corner and its two edge neighbours, each once
+    assert pts.tolist() == [[0.25, 0.125], [0.25, 0.1875], [0.3125, 0.125]]
+
+
+def test_solvability_root_finds_each_segment_once(monkeypatch):
+    # the disc_barrier benchmark domain: 208 boundary points, 4997 brentq
+    # calls when every point re-solved the segments in its window
+    calls = []
+    brentq = barrier_mod.brentq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(barrier_mod, "brentq", counting)
+    dom = disc_domain(1.0 / 64)
+    rep = check_dirichlet_solvability(GridField.constant(dom, 0.2), dom,
+                                      K=0.3, gamma=1.1)
+    assert len(rep.points) == 208
+    assert rep.certified
+    assert len(calls) <= 450
 
 
 def test_project_to_boundary_lands_on_circle():

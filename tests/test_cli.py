@@ -292,6 +292,41 @@ def test_run_unknown_top_level_key_exits_1(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("level,overrides", [
+    ("region", {"region": {"region": "disc", "center": [0.5, 0.5],
+                           "radius": 0.4, "bounds": [[0.0, 1.0], [0.0, 1.0]]}}),
+    ("barrier", {"barrier": {"K": 0.3, "gamma": 1.1, "L": 2.0}}),
+    ("time_check", {"time_check": {"times_a": [0.01], "times_b": [0.02],
+                                   "times_c": [0.03]}}),
+])
+def test_run_unknown_nested_key_exits_1(tmp_path, level, overrides):
+    cfg_path, out = write_config(tmp_path, **overrides)
+    assert main(["run", str(cfg_path)]) == 1
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["error"] == "ConfigError"
+    assert any(p.startswith(f"unknown {level} keys") for p in fail["problems"])
+    assert not (out / "manifest.json").exists()
+
+
+def test_run_divergence_records_step_and_node(tmp_path, capsys):
+    # cfl 0.99 is four times the explicit limit in two dimensions
+    cfg_path, out = write_config(
+        tmp_path, phi={"kind": "linear", "coeffs": [1.0, 0.5]},
+        u0={"kind": "constant", "value": 0.0},
+        flow={"eps": 0.1, "cfl": 0.99, "t_end": 5.0}, schedule=[0.1])
+    assert main(["run", str(cfg_path)]) == 3
+    assert "FlowDiverged" in capsys.readouterr().err
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["error"] == "FlowDiverged"
+    assert fail["exit_code"] == 3
+    assert isinstance(fail["step"], int) and fail["step"] > 0
+    assert len(fail["node"]) == 2
+    assert all(0 <= i <= 16 for i in fail["node"])
+    assert (f"at node {tuple(fail['node'])} on step {fail['step']}"
+            in fail["message"])
+    assert not (out / "manifest.json").exists()
+
+
 def test_run_missing_config_exits_1(tmp_path, capsys):
     out = tmp_path / "fallback"
     rc = main(["run", str(tmp_path / "absent.json"), "--out", str(out)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphflow.continuation import run_to_quasi_steady
 from graphflow.errors import EstimateViolation, FlowDiverged, GraphflowError
 from graphflow.flow import (FlowParams, compatibility_ramp, flow_step,
                             initial_state, l_eps_apply, q_operator, stable_dt,
@@ -200,6 +201,17 @@ def test_stable_dt_shrinks_with_steep_slopes():
     flat = np.ones(dom.shape)
     steep = np.full(dom.shape, 30.0)
     assert stable_dt(dom, params, steep) < stable_dt(dom, params, flat)
+
+
+def test_unit_cube_leg_converges_at_default_cfl():
+    # h^2 / 2n is the explicit limit, so n = 3 needs the 2/n factor
+    dom = euclid(1.0 / 8, n=3)
+    params = FlowParams(eps=0.1, t_end=5.0)
+    assert params.cfl == 0.25
+    state, converged = run_to_quasi_steady(
+        params, lambda x: 0.1 * x[0], GridField.constant(dom, 0.0), tol=1e-6)
+    assert converged
+    assert state.step <= 250
 
 
 def test_divergence_guard_reports_step_and_node():
