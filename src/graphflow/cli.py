@@ -33,9 +33,8 @@ from .flow import (FlowParams, compatibility_ramp, q_operator,
                    write_diagnostics_csv)
 from .functionals import (DiscreteSet, area, j_functional, set_perimeter,
                           subgraph_perimeter)
-from .grid import (EXTERIOR, REGION_KEYS, GridField, build_domain,
-                   load_field_csv, save_field_csv)
-from .manifold import builtin_chart, chart_from_spec
+from .grid import REGION_KEYS, GridField, build_domain, load_field_csv, save_field_csv
+from .manifold import CHART_KEYS, CHART_PARAMS, builtin_chart, chart_from_spec
 
 RUN_ARTIFACTS = ("config_resolved.json", "barrier.json", "continuation.json",
                  "attainment.json", "solution.csv", "diagnostics.csv")
@@ -83,8 +82,12 @@ class ExperimentConfig:
 CONFIG_KEYS = ("chart", "region", "h", "phi", "u0", "flow", "schedule", "tol",
                "warm_start", "barrier", "time_check", "output_dir", "seed",
                "snapshot_every_steps")
-FIELD_KINDS = ("constant", "linear", "sine_product", "scherk", "radial_step",
-               "csv")
+# keys field_from_spec reads for each field kind, besides "kind" itself
+FIELD_KEYS = {"constant": ("value",), "linear": ("coeffs", "offset"),
+              "sine_product": ("amplitude", "waves"), "scherk": (),
+              "radial_step": ("center", "radius", "inside", "outside"),
+              "csv": ("path",)}
+FIELD_KINDS = tuple(FIELD_KEYS)
 
 
 def field_from_spec(spec: dict, domain) -> GridField:
@@ -121,7 +124,7 @@ def field_from_spec(spec: dict, domain) -> GridField:
         x2 = domain.points[..., 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.log(np.cos(x1) / np.cos(x2))
-        if not np.all(np.isfinite(vals[domain.mask != EXTERIOR])):
+        if not np.all(np.isfinite(vals[domain.used])):
             raise ConfigError("scherk field is singular on this domain")
         return GridField(domain, np.nan_to_num(vals))
     if kind == "radial_step":
@@ -156,6 +159,11 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         return default
 
     chart = need("chart")
+    if isinstance(chart, dict):
+        check_keys("chart", chart, CHART_KEYS)
+        params = chart.get("params", {})
+        if chart.get("kind") in CHART_PARAMS and isinstance(params, dict):
+            check_keys("chart params", params, CHART_PARAMS[chart["kind"]])
     region = need("region")
     if isinstance(region, dict) and region.get("region") in REGION_KEYS:
         check_keys("region", region, ("region",) + REGION_KEYS[region["region"]])
@@ -167,9 +175,11 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     def check_field(name, spec):
         # csv paths are interpreted relative to the config file
-        if not isinstance(spec, dict) or spec.get("kind") not in FIELD_KINDS:
+        if not isinstance(spec, dict) or spec.get("kind") not in FIELD_KEYS:
             problems.append(f"{name} spec must name a kind from {FIELD_KINDS}")
-        elif spec["kind"] == "csv":
+            return spec
+        check_keys(name, spec, ("kind",) + FIELD_KEYS[spec["kind"]])
+        if spec["kind"] == "csv":
             path = base_dir / spec.get("path", "")
             if not path.is_file():
                 problems.append(f"{name} csv file {str(path)!r} does not exist")

@@ -18,6 +18,11 @@ unperturbed flow.
 Boundary values are held at phi, optionally ramped on a delta-scale:
 phi + delta psi(t/delta) L^eps u0 with psi(s) = s (1 - s/2)^2, which has
 psi(0) = 0, psi'(0) = 1, |psi'| <= 1 and support in [0, 2].
+
+The operator is summed in closed form, component by component, from the
+grid stencils' arrays over the inner block values[1:-1, ..., 1:-1]; a step
+then gathers the interior nodes from that block and updates them, the step
+bound, u_t and the dissipation density as vectors in interior_index order.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EstimateViolation, FlowDiverged
-from .functionals import e_eps, interior_integral
-from .grid import (EXTERIOR, GridDomain, GridField, as_field, gradient_sweep,
-                   hessian_sweep)
+from .functionals import e_eps
+from .grid import (GridDomain, GridField, as_field, contract, gradient_sweep,
+                   hessian_sweep, matvec)
 
 UT_BOUND_REL_TOL = 1e-3   # slack on sup|u_t| <= sup|L^eps u0|
 SUP_BOUND_REL_TOL = 1e-6  # slack on the maximum principle, scaled by data size
@@ -86,30 +91,25 @@ class FlowState:
     dissipation_cum: float = 0.0
 
 
-def _sig_contract(domain: GridDomain, hess: np.ndarray) -> np.ndarray:
-    """sigma^{ij} D^2_ij u over the lattice."""
-    if domain.chart.is_euclidean:
-        return np.trace(hess, axis1=-2, axis2=-1)
-    return np.einsum("...ij,...ij->...", domain.sig_inv, hess)
-
-
 def _operator_arrays(domain: GridDomain, values: np.ndarray):
-    """(Q, lap, W) arrays, meaningful at interior nodes."""
+    """(Q, lap, W) on the inner block, meaningful at interior nodes."""
+    n = domain.dim
     lowered, raised, gradsq = gradient_sweep(domain, values)
     hess = hessian_sweep(domain, values, lowered)
     w2 = 1.0 + gradsq
-    lap = _sig_contract(domain, hess)
-    hv = np.matmul(hess, raised[..., None])[..., 0]
-    quu = np.einsum("...i,...i->...", raised, hv)
-    q = lap - quu / w2
-    return q, lap, np.sqrt(w2)
+    if domain.chart.is_euclidean:
+        lap = sum(hess[a][a] for a in range(n))
+    else:
+        sig = domain.block_sig_inv
+        lap = sum(sig[a][b] * hess[a][b] for a in range(n) for b in range(n))
+    quu = contract(raised, matvec(hess, raised))
+    return lap - quu / w2, lap, np.sqrt(w2)
 
 
 def q_operator(u: GridField) -> GridField:
     """Mean curvature operator Qu = g^{ij} D^2_ij u at interior nodes."""
     q, _, _ = _operator_arrays(u.domain, u.values)
-    vals = np.where(u.domain.interior, q, np.nan)
-    return GridField(u.domain, vals, interior_only=True)
+    return GridField.from_inner_block(u.domain, q)
 
 
 def l_eps_apply(u: GridField, eps: float) -> GridField:
@@ -122,8 +122,7 @@ def l_eps_apply(u: GridField, eps: float) -> GridField:
     if eps == 0.0:
         return q_operator(u)
     q, lap, w = _operator_arrays(u.domain, u.values)
-    vals = np.where(u.domain.interior, q + eps * w * lap, np.nan)
-    return GridField(u.domain, vals, interior_only=True)
+    return GridField.from_inner_block(u.domain, q + eps * w * lap)
 
 
 def _ramp_profile(s):
@@ -158,7 +157,7 @@ def initial_state(u0: GridField, phi, params: FlowParams) -> FlowState:
     sup_l0 = float(np.max(np.abs(residual.values[dom.interior_index])))
     ramp_base = residual.values[dom.inner_index]
 
-    used = u.values[dom.mask != EXTERIOR]
+    used = u.values[dom.used]
     return FlowState(u=u, phi_dirichlet=phi_vals, ramp_base=ramp_base,
                      sup_l0=sup_l0, bound_lo=float(np.min(used)),
                      bound_hi=float(np.max(used)))
@@ -166,11 +165,13 @@ def initial_state(u0: GridField, phi, params: FlowParams) -> FlowState:
 
 def stable_dt(domain: GridDomain, params: FlowParams, w: np.ndarray) -> float:
     """Parabolic step bound cfl min(1, 2/n) h_min^2 / max lambda_max (1 + eps W),
-    lambda_max of sigma^{ij}; the explicit Laplacian is stable to h^2 / 2n."""
+    lambda_max of sigma^{ij}; the explicit Laplacian is stable to h^2 / 2n.
+
+    w holds W at the interior nodes, in interior_index order.
+    """
     h_min = float(np.min(domain.h))
-    ii = domain.interior_index
-    coeff = domain.lambda_max_nodes[ii] * (1.0 + params.eps * w[ii])
-    return params.cfl * min(1.0, 2.0 / domain.dim) * h_min ** 2 / float(np.max(coeff))
+    coeff = domain.interior_lambda_max * (1.0 + params.eps * w)
+    return params.cfl * min(1.0, 2.0 / domain.dim) * h_min ** 2 / float(coeff.max())
 
 
 def flow_step(state: FlowState, params: FlowParams) -> FlowState:
@@ -183,39 +184,40 @@ def flow_step(state: FlowState, params: FlowParams) -> FlowState:
     """
     dom = state.u.domain
     vals = state.u.values
+    interior, block = dom.interior_flat, dom.block_interior
     # overflow here surfaces as the FlowDiverged guard below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         q, lap, w = _operator_arrays(dom, vals)
-        rhs = q if params.eps == 0.0 else q + params.eps * w * lap
+        w = w.take(block)
+        rhs = q.take(block)
+        if params.eps != 0.0:
+            rhs = rhs + params.eps * w * lap.take(block)
         dt = stable_dt(dom, params, w)
-        ii = dom.interior_index
+        old = vals.take(interior)
+        new = old + dt * rhs
+        t_new = state.t + dt
+
+        bc = state.phi_dirichlet
+        ramp = compatibility_ramp(t_new, params.delta)
+        if ramp != 0.0:
+            bc = bc + ramp * state.ramp_base
         new_vals = vals.copy()
-        new_vals[ii] = vals[ii] + dt * rhs[ii]
-    t_new = state.t + dt
+        new_vals.put(interior, new)
+        new_vals[dom.dirichlet_index] = bc
 
-    didx = dom.dirichlet_index
-    bc = state.phi_dirichlet
-    ramp = compatibility_ramp(t_new, params.delta)
-    if ramp != 0.0:
-        bc = bc + ramp * state.ramp_base
-    new_vals[didx] = bc
+        if not (np.isfinite(new).all() and np.isfinite(bc).all()):
+            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(new_vals) & dom.used)[0])
+            raise FlowDiverged(f"non-finite value at node {bad} on step "
+                               f"{state.step + 1}", step=state.step + 1, node=bad)
 
-    used = dom.mask != EXTERIOR
-    if not np.all(np.isfinite(new_vals[used])):
-        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(new_vals) & used)[0])
-        raise FlowDiverged(f"non-finite value at node {bad} on step "
-                           f"{state.step + 1}", step=state.step + 1, node=bad)
-
-    ut = (new_vals[ii] - vals[ii]) / dt
-    sup_ut = float(np.max(np.abs(ut)))
-    sup_u = float(np.max(np.abs(new_vals[used])))
-
-    diss_density = np.zeros(dom.shape)
-    diss_density[ii] = ut * ut / w[ii]
-    diss_inc = interior_integral(dom, diss_density) * dt
+        ut = (new - old) / dt
+        sup_ut = float(np.abs(ut).max())
+        sup_u = max(float(np.abs(new).max()), float(np.abs(bc).max()))
+        diss_density = ut * ut / w * dom.sqrt_det.take(interior)
+        diss_inc = float(diss_density.sum() * dom.cell_volume) * dt
     state.dissipation_cum += diss_inc
 
-    state.u = GridField(dom, new_vals)
+    state.u = GridField.trusted(dom, new_vals)
     state.t = t_new
     state.step += 1
     energy = e_eps(state.u, params.eps)
@@ -232,13 +234,12 @@ def flow_step(state: FlowState, params: FlowParams) -> FlowState:
 def _check_estimates(state: FlowState, sample: DiagnosticSample) -> None:
     scale = max(1.0, abs(state.bound_lo), abs(state.bound_hi))
     tol = SUP_BOUND_REL_TOL * scale
-    vals = state.u.values
-    used = state.u.domain.mask != EXTERIOR
-    if float(np.min(vals[used])) < state.bound_lo - tol \
-            or float(np.max(vals[used])) > state.bound_hi + tol:
+    used = state.u.values[state.u.domain.used]
+    lo, hi = float(np.min(used)), float(np.max(used))
+    if lo < state.bound_lo - tol or hi > state.bound_hi + tol:
         raise EstimateViolation(
             f"maximum principle violated at step {sample.step}: range "
-            f"[{float(np.min(vals[used]))}, {float(np.max(vals[used]))}] leaves "
+            f"[{lo}, {hi}] leaves "
             f"[{state.bound_lo}, {state.bound_hi}] by more than {tol}")
     ut_cap = state.sup_l0 * (1.0 + UT_BOUND_REL_TOL) + 1e-12
     if sample.sup_ut > ut_cap:

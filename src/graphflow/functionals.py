@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FunctionalError
-from .grid import (EXTERIOR, GridDomain, GridField, as_field, cell_average,
-                   cell_gradient, gradient_sweep)
+from .grid import (GridDomain, GridField, as_field, cell_average, cell_gradient,
+                   contract, gradient_sweep, matvec)
 
 # vertical mollification band of the subgraph indicator, in t-cells
 MOLLIFY_BAND_CELLS = 3
@@ -47,23 +47,21 @@ class FunctionalReport:
                 "boundary_term": self.boundary_term, "h": self.quadrature_h}
 
 
+def _cell_sig(domain: GridDomain):
+    return None if domain.chart.is_euclidean else domain.cell_sig_inv
+
+
 def _cell_w(domain: GridDomain, values: np.ndarray):
     """Cell-centered (gradsq, W) pair."""
     grad = cell_gradient(domain, values)
-    if domain.chart.is_euclidean:
-        gradsq = np.sum(grad * grad, axis=-1)
-    else:
-        raised = np.matmul(domain.cell_sig_inv, grad[..., None])[..., 0]
-        gradsq = np.einsum("...i,...i->...", grad, raised)
+    gradsq = contract(grad, matvec(_cell_sig(domain), grad))
     return gradsq, np.sqrt(1.0 + gradsq)
 
 
 def w_factor(u: GridField) -> GridField:
     """Area density W = sqrt(1 + |Du|^2_sigma) at interior nodes."""
-    dom = u.domain
-    _, _, gradsq = gradient_sweep(dom, u.values)
-    vals = np.where(dom.interior, np.sqrt(1.0 + gradsq), np.nan)
-    return GridField(dom, vals, interior_only=True)
+    _, _, gradsq = gradient_sweep(u.domain, u.values)
+    return GridField.from_inner_block(u.domain, np.sqrt(1.0 + gradsq))
 
 
 def area(u: GridField) -> float:
@@ -79,15 +77,9 @@ def area_directional_derivative(u: GridField, eta: GridField) -> float:
     sum of <Du, D eta>_sigma / W over cells."""
     dom = u.domain
     gu = cell_gradient(dom, u.values)
-    ge = cell_gradient(dom, eta.values)
-    if dom.chart.is_euclidean:
-        dot = np.sum(gu * ge, axis=-1)
-        gradsq = np.sum(gu * gu, axis=-1)
-    else:
-        raised = np.matmul(dom.cell_sig_inv, gu[..., None])[..., 0]
-        dot = np.einsum("...i,...i->...", raised, ge)
-        gradsq = np.einsum("...i,...i->...", raised, gu)
-    w = np.sqrt(1.0 + gradsq)
+    raised = matvec(_cell_sig(dom), gu)
+    dot = contract(raised, cell_gradient(dom, eta.values))
+    w = np.sqrt(1.0 + contract(raised, gu))
     cells = dom.cell_complete
     return float(np.sum((dot / w)[cells] * dom.cell_sqrt_det[cells]) * dom.cell_volume)
 
@@ -197,9 +189,8 @@ class DiscreteSet:
 
 def _used_mask(domain) -> np.ndarray:
     if isinstance(domain, ProductGrid):
-        spatial = domain.base.mask != EXTERIOR
-        return np.broadcast_to(spatial[..., None], domain.shape)
-    return domain.mask != EXTERIOR
+        return np.broadcast_to(domain.base.used[..., None], domain.shape)
+    return domain.used
 
 
 def _node_sqrt_det(domain) -> np.ndarray:
@@ -284,16 +275,13 @@ def _product_cell_tv(pg: ProductGrid, chi: np.ndarray) -> float:
     base = pg.base
     n = base.dim
     grad = cell_gradient(pg, chi)
-    cells_shape = grad.shape[:-1]
+    cells_shape = grad[0].shape
 
-    gs = grad[..., :n]
-    if base.chart.is_euclidean:
-        norm2 = np.sum(gs * gs, axis=-1)
-    else:
-        sig = base.cell_sig_inv[..., None, :, :]
-        raised = np.matmul(np.broadcast_to(sig, gs.shape[:-1] + (n, n)), gs[..., None])[..., 0]
-        norm2 = np.einsum("...i,...i->...", gs, raised)
-    norm2 = norm2 + grad[..., n] ** 2
+    sig = _cell_sig(base)
+    if sig is not None:
+        sig = [[s[..., None] for s in row] for row in sig]
+    gs = grad[:n]
+    norm2 = contract(gs, matvec(sig, gs)) + grad[n] ** 2
 
     sdet = np.broadcast_to(base.cell_sqrt_det[..., None], cells_shape)
     complete = np.broadcast_to(base.cell_complete[..., None], cells_shape)
@@ -352,7 +340,7 @@ def vertical_rearrangement(F: DiscreteSet) -> GridField:
     if not isinstance(pg, ProductGrid):
         raise FunctionalError("vertical rearrangement needs a product-grid set")
     base = pg.base
-    used = base.mask != EXTERIOR
+    used = base.used
     chi = F.indicator
     if not np.all(chi[..., 0][used] == 1):
         raise FunctionalError("set does not contain the bottom lattice layer of Omega")

@@ -13,6 +13,12 @@ central second differences on the axes, the 4-point cross stencil for mixed
 partials, and the covariant correction
 
     D^2_ij u = d^2_ij u - Gamma^k_ij d_k u.
+
+Every interior node lies off the lattice rim, so the node stencils work on
+the inner block values[1:-1, ..., 1:-1] only and return one block array
+per component (sigma^{ij} and Gamma^k_ij are cached per domain in the same
+form); entries at the block's non-interior nodes carry no meaning.  The
+cell stencils used for quadrature likewise return one cell array per axis.
 """
 
 from __future__ import annotations
@@ -29,9 +35,18 @@ from .errors import GridError
 from .manifold import MetricChart
 
 EXTERIOR, INTERIOR, DIRICHLET = 0, 1, 2
+INNER = slice(1, -1)  # the inner block of an axis: every node off the lattice rim
 # keys _region_sdf reads for each region kind, besides "region" itself
 REGION_KEYS = {"box": ("bounds",), "disc": ("center", "radius"),
                "annulus": ("center", "r_inner", "r_outer"), "table": ("values",)}
+
+
+def _components(arr: np.ndarray, depth: int):
+    """Nested tuples of contiguous arrays, one per entry of arr's trailing
+    depth axes: _components(g, 3)[k][i][j] is g[..., k, i, j]."""
+    if depth == 0:
+        return np.ascontiguousarray(arr)
+    return tuple(_components(part, depth - 1) for part in np.moveaxis(arr, -depth, 0))
 
 
 def _region_sdf(region, points, chart_box):
@@ -86,6 +101,11 @@ class GridDomain:
         return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
 
     @cached_property
+    def used(self) -> np.ndarray:
+        """Non-exterior nodes: interior and dirichlet."""
+        return self.mask != EXTERIOR
+
+    @cached_property
     def interior(self) -> np.ndarray:
         return self.mask == INTERIOR
 
@@ -100,6 +120,17 @@ class GridDomain:
     @cached_property
     def dirichlet_index(self):
         return np.nonzero(self.dirichlet)
+
+    @cached_property
+    def interior_flat(self) -> np.ndarray:
+        """Flat lattice indices of the interior nodes, in interior_index order."""
+        return np.flatnonzero(self.interior)
+
+    @cached_property
+    def block_interior(self) -> np.ndarray:
+        """Flat indices of the interior nodes within the inner block
+        values[1:-1, ..., 1:-1], in interior_index order."""
+        return np.flatnonzero(self.interior[(INNER,) * self.dim])
 
     @cached_property
     def boundary_nodes(self):
@@ -155,27 +186,28 @@ class GridDomain:
         return self.chart.sqrt_det(self.points)
 
     @cached_property
-    def gamma(self) -> np.ndarray:
-        return self.chart.christoffel(self.points)
+    def block_sig_inv(self):
+        """sigma^{ij} on the inner block, [i][j] one contiguous array each."""
+        return _components(self.sig_inv[(INNER,) * self.dim], 2)
 
     @cached_property
-    def lambda_max_nodes(self) -> np.ndarray:
-        """Largest eigenvalue of sigma^{ij} per node."""
+    def block_gamma(self):
+        """Gamma^k_ij on the inner block, [k][i][j] one contiguous array each."""
+        return _components(self.chart.christoffel(self.points)[(INNER,) * self.dim], 3)
+
+    @cached_property
+    def interior_lambda_max(self) -> np.ndarray:
+        """Largest eigenvalue of sigma^{ij} at each interior node."""
         if self.chart.is_euclidean:
-            return np.ones(self.shape)
-        return np.linalg.eigvalsh(self.sig_inv)[..., -1]
-
-    @cached_property
-    def lambda_max(self) -> float:
-        """Largest eigenvalue of sigma^{ij} over non-exterior nodes."""
-        return float(np.max(self.lambda_max_nodes[self.mask != EXTERIOR]))
+            return np.ones(self.interior_flat.size)
+        return np.linalg.eigvalsh(self.sig_inv[self.interior_index])[..., -1]
 
     # -- cell geometry (quadrature on complete lattice cells) --------------
 
     @cached_property
     def cell_complete(self) -> np.ndarray:
         """Cells whose 2^n corner nodes are all non-exterior."""
-        ok = self.mask != EXTERIOR
+        ok = self.used
         out = np.ones(tuple(s - 1 for s in self.shape), dtype=bool)
         for corner in product((0, 1), repeat=self.dim):
             sl = tuple(slice(c, s - 1 + c) for c, s in zip(corner, self.shape))
@@ -188,8 +220,9 @@ class GridDomain:
         return np.stack(np.meshgrid(*half, indexing="ij"), axis=-1)
 
     @cached_property
-    def cell_sig_inv(self) -> np.ndarray:
-        return self.chart.inverse(self.cell_centers)
+    def cell_sig_inv(self):
+        """sigma^{ij} at the cell centers, [i][j] one contiguous array each."""
+        return _components(self.chart.inverse(self.cell_centers), 2)
 
     @cached_property
     def cell_sqrt_det(self) -> np.ndarray:
@@ -217,30 +250,42 @@ class GridField:
         if self.values.shape != self.domain.shape:
             raise GridError(f"field shape {self.values.shape} does not match "
                             f"lattice shape {self.domain.shape}")
-        used = self.domain.interior if self.interior_only \
-            else self.domain.mask != EXTERIOR
+        used = self.domain.interior if self.interior_only else self.domain.used
         if not np.all(np.isfinite(self.values[used])):
             raise GridError("field has non-finite values on non-exterior nodes")
 
     @classmethod
     def from_function(cls, domain: GridDomain, fn) -> "GridField":
         """Sample fn(x) as a float at every non-exterior node."""
-        used = domain.mask != EXTERIOR
         vals = np.full(domain.shape, np.nan)
-        vals[used] = [float(fn(x)) for x in domain.points[used]]
+        vals[domain.used] = [float(fn(x)) for x in domain.points[domain.used]]
         return cls(domain, vals)
 
     @classmethod
+    def from_inner_block(cls, domain: GridDomain, block: np.ndarray) -> "GridField":
+        """Interior-only field holding an inner-block array's interior values."""
+        vals = np.full(domain.shape, np.nan)
+        vals.put(domain.interior_flat, block.take(domain.block_interior))
+        return cls(domain, vals, interior_only=True)
+
+    @classmethod
+    def trusted(cls, domain: GridDomain, values: np.ndarray) -> "GridField":
+        """Field over a float lattice array the caller has already checked
+        finite on every non-exterior node; skips that scan."""
+        u = object.__new__(cls)
+        u.domain, u.values, u.interior_only = domain, values, False
+        return u
+
+    @classmethod
     def constant(cls, domain: GridDomain, value: float) -> "GridField":
-        vals = np.where(domain.mask != EXTERIOR, float(value), np.nan)
+        vals = np.where(domain.used, float(value), np.nan)
         return cls(domain, vals)
 
     def copy(self) -> "GridField":
         return GridField(self.domain, self.values.copy())
 
     def sup_abs(self) -> float:
-        used = self.domain.mask != EXTERIOR
-        return float(np.max(np.abs(self.values[used])))
+        return float(np.max(np.abs(self.values[self.domain.used])))
 
 
 def as_field(domain: GridDomain, data) -> GridField:
@@ -306,73 +351,74 @@ def build_domain(chart: MetricChart, h, region=None) -> GridDomain:
     return GridDomain(chart, h_arr, mask, region, axes)
 
 
-# -- vectorized sweeps (valid at interior nodes, NaN elsewhere) -------------
+# -- stencils on the inner block values[1:-1, ..., 1:-1] ---------------------
+
+
+def _shifted(values: np.ndarray, steps: dict) -> np.ndarray:
+    """The inner block of values moved one node along some axes: with
+    steps {0: -1, 1: 1} it holds v[i0 - 1, i1 + 1] at inner node (i0, i1)."""
+    sl = [INNER] * values.ndim
+    for axis, step in steps.items():
+        sl[axis] = slice(2, None) if step > 0 else slice(0, -2)
+    return values[tuple(sl)]
+
+
+def matvec(m, v) -> list:
+    """Components sum_j m[i][j] v[j] of per-component arrays, m nested
+    [i][j] (sigma^{ij} raises an index); m None stands for the identity."""
+    if m is None:
+        return v
+    n = len(v)
+    return [sum(m[i][j] * v[j] for j in range(n)) for i in range(n)]
+
+
+def contract(a, b):
+    """sum_i a_i b_i of two lists of per-component arrays."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def gradient_sweep(domain: GridDomain, values: np.ndarray):
-    """Central-difference gradient arrays over the whole lattice.
+    """Central-difference gradient on the inner block.
 
-    Returns (lowered, raised, gradsq); entries are only meaningful at
-    interior nodes, whose stencils never touch exterior data.
+    Returns (lowered, raised, gradsq): lowered and raised are lists of n
+    block arrays, one per component, and gradsq is |Du|^2_sigma on the
+    block.  Entries are meaningful at interior nodes, whose stencils never
+    touch exterior data.
     """
     n = domain.dim
-    lowered = np.full(domain.shape + (n,), np.nan)
-    for a in range(n):
-        sl_p = [slice(1, -1)] * n
-        sl_m = [slice(1, -1)] * n
-        sl_c = [slice(1, -1)] * n
-        sl_p[a] = slice(2, None)
-        sl_m[a] = slice(0, -2)
-        lowered[tuple(sl_c) + (a,)] = (values[tuple(sl_p)] - values[tuple(sl_m)]) \
-            / (2.0 * domain.h[a])
-    raised = _raise_index(domain, lowered)
-    gradsq = np.einsum("...i,...i->...", lowered, raised)
-    return lowered, raised, gradsq
+    lowered = [(_shifted(values, {a: 1}) - _shifted(values, {a: -1})) / (2.0 * domain.h[a])
+               for a in range(n)]
+    raised = matvec(None if domain.chart.is_euclidean else domain.block_sig_inv, lowered)
+    return lowered, raised, contract(lowered, raised)
 
 
-def _raise_index(domain: GridDomain, lowered: np.ndarray) -> np.ndarray:
-    if domain.chart.is_euclidean:
-        return lowered
-    return np.matmul(domain.sig_inv, lowered[..., None])[..., 0]
+def hessian_sweep(domain: GridDomain, values: np.ndarray, lowered=None):
+    """Covariant Hessian on the inner block, meaningful at interior nodes.
 
-
-def hessian_sweep(domain: GridDomain, values: np.ndarray, lowered: np.ndarray | None = None):
-    """Covariant Hessian over the whole lattice; meaningful at interior nodes."""
+    hess[a][b] is the block array of D^2_ab u; hess[b][a] is the same array.
+    lowered, the gradient from gradient_sweep, saves recomputing it on
+    curved charts.
+    """
     n = domain.dim
-    hess = np.full(domain.shape + (n, n), np.nan)
-    inner = tuple([slice(1, -1)] * n)
+    h = domain.h
+    centre = values[(INNER,) * n]
+    hess = [[None] * n for _ in range(n)]
     for a in range(n):
-        sl_p = [slice(1, -1)] * n
-        sl_m = [slice(1, -1)] * n
-        sl_p[a] = slice(2, None)
-        sl_m[a] = slice(0, -2)
-        hess[inner + (a, a)] = (values[tuple(sl_p)] - 2.0 * values[inner]
-                                + values[tuple(sl_m)]) / domain.h[a] ** 2
-    for a in range(n):
+        hess[a][a] = (_shifted(values, {a: 1}) - 2.0 * centre
+                      + _shifted(values, {a: -1})) / h[a] ** 2
         for b in range(a + 1, n):
-            sl_pp = [slice(1, -1)] * n
-            sl_pm = [slice(1, -1)] * n
-            sl_mp = [slice(1, -1)] * n
-            sl_mm = [slice(1, -1)] * n
-            sl_pp[a] = slice(2, None)
-            sl_pp[b] = slice(2, None)
-            sl_pm[a] = slice(2, None)
-            sl_pm[b] = slice(0, -2)
-            sl_mp[a] = slice(0, -2)
-            sl_mp[b] = slice(2, None)
-            sl_mm[a] = slice(0, -2)
-            sl_mm[b] = slice(0, -2)
-            cross = (values[tuple(sl_pp)] - values[tuple(sl_pm)] - values[tuple(sl_mp)]
-                     + values[tuple(sl_mm)]) / (4.0 * domain.h[a] * domain.h[b])
-            hess[inner + (a, b)] = cross
-            hess[inner + (b, a)] = cross
+            hess[a][b] = hess[b][a] = (
+                _shifted(values, {a: 1, b: 1}) - _shifted(values, {a: 1, b: -1})
+                - _shifted(values, {a: -1, b: 1}) + _shifted(values, {a: -1, b: -1})) \
+                / (4.0 * h[a] * h[b])
     if not domain.chart.is_euclidean:
         if lowered is None:
-            lowered, _, _ = gradient_sweep(domain, values)
-        corr = np.zeros_like(hess)
-        for k in range(n):
-            corr += domain.gamma[..., k, :, :] * lowered[..., k, None, None]
-        hess = hess - corr
+            lowered = gradient_sweep(domain, values)[0]
+        gamma = domain.block_gamma
+        for a in range(n):
+            for b in range(a, n):
+                corr = sum(gamma[k][a][b] * lowered[k] for k in range(n))
+                hess[a][b] = hess[b][a] = hess[a][b] - corr
     return hess
 
 
@@ -389,24 +435,30 @@ def cell_average(domain: GridDomain, values: np.ndarray) -> np.ndarray:
     return out / 2 ** n
 
 
-def cell_gradient(domain, values: np.ndarray) -> np.ndarray:
+def cell_gradient(domain, values: np.ndarray) -> list:
     """Compact cell-centered gradient from the 2^n corner values.
 
     Along each axis: difference of the opposite face averages over h.
     Second order at the cell center and free of exterior reads on
     complete cells.  domain is any lattice with dim, shape and per-axis
     spacings h: a GridDomain, or a ProductGrid with its vertical axis last.
+    Returns one cell array per axis; each sums the corners in
+    lexicographic order.
     """
     n = domain.dim
-    grad = np.zeros(tuple(s - 1 for s in domain.shape) + (n,))
-    for corner in product((0, 1), repeat=n):
-        sl = tuple(slice(c, s - 1 + c) for c, s in zip(corner, domain.shape))
-        v = values[sl]
-        for a in range(n):
-            sign = 1.0 if corner[a] == 1 else -1.0
-            grad[..., a] += sign * v
+    corners = [(corner, values[tuple(slice(c, s - 1 + c)
+                                     for c, s in zip(corner, domain.shape))])
+               for corner in product((0, 1), repeat=n)]
+    grad = []
     for a in range(n):
-        grad[..., a] /= (2 ** (n - 1)) * domain.h[a]
+        acc = -corners[0][1]
+        for corner, v in corners[1:]:
+            if corner[a]:
+                acc += v
+            else:
+                acc -= v
+        acc /= (2 ** (n - 1)) * domain.h[a]
+        grad.append(acc)
     return grad
 
 
@@ -427,7 +479,7 @@ def interpolate_to(u: GridField, fine: GridDomain) -> GridField:
     interp = RegularGridInterpolator(tuple(coarse.axes), u.values, method="linear",
                                      bounds_error=False, fill_value=None)
     vals = interp(fine.points.reshape(-1, fine.dim)).reshape(fine.shape)
-    vals = np.where(fine.mask != EXTERIOR, vals, np.nan)
+    vals = np.where(fine.used, vals, np.nan)
     return GridField(fine, vals)
 
 

@@ -26,7 +26,12 @@ import numpy as np
 
 from .errors import ChartError
 
-BUILTIN_KINDS = ("euclidean", "poincare_disk", "sphere_polar", "warped_product", "custom_table")
+# the params each built-in kind reads; a custom_table takes axes and table
+# samples, or a csv path to read them from
+CHART_PARAMS = {"euclidean": (), "poincare_disk": (), "sphere_polar": ("radius",),
+                "warped_product": ("a", "b"), "custom_table": ("axes", "table", "csv")}
+BUILTIN_KINDS = tuple(CHART_PARAMS)
+CHART_KEYS = ("kind", "n", "box", "params")  # keys chart_from_spec reads
 
 # Positive-definiteness is sampled on this many points per axis at build time.
 _PD_SAMPLES_PER_AXIS = 9

@@ -298,6 +298,9 @@ def test_run_unknown_top_level_key_exits_1(tmp_path):
     ("barrier", {"barrier": {"K": 0.3, "gamma": 1.1, "L": 2.0}}),
     ("time_check", {"time_check": {"times_a": [0.01], "times_b": [0.02],
                                    "times_c": [0.03]}}),
+    ("phi", {"phi": {"kind": "constant", "value": 0.25, "offst": 0.1}}),
+    ("chart", {"chart": {"kind": "euclidean", "n": 2, "nn": 3}}),
+    ("chart params", {"chart": {"kind": "euclidean", "n": 2, "params": {"radius": 2.0}}}),
 ])
 def test_run_unknown_nested_key_exits_1(tmp_path, level, overrides):
     cfg_path, out = write_config(tmp_path, **overrides)

@@ -198,8 +198,9 @@ def test_delta_ramp_comparison_bound():
 def test_stable_dt_shrinks_with_steep_slopes():
     dom = euclid(1.0 / 16)
     params = FlowParams(eps=0.5, t_end=1.0)
-    flat = np.ones(dom.shape)
-    steep = np.full(dom.shape, 30.0)
+    # W at the interior nodes
+    flat = np.ones(dom.interior_flat.size)
+    steep = np.full(dom.interior_flat.size, 30.0)
     assert stable_dt(dom, params, steep) < stable_dt(dom, params, flat)
 
 

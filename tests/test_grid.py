@@ -1,8 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from graphflow.errors import GridError
+from graphflow.flow import l_eps_apply, q_operator
+from graphflow.functionals import e_eps, product_grid
 from graphflow.grid import (DIRICHLET, EXTERIOR, INTERIOR, GridField, build_domain,
                             cell_average, cell_gradient, gradient_sweep, hessian_sweep,
                             interpolate_to, load_field_csv, save_field_csv)
@@ -11,6 +15,14 @@ from graphflow.manifold import builtin_chart
 
 def unit_square(h):
     return build_domain(builtin_chart("euclidean", n=2), h)
+
+
+def at_node(block, node):
+    """A sweep's output at a lattice node: the sweeps return (nested lists
+    of) arrays over the inner block, which starts at lattice node (1, ..., 1)."""
+    if isinstance(block, np.ndarray):
+        return block[tuple(i - 1 for i in node)]
+    return np.array([at_node(b, node) for b in block])
 
 
 def test_unit_square_counts():
@@ -79,8 +91,8 @@ def test_gradient_exact_for_affine():
     dom = unit_square(1.0 / 8)
     u = GridField.from_function(dom, lambda x: 2.0 * x[0] - 3.0 * x[1] + 1.0)
     lowered, _, gradsq = gradient_sweep(dom, u.values)
-    assert np.allclose(lowered[4, 4], [2.0, -3.0], atol=1e-13)
-    assert gradsq[4, 4] == pytest.approx(13.0, abs=1e-12)
+    assert np.allclose(at_node(lowered, (4, 4)), [2.0, -3.0], atol=1e-13)
+    assert at_node(gradsq, (4, 4)) == pytest.approx(13.0, abs=1e-12)
 
 
 def test_poincare_gradient_norm_at_origin():
@@ -91,14 +103,14 @@ def test_poincare_gradient_norm_at_origin():
     node = (4, 4)
     assert np.allclose(dom.points[node], [0.0, 0.0], atol=1e-14)
     _, _, gradsq = gradient_sweep(dom, u.values)
-    assert gradsq[node] == pytest.approx(0.25, rel=1e-13)
+    assert at_node(gradsq, node) == pytest.approx(0.25, rel=1e-13)
 
 
 def test_hessian_exact_for_quadratics():
     dom = unit_square(1.0 / 8)
     u = GridField.from_function(dom, lambda x: x[0] ** 2 - x[0] * x[1] + 3.0 * x[1] ** 2)
     hess = hessian_sweep(dom, u.values)
-    assert np.allclose(hess[3, 5], [[2.0, -1.0], [-1.0, 6.0]], atol=1e-11)
+    assert np.allclose(at_node(hess, (3, 5)), [[2.0, -1.0], [-1.0, 6.0]], atol=1e-11)
 
 
 def test_hessian_mirrored_bitwise():
@@ -108,7 +120,7 @@ def test_hessian_mirrored_bitwise():
     vals = rng.random(dom.shape)
     hess = hessian_sweep(dom, vals)
     for node in [(2, 3), (4, 4), (5, 2)]:
-        assert hess[node][0, 1] == hess[node][1, 0]
+        assert at_node(hess, node)[0, 1] == at_node(hess, node)[1, 0]
 
 
 def _sphere_hessian_oracle():
@@ -137,7 +149,7 @@ def test_sphere_hessian_matches_symbolic_at_second_order():
         node = (levels // 2, levels // 2)
         x = dom.points[node]
         hess = hessian_sweep(dom, u.values)
-        errs.append(np.max(np.abs(hess[node] - oracle(*x))))
+        errs.append(np.max(np.abs(at_node(hess, node) - oracle(*x))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders > 1.9)
 
@@ -176,18 +188,114 @@ def test_sweeps_match_per_node_ops():
     hess = hessian_sweep(dom, u.values, lowered)
     for node in [(1, 1), (3, 5), (6, 2)]:
         lo, ra, g2, he = _per_node_ops(u, node)
-        assert np.allclose(lowered[node], lo, atol=1e-14)
-        assert np.allclose(raised[node], ra, atol=1e-14)
-        assert gradsq[node] == pytest.approx(g2, rel=1e-13)
-        assert np.allclose(hess[node], he, atol=1e-13)
+        assert np.allclose(at_node(lowered, node), lo, atol=1e-14)
+        assert np.allclose(at_node(raised, node), ra, atol=1e-14)
+        assert at_node(gradsq, node) == pytest.approx(g2, rel=1e-13)
+        assert np.allclose(at_node(hess, node), he, atol=1e-13)
+
+
+def _table_chart():
+    """custom_table chart of a smooth metric with an off-diagonal term,
+    sampled on an 11-point lattice per axis."""
+    axes = [np.linspace(0.0, 1.0, 11)] * 2
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    table = np.empty(x.shape[:-1] + (2, 2))
+    table[..., 0, 0] = 1.0 + 0.3 * x[..., 0] ** 2
+    table[..., 1, 1] = 1.5 + 0.2 * np.sin(3.0 * x[..., 1])
+    table[..., 0, 1] = table[..., 1, 0] = 0.2 * x[..., 0] * x[..., 1]
+    return builtin_chart("custom_table", n=2, box=[[0.0, 1.0], [0.0, 1.0]],
+                         params={"axes": axes, "table": table})
+
+
+def _disc(center, radius):
+    return {"region": "disc", "center": center, "radius": radius}
+
+
+# disc (ball) regions, so the inner block holds exterior NaNs next to the
+# interior nodes
+ORACLE_DOMAINS = {
+    "euclidean_2d": lambda: build_domain(builtin_chart("euclidean", n=2), 1.0 / 16,
+                                         _disc([0.5, 0.5], 0.4)),
+    "euclidean_3d": lambda: build_domain(builtin_chart("euclidean", n=3), 1.0 / 8,
+                                         _disc([0.5, 0.5, 0.5], 0.4)),
+    "poincare_disk": lambda: build_domain(builtin_chart("poincare_disk", n=2), 0.0875,
+                                          _disc([0.0, 0.0], 0.55)),
+    "sphere_polar": lambda: build_domain(builtin_chart("sphere_polar"),
+                                         [(np.pi - 0.8) / 16, 1.5 / 16],
+                                         _disc([np.pi / 2, 0.75], 0.6)),
+    "custom_table": lambda: build_domain(_table_chart(), 1.0 / 16, _disc([0.5, 0.5], 0.4)),
+}
+
+
+def _oracle_field(dom):
+    return GridField.from_function(
+        dom, lambda x: np.sin(x[0] + 0.3) * np.cos(x[1]) + 0.3 * x[0] * x[-1])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_operators_match_per_node_reference(name):
+    dom = ORACLE_DOMAINS[name]()
+    u = _oracle_field(dom)
+    assert np.any(np.isnan(u.values[(slice(1, -1),) * dom.dim]))
+    eps = 0.05
+    ref_q, ref_l = [], []
+    for node in zip(*dom.interior_index):
+        _, raised, g2, hess = _per_node_ops(u, node)
+        lap = float(np.sum(dom.chart.inverse(dom.points[node]) * hess))
+        q = lap - raised @ hess @ raised / (1.0 + g2)
+        ref_q.append(q)
+        ref_l.append(q + eps * np.sqrt(1.0 + g2) * lap)
+    ii = dom.interior_index
+    for got, ref in ((q_operator(u), ref_q), (l_eps_apply(u, eps), ref_l)):
+        ref = np.array(ref)
+        assert np.max(np.abs(got.values[ii] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.all(np.isnan(got.values[~dom.interior]))
+
+
+def corner_loop_cell_gradient(domain, values):
+    """Reference cell gradient: every corner value added into a zero-filled
+    stacked (cells..., n) array, axis by axis within each corner."""
+    n = domain.dim
+    grad = np.zeros(tuple(s - 1 for s in domain.shape) + (n,))
+    for corner in product((0, 1), repeat=n):
+        sl = tuple(slice(c, s - 1 + c) for c, s in zip(corner, domain.shape))
+        v = values[sl]
+        for a in range(n):
+            sign = 1.0 if corner[a] == 1 else -1.0
+            grad[..., a] += sign * v
+    for a in range(n):
+        grad[..., a] /= (2 ** (n - 1)) * domain.h[a]
+    return grad
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_cell_gradient_and_energy_match_corner_loop(name):
+    dom = ORACLE_DOMAINS[name]()
+    u = _oracle_field(dom)
+    ref = corner_loop_cell_gradient(dom, u.values)
+    assert np.array_equal(np.stack(cell_gradient(dom, u.values), axis=-1), ref,
+                          equal_nan=True)
+
+    eps = 0.05
+    sig = dom.chart.inverse(dom.cell_centers)
+    gradsq = np.einsum("...i,...i->...", ref, np.matmul(sig, ref[..., None])[..., 0])
+    integrand = np.sqrt(1.0 + gradsq) + 0.5 * eps * gradsq
+    cells = dom.cell_complete
+    expect = float(np.sum(integrand[cells] * dom.cell_sqrt_det[cells]) * dom.cell_volume)
+    assert e_eps(u, eps) == pytest.approx(expect, rel=1e-12)
+
+    pg = product_grid(dom, 1.0, float(np.min(dom.h)))
+    chi = np.random.default_rng(7).random(pg.shape)
+    assert np.array_equal(np.stack(cell_gradient(pg, chi), axis=-1),
+                          corner_loop_cell_gradient(pg, chi))
 
 
 def test_cell_stencils_exact_for_affine():
     dom = unit_square(0.25)
     vals = 2.0 * dom.points[..., 0] - dom.points[..., 1] + 0.5
     grad = cell_gradient(dom, vals)
-    assert np.allclose(grad[..., 0], 2.0, atol=1e-13)
-    assert np.allclose(grad[..., 1], -1.0, atol=1e-13)
+    assert np.allclose(grad[0], 2.0, atol=1e-13)
+    assert np.allclose(grad[1], -1.0, atol=1e-13)
     avg = cell_average(dom, vals)
     centers = dom.cell_centers
     assert np.allclose(avg, 2.0 * centers[..., 0] - centers[..., 1] + 0.5, atol=1e-13)
@@ -243,7 +351,7 @@ def test_one_dimensional_domain():
     assert int(np.sum(dom.mask == INTERIOR)) == 7
     assert int(np.sum(dom.mask == DIRICHLET)) == 2
     u = GridField.from_function(dom, lambda x: x[0] ** 2)
-    assert hessian_sweep(dom, u.values)[4][0, 0] == pytest.approx(2.0, rel=1e-12)
+    assert at_node(hessian_sweep(dom, u.values), (4,))[0, 0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_table_region_classification():
