@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BarrierError
 from .grid import DIRICHLET, GridDomain, _region_sdf, as_field
@@ -44,6 +43,7 @@ QV_MARGIN = -1e-8          # certification demands Qv below this at every sample
 ALPHA_FLOOR = 1e-6
 FIT_WINDOW_CELLS = 8       # boundary sampling window, in units of max h
 DEGENERATE_RESIDUAL = 0.05 # rms graph-fit residual / window above this is no graph
+HALVINGS = 53              # bisection steps per crossing: the bracket on [0, 1] ends at 2^-53
 _CROSSING_TABLES = weakref.WeakKeyDictionary()  # GridDomain -> _crossing_table
 
 
@@ -115,43 +115,46 @@ def _sdf(domain: GridDomain, pts: np.ndarray) -> np.ndarray:
     return _region_sdf(domain.region, pts, domain.chart.box)
 
 
-def _cross_on_segment(domain: GridDomain, a: np.ndarray, b: np.ndarray,
-                      fa: float, fb: float) -> np.ndarray | None:
-    """Boundary point on the segment [a, b], or None if it stays one-sided."""
-    scale = max(abs(fa), abs(fb), 1e-30)
-    if abs(fa) < 1e-13 * scale or fa == 0.0:
-        return a
-    if abs(fb) < 1e-13 * scale or fb == 0.0:
-        return b
-    if fa * fb > 0:
-        return None
-    t = brentq(lambda s: float(_sdf(domain, a + s * (b - a))[()]),
-               0.0, 1.0, xtol=1e-14)
-    return a + t * (b - a)
+def segment_crossings(domain: GridDomain, a: np.ndarray, b: np.ndarray,
+                      fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Boundary point on each segment [a[k], b[k]], NaN where it stays one-sided.
+
+    fa, fb are the region's signed distances at the ends.  An end below 1e-13
+    of the larger end value is returned exactly; the segments with strictly
+    opposite-sign ends are bisected together, HALVINGS times.
+    """
+    tiny = 1e-13 * np.maximum(np.maximum(np.abs(fa), np.abs(fb)), 1e-30)
+    at_a = np.abs(fa) < tiny
+    at_b = ~at_a & (np.abs(fb) < tiny)
+    out = np.full(np.shape(a), np.nan)
+    out[at_a], out[at_b] = a[at_a], b[at_b]
+    todo = ~at_a & ~at_b & (((fa < 0) & (fb > 0)) | ((fa > 0) & (fb < 0)))
+    if np.any(todo):
+        a, step, side = a[todo], b[todo] - a[todo], np.sign(fa[todo])
+        lo, hi = np.zeros(len(a)), np.ones(len(a))
+        for _ in range(HALVINGS):
+            mid = 0.5 * (lo + hi)
+            same = _sdf(domain, a + mid[:, None] * step) * side > 0
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        out[todo] = a + (0.5 * (lo + hi))[:, None] * step
+    return out
 
 
 def _crossing_table(domain: GridDomain):
     """(lo, hi, points) of the axis-aligned lattice segments meeting the region
     edge: flat indices of the end nodes and the crossing, ordered by axis, then
-    by lower node in C order.  Built once per domain; only segments passing
-    _cross_on_segment's endpoint tests are root-found."""
+    by lower node in C order.  Built once per domain."""
     if domain in _CROSSING_TABLES:
         return _CROSSING_TABLES[domain]
-    F = domain.sdf
-    lo, hi = [], []
-    for a in range(domain.dim):
-        fa = F[(slice(None),) * a + (slice(None, -1),)]
-        fb = F[(slice(None),) * a + (slice(1, None),)]
-        tiny = 1e-13 * np.maximum(np.maximum(np.abs(fa), np.abs(fb)), 1e-30)
-        hit = np.nonzero((np.abs(fa) < tiny) | (np.abs(fb) < tiny) | ~(fa * fb > 0))
-        lo.append(np.ravel_multi_index(hit, domain.shape))
-        hi.append(lo[-1] + int(np.prod(domain.shape[a + 1:])))
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    pts, vals = domain.points.reshape(-1, domain.dim), F.reshape(-1)
-    cross = np.array([_cross_on_segment(domain, pts[i], pts[j], vals[i], vals[j])
-                      for i, j in zip(lo, hi)]).reshape(-1, domain.dim)
-    _CROSSING_TABLES[domain] = lo, hi, cross
-    return lo, hi, cross
+    flat = np.arange(domain.sdf.size).reshape(domain.shape)
+    lo, hi = (np.concatenate([flat[(slice(None),) * a + (cut,)].reshape(-1)
+                              for a in range(domain.dim)])
+              for cut in (slice(None, -1), slice(1, None)))
+    pts, F = domain.points.reshape(-1, domain.dim), domain.sdf.reshape(-1)
+    cross = segment_crossings(domain, pts[lo], pts[hi], F[lo], F[hi])
+    hit = ~np.isnan(cross[:, 0])
+    _CROSSING_TABLES[domain] = lo[hit], hi[hit], cross[hit]
+    return _CROSSING_TABLES[domain]
 
 
 def boundary_crossings(domain: GridDomain, x0: np.ndarray,
@@ -178,9 +181,9 @@ def project_to_boundary(domain: GridDomain, idx: tuple,
     if domain.mask[idx] != DIRICHLET:
         raise BarrierError(f"node {idx} is not a dirichlet node")
     inner = tuple(i - o for i, o in zip(idx, offset))
-    cross = _cross_on_segment(domain, domain.points[inner], domain.points[idx],
-                              float(domain.sdf[inner]), float(domain.sdf[idx]))
-    if cross is None:
+    cross = segment_crossings(domain, domain.points[inner][None], domain.points[idx][None],
+                              domain.sdf[inner][None], domain.sdf[idx][None])[0]
+    if np.isnan(cross[0]):
         raise BarrierError(f"no boundary crossing between {inner} and {idx}")
     return cross
 
@@ -541,24 +544,18 @@ def boundary_lipschitz(phi, domain: GridDomain) -> float:
     Distances use the chart metric at segment midpoints, a first-order
     geodesic approximation consistent with the staircase boundary.
     """
-    didx = np.argwhere(domain.mask == DIRICHLET)
-    vals = as_field(domain, phi).values[domain.dirichlet_index]
-    val_of = {tuple(ix): vals[k] for k, ix in enumerate(didx)}
-    pts = domain.points
-    worst = 0.0
-    offsets = [off for off in np.ndindex(*(3,) * domain.dim)
-               if any(o != 1 for o in off)]
-    for ix in map(tuple, didx):
-        for off in offsets:
-            nb = tuple(i + o - 1 for i, o in zip(ix, off))
-            if nb <= ix or nb not in val_of:
-                continue
-            a, b = pts[ix], pts[nb]
-            mid = 0.5 * (a + b)
-            sig, _, _ = metric_at(domain.chart, mid)
-            d = float(np.sqrt((b - a) @ sig @ (b - a)))
-            if d > 0:
-                worst = max(worst, abs(val_of[nb] - val_of[ix]) / d)
+    vals, n, worst = as_field(domain, phi).values, domain.dim, 0.0
+    # the offsets after zero in product order pair each node with the
+    # lexicographically larger neighbours, so every pair is seen once
+    for off in list(product((-1, 0, 1), repeat=n))[3 ** n // 2 + 1:]:
+        lo = tuple(slice(max(-o, 0), s - max(o, 0)) for o, s in zip(off, domain.shape))
+        hi = tuple(slice(max(o, 0), s + min(o, 0)) for o, s in zip(off, domain.shape))
+        pair = domain.dirichlet[lo] & domain.dirichlet[hi]
+        a, b = domain.points[lo][pair], domain.points[hi][pair]
+        sig, _, _ = metric_at(domain.chart, 0.5 * (a + b))
+        d = np.sqrt(np.einsum("kj,kj->k", np.einsum("ki,kij->kj", b - a, sig), b - a))
+        quotient = np.abs(vals[hi][pair] - vals[lo][pair]) / d
+        worst = max(worst, float(np.max(quotient, initial=0.0)))
     return worst
 
 
@@ -577,15 +574,18 @@ def check_dirichlet_solvability(phi, domain: GridDomain, K: float,
     lip_ok = lip <= K + 1e-12
     osc = float(np.max(vals) - np.min(vals)) if vals.size else 0.0
 
+    inner, outer = domain.inner_index, domain.dirichlet_index
     points = []
     seen = set()
-    for idx, offset in domain.boundary_nodes:
-        try:
-            x0 = project_to_boundary(domain, idx, offset)
-        except BarrierError as err:
+    crossings = segment_crossings(domain, domain.points[inner], domain.points[outer],
+                                  domain.sdf[inner], domain.sdf[outer])
+    for k, x0 in enumerate(crossings):
+        if np.isnan(x0[0]):
+            idx = tuple(ix[k] for ix in outer)
             points.append(BarrierSearchResult(
                 x0=domain.points[idx], admissible=False, certified=False,
-                reason=str(err)))
+                reason=f"no boundary crossing between "
+                       f"{tuple(ix[k] for ix in inner)} and {idx}"))
             continue
         key = tuple(np.round(x0 / 1e-9).astype(np.int64))
         if key in seen:

@@ -6,7 +6,7 @@ the produced files with content hashes; a failed run leaves failure.json
 instead.  Exit codes: 0 success, 1 configuration, 2 violated estimate,
 3 non-convergence or divergence.
 
-All output is deterministic for a fixed config and seed: floats are
+All output is deterministic for a fixed config: floats are
 serialized by shortest round-trip repr, JSON keys are sorted, and nothing
 time- or path-dependent is written, so identical runs produce identical
 bytes.
@@ -60,7 +60,6 @@ class ExperimentConfig:
     barrier_gamma: float
     time_check: dict | None
     output_dir: str
-    seed: int
     snapshot_every_steps: int
 
     def resolved_dict(self) -> dict:
@@ -74,13 +73,12 @@ class ExperimentConfig:
             "warm_start": self.warm_start,
             "barrier": {"K": self.barrier_k, "gamma": self.barrier_gamma},
             "time_check": self.time_check, "output_dir": self.output_dir,
-            "seed": self.seed,
             "snapshot_every_steps": self.snapshot_every_steps,
         }
 
 
 CONFIG_KEYS = ("chart", "region", "h", "phi", "u0", "flow", "schedule", "tol",
-               "warm_start", "barrier", "time_check", "output_dir", "seed",
+               "warm_start", "barrier", "time_check", "output_dir",
                "snapshot_every_steps")
 # keys field_from_spec reads for each field kind, besides "kind" itself
 FIELD_KEYS = {"constant": ("value",), "linear": ("coeffs", "offset"),
@@ -139,15 +137,40 @@ def field_from_spec(spec: dict, domain) -> GridField:
                       f"{FIELD_KINDS}")
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numeric(value) -> bool:
+    """A JSON number, or a (nested) list of them."""
+    return all(map(_numeric, value)) if isinstance(value, list) else _number(value)
+
+
 def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
-    """Validate a raw config dict, collecting every problem before raising."""
+    """Validate a raw config dict, collecting every problem (wrong JSON
+    types included) before raising."""
     problems = []
 
-    def check_keys(name, spec, allowed):
+    def check_keys(name, spec, allowed, numeric=()):
+        # numeric keys hold numbers or lists of numbers
         unknown = sorted(set(spec) - set(allowed))
         if unknown:
             problems.append(f"unknown {name} keys {unknown}; expected keys "
                             f"from {allowed}")
+        problems.extend(f"{name} {key} must be a number or a list of numbers, "
+                        f"got {spec[key]!r:.80}" for key in numeric
+                        if key in spec and not _numeric(spec[key]))
+
+    def obj(name, value):
+        if not isinstance(value, dict):
+            problems.append(f"{name} must be an object, got {value!r:.80}")
+        return value if isinstance(value, dict) else {}
+
+    def number(name, value):  # NaN after a problem: no follow-up range problem
+        if _number(value):
+            return float(value)
+        problems.append(f"{name} must be a number, got {value!r:.80}")
+        return float("nan")
 
     check_keys("config", raw, CONFIG_KEYS)
 
@@ -160,13 +183,17 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     chart = need("chart")
     if isinstance(chart, dict):
-        check_keys("chart", chart, CHART_KEYS)
-        params = chart.get("params", {})
-        if chart.get("kind") in CHART_PARAMS and isinstance(params, dict):
-            check_keys("chart params", params, CHART_PARAMS[chart["kind"]])
+        check_keys("chart", chart, CHART_KEYS, numeric=("n", "box"))
+        params = obj("chart params", chart.get("params", {}))
+        keys = CHART_PARAMS.get(chart.get("kind"))
+        if keys is not None:
+            check_keys("chart params", params, keys, numeric=[k for k in keys if k != "csv"])
     region = need("region")
-    if isinstance(region, dict) and region.get("region") in REGION_KEYS:
-        check_keys("region", region, ("region",) + REGION_KEYS[region["region"]])
+    if region is not None:
+        region = obj("region", region)
+        if region.get("region") in REGION_KEYS:
+            keys = REGION_KEYS[region["region"]]
+            check_keys("region", region, ("region",) + keys, numeric=keys)
     h = raw.get("h", 0.0)
     if not isinstance(h, (int, float)) or h <= 0:
         problems.append(f"h must be a positive number, got {h!r}")
@@ -178,7 +205,8 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         if not isinstance(spec, dict) or spec.get("kind") not in FIELD_KEYS:
             problems.append(f"{name} spec must name a kind from {FIELD_KINDS}")
             return spec
-        check_keys(name, spec, ("kind",) + FIELD_KEYS[spec["kind"]])
+        keys = FIELD_KEYS[spec["kind"]]
+        check_keys(name, spec, ("kind",) + keys, numeric=[k for k in keys if k != "path"])
         if spec["kind"] == "csv":
             path = base_dir / spec.get("path", "")
             if not path.is_file():
@@ -190,7 +218,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     phi = check_field("phi", phi)
     u0 = check_field("u0", u0)
 
-    flow_raw = dict(raw.get("flow", {}))
+    flow_raw = dict(obj("flow", raw.get("flow", {})))
     flow_raw.setdefault("eps", 0.1)
     flow = None
     try:
@@ -201,21 +229,20 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         problems.append(f"flow: {exc}")
 
     schedule = raw.get("schedule")
-    if schedule is not None:
-        try:
-            schedule = [float(e) for e in schedule]
-        except (TypeError, ValueError):
-            problems.append("schedule must be a list of numbers or null")
-            schedule = None
+    if schedule is not None and not (isinstance(schedule, list) and all(map(_number, schedule))):
+        problems.append("schedule must be a list of numbers or null")
 
-    tol = float(raw.get("tol", 1e-5))
+    tol = number("tol", raw.get("tol", 1e-5))
     if tol <= 0:
         problems.append(f"tol must be positive, got {tol}")
+    warm_start = raw.get("warm_start", True)
+    if not isinstance(warm_start, bool):
+        problems.append(f"warm_start must be true or false, got {warm_start!r:.80}")
 
-    barrier = raw.get("barrier", {})
+    barrier = obj("barrier", raw.get("barrier", {}))
     check_keys("barrier", barrier, ("K", "gamma"))
-    k = float(barrier.get("K", 0.3))
-    gamma = float(barrier.get("gamma", 1.1))
+    k = number("barrier K", barrier.get("K", 0.3))
+    gamma = number("barrier gamma", barrier.get("gamma", 1.1))
     if k <= 0:
         problems.append(f"barrier K must be positive, got {k}")
     if gamma <= 1:
@@ -227,12 +254,9 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
                 or "times_a" not in time_check or "times_b" not in time_check):
             problems.append("time_check needs times_a and times_b lists")
         else:
-            check_keys("time_check", time_check, ("times_a", "times_b"))
+            check_keys("time_check", time_check, ("times_a", "times_b"),
+                       numeric=("times_a", "times_b"))
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        problems.append(f"seed must be an integer, got {seed!r}")
-        seed = 0
     cadence = raw.get("snapshot_every_steps", 1)
     if not isinstance(cadence, int) or cadence < 1:
         problems.append("snapshot_every_steps must be a positive integer, "
@@ -243,11 +267,11 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         raise ConfigError(problems)
     return ExperimentConfig(
         chart=chart, region=region, h=float(h), phi=phi, u0=u0, flow=flow,
-        schedule=schedule, tol=tol,
-        warm_start=bool(raw.get("warm_start", True)),
+        schedule=None if schedule is None else [float(e) for e in schedule],
+        tol=tol, warm_start=warm_start,
         barrier_k=k, barrier_gamma=gamma, time_check=time_check,
         output_dir=str(raw.get("output_dir", "graphflow_out")),
-        seed=seed, snapshot_every_steps=cadence)
+        snapshot_every_steps=cadence)
 
 
 # --------------------------------------------------------------- persistence

@@ -29,10 +29,9 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GridError
-from .manifold import MetricChart
+from .manifold import MetricChart, _multilinear_interp
 
 EXTERIOR, INTERIOR, DIRICHLET = 0, 1, 2
 INNER = slice(1, -1)  # the inner block of an axis: every node off the lattice rim
@@ -74,11 +73,10 @@ def _region_sdf(region, points, chart_box):
         d = np.linalg.norm(points - center, axis=-1)
         return np.maximum(r_in - d, d - r_out)
     if kind == "table":
+        # node values on the chart box lattice, multilinear between nodes
         values = np.asarray(region["values"], dtype=float)
-        if values.shape != points.shape[:-1]:
-            raise GridError(f"table region shape {values.shape} does not match "
-                            f"lattice shape {points.shape[:-1]}")
-        return values
+        axes = tuple(np.linspace(lo, hi, m) for (lo, hi), m in zip(chart_box, values.shape))
+        return _multilinear_interp(axes, values, points)
     raise GridError(f"unknown region kind {region!r}")
 
 
@@ -133,41 +131,27 @@ class GridDomain:
         return np.flatnonzero(self.interior[(INNER,) * self.dim])
 
     @cached_property
-    def boundary_nodes(self):
-        """Dirichlet nodes with an outward lattice direction.
-
-        Each entry is (index_tuple, outward_offset); the offset points from
-        the adjacent interior node toward the dirichlet node.
-        """
-        offsets = [off for off in product((-1, 0, 1), repeat=self.dim)
-                   if any(off)]
-        out = []
-        for idx in zip(*self.dirichlet_index):
-            for off in offsets:
-                nb = tuple(i + o for i, o in zip(idx, off))
-                if all(0 <= v < s for v, s in zip(nb, self.shape)) \
-                        and self.mask[nb] == INTERIOR:
-                    out.append((idx, tuple(-o for o in off)))
-                    break
-        return out
-
-    @cached_property
     def inner_index(self):
         """Interior neighbor of each dirichlet node, aligned with dirichlet_index.
 
-        Every dirichlet node touches an interior node, so boundary_nodes
-        lists each of them once, in dirichlet_index order.
+        Every dirichlet node touches an interior node; each takes the first
+        in product((-1, 0, 1), repeat=n) offset order.
         """
-        inner = [tuple(i - o for i, o in zip(idx, off))
-                 for idx, off in self.boundary_nodes]
-        return tuple(np.array(axis, dtype=np.intp) for axis in zip(*inner))
+        offsets = np.array([off for off in product((-1, 0, 1), repeat=self.dim) if any(off)])
+        nbrs = np.stack(self.dirichlet_index, axis=-1)[:, None, :] + offsets
+        # a one-node frame of False keeps rim nodes' neighbours in range
+        hit = np.pad(self.interior, 1)[tuple(np.moveaxis(nbrs + 1, -1, 0))]
+        first = nbrs[np.arange(len(nbrs)), np.argmax(hit, axis=1)]
+        return tuple(np.ascontiguousarray(axis) for axis in first.T)
 
     def eroded_interior(self, iterations: int) -> np.ndarray:
-        """Interior nodes at Chebyshev lattice distance > iterations from
-        any non-interior node."""
-        structure = np.ones((3,) * self.dim, dtype=bool)
-        return ndimage.binary_erosion(self.interior, structure=structure,
-                                      iterations=iterations, border_value=0)
+        """Interior nodes at Chebyshev lattice distance > iterations from any
+        non-interior node.  The rim is never interior, so dilating the
+        complement within the lattice reaches every node near the edge."""
+        outside = ~self.interior
+        for _ in range(iterations):
+            outside = _dilate(outside)
+        return ~outside
 
     # -- node geometry -----------------------------------------------------
 
@@ -304,6 +288,14 @@ def as_field(domain: GridDomain, data) -> GridField:
     raise GridError("data must be a GridField or a callable")
 
 
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """mask grown by its Moore neighborhood (diagonals included) within the
+    lattice: the union of its 3^n one-node shifts."""
+    framed = np.pad(mask, 1)
+    return np.any([framed[tuple(slice(1 + o, 1 + o + s) for o, s in zip(off, mask.shape))]
+                   for off in product((-1, 0, 1), repeat=mask.ndim)], axis=0)
+
+
 def build_domain(chart: MetricChart, h, region=None) -> GridDomain:
     """Discretize the chart box at spacing h and classify nodes.
 
@@ -321,34 +313,23 @@ def build_domain(chart: MetricChart, h, region=None) -> GridDomain:
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise GridError(f"h={h_arr[a]} does not divide box width {hi - lo} on axis {a}")
         axes.append(np.linspace(lo, hi, int(round(steps)) + 1))
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    shape = tuple(len(ax) for ax in axes)
+    if isinstance(region, dict) and region.get("region") == "table" \
+            and np.shape(region.get("values")) != shape:
+        raise GridError(f"table region shape {np.shape(region.get('values'))} does "
+                        f"not match lattice shape {shape}")
+    dom = GridDomain(chart, h_arr, np.zeros(shape, dtype=np.int8), region, axes)
 
-    sdf = _region_sdf(region, points, chart.box)
-    scale = max(b[1] - b[0] for b in chart.box)
-    tol = 1e-12 * scale
-    strictly_in = sdf < -tol
-
-    # Interior nodes must keep the full Moore neighborhood on the lattice.
-    rim = np.zeros(points.shape[:-1], dtype=bool)
-    for a in range(n):
-        sl = [slice(None)] * n
-        sl[a] = 0
-        rim[tuple(sl)] = True
-        sl[a] = -1
-        rim[tuple(sl)] = True
-    interior = strictly_in & ~rim
-
+    # Interior nodes must keep the full Moore neighborhood on the lattice,
+    # so only the inner block (every node off the rim) can hold them.
+    inner = (INNER,) * n
+    interior = np.zeros(shape, dtype=bool)
+    interior[inner] = dom.sdf[inner] < -1e-12 * max(b[1] - b[0] for b in chart.box)
     if not np.any(interior):
         raise GridError("region is empty after masking: no interior nodes")
-
-    structure = np.ones((3,) * n, dtype=bool)
-    touched = ndimage.binary_dilation(interior, structure=structure, border_value=0)
-    dirichlet = touched & ~interior
-
-    mask = np.zeros(points.shape[:-1], dtype=np.int8)
-    mask[interior] = INTERIOR
-    mask[dirichlet] = DIRICHLET
-    return GridDomain(chart, h_arr, mask, region, axes)
+    dom.mask[interior] = INTERIOR
+    dom.mask[_dilate(interior) & ~interior] = DIRICHLET
+    return dom
 
 
 # -- stencils on the inner block values[1:-1, ..., 1:-1] ---------------------
@@ -471,14 +452,10 @@ def interpolate_to(u: GridField, fine: GridDomain) -> GridField:
     Only supported when the coarse lattice has no exterior nodes (box-type
     regions), so every interpolation cell has data.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     coarse = u.domain
     if np.any(coarse.mask == EXTERIOR):
         raise GridError("interpolate_to needs a coarse domain without exterior nodes")
-    interp = RegularGridInterpolator(tuple(coarse.axes), u.values, method="linear",
-                                     bounds_error=False, fill_value=None)
-    vals = interp(fine.points.reshape(-1, fine.dim)).reshape(fine.shape)
+    vals = _multilinear_interp(tuple(coarse.axes), u.values, fine.points)
     vals = np.where(fine.used, vals, np.nan)
     return GridField(fine, vals)
 

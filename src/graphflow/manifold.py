@@ -257,25 +257,22 @@ def _warped_chart(n: int, box, params) -> MetricChart:
 def _multilinear_interp(axes: tuple[np.ndarray, ...], table: np.ndarray, x: np.ndarray):
     """Multilinear interpolation of table values sampled on a tensor lattice.
 
-    table has shape (len(axes[0]), ..., len(axes[-1]), n, n).
+    table has shape (len(axes[0]), ..., len(axes[-1])) followed by any
+    trailing value shape; points outside the lattice extrapolate linearly
+    from the edge cells.
     """
     n = len(axes)
-    idx = []
-    frac = []
-    for a in range(n):
-        ax = axes[a]
-        pos = np.clip(np.searchsorted(ax, x[..., a]) - 1, 0, len(ax) - 2)
-        idx.append(pos)
-        frac.append((x[..., a] - ax[pos]) / (ax[pos + 1] - ax[pos]))
+    idx = [np.clip(np.searchsorted(ax, x[..., a]) - 1, 0, len(ax) - 2)
+           for a, ax in enumerate(axes)]
+    frac = [(x[..., a] - ax[i]) / (ax[i + 1] - ax[i]) for a, (ax, i) in enumerate(zip(axes, idx))]
     out = np.zeros(x.shape[:-1] + table.shape[n:])
     for corner in range(2 ** n):
+        bits = [(corner >> a) & 1 for a in range(n)]
         weight = np.ones(x.shape[:-1])
-        sel = []
-        for a in range(n):
-            bit = (corner >> a) & 1
-            sel.append(idx[a] + bit)
-            weight = weight * (frac[a] if bit else (1.0 - frac[a]))
-        out += weight[..., None, None] * table[tuple(sel)]
+        for f, bit in zip(frac, bits):
+            weight = weight * (f if bit else (1.0 - f))
+        sel = tuple(i + bit for i, bit in zip(idx, bits))
+        out += weight[(Ellipsis,) + (None,) * (table.ndim - n)] * table[sel]
     return out
 
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import graphflow.barrier as barrier_mod
-from graphflow.barrier import (FIT_WINDOW_CELLS, _cross_on_segment, _sdf,
+from graphflow.barrier import (FIT_WINDOW_CELLS, _crossing_table, _sdf,
                                boundary_crossings, check_dirichlet_solvability,
                                fit_boundary_graph, make_barrier_spec,
                                project_to_boundary, psi_eval, q_on_barrier,
-                               q_on_barrier_fd, search_alpha)
+                               q_on_barrier_fd, search_alpha, segment_crossings)
 from graphflow.errors import BarrierError
 from graphflow.grid import GridField, build_domain
 from graphflow.manifold import builtin_chart
@@ -65,7 +65,7 @@ def scan_crossings(domain, x0, window):
     pts = domain.points
     F = _sdf(domain, pts.reshape(-1, domain.dim)).reshape(domain.shape)
     near = np.all(np.abs(pts - x0) <= window + 1e-12, axis=-1)
-    found = []
+    ends = []
     for a in range(domain.dim):
         lo = tuple(slice(0, s - 1) if ax == a else slice(None)
                    for ax, s in enumerate(domain.shape))
@@ -74,15 +74,24 @@ def scan_crossings(domain, x0, window):
         for idx in np.argwhere(near[lo] & near[hi]):
             p = tuple(idx)
             q = tuple(v + (1 if ax == a else 0) for ax, v in enumerate(idx))
-            cross = _cross_on_segment(domain, pts[p], pts[q], F[p], F[q])
-            if cross is not None:
-                found.append(cross)
-    if not found:
+            ends.append((p, q))
+    if not ends:
         return np.empty((0, domain.dim))
-    arr = np.asarray(found)
+    p, q = (tuple(np.array(axis) for axis in zip(*side)) for side in zip(*ends))
+    arr = segment_crossings(domain, pts[p], pts[q], F[p], F[q])
+    arr = arr[~np.isnan(arr[:, 0])]
     _, keep = np.unique(np.round(arr / 1e-12).astype(np.int64), axis=0,
                         return_index=True)
     return arr[np.sort(keep)]
+
+
+def boundary_nodes(domain):
+    """(dirichlet node, offset from its inner neighbour) pairs, in
+    dirichlet_index order."""
+    outer = list(zip(*domain.dirichlet_index))
+    inner = list(zip(*domain.inner_index))
+    return [(idx, tuple(int(i - j) for i, j in zip(idx, nb)))
+            for idx, nb in zip(outer, inner)]
 
 
 CROSSING_DOMAINS = {
@@ -106,7 +115,7 @@ CROSSING_DOMAINS = {
 @pytest.mark.parametrize("name", sorted(CROSSING_DOMAINS))
 def test_boundary_crossings_match_per_point_scan(name):
     dom = CROSSING_DOMAINS[name]()
-    nodes = dom.boundary_nodes
+    nodes = boundary_nodes(dom)
     base = [project_to_boundary(dom, *nodes[k])
             for k in (0, len(nodes) // 3, len(nodes) // 2, len(nodes) - 1)]
     # plus a point away from the boundary and the lattice centre
@@ -131,28 +140,77 @@ def test_boundary_crossings_dedup_node_aligned_corner():
 
 
 def test_solvability_root_finds_each_segment_once(monkeypatch):
-    # the disc_barrier benchmark domain: 208 boundary points, 4997 brentq
-    # calls when every point re-solved the segments in its window
-    calls = []
-    brentq = barrier_mod.brentq
+    # the disc_barrier benchmark domain: 208 boundary points, 4997 segments
+    # root-found when every point re-solved the segments in its window
+    bisected = []
+    crossings = barrier_mod.segment_crossings
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return brentq(*args, **kwargs)
+    def counting(domain, a, b, fa, fb):
+        bisected.append(int(np.sum(fa * fb < 0)))
+        return crossings(domain, a, b, fa, fb)
 
-    monkeypatch.setattr(barrier_mod, "brentq", counting)
+    monkeypatch.setattr(barrier_mod, "segment_crossings", counting)
     dom = disc_domain(1.0 / 64)
     rep = check_dirichlet_solvability(GridField.constant(dom, 0.2), dom,
                                       K=0.3, gamma=1.1)
     assert len(rep.points) == 208
     assert rep.certified
-    assert len(calls) <= 450
+    assert sum(bisected) <= 450
+
+
+def circle_roots(a, b, center, radius):
+    """Closed-form points where the segments [a[k], b[k]] meet the circle:
+    both roots t of |a + t (b - a) - center| = radius, NaN if none."""
+    d, e = b - a, a - center
+    A, B = np.sum(d * d, axis=1), np.sum(d * e, axis=1)
+    disc = B * B - A * (np.sum(e * e, axis=1) - radius ** 2)
+    root = np.sqrt(np.where(disc >= 0, disc, np.nan))
+    return [a + ((-B + sign * root) / A)[:, None] * d for sign in (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize("region,radii", [
+    ({"region": "disc", "center": [0.47, 0.53], "radius": 0.3}, [0.3]),
+    ({"region": "annulus", "center": [0.5, 0.5], "r_inner": 0.15,
+      "r_outer": 0.4}, [0.15, 0.4]),
+])
+def test_crossings_match_closed_form_circle_roots(region, radii):
+    dom = build_domain(EUCLID, 1.0 / 64, region=region)
+    center = np.asarray(region["center"])
+    pts = dom.points.reshape(-1, 2)
+    lo, hi, table = _crossing_table(dom)
+    inner, outer = dom.inner_index, dom.dirichlet_index
+    proj = segment_crossings(dom, dom.points[inner], dom.points[outer],
+                             dom.sdf[inner], dom.sdf[outer])
+    assert not np.isnan(proj).any()
+    for a, b, got in ((pts[lo], pts[hi], table),
+                      (dom.points[inner], dom.points[outer], proj)):
+        roots = np.stack([r for radius in radii
+                          for r in circle_roots(a, b, center, radius)])
+        err = np.nanmin(np.max(np.abs(roots - got), axis=2), axis=0)
+        assert err.max() <= 1e-15
+    # the public one-row call runs the same routine
+    for k in range(0, len(proj), 17):
+        node = tuple(int(ix[k]) for ix in outer)
+        offset = tuple(int(ix[k] - jx[k]) for ix, jx in zip(outer, inner))
+        assert np.array_equal(project_to_boundary(dom, node, offset), proj[k])
+
+
+def test_segment_crossings_endpoints_and_one_sided_rows(square_16):
+    a = np.array([[0.5, 0.25], [0.5, 0.25], [0.5, 0.25], [0.5, 0.25]])
+    b = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+    fa = np.array([0.0, -0.2, -0.2, 1e-15])
+    fb = np.array([0.3, 1e-15, -0.1, 0.4])
+    out = segment_crossings(square_16, a, b, fa, fb)
+    assert np.array_equal(out[0], a[0])    # a zero end is returned exactly
+    assert np.array_equal(out[1], b[1])    # so is one below 1e-13 of the other
+    assert np.isnan(out[2]).all()          # same-sign ends: no crossing
+    assert np.array_equal(out[3], a[3])
 
 
 def test_project_to_boundary_lands_on_circle():
     dom = disc_domain(1.0 / 16)
     hits = 0
-    for idx, offset in dom.boundary_nodes[:10]:
+    for idx, offset in boundary_nodes(dom)[:10]:
         x0 = project_to_boundary(dom, idx, offset)
         r = np.hypot(x0[0] - 0.5, x0[1] - 0.5)
         assert r == pytest.approx(0.4, abs=1e-10)

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,7 +162,6 @@ def test_parse_defaults(tmp_path):
     assert cfg.warm_start is True
     assert cfg.schedule is None
     assert (cfg.barrier_k, cfg.barrier_gamma) == (0.3, 1.1)
-    assert cfg.seed == 0
     assert cfg.output_dir == "graphflow_out"
 
 
@@ -289,6 +290,33 @@ def test_run_unknown_top_level_key_exits_1(tmp_path):
     fail = json.loads((out / "failure.json").read_text())
     assert fail["error"] == "ConfigError"
     assert any("threads" in p for p in fail["problems"])
+    assert not (out / "manifest.json").exists()
+
+
+def test_run_seed_key_exits_1(tmp_path):
+    # run and barrier draw no random numbers; only selftest takes a seed
+    cfg_path, out = write_config(tmp_path, seed=0)
+    assert main(["run", str(cfg_path)]) == 1
+    fail = json.loads((out / "failure.json").read_text())
+    assert any("unknown config keys ['seed']" in p for p in fail["problems"])
+
+
+@pytest.mark.parametrize("key,overrides", [
+    ("tol", {"tol": "abc"}),
+    ("barrier", {"barrier": 5}),
+    ("barrier K", {"barrier": {"K": "x"}}),
+    ("flow", {"flow": 5}),
+    ("region", {"region": "disc"}),
+    ("phi value", {"phi": {"kind": "constant", "value": "a"}}),
+    ("chart n", {"chart": {"kind": "euclidean", "n": "two"}}),
+    ("warm_start", {"warm_start": "no"}),
+])
+def test_run_malformed_value_exits_1(tmp_path, key, overrides):
+    cfg_path, out = write_config(tmp_path, **overrides)
+    assert main(["run", str(cfg_path)]) == 1
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["error"] == "ConfigError"
+    assert [p for p in fail["problems"] if p.startswith(f"{key} must be")]
     assert not (out / "manifest.json").exists()
 
 
@@ -443,6 +471,19 @@ def test_barrier_subcommand_writes_certificate_only(tmp_path):
     assert not (out / "continuation.json").exists()
 
 
+def test_barrier_certifies_table_region(tmp_path):
+    # the disc_barrier disc at h = 1/32, given as its sampled signed distance
+    axis = np.linspace(0.0, 1.0, 33)
+    sdf = np.hypot(*np.meshgrid(axis - 0.5, axis - 0.5, indexing="ij")) - 0.4
+    cfg_path, out = write_config(tmp_path, h=1.0 / 32,
+                                 region={"region": "table", "values": sdf.tolist()})
+    assert main(["barrier", str(cfg_path)]) == 0
+    bar = json.loads((out / "barrier.json").read_text())
+    assert len(bar["points"]) == 104
+    assert all(p["certified"] for p in bar["points"])
+    assert bar["certified"] is True
+
+
 # -------------------------------------------------------------------- selftest
 
 
@@ -493,6 +534,16 @@ def test_main_requires_a_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_import_loads_no_scipy():
+    import graphflow
+    src = str(Path(graphflow.__file__).resolve().parents[1])
+    code = ("import sys, graphflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

@@ -7,7 +7,7 @@ import sympy as sp
 from graphflow.errors import GridError
 from graphflow.flow import l_eps_apply, q_operator
 from graphflow.functionals import e_eps, product_grid
-from graphflow.grid import (DIRICHLET, EXTERIOR, INTERIOR, GridField, build_domain,
+from graphflow.grid import (DIRICHLET, EXTERIOR, INTERIOR, GridField, _region_sdf, build_domain,
                             cell_average, cell_gradient, gradient_sweep, hessian_sweep,
                             interpolate_to, load_field_csv, save_field_csv)
 from graphflow.manifold import builtin_chart
@@ -82,9 +82,74 @@ def test_dirichlet_exactly_the_touching_nodes():
 
 def test_boundary_nodes_point_outward():
     dom = unit_square(0.25)
-    for idx, outward in dom.boundary_nodes:
-        inner = tuple(i - o for i, o in zip(idx, outward))
+    for idx, inner in zip(zip(*dom.dirichlet_index), zip(*dom.inner_index)):
         assert dom.mask[inner] == INTERIOR
+        assert max(abs(i - j) for i, j in zip(idx, inner)) == 1
+
+
+def first_interior_neighbours(dom):
+    """Reference: per dirichlet node, the first interior neighbour in
+    product((-1, 0, 1), repeat=n) order."""
+    offsets = [off for off in product((-1, 0, 1), repeat=dom.dim) if any(off)]
+    out = []
+    for idx in zip(*dom.dirichlet_index):
+        for off in offsets:
+            nb = tuple(int(i + o) for i, o in zip(idx, off))
+            if all(0 <= v < s for v, s in zip(nb, dom.shape)) and dom.mask[nb] == INTERIOR:
+                out.append(nb)
+                break
+        else:
+            raise AssertionError(f"dirichlet node {idx} has no interior neighbour")
+    return out
+
+
+INNER_INDEX_DOMAINS = {
+    "disc": (builtin_chart("euclidean", n=2), 1.0 / 32,
+             {"region": "disc", "center": [0.47, 0.53], "radius": 0.3}),
+    "annulus": (builtin_chart("euclidean", n=2), 1.0 / 32,
+                {"region": "annulus", "center": [0.5, 0.5], "r_inner": 0.15, "r_outer": 0.4}),
+    "ball_3d": (builtin_chart("euclidean", n=3), 1.0 / 16,
+                {"region": "disc", "center": [0.5, 0.5, 0.5], "radius": 0.35}),
+    "line": (builtin_chart("euclidean", n=1), 1.0 / 16, None),
+    "poincare": (builtin_chart("poincare_disk", n=2), 0.04375,
+                 {"region": "disc", "center": [0.0, 0.0], "radius": 0.5}),
+    "box": (builtin_chart("euclidean", n=2), 1.0 / 16,
+            {"region": "box", "bounds": [[0.25, 0.75], [0.125, 0.875]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INNER_INDEX_DOMAINS))
+def test_inner_index_is_first_interior_neighbour(name):
+    dom = build_domain(*INNER_INDEX_DOMAINS[name])
+    got = list(zip(*(axis.tolist() for axis in dom.inner_index)))
+    assert got == first_interior_neighbours(dom)
+
+
+def chebyshev_distance_to(dom, target):
+    """Reference: per node, the Chebyshev lattice distance to the nearest
+    node of the boolean lattice array target."""
+    where = np.argwhere(target)
+    out = np.empty(dom.shape, dtype=int)
+    for idx in np.ndindex(*dom.shape):
+        out[idx] = np.min(np.max(np.abs(where - idx), axis=1))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(12,), (9, 11), (6, 7, 5)])
+def test_mask_growth_matches_chebyshev_reference(shape):
+    # table regions give arbitrary masks: their values are exact at the nodes
+    chart = builtin_chart("euclidean", n=len(shape))
+    h = [1.0 / (m - 1) for m in shape]
+    rng = np.random.default_rng(len(shape))
+    for density in np.repeat([0.3, 0.5, 0.7, 0.9], 5):
+        values = np.where(rng.random(shape) < density, -1.0, 1.0)
+        values[tuple(m // 2 for m in shape)] = -1.0
+        dom = build_domain(chart, h, {"region": "table", "values": values})
+        to_interior = chebyshev_distance_to(dom, dom.interior)
+        assert np.array_equal(dom.dirichlet, ~dom.interior & (to_interior == 1))
+        to_outside = chebyshev_distance_to(dom, ~dom.interior)
+        for k in (1, 2, 3):
+            assert np.array_equal(dom.eroded_interior(k), to_outside > k)
 
 
 def test_gradient_exact_for_affine():
@@ -360,3 +425,17 @@ def test_table_region_classification():
     vals[1:4, 1:4] = -1.0
     dom = build_domain(chart, 0.25, {"region": "table", "values": vals})
     assert int(np.sum(dom.mask == INTERIOR)) == 9
+
+
+def test_table_region_interpolates_between_nodes():
+    chart = builtin_chart("euclidean", n=2)
+    axis = np.linspace(0.0, 1.0, 5)
+    vals = np.add.outer(axis, 2.0 * axis) - 1.0   # affine: x1 + 2 x2 - 1
+    region = {"region": "table", "values": vals}
+    dom = build_domain(chart, 0.25, region)
+    assert np.array_equal(dom.sdf, vals)
+    pts = np.array([[0.1, 0.3], [0.6, 0.05], [0.875, 0.95]])
+    got = _region_sdf(region, pts, chart.box)
+    assert np.allclose(got, pts[:, 0] + 2.0 * pts[:, 1] - 1.0, atol=1e-15)
+    with pytest.raises(GridError, match="does not match lattice shape"):
+        build_domain(chart, 0.125, region)
