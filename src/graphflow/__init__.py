@@ -15,8 +15,7 @@ continuation (quasi-steady runs, eps limits, attainment), cli (batch runner).
 from .barrier import (BarrierSearchResult, BarrierSpec, SolvabilityReport,
                       boundary_crossings, boundary_lipschitz,
                       check_dirichlet_solvability, fit_boundary_graph,
-                      make_barrier_spec, project_to_boundary, psi_eval,
-                      q_on_barrier, q_on_barrier_fd, search_alpha)
+                      project_to_boundary, q_on_barrier, search_alpha)
 from .continuation import (AttainmentPoint, AttainmentReport,
                            ContinuationReport, EpsLeg, TimeUniquenessResult,
                            boundary_attainment_report, eps_continuation,
@@ -55,9 +54,9 @@ __all__ = [
     "compatibility_ramp", "e_eps",
     "eps_continuation", "fit_boundary_graph", "flow_step", "initial_state",
     "interior_integral", "interpolate_to", "j_functional", "l_eps_apply",
-    "load_field_csv", "load_metric_table", "make_barrier_spec",
+    "load_field_csv", "load_metric_table",
     "mollified_set_tv", "probe_mask", "product_grid", "project_to_boundary",
-    "psi_eval", "q_on_barrier", "q_on_barrier_fd", "q_operator",
+    "q_on_barrier", "q_operator",
     "run_to_quasi_steady", "save_field_csv", "search_alpha", "set_perimeter",
     "stable_dt", "subgraph_perimeter", "subgraph_set",
     "time_sequence_uniqueness_check", "total_variation", "trace_error",

@@ -24,6 +24,24 @@ on -phi.
 Admissibility is checked in the sharper form K < 1/sqrt((n-1) gamma) with
 gamma > 1, matching the oscillation hypothesis under which the certificate
 is applied.
+
+Certification handles all P boundary points at once, as arrays:
+
+- gather: each point's fit samples are the rows of the domain's crossing
+  table whose segments lie in its sup-norm window, one row per boundary
+  point, nearest first; the nearest 4n form a (P, 4n, n) array;
+- fit: the Cholesky factor, the SVD frame and the inward-normal probe are
+  stacked calls, and the rotate-and-refit loop runs on the points that have
+  not converged yet; a failed fit becomes the point's reason string;
+- rungs: the (radius, alpha) pairs are walked in a fixed order; on each
+  rung Qv is evaluated at the interior nodes within the radius of every
+  point still open, as one batch of rows with an owner index, reduced per
+  point, and a point keeps the first rung that passes;
+- blocks: each batch is evaluated in blocks of at most BLOCK array
+  entries, so memory does not grow with the number of points.
+
+The one-point functions boundary_crossings, fit_boundary_graph,
+q_on_barrier and search_alpha are one-row calls of the batched routines.
 """
 
 from __future__ import annotations
@@ -44,6 +62,7 @@ ALPHA_FLOOR = 1e-6
 FIT_WINDOW_CELLS = 8       # boundary sampling window, in units of max h
 DEGENERATE_RESIDUAL = 0.05 # rms graph-fit residual / window above this is no graph
 HALVINGS = 53              # bisection steps per crossing: the bracket on [0, 1] ends at 2^-53
+BLOCK = 1 << 15            # array entries per block of a batched gather or Qv evaluation
 _CROSSING_TABLES = weakref.WeakKeyDictionary()  # GridDomain -> _crossing_table
 
 
@@ -157,24 +176,6 @@ def _crossing_table(domain: GridDomain):
     return _CROSSING_TABLES[domain]
 
 
-def boundary_crossings(domain: GridDomain, x0: np.ndarray,
-                       window: float) -> np.ndarray:
-    """Boundary points where lattice segments near x0 cross the region edge.
-
-    Selects the rows of the domain's crossing table whose segment endpoints
-    both lie within the sup-norm window of x0; the table root-finds the
-    signed distance along each crossing segment once per domain.
-    """
-    lo, hi, cross = _crossing_table(domain)
-    near = np.all(np.abs(domain.points - x0) <= window + 1e-12, axis=-1).reshape(-1)
-    arr = cross[near[lo] & near[hi]]
-    # lattice nodes sitting exactly on the boundary are seen by every
-    # incident segment; keep one copy of each
-    _, keep = np.unique(np.round(arr / 1e-12).astype(np.int64), axis=0,
-                        return_index=True)
-    return arr[np.sort(keep)]
-
-
 def project_to_boundary(domain: GridDomain, idx: tuple,
                         offset: tuple) -> np.ndarray:
     """Boundary point on the segment from idx's inner neighbor to idx."""
@@ -188,272 +189,328 @@ def project_to_boundary(domain: GridDomain, idx: tuple,
     return cross
 
 
+def _blocks(count: int, width: int) -> list:
+    """Slices of range(count) holding at most BLOCK entries of width each."""
+    step = max(1, BLOCK // max(width, 1))
+    return [slice(s, s + step) for s in range(0, count, step)]
+
+
+def _norm(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, bit for bit np.linalg.norm's."""
+    return np.sqrt(sum(d[..., k] * d[..., k] for k in range(d.shape[-1])))
+
+
+def _window_rows(domain: GridDomain, x0s: np.ndarray, window: float) -> np.ndarray:
+    """(P, rows) mask of the crossing-table rows whose segment endpoints both
+    lie within the sup-norm window of each point of x0s."""
+    lo, hi, cross = _crossing_table(domain)
+    pts = domain.points.reshape(-1, domain.dim)
+    near = np.all(np.abs(pts[lo] - x0s[:, None]) <= window + 1e-12, axis=-1)
+    near &= np.all(np.abs(pts[hi] - x0s[:, None]) <= window + 1e-12, axis=-1)
+    # lattice nodes sitting exactly on the boundary are seen by every
+    # incident segment; each point keeps the first of those rows
+    _, key = np.unique(np.round(cross / 1e-12).astype(np.int64), axis=0,
+                       return_inverse=True)
+    p, r = np.nonzero(near)
+    _, first = np.unique(p * len(cross) + key.reshape(-1)[r], return_index=True)
+    keep = np.zeros_like(near)
+    keep[p[first], r[first]] = True
+    return keep
+
+
+def boundary_crossings(domain: GridDomain, x0: np.ndarray,
+                       window: float) -> np.ndarray:
+    """Boundary points where lattice segments near x0 cross the region edge:
+    the crossing-table rows whose segment endpoints both lie within the
+    sup-norm window of x0, one per boundary point, in table order."""
+    x0 = np.asarray(x0, dtype=float)
+    return _crossing_table(domain)[2][_window_rows(domain, x0[None], window)[0]]
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray):
+    """Stacked least squares A x = b by SVD, with the rank cut-off of
+    numpy.linalg.lstsq's default: s > eps max(M, N) s_max."""
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(A.shape[-2:]) * s[:, :1]
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    coef = np.einsum("pji,pj->pi", vt, s_inv * np.einsum("pmj,pm->pj", u, b))
+    return coef, np.sum(keep, axis=1)
+
+
+def _fit_points(domain: GridDomain, x0s: np.ndarray):
+    """Boundary fit at every point of x0s (P, n) on its nearest 4n window
+    samples; points with equal sample counts are fitted together.
+
+    Returns frames (P, n, n), Hessians (P, n-1, n-1), spectral norms L (P,),
+    the margin's trace terms tr w'' + sum_a Gamma^n_aa (P,) and one reason
+    per point, None where the fit holds.
+    """
+    n, P, cross = domain.dim, len(x0s), _crossing_table(domain)[2]
+    if n < 2:
+        raise BarrierError("the boundary-graph construction needs dimension >= 2")
+    frames, H, L, trace = np.zeros((P, n, n)), np.zeros((P, n - 1, n - 1)), np.zeros(P), np.zeros(P)
+    reasons = np.full(P, None, dtype=object)
+    idx, count = np.zeros((P, 4 * n), dtype=np.int64), np.zeros(P, dtype=np.int64)
+    for blk in _blocks(P, len(cross) * n):
+        keep = _window_rows(domain, x0s[blk], FIT_WINDOW_CELLS * float(np.max(domain.h)))
+        dist = np.where(keep, _norm(cross - x0s[blk, None]), np.inf)
+        # nearest first; the stable sort keeps table order among equal distances
+        order = np.argsort(dist, axis=1, kind="stable")[:, :4 * n]
+        idx[blk, :order.shape[1]], count[blk] = order, np.sum(keep, axis=1)
+    for p in np.flatnonzero(count < 2 * n):
+        reasons[p] = (f"boundary near {x0s[p].tolist()} resolved by only "
+                      f"{count[p]} points; need at least {2 * n}")
+    used = np.where(count < 2 * n, 0, np.minimum(count, 4 * n))
+    for m in sorted(set(used[used > 0].tolist())):
+        grp = np.flatnonzero(used == m)
+        frames[grp], H[grp], L[grp], trace[grp], reasons[grp] = _fit_group(
+            domain, x0s[grp], cross[idx[grp, :m]])
+    return frames, H, L, trace, reasons
+
+
+def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
+    """_fit_points for G points with m samples each, samples (G, m, n)."""
+    chart, n, G = domain.chart, domain.dim, len(x0s)
+    why = [None] * G
+
+    def fail(rows, what):
+        for p, text in zip(rows, what):
+            why[p] = f"degenerate boundary fit at {x0s[p].tolist()}: {text}"
+
+    centered = samples - x0s[:, None]
+    window = np.max(_norm(centered), axis=1)
+    for p in np.flatnonzero(window <= 0):
+        why[p] = f"boundary samples near {x0s[p].tolist()} collapse onto it"
+
+    sig0, _, _ = metric_at(chart, x0s)
+    chol = np.linalg.cholesky(sig0)
+    _, _, vt = np.linalg.svd(centered @ chol, full_matrices=True)  # z = chol^T (s - x0)
+    # columns, normal (least variance) last
+    frame = np.linalg.solve(np.swapaxes(chol, 1, 2), np.swapaxes(vt, 1, 2))
+    # orient the normal inward
+    probe = x0s + 0.25 * float(np.min(domain.h)) * frame[:, :, -1]
+    frame[_sdf(domain, probe) > 0, :, -1] *= -1
+
+    pairs = list(combinations_with_replacement(range(n - 1), 2))
+
+    def design(rows, linear):  # the fit design and the heights, in frame coordinates
+        y = np.swapaxes(np.linalg.solve(frame[rows], np.swapaxes(centered[rows], 1, 2)), 1, 2)
+        yp = y[..., :n - 1]
+        quad = np.stack([yp[..., i] * yp[..., j] for i, j in pairs], axis=-1)
+        return (np.concatenate([yp, quad], axis=-1) if linear else quad), y[..., n - 1]
+
+    def dot(u, w, rows):
+        return np.einsum("pi,pij,pj->p", u, sig0[rows], w)
+
+    # rotate the frame until the fitted linear term vanishes: this is what
+    # pins Dw(0) = 0, and an unrotated frame would bias the Hessian
+    k = n - 1 + len(pairs)
+    active = np.array([w is None for w in why])
+    for _ in range(24):
+        rows = np.flatnonzero(active)
+        if not rows.size:
+            break
+        coef, rank = _lstsq(*design(rows, True))
+        fail(rows[rank < k], [f"rank {r} < {k}" for r in rank[rank < k]])
+        slope = coef[:, :n - 1]
+        done = np.max(np.abs(slope), axis=1) < 1e-11
+        active[rows[(rank < k) | done]] = False
+        turn = (rank == k) & ~done
+        rows, slope = rows[turn], slope[turn]
+        nu = np.einsum("pij,pj->pi", frame[rows],
+                       np.concatenate([-slope, np.ones((len(rows), 1))], axis=1))
+        cols = [nu / np.sqrt(dot(nu, nu, rows))[:, None]]
+        ok = np.ones(len(rows), dtype=bool)
+        for a in range(n - 1):
+            t = frame[rows, :, a]
+            for c in cols:
+                t = t - dot(t, c, rows)[:, None] * c
+            norm = np.sqrt(dot(t, t, rows))
+            ok &= norm >= 1e-12
+            cols.append(t / np.maximum(norm, 1e-12)[:, None])
+        fail(rows[~ok], ["tangent collapse"] * len(rows))
+        active[rows[~ok]] = False
+        frame[rows[ok]] = np.stack(cols[1:] + cols[:1], axis=-1)[ok]
+    fail(np.flatnonzero(active), ["no stable tangent plane"] * G)
+
+    rows = np.flatnonzero([w is None for w in why])
+    for a in range(n - 1):
+        lead = np.argmax(np.abs(frame[rows, :, a]), axis=1)
+        frame[rows[frame[rows, lead, a] < 0], :, a] *= -1
+    quad, yn = design(rows, False)
+    coef, rank = _lstsq(quad, yn)
+    H = np.zeros((G, n - 1, n - 1))
+    for (i, j), c in zip(pairs, coef.T):
+        H[rows, i, j] = H[rows, j, i] = 2.0 * c if i == j else c
+    rms = np.sqrt(np.mean((np.einsum("pmk,pk->pm", quad, coef) - yn) ** 2, axis=1))
+    bad = rank < len(pairs)
+    fail(rows[bad], [f"rank {r} < {len(pairs)}" for r in rank[bad]])
+    far = ~bad & (rms > DEGENERATE_RESIDUAL * window[rows])
+    fail(rows[far], [f"residual {r:.3e} exceeds {DEGENERATE_RESIDUAL:.0e} of the "
+                     f"window {w:.3e}" for r, w in zip(rms[far], window[rows][far])])
+
+    rows = rows[~bad & ~far]
+    L, trace = np.zeros(G), np.zeros(G)
+    L[rows] = np.linalg.norm(H[rows], 2, axis=(1, 2))
+    Einv = np.linalg.inv(frame[rows])
+    gam0_t = np.einsum("pck,pkij,pia,pjb->pcab", Einv, christoffel_at(chart, x0s[rows]),
+                       frame[rows], frame[rows])
+    trace[rows] = (np.trace(H[rows], axis1=1, axis2=2)
+                   + np.einsum("paa->p", gam0_t[:, n - 1, :n - 1, :n - 1]))
+    return frame, H, L, trace, why
+
+
 def fit_boundary_graph(domain: GridDomain, x0) -> tuple[np.ndarray, np.ndarray, float]:
     """Frame and quadratic graph of the boundary at x0.
 
     Returns (frame, w_fit, L): frame columns are sigma(x0)-orthonormal with
     the inner normal last; w_fit is the fitted Hessian of y_n = w(y') with
-    zero constant and linear part; L is its spectral norm.
+    zero constant and linear part over the nearest 4n boundary samples; L is
+    its spectral norm.
     """
-    x0 = np.asarray(x0, dtype=float)
-    chart = domain.chart
-    n = chart.dim
-    if n < 2:
-        raise BarrierError("the boundary-graph construction needs dimension >= 2")
-    window = FIT_WINDOW_CELLS * float(np.max(domain.h))
-    samples = boundary_crossings(domain, x0, window)
-    if samples.shape[0] < 2 * n:
-        raise BarrierError(
-            f"boundary near {x0.tolist()} resolved by only {samples.shape[0]} "
-            f"points; need at least {2 * n}")
-    # fit on the nearest 4n samples: keeps the stencil local so curvature is
-    # read off at scale O(h), and keeps far-away boundary pieces out of it
-    order = np.argsort(np.linalg.norm(samples - x0, axis=1), kind="stable")
-    samples = samples[order[:4 * n]]
-    window = float(np.max(np.linalg.norm(samples - x0, axis=1)))
-    if window <= 0:
-        raise BarrierError(f"boundary samples near {x0.tolist()} collapse onto it")
+    frames, H, L, _, reasons = _fit_points(domain, np.asarray(x0, dtype=float)[None])
+    if reasons[0] is not None:
+        raise BarrierError(reasons[0])
+    return frames[0], H[0], float(L[0])
 
-    sig0, _, _ = metric_at(chart, x0)
-    chol = np.linalg.cholesky(sig0)
-    centered = samples - x0
-    z = centered @ chol            # rows z_k = chol^T (s_k - x0)
-    _, _, vt = np.linalg.svd(z, full_matrices=True)
-    frame = np.linalg.solve(chol.T, vt.T)   # columns, normal (least variance) last
 
-    # orient the normal inward
-    probe = 0.25 * float(np.min(domain.h))
-    if float(_sdf(domain, (x0 + probe * frame[:, -1])[None])[0]) > 0:
-        frame[:, -1] = -frame[:, -1]
+def _qv(y, K, alpha, w_fit, frame, Einv, inv, gam):
+    """Qv, psi and v at frame coordinates y (rows, n); w_fit, frame, its
+    inverse Einv, the chart's inverse metric inv and Christoffels gam carry
+    one row each, K and alpha are scalars.
 
-    # rotate the frame until the fitted linear term vanishes: this is what
-    # pins Dw(0) = 0, and an unrotated frame would bias the Hessian
-    pairs = list(combinations_with_replacement(range(n - 1), 2))
-    for _ in range(24):
-        y = np.linalg.solve(frame, centered.T).T
-        yp, yn = y[:, :n - 1], y[:, n - 1]
-        design = np.concatenate(
-            [yp, np.stack([yp[:, i] * yp[:, j] for i, j in pairs], axis=1)],
-            axis=1)
-        coef, _, rank, _ = np.linalg.lstsq(design, yn, rcond=None)
-        if rank < design.shape[1]:
-            raise BarrierError(
-                f"degenerate boundary fit at {x0.tolist()}: "
-                f"rank {rank} < {design.shape[1]}")
-        slope = coef[:n - 1]
-        if float(np.max(np.abs(slope))) < 1e-11:
-            break
-        nu_y = np.concatenate([-slope, [1.0]])
-        nu = frame @ nu_y
-        nu = nu / np.sqrt(nu @ sig0 @ nu)
-        cols = []
-        for a in range(n - 1):
-            t = frame[:, a]
-            t = t - (t @ sig0 @ nu) * nu
-            for c in cols:
-                t = t - (t @ sig0 @ c) * c
-            norm = np.sqrt(t @ sig0 @ t)
-            if norm < 1e-12:
-                raise BarrierError(
-                    f"degenerate boundary fit at {x0.tolist()}: tangent collapse")
-            cols.append(t / norm)
-        frame = np.stack(cols + [nu], axis=1)
-    else:
-        raise BarrierError(
-            f"degenerate boundary fit at {x0.tolist()}: no stable tangent plane")
-
-    for a in range(n - 1):
-        lead = np.argmax(np.abs(frame[:, a]))
-        if frame[lead, a] < 0:
-            frame[:, a] = -frame[:, a]
-
-    y = np.linalg.solve(frame, centered.T).T
+    Assembles v_a = psi_a / 2v and v_ab = -psi_a psi_b / 4v^3 + psi_ab / 2v
+    in the frame and contracts with the graph metric inverse; rows with
+    psi <= 0 give meaningless values and no warning.
+    """
+    n, K2 = y.shape[-1], K ** 2
     yp, yn = y[:, :n - 1], y[:, n - 1]
-    design = np.stack([yp[:, i] * yp[:, j] for i, j in pairs], axis=1)
-    coef, _, rank, _ = np.linalg.lstsq(design, yn, rcond=None)
-    if rank < len(pairs):
-        raise BarrierError(
-            f"degenerate boundary fit at {x0.tolist()}: rank {rank} < {len(pairs)}")
-    H = np.zeros((n - 1, n - 1))
-    for (i, j), c in zip(pairs, coef):
-        if i == j:
-            H[i, i] = 2.0 * c
-        else:
-            H[i, j] = H[j, i] = c
-    rms = float(np.sqrt(np.mean((design @ coef - yn) ** 2)))
-    if rms > DEGENERATE_RESIDUAL * window:
-        raise BarrierError(
-            f"degenerate boundary fit at {x0.tolist()}: residual {rms:.3e} "
-            f"exceeds {DEGENERATE_RESIDUAL:.0e} of the window {window:.3e}")
-    L = float(np.linalg.norm(H, 2)) if n > 1 else 0.0
-    return frame, H, L
-
-
-def _frame_coords(spec: BarrierSpec, x: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(spec.frame, (x - spec.x0).T).T
-
-
-def _psi_terms(spec: BarrierSpec, y: np.ndarray):
-    """psi, its gradient, and its Hessian in frame coordinates."""
-    n = spec.dim
-    K2 = spec.K ** 2
-    yp = y[..., :n - 1]
-    yn = y[..., n - 1]
-    w = 0.5 * np.einsum("...i,ij,...j->...", yp, spec.w_fit, yp)
-    wg = yp @ spec.w_fit
-    psi = K2 * np.sum(y * y, axis=-1) + 2.0 * spec.alpha * (yn - w)
-    grad = 2.0 * K2 * y.copy()
-    grad[..., :n - 1] -= 2.0 * spec.alpha * wg
-    grad[..., n - 1] += 2.0 * spec.alpha
-    hess = np.zeros(y.shape + (n,))
-    hess[...] = 2.0 * K2 * np.eye(n)
-    hess[..., :n - 1, :n - 1] -= 2.0 * spec.alpha * spec.w_fit
-    return psi, grad, hess
-
-
-def psi_eval(spec: BarrierSpec, x) -> tuple[np.ndarray, np.ndarray]:
-    """psi and v = sqrt(psi) at chart points x.
-
-    psi = 0 is allowed (the base point itself); the strictly negative side
-    is rejected.
-    """
-    x = np.asarray(x, dtype=float)
-    y = _frame_coords(spec, x)
-    psi, _, _ = _psi_terms(spec, y)
-    if np.any(psi < 0):
-        raise BarrierError("psi is negative at the requested point")
-    return psi, np.sqrt(psi)
+    w = 0.5 * np.einsum("ri,rij,rj->r", yp, w_fit, yp)
+    psi = K2 * np.sum(y * y, axis=-1) + 2.0 * alpha * (yn - w)
+    pg = 2.0 * K2 * y
+    pg[:, :n - 1] -= 2.0 * alpha * np.einsum("ri,rij->rj", yp, w_fit)
+    pg[:, n - 1] += 2.0 * alpha
+    ph = np.broadcast_to(2.0 * K2 * np.eye(n), y.shape + (n,)).copy()
+    ph[:, :n - 1, :n - 1] -= 2.0 * alpha * w_fit
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v = np.sqrt(psi)
+        vi = pg / (2.0 * v[:, None])
+        vij = (-pg[:, :, None] * pg[:, None, :] / (4.0 * psi * v)[:, None, None]
+               + ph / (2.0 * v[:, None, None]))
+        inv_t = Einv @ inv @ np.swapaxes(Einv, 1, 2)
+        vi_up = np.einsum("rab,rb->ra", inv_t, vi)
+        w2 = 1.0 + np.einsum("ra,ra->r", vi, vi_up)
+        g = inv_t - vi_up[:, :, None] * vi_up[:, None, :] / w2[:, None, None]
+        # g^{ab} Gamma^c_ab v_c with the frame's Gamma = E^-1 Gamma(E., E.)
+        g_chart = frame @ g @ np.swapaxes(frame, 1, 2)
+        dv = np.einsum("rca,rc->ra", Einv, vi)
+        qv = (np.einsum("rab,rab->r", g, vij)
+              - np.einsum("rkij,rij,rk->r", gam, g_chart, dv))
+    return qv, psi, v
 
 
 def q_on_barrier(spec: BarrierSpec, x) -> np.ndarray:
-    """Qv at chart points x from the closed-form derivatives of v.
-
-    Assembles v_a = psi_a / 2v and v_ab = -psi_a psi_b / 4v^3 + psi_ab / 2v
-    in the frame, transports the chart metric and Christoffels into the
-    frame, and contracts with the graph metric inverse.
-    """
+    """Qv at chart points x from the closed-form derivatives of v."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = x[None] if scalar else x
-    y = _frame_coords(spec, pts)
-    psi, pg, ph = _psi_terms(spec, y)
+    pts = np.atleast_2d(x)
+    Einv = np.linalg.inv(spec.frame)
+    qv, psi, v = _qv(
+        np.einsum("ij,rj->ri", Einv, pts - spec.x0), spec.K, spec.alpha,
+        *(np.broadcast_to(a, (len(pts),) + a.shape) for a in (spec.w_fit, spec.frame, Einv)),
+        metric_at(spec.chart, pts)[1], christoffel_at(spec.chart, pts))
     if np.any(psi <= 0):
         raise BarrierError("psi is not positive at a requested point")
-    v = np.sqrt(psi)
     if np.any(v < MIN_BARRIER_V):
         raise BarrierError("evaluation point is too close to the base point")
-    vi = pg / (2.0 * v[..., None])
-    vij = (-pg[..., :, None] * pg[..., None, :] / (4.0 * psi[..., None, None] * v[..., None, None])
-           + ph / (2.0 * v[..., None, None]))
-
-    _, inv, _ = metric_at(spec.chart, pts)
-    gam = christoffel_at(spec.chart, pts)
-    E = spec.frame
-    Einv = np.linalg.inv(E)
-    inv_t = np.einsum("ai,...ij,bj->...ab", Einv, inv, Einv)
-    gam_t = np.einsum("ck,...kij,ia,jb->...cab", Einv, gam, E, E)
-
-    vi_up = np.einsum("...ab,...b->...a", inv_t, vi)
-    w2 = 1.0 + np.einsum("...a,...a->...", vi, vi_up)
-    g = inv_t - vi_up[..., :, None] * vi_up[..., None, :] / w2[..., None, None]
-    qv = (np.einsum("...ab,...ab->...", g, vij)
-          - np.einsum("...ab,...cab,...c->...", g, gam_t, vi))
-    return qv[0] if scalar else qv
+    return qv[0] if x.ndim == 1 else qv
 
 
-def _fit_with_trace(domain: GridDomain, x0: np.ndarray):
-    """Boundary fit plus the frame Christoffel trace entering the margin."""
-    frame, H, L_fit = fit_boundary_graph(domain, x0)
-    n = domain.chart.dim
-    gam0 = christoffel_at(domain.chart, x0)
-    Einv = np.linalg.inv(frame)
-    gam0_t = np.einsum("ck,kij,ia,jb->cab", Einv, gam0, frame, frame)
-    trace_term = float(np.trace(H)) + float(np.sum(
-        [gam0_t[n - 1, a, a] for a in range(n - 1)]))
-    return frame, H, L_fit, trace_term
+def _near_nodes(domain: GridDomain, x0s: np.ndarray, open_: np.ndarray,
+                radius: float):
+    """(owner, node, dist): every (point, interior node) pair within radius
+    of an open point of x0s, ordered by point, then by node."""
+    ipts = domain.points[domain.interior]
+    found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+    for blk in _blocks(len(x0s), len(ipts) * domain.dim):
+        dist = _norm(ipts - x0s[blk, None])
+        p, i = np.nonzero((dist <= radius) & open_[blk, None])
+        found.append((p + blk.start, i, dist[p, i]))
+    return tuple(np.concatenate(col) for col in zip(*found))
 
 
-def _assemble_spec(domain: GridDomain, x0: np.ndarray, K: float, gamma: float,
-                   alpha: float, radius: float, L: float | None,
-                   fit) -> BarrierSpec:
-    frame, H, L_fit, trace_term = fit
-    if L is None:
-        L_eff = L_fit
-    else:
-        if L < L_fit - 1e-9:
-            raise BarrierError(
-                f"boundary curvature {L_fit:.6g} exceeds the assumed bound {L}")
-        L_eff = float(L)
-    n = domain.chart.dim
-    margin = 1.0 + K ** 2 * (1 - n) + alpha * trace_term
-    return BarrierSpec(x0=x0, K=float(K), gamma=float(gamma), alpha=float(alpha),
-                       L=L_eff, radius=float(radius), w_fit=H, frame=frame,
-                       trace_term=trace_term, limit_margin=margin,
-                       chart=domain.chart)
+def _search_points(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float,
+                   L: float | None = None) -> list:
+    """search_alpha at every point of x0s (P, n) at once."""
+    chart, n, P = domain.chart, domain.chart.dim, len(x0s)
+    for bad, what in ((K <= 0, f"K must be positive, got {K}"),
+                      (gamma <= 1, f"gamma must exceed 1, got {gamma}"),
+                      (n < 2, "barriers need dimension >= 2")):
+        if bad:
+            raise BarrierError(what)
+    bound = 1.0 / np.sqrt((n - 1) * gamma)
+    if K >= bound:
+        return [BarrierSearchResult(
+            x0=x0, admissible=False, certified=False,
+            reason=f"K={K} is not below 1/sqrt((n-1)*gamma)={bound:.6g}") for x0 in x0s]
+    out = [None] * P
 
+    def stop(reasons):
+        for p, reason in reasons.items():
+            out[p] = BarrierSearchResult(x0=x0s[p], admissible=True,
+                                         certified=False, reason=reason)
 
-def make_barrier_spec(domain: GridDomain, x0, K: float, gamma: float,
-                      alpha: float, radius: float,
-                      L: float | None = None) -> BarrierSpec:
-    """Fit the boundary at x0 and assemble a BarrierSpec with given knobs."""
-    x0 = np.asarray(x0, dtype=float)
-    _validate_kg(domain.chart.dim, K, gamma)
-    fit = _fit_with_trace(domain, x0)
-    return _assemble_spec(domain, x0, K, gamma, alpha, radius, L, fit)
+    frames, H, L_fit, trace, reasons = _fit_points(domain, x0s)
+    stop({p: r for p, r in enumerate(reasons) if r is not None})
+    r_max = FIT_WINDOW_CELLS * float(np.max(domain.h))
+    owner, node, dist = _near_nodes(domain, x0s, np.array([r is None for r in out]), r_max)
+    if L is not None:
+        bent = np.flatnonzero((np.bincount(owner, minlength=P) > 0) & (L < L_fit - 1e-9))
+        stop({p: f"boundary curvature {L_fit[p]:.6g} exceeds the assumed bound {L}"
+              for p in bent})
+    open_ = np.array([r is None for r in out])
+    last = ["no admissible (radius, alpha) pair found"] * P
+    Einv = np.linalg.inv(frames)
+    ipts = domain.points[domain.interior]
+    nodes, at = np.unique(node, return_inverse=True)
+    inv_n, gam_n = metric_at(chart, ipts[nodes])[1], christoffel_at(chart, ipts[nodes])
 
-
-def _validate_kg(n: int, K: float, gamma: float) -> None:
-    if K <= 0:
-        raise BarrierError(f"K must be positive, got {K}")
-    if gamma <= 1:
-        raise BarrierError(f"gamma must exceed 1, got {gamma}")
-    if n < 2:
-        raise BarrierError("barriers need dimension >= 2")
-
-
-def q_on_barrier_fd(spec: BarrierSpec, x, step: float | None = None) -> float:
-    """Qv by centered finite differences of v in chart coordinates.
-
-    Independent of the analytic derivative formulas and of the frame
-    transport: v is differenced as a black box and contracted with the
-    chart-coordinate metric and Christoffels.
-    """
-    x = np.asarray(x, dtype=float)
-    chart = spec.chart
-    n = chart.dim
-    if step is None:
-        _, v0 = psi_eval(spec, x)
-        step = 1e-4 * max(float(v0), 1e-2)
-
-    def v_at(p):
-        _, v = psi_eval(spec, p)
-        return float(v)
-
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    vc = v_at(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        vp, vm = v_at(x + ei), v_at(x - ei)
-        grad[i] = (vp - vm) / (2 * step)
-        hess[i, i] = (vp - 2 * vc + vm) / step ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = step
-            ej[j] = step
-            cross = (v_at(x + ei + ej) - v_at(x + ei - ej)
-                     - v_at(x - ei + ej) + v_at(x - ei - ej)) / (4 * step ** 2)
-            hess[i, j] = hess[j, i] = cross
-    _, inv, _ = metric_at(chart, x)
-    gam = christoffel_at(chart, x)
-    grad_up = inv @ grad
-    w2 = 1.0 + float(grad @ grad_up)
-    g = inv - np.outer(grad_up, grad_up) / w2
-    cov_hess = hess - np.einsum("kij,k->ij", gam, grad)
-    return float(np.sum(g * cov_hess))
+    alphas = [2.0 ** (-m) for m in range(21) if 2.0 ** (-m) >= ALPHA_FLOOR]
+    for radius in [r_max * 2.0 ** (-j) for j in range(6)]:
+        if not open_.any():
+            break
+        inside = dist <= radius
+        samples = np.bincount(owner[inside], minlength=P)
+        for p in np.flatnonzero(open_ & (samples == 0)):
+            last[p] = (f"no interior lattice nodes within radius "
+                       f"{radius:.3e} of the boundary point")
+        for alpha in alphas:
+            margin = 1.0 + K ** 2 * (1 - n) + alpha * trace
+            rows = np.flatnonzero(inside & (open_ & (margin > 0))[owner])
+            if not rows.size:
+                continue
+            qv, bad = np.empty(len(rows)), np.empty(len(rows), dtype=bool)
+            for blk in _blocks(len(rows), 4 * n ** 3):
+                r, o = rows[blk], owner[rows[blk]]
+                y = np.einsum("rij,rj->ri", Einv[o], ipts[node[r]] - x0s[o])
+                qv[blk], psi, v = _qv(y, K, alpha, H[o], frames[o], Einv[o],
+                                      inv_n[at[r]], gam_n[at[r]])
+                bad[blk] = ~(psi > 0) | (v < MIN_BARRIER_V)
+            # rows run by owner: one segment per point evaluated on this rung
+            starts = np.flatnonzero(np.diff(owner[rows], prepend=-1))
+            worst = np.maximum.reduceat(qv, starts)
+            won = ~np.logical_or.reduceat(bad, starts) & (worst < QV_MARGIN)
+            for p, q in zip(owner[rows[starts[won]]], worst[won]):
+                spec = BarrierSpec(
+                    x0=x0s[p], K=float(K), gamma=float(gamma), alpha=float(alpha),
+                    L=float(L_fit[p] if L is None else L), radius=float(radius),
+                    w_fit=H[p], frame=frames[p], trace_term=float(trace[p]),
+                    limit_margin=float(margin[p]), chart=chart)
+                out[p] = BarrierSearchResult(
+                    x0=x0s[p], admissible=True, certified=True, reason="certified",
+                    spec=spec, qv_max=float(q), samples=int(samples[p]))
+                open_[p] = False
+    stop({p: last[p] for p in np.flatnonzero(open_)})
+    return out
 
 
 def search_alpha(domain: GridDomain, x0, K: float, gamma: float,
@@ -465,55 +522,7 @@ def search_alpha(domain: GridDomain, x0, K: float, gamma: float,
     QV_MARGIN at every interior lattice node of the neighborhood and the
     point-limit margin is positive.  Everything is deterministic.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = domain.chart.dim
-    _validate_kg(n, K, gamma)
-    bound = 1.0 / np.sqrt((n - 1) * gamma)
-    if K >= bound:
-        return BarrierSearchResult(
-            x0=x0, admissible=False, certified=False,
-            reason=f"K={K} is not below 1/sqrt((n-1)*gamma)={bound:.6g}")
-
-    try:
-        fit = _fit_with_trace(domain, x0)
-    except BarrierError as err:
-        return BarrierSearchResult(x0=x0, admissible=True, certified=False,
-                                   reason=str(err))
-
-    interior_pts = domain.points[domain.interior]
-    dist = np.linalg.norm(interior_pts - x0, axis=1)
-    r_max = FIT_WINDOW_CELLS * float(np.max(domain.h))
-    radii = [r_max * 2.0 ** (-j) for j in range(6)]
-    alphas = [2.0 ** (-m) for m in range(21) if 2.0 ** (-m) >= ALPHA_FLOOR]
-
-    last_reason = "no admissible (radius, alpha) pair found"
-    for radius in radii:
-        sel = dist <= radius
-        if not np.any(sel):
-            last_reason = (f"no interior lattice nodes within radius "
-                           f"{radius:.3e} of the boundary point")
-            continue
-        pts = interior_pts[sel]
-        for alpha in alphas:
-            try:
-                spec = _assemble_spec(domain, x0, K, gamma, alpha, radius, L, fit)
-            except BarrierError as err:
-                return BarrierSearchResult(x0=x0, admissible=True,
-                                           certified=False, reason=str(err))
-            if spec.limit_margin <= 0:
-                continue
-            try:
-                qv = q_on_barrier(spec, pts)
-            except BarrierError:
-                continue
-            worst = float(np.max(qv))
-            if worst < QV_MARGIN:
-                return BarrierSearchResult(
-                    x0=x0, admissible=True, certified=True,
-                    reason="certified", spec=spec, qv_max=worst,
-                    samples=int(pts.shape[0]))
-    return BarrierSearchResult(x0=x0, admissible=True, certified=False,
-                               reason=last_reason)
+    return _search_points(domain, np.asarray(x0, dtype=float)[None], K, gamma, L)[0]
 
 
 @dataclass(frozen=True)
@@ -565,8 +574,10 @@ def check_dirichlet_solvability(phi, domain: GridDomain, K: float,
 
     Checks (a) the discrete Lipschitz bound against K, (b) the data
     oscillation against the smallest certified barrier margin, and (c)
-    existence of a barrier certificate at every boundary point.  Never
-    raises; per-point failures become uncertified entries.
+    existence of a barrier certificate at every boundary point: the
+    dirichlet nodes' projections onto the boundary, one per point (to 1e-9),
+    gathered, fitted and searched together (see the module docstring).
+    Never raises; per-point failures become uncertified entries.
     """
     phi = as_field(domain, phi)
     vals = phi.values[domain.dirichlet_index]
@@ -575,27 +586,25 @@ def check_dirichlet_solvability(phi, domain: GridDomain, K: float,
     osc = float(np.max(vals) - np.min(vals)) if vals.size else 0.0
 
     inner, outer = domain.inner_index, domain.dirichlet_index
-    points = []
-    seen = set()
     crossings = segment_crossings(domain, domain.points[inner], domain.points[outer],
                                   domain.sdf[inner], domain.sdf[outer])
-    for k, x0 in enumerate(crossings):
-        if np.isnan(x0[0]):
-            idx = tuple(ix[k] for ix in outer)
-            points.append(BarrierSearchResult(
-                x0=domain.points[idx], admissible=False, certified=False,
-                reason=f"no boundary crossing between "
-                       f"{tuple(ix[k] for ix in inner)} and {idx}"))
-            continue
-        key = tuple(np.round(x0 / 1e-9).astype(np.int64))
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            points.append(search_alpha(domain, x0, K, gamma))
-        except BarrierError as err:
-            points.append(BarrierSearchResult(
-                x0=x0, admissible=True, certified=False, reason=str(err)))
+    missing = np.isnan(crossings[:, 0])
+    hit = np.flatnonzero(~missing)
+    _, first = np.unique(np.round(crossings[hit] / 1e-9).astype(np.int64), axis=0,
+                         return_index=True)
+    hit = hit[np.sort(first)]
+    try:
+        found = _search_points(domain, crossings[hit], K, gamma) if hit.size else []
+    except BarrierError as err:
+        found = [BarrierSearchResult(x0=x0, admissible=True, certified=False,
+                                     reason=str(err)) for x0 in crossings[hit]]
+    points = dict(zip(hit.tolist(), found))
+    for k in np.flatnonzero(missing).tolist():
+        idx = tuple(ix[k] for ix in outer)
+        points[k] = BarrierSearchResult(
+            x0=domain.points[idx], admissible=False, certified=False,
+            reason=f"no boundary crossing between {tuple(ix[k] for ix in inner)} and {idx}")
+    points = [points[k] for k in sorted(points)]
 
     margins = [p.limit_margin for p in points if p.certified]
     all_points_ok = bool(points) and all(p.certified for p in points)

@@ -34,7 +34,8 @@ from .flow import (FlowParams, compatibility_ramp, q_operator,
 from .functionals import (DiscreteSet, area, j_functional, set_perimeter,
                           subgraph_perimeter)
 from .grid import REGION_KEYS, GridField, build_domain, load_field_csv, save_field_csv
-from .manifold import CHART_KEYS, CHART_PARAMS, builtin_chart, chart_from_spec
+from .manifold import (BUILTIN_KINDS, CHART_KEYS, CHART_PARAMS, builtin_chart,
+                       chart_from_spec)
 
 RUN_ARTIFACTS = ("config_resolved.json", "barrier.json", "continuation.json",
                  "attainment.json", "solution.csv", "diagnostics.csv")
@@ -86,6 +87,8 @@ FIELD_KEYS = {"constant": ("value",), "linear": ("coeffs", "offset"),
               "radial_step": ("center", "radius", "inside", "outside"),
               "csv": ("path",)}
 FIELD_KINDS = tuple(FIELD_KEYS)
+LIST_KEYS = ("box", "bounds", "center", "coeffs", "waves", "values", "axes", "table",
+             "times_a", "times_b")
 
 
 def field_from_spec(spec: dict, domain) -> GridField:
@@ -142,8 +145,13 @@ def _number(value) -> bool:
 
 
 def _numeric(value) -> bool:
-    """A JSON number, or a (nested) list of them."""
-    return all(map(_numeric, value)) if isinstance(value, list) else _number(value)
+    """A JSON number, or a nonempty (nested) list of them."""
+    return bool(value) and all(map(_numeric, value)) if isinstance(value, list) else _number(value)
+
+
+def _kind_keys(table: dict, kind):
+    """table's entry for a kind read from JSON, None for any other value."""
+    return table.get(kind) if isinstance(kind, str) else None
 
 
 def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
@@ -151,15 +159,17 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     types included) before raising."""
     problems = []
 
-    def check_keys(name, spec, allowed, numeric=()):
-        # numeric keys hold numbers or lists of numbers
+    def check_keys(name, spec, allowed, numeric=(), required=()):
+        # numeric keys hold numbers, those in LIST_KEYS lists of numbers
         unknown = sorted(set(spec) - set(allowed))
         if unknown:
             problems.append(f"unknown {name} keys {unknown}; expected keys "
                             f"from {allowed}")
-        problems.extend(f"{name} {key} must be a number or a list of numbers, "
-                        f"got {spec[key]!r:.80}" for key in numeric
-                        if key in spec and not _numeric(spec[key]))
+        problems.extend(f"missing required {name} key {key!r}" for key in required
+                        if key not in spec)
+        problems.extend(f"{name} {key} must be a {'list of numbers' if key in LIST_KEYS else 'number'}"
+                        f", got {spec[key]!r:.80}" for key in numeric if key in spec and not (
+                            _numeric(spec[key]) and isinstance(spec[key], list) == (key in LIST_KEYS)))
 
     def obj(name, value):
         if not isinstance(value, dict):
@@ -185,15 +195,20 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     if isinstance(chart, dict):
         check_keys("chart", chart, CHART_KEYS, numeric=("n", "box"))
         params = obj("chart params", chart.get("params", {}))
-        keys = CHART_PARAMS.get(chart.get("kind"))
-        if keys is not None:
+        keys = _kind_keys(CHART_PARAMS, chart.get("kind"))
+        if keys is None:
+            problems.append(f"chart kind must be one of {BUILTIN_KINDS}, got {chart.get('kind')!r:.80}")
+        else:
             check_keys("chart params", params, keys, numeric=[k for k in keys if k != "csv"])
     region = need("region")
     if region is not None:
         region = obj("region", region)
-        if region.get("region") in REGION_KEYS:
-            keys = REGION_KEYS[region["region"]]
-            check_keys("region", region, ("region",) + keys, numeric=keys)
+        keys = _kind_keys(REGION_KEYS, region.get("region"))
+        if keys is None:
+            problems.append(f"region must name a kind from {tuple(REGION_KEYS)}")
+        else:
+            check_keys("region", region, ("region",) + keys, numeric=keys,
+                       required=[k for k in keys if k != "bounds"])
     h = raw.get("h", 0.0)
     if not isinstance(h, (int, float)) or h <= 0:
         problems.append(f"h must be a positive number, got {h!r}")
@@ -202,11 +217,12 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     def check_field(name, spec):
         # csv paths are interpreted relative to the config file
-        if not isinstance(spec, dict) or spec.get("kind") not in FIELD_KEYS:
+        keys = _kind_keys(FIELD_KEYS, spec.get("kind")) if isinstance(spec, dict) else None
+        if keys is None:
             problems.append(f"{name} spec must name a kind from {FIELD_KINDS}")
             return spec
-        keys = FIELD_KEYS[spec["kind"]]
-        check_keys(name, spec, ("kind",) + keys, numeric=[k for k in keys if k != "path"])
+        check_keys(name, spec, ("kind",) + keys, numeric=[k for k in keys if k != "path"],
+                   required=[k for k in keys if k != "offset"])
         if spec["kind"] == "csv":
             path = base_dir / spec.get("path", "")
             if not path.is_file():
@@ -250,12 +266,8 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     time_check = raw.get("time_check")
     if time_check is not None:
-        if (not isinstance(time_check, dict)
-                or "times_a" not in time_check or "times_b" not in time_check):
-            problems.append("time_check needs times_a and times_b lists")
-        else:
-            check_keys("time_check", time_check, ("times_a", "times_b"),
-                       numeric=("times_a", "times_b"))
+        times = ("times_a", "times_b")
+        check_keys("time_check", obj("time_check", time_check), times, times, times)
 
     cadence = raw.get("snapshot_every_steps", 1)
     if not isinstance(cadence, int) or cadence < 1:
@@ -359,8 +371,10 @@ def _build_problem(cfg: ExperimentConfig):
     return domain, phi, u0
 
 
-def run_experiment(config_path: str, out_override: str | None = None) -> int:
-    """Full pipeline for one config; returns the process exit code."""
+def run_experiment(config_path: str, out_override: str | None = None,
+                   barrier_only: bool = False) -> int:
+    """Full pipeline for one config, or only the solvability certification;
+    returns the process exit code."""
     out = None
     try:
         raw, base_dir = _read_raw(config_path)
@@ -372,6 +386,9 @@ def run_experiment(config_path: str, out_override: str | None = None) -> int:
         solv = check_dirichlet_solvability(phi, domain, K=cfg.barrier_k,
                                            gamma=cfg.barrier_gamma)
         _dump_json(solv.json_dict(), out / "barrier.json")
+        if barrier_only:
+            write_manifest(out, ("config_resolved.json", "barrier.json"))
+            return 0
 
         report = eps_continuation(cfg.schedule, cfg.flow, phi, u0,
                                   tol=cfg.tol, warm_start=cfg.warm_start)
@@ -398,26 +415,6 @@ def run_experiment(config_path: str, out_override: str | None = None) -> int:
                        if i % k == 0 or i == len(history) - 1]
         write_diagnostics_csv(history, out / "diagnostics.csv")
         write_manifest(out, RUN_ARTIFACTS)
-        return 0
-    except GraphflowError as exc:
-        return _fail(out if out is not None else _fallback_out(out_override),
-                     exc)
-
-
-def run_barrier_only(config_path: str,
-                     out_override: str | None = None) -> int:
-    """Solvability certification without running the flow."""
-    out = None
-    try:
-        raw, base_dir = _read_raw(config_path)
-        out = _resolve_out(raw.get("output_dir"), out_override)
-        cfg = parse_config(raw, base_dir)
-        _dump_json(cfg.resolved_dict(), out / "config_resolved.json")
-        domain, phi, _ = _build_problem(cfg)
-        solv = check_dirichlet_solvability(phi, domain, K=cfg.barrier_k,
-                                           gamma=cfg.barrier_gamma)
-        _dump_json(solv.json_dict(), out / "barrier.json")
-        write_manifest(out, ("config_resolved.json", "barrier.json"))
         return 0
     except GraphflowError as exc:
         return _fail(out if out is not None else _fallback_out(out_override),
@@ -591,7 +588,7 @@ def main(argv=None) -> int:
     if args.command == "report":
         return emit_report(args.rundir)
     if args.command == "barrier":
-        return run_barrier_only(args.config, args.out)
+        return run_experiment(args.config, args.out, barrier_only=True)
     return run_selftest(args.out, args.seed)
 
 

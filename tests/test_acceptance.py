@@ -10,13 +10,14 @@ import json
 import numpy as np
 import pytest
 
+from barrier_oracle import psi_eval, q_on_barrier_fd
 from graphflow import (DiscreteSet, FlowParams, GridField, area, build_domain,
                        builtin_chart, check_dirichlet_solvability, e_eps,
                        eps_continuation, flow_step, initial_state,
                        interior_integral, interpolate_to, j_functional,
-                       probe_mask, psi_eval, q_on_barrier, q_on_barrier_fd,
-                       q_operator, run_to_quasi_steady, search_alpha,
-                       set_perimeter, subgraph_perimeter, subgraph_set,
+                       probe_mask, q_on_barrier, q_operator,
+                       run_to_quasi_steady, search_alpha, set_perimeter,
+                       subgraph_perimeter, subgraph_set,
                        time_sequence_uniqueness_check, vertical_rearrangement)
 from graphflow.cli import main as cli_main
 from graphflow.grid import EXTERIOR

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import barrier_oracle as oracle
 import graphflow.barrier as barrier_mod
+from barrier_oracle import make_barrier_spec, psi_eval, q_on_barrier_fd
 from graphflow.barrier import (FIT_WINDOW_CELLS, _crossing_table, _sdf,
                                boundary_crossings, check_dirichlet_solvability,
-                               fit_boundary_graph, make_barrier_spec,
-                               project_to_boundary, psi_eval, q_on_barrier,
-                               q_on_barrier_fd, search_alpha, segment_crossings)
+                               fit_boundary_graph, project_to_boundary,
+                               q_on_barrier, search_alpha, segment_crossings)
+from graphflow.continuation import boundary_attainment_report
 from graphflow.errors import BarrierError
 from graphflow.grid import GridField, build_domain
 from graphflow.manifold import builtin_chart
@@ -407,3 +409,113 @@ def test_report_json_shape():
     p = d["points"][0]
     for key in ("x0", "certified", "alpha", "radius", "limit_margin"):
         assert key in p
+
+
+# ------------------------------------------------- batched against per-point
+
+
+def table_chart():
+    """custom_table chart of a smooth metric with an off-diagonal term."""
+    axes = [np.linspace(0.0, 1.0, 11)] * 2
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    table = np.empty(x.shape[:-1] + (2, 2))
+    table[..., 0, 0] = 1.0 + 0.3 * x[..., 0] ** 2
+    table[..., 1, 1] = 1.5 + 0.2 * np.sin(3.0 * x[..., 1])
+    table[..., 0, 1] = table[..., 1, 0] = 0.2 * x[..., 0] * x[..., 1]
+    return builtin_chart("custom_table", n=2, box=[[0.0, 1.0], [0.0, 1.0]],
+                         params={"axes": axes, "table": table})
+
+
+ORACLE_DOMAINS = {
+    "offcentre_disc": CROSSING_DOMAINS["offcentre_disc"],
+    # the inner circle is concave: its points pass on later rungs
+    "annulus": CROSSING_DOMAINS["annulus"],
+    "poincare_disc": CROSSING_DOMAINS["poincare_disc"],
+    "sphere_polar": lambda: build_domain(
+        builtin_chart("sphere_polar"), [(np.pi - 0.8) / 16, 1.5 / 16],
+        region={"region": "disc", "center": [np.pi / 2, 0.75], "radius": 0.6}),
+    "custom_table": lambda: build_domain(table_chart(), 1.0 / 16, region={
+        "region": "disc", "center": [0.5, 0.5], "radius": 0.4}),
+    "ball_3d": lambda: build_domain(
+        builtin_chart("euclidean", n=3), 1.0 / 8,
+        region={"region": "disc", "center": [0.5, 0.5, 0.5], "radius": 0.35}),
+    # the corners fail the fit (residual, no stable tangent plane)
+    "unit_square": lambda: build_domain(EUCLID, 1.0 / 16),
+}
+
+
+def assert_same(got, want, path="", rel=1e-12):
+    """Equal structure, strings, counts and flags; floats within rel (float
+    arrays: relative to their largest entry)."""
+    if isinstance(want, np.ndarray) and want.dtype.kind == "f":
+        assert got.shape == want.shape, path
+        scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-3)
+        assert float(np.max(np.abs(got - want), initial=0.0)) <= rel * scale, path
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            assert_same(got[key], want[key], f"{path}.{key}", rel)
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), path
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert_same(a, b, f"{path}[{k}]", rel)
+    elif isinstance(want, (float, np.floating)) and not isinstance(want, bool):
+        assert abs(got - want) <= rel * max(abs(got), abs(want), 1e-3), \
+            (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+def same_signs(frame, w_fit, like):
+    """frame and w_fit with each tangent column's sign taken from like: the
+    sign convention (largest entry positive) is open where two entries tie."""
+    flip = np.sign(np.sum(frame * like, axis=0))[:-1]
+    return frame * np.append(flip, 1.0), w_fit * np.outer(flip, flip)
+
+
+@pytest.mark.parametrize("name,K", [(name, 0.3) for name in sorted(ORACLE_DOMAINS)]
+                         + [("annulus", 0.9)])
+def test_batched_certification_matches_per_point_oracle(name, K):
+    dom = ORACLE_DOMAINS[name]()
+    phi = GridField.from_function(dom, lambda x: 0.1 * float(np.sum(x)))
+    got = check_dirichlet_solvability(phi, dom, K=K, gamma=1.1)
+    want = oracle.check_dirichlet_solvability(phi, dom, K=K, gamma=1.1)
+    assert_same(got.json_dict(), want.json_dict())
+    for p, q in zip(got.points, want.points):
+        if q.spec is not None:
+            assert_same(list(same_signs(p.spec.frame, p.spec.w_fit, q.spec.frame))
+                        + [p.spec.trace_term],
+                        [q.spec.frame, q.spec.w_fit, q.spec.trace_term])
+    u = GridField.from_function(dom, lambda x: 0.1 * float(np.sum(np.sin(3 * x))))
+    assert_same(boundary_attainment_report(u, phi, got).json_dict(),
+                oracle.boundary_attainment_report(u, phi, want).json_dict())
+    rungs = {(p.spec.radius, p.spec.alpha) for p in want.points if p.certified}
+    reasons = {p.reason.split(" within")[0] for p in want.points}
+    if (name, K) == ("annulus", 0.3):
+        assert len(rungs) > 1       # some points pass only on a later rung
+    if K == 0.9:                    # here some pass on none
+        assert {"no admissible (radius, alpha) pair found",
+                "no interior lattice nodes"} <= reasons
+    if name == "unit_square":
+        assert not all(p.certified for p in want.points)
+
+
+def test_one_point_calls_match_per_point_oracle():
+    dom = ORACLE_DOMAINS["annulus"]()
+    nodes = boundary_nodes(dom)
+    for k in range(0, len(nodes), 7):
+        x0 = project_to_boundary(dom, *nodes[k])
+        frame, H, L = fit_boundary_graph(dom, x0)
+        assert_same(list(same_signs(frame, H, oracle.fit_boundary_graph(dom, x0)[0]))
+                    + [L], list(oracle.fit_boundary_graph(dom, x0)))
+        for L in (None, 1.0, 10.0):
+            got = search_alpha(dom, x0, K=0.3, gamma=1.1, L=L)
+            want = oracle.search_alpha(dom, x0, K=0.3, gamma=1.1, L=L)
+            assert_same(got.json_dict(), want.json_dict())
+            if want.certified:
+                pts = dom.points[dom.interior][::5]
+                pts = pts[np.linalg.norm(pts - x0, axis=1) <= want.spec.radius]
+                assert_same(q_on_barrier(got.spec, pts),
+                            oracle.q_on_barrier(want.spec, pts))
+    with pytest.raises(BarrierError, match="degenerate boundary fit"):
+        fit_boundary_graph(ORACLE_DOMAINS["unit_square"](), [0.0, 0.0])

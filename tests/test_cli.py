@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -551,3 +552,79 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "selftest" in proc.stdout
+
+
+# ------------------------------------------------------------------ config fuzz
+
+FUZZ_BASE = {
+    "chart": {"kind": "euclidean", "n": 2, "box": [[0.0, 1.0], [0.0, 1.0]]},
+    "region": {"region": "disc", "center": [0.5, 0.5], "radius": 0.4},
+    "h": 0.125,
+    "phi": {"kind": "linear", "coeffs": [0.1, 0.05], "offset": 0.0},
+    "u0": {"kind": "radial_step", "center": [0.5, 0.5], "radius": 0.2,
+           "inside": 0.1, "outside": 0.0},
+    "flow": {"eps": 0.1, "t_end": 1.0},
+    "schedule": [0.1],
+    "tol": 1e-4,
+    "barrier": {"K": 0.3, "gamma": 1.1},
+    "time_check": {"times_a": [0.01], "times_b": [0.02]},
+}
+FUZZ_SWAPS = (None, "x", ["x"], [], {}, True, -1, 0.5)
+
+
+def fuzz_mutants():
+    """(label, config): every key of FUZZ_BASE dropped, and its value
+    replaced by each of FUZZ_SWAPS, one at a time."""
+    def paths(node, prefix=()):
+        for key, value in node.items():
+            yield prefix + (key,)
+            if isinstance(value, dict):
+                yield from paths(value, prefix + (key,))
+
+    for path in paths(FUZZ_BASE):
+        for swap in ("drop",) + FUZZ_SWAPS:
+            cfg = copy.deepcopy(FUZZ_BASE)
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            if swap == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = swap
+            yield f"{'.'.join(path)}={swap!r}", cfg
+
+
+def test_config_fuzz_exits_0_or_1_with_failure_json(tmp_path, capsys):
+    bad = []
+    for k, (label, cfg) in enumerate(fuzz_mutants()):
+        out = tmp_path / f"out{k}"
+        path = tmp_path / f"config{k}.json"
+        path.write_text(json.dumps(dict(cfg, output_dir=str(out))))
+        try:
+            code = main(["barrier", str(path)])
+        except Exception as exc:  # a traceback is what the test looks for
+            bad.append(f"{label}: {type(exc).__name__}: {exc}")
+            continue
+        if code not in (0, 1) or (code == 1) != (out / "failure.json").is_file():
+            bad.append(f"{label}: exit {code}")
+    capsys.readouterr()
+    assert k > 200
+    assert bad == [], "\n".join(bad)
+
+
+@pytest.mark.parametrize("overrides,problem", [
+    ({"region": {"region": "disc", "center": [0.5, 0.5]}},
+     "missing required region key 'radius'"),
+    ({"phi": {"kind": "constant"}}, "missing required phi key 'value'"),
+    ({"chart": {"kind": ["euclidean"], "n": 2}}, "chart kind must be one of"),
+    ({"region": {"region": ["disc"], "center": [0.5, 0.5], "radius": 0.4}},
+     "region must name a kind"),
+    ({"region": {"region": "disc", "center": [0.5, 0.5], "radius": [0.4]}},
+     "region radius must be a number"),
+])
+def test_barrier_malformed_config_is_a_config_error(tmp_path, overrides, problem):
+    cfg_path, out = write_config(tmp_path, **overrides)
+    assert main(["barrier", str(cfg_path)]) == 1
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["error"] == "ConfigError"
+    assert any(p.startswith(problem) for p in fail["problems"]), fail["problems"]
