@@ -254,8 +254,10 @@ def _fit_points(domain: GridDomain, x0s: np.ndarray):
     for blk in _blocks(P, len(cross) * n):
         keep = _window_rows(domain, x0s[blk], FIT_WINDOW_CELLS * float(np.max(domain.h)))
         dist = np.where(keep, _norm(cross - x0s[blk, None]), np.inf)
-        # nearest first; the stable sort keeps table order among equal distances
-        order = np.argsort(dist, axis=1, kind="stable")[:, :4 * n]
+        # nearest first; distances equal to 1e-12 go by the sample coordinates,
+        # so sub-ulp moves of x0 cannot reorder symmetric lattice samples
+        keys = [np.broadcast_to(c, dist.shape) for c in cross.T[::-1]]
+        order = np.lexsort(keys + [np.round(dist / 1e-12)], axis=1)[:, :4 * n]
         idx[blk, :order.shape[1]], count[blk] = order, np.sum(keep, axis=1)
     for p in np.flatnonzero(count < 2 * n):
         reasons[p] = (f"boundary near {x0s[p].tolist()} resolved by only "
@@ -334,8 +336,9 @@ def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
     fail(np.flatnonzero(active), ["no stable tangent plane"] * G)
 
     rows = np.flatnonzero([w is None for w in why])
-    for a in range(n - 1):
-        lead = np.argmax(np.abs(frame[rows, :, a]), axis=1)
+    for a in range(n - 1):  # the first entry of largest size (to 1e-12) is positive
+        size = np.abs(frame[rows, :, a])
+        lead = np.argmax(size >= np.max(size, axis=1, keepdims=True) - 1e-12, axis=1)
         frame[rows[frame[rows, lead, a] < 0], :, a] *= -1
     quad, yn = design(rows, False)
     coef, rank = _lstsq(quad, yn)

@@ -4,7 +4,10 @@ These are the one-point-at-a-time fit, search, solvability and attainment
 routines the batched code in `graphflow.barrier` and
 `graphflow.continuation` replaced, kept as the oracle the tests compare
 against, together with the helpers only the tests use: `psi_eval`,
-`q_on_barrier_fd` and `make_barrier_spec`.
+`q_on_barrier_fd` and `make_barrier_spec`.  The fit follows the batched
+one's tie rules: samples at equal distance (to 1e-12) are taken in
+coordinate order, and a tangent column's sign is set by its first entry of
+largest size (to 1e-12).
 """
 
 from __future__ import annotations
@@ -62,7 +65,9 @@ def fit_boundary_graph(domain: GridDomain, x0) -> tuple[np.ndarray, np.ndarray, 
             f"points; need at least {2 * n}")
     # fit on the nearest 4n samples: keeps the stencil local so curvature is
     # read off at scale O(h), and keeps far-away boundary pieces out of it
-    order = np.argsort(np.linalg.norm(samples - x0, axis=1), kind="stable")
+    # distances equal to 1e-12 go by the sample coordinates
+    dist = np.linalg.norm(samples - x0, axis=1)
+    order = np.lexsort(tuple(samples.T[::-1]) + (np.round(dist / 1e-12),))
     samples = samples[order[:4 * n]]
     window = float(np.max(np.linalg.norm(samples - x0, axis=1)))
     if window <= 0:
@@ -116,8 +121,9 @@ def fit_boundary_graph(domain: GridDomain, x0) -> tuple[np.ndarray, np.ndarray, 
         raise BarrierError(
             f"degenerate boundary fit at {x0.tolist()}: no stable tangent plane")
 
-    for a in range(n - 1):
-        lead = np.argmax(np.abs(frame[:, a]))
+    for a in range(n - 1):  # the first entry of largest size (to 1e-12) is positive
+        size = np.abs(frame[:, a])
+        lead = np.argmax(size >= np.max(size) - 1e-12)
         if frame[lead, a] < 0:
             frame[:, a] = -frame[:, a]
 

@@ -519,3 +519,22 @@ def test_one_point_calls_match_per_point_oracle():
                             oracle.q_on_barrier(want.spec, pts))
     with pytest.raises(BarrierError, match="degenerate boundary fit"):
         fit_boundary_graph(ORACLE_DOMAINS["unit_square"](), [0.0, 0.0])
+
+
+def test_fit_ignores_sub_ulp_moves_of_the_base_point():
+    # on this ball distances to lattice samples tie, so the nearest 4n used
+    # to depend on the last bit of x0 (L moved by 6e-4 for 3.3e-16 moves)
+    dom = build_domain(builtin_chart("euclidean", n=3), 1.0 / 16, region={
+        "region": "disc", "center": [0.5, 0.5, 0.5], "radius": 0.35})
+    x0s = np.unique(segment_crossings(dom, dom.points[dom.inner_index],
+                                      dom.points[dom.dirichlet_index],
+                                      dom.sdf[dom.inner_index],
+                                      dom.sdf[dom.dirichlet_index]), axis=0)
+    frames, _, L, _, reasons = barrier_mod._fit_points(dom, x0s)
+    assert not any(reasons)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        moved = x0s + rng.uniform(-4e-16, 4e-16, x0s.shape)
+        frames2, _, L2, _, _ = barrier_mod._fit_points(dom, moved)
+        assert np.max(np.abs(L2 - L)) <= 1e-12
+        assert np.max(np.abs(frames2 - frames)) <= 1e-12
