@@ -364,13 +364,11 @@ def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
 
 
 def fit_boundary_graph(domain: GridDomain, x0) -> tuple[np.ndarray, np.ndarray, float]:
-    """Frame and quadratic graph of the boundary at x0.
+    """Frame and quadratic graph of the boundary at x0: (frame, w_fit, L).
 
-    Returns (frame, w_fit, L): frame columns are sigma(x0)-orthonormal with
-    the inner normal last; w_fit is the fitted Hessian of y_n = w(y') with
-    zero constant and linear part over the nearest 4n boundary samples; L is
-    its spectral norm.
-    """
+    frame columns are sigma(x0)-orthonormal with the inner normal last; w_fit
+    is the Hessian of y_n = w(y') fitted with zero constant and linear part
+    over the nearest 4n boundary samples; L is its spectral norm."""
     frames, H, L, _, reasons = _fit_points(domain, np.asarray(x0, dtype=float)[None])
     if reasons[0] is not None:
         raise BarrierError(reasons[0])

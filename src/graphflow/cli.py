@@ -371,10 +371,13 @@ def _build_problem(cfg: ExperimentConfig):
     return domain, phi, u0
 
 
-def run_experiment(config_path: str, out_override: str | None = None,
-                   barrier_only: bool = False) -> int:
-    """Full pipeline for one config, or only the solvability certification;
-    returns the process exit code."""
+def run_experiment(config_path: str, out_override: str | None = None) -> int:
+    """Full pipeline for one config; returns the process exit code."""
+    return _run(config_path, out_override, barrier_only=False)
+
+
+def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
+    """run_experiment, or with barrier_only the solvability certification alone."""
     out = None
     try:
         raw, base_dir = _read_raw(config_path)
@@ -588,7 +591,7 @@ def main(argv=None) -> int:
     if args.command == "report":
         return emit_report(args.rundir)
     if args.command == "barrier":
-        return run_experiment(args.config, args.out, barrier_only=True)
+        return _run(args.config, args.out, barrier_only=True)
     return run_selftest(args.out, args.seed)
 
 
