@@ -89,6 +89,8 @@ FIELD_KEYS = {"constant": ("value",), "linear": ("coeffs", "offset"),
 FIELD_KINDS = tuple(FIELD_KEYS)
 LIST_KEYS = ("box", "bounds", "center", "coeffs", "waves", "values", "axes", "table",
              "times_a", "times_b")
+# list keys with one entry per chart axis, and the shape of each entry
+AXIS_KEYS = {"box": (2,), "bounds": (2,), "center": (), "coeffs": (), "waves": ()}
 
 
 def field_from_spec(spec: dict, domain) -> GridField:
@@ -149,6 +151,14 @@ def _numeric(value) -> bool:
     return bool(value) and all(map(_numeric, value)) if isinstance(value, list) else _number(value)
 
 
+def _shape(value):
+    """Shape of a nested list of numbers; None when ragged."""
+    if not isinstance(value, list):
+        return ()
+    shapes = {_shape(v) for v in value}
+    return (len(value), *shapes.pop()) if len(shapes) == 1 and None not in shapes else None
+
+
 def _kind_keys(table: dict, kind):
     """table's entry for a kind read from JSON, None for any other value."""
     return table.get(kind) if isinstance(kind, str) else None
@@ -158,18 +168,24 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     """Validate a raw config dict, collecting every problem (wrong JSON
     types included) before raising."""
     problems = []
+    dim = None  # the chart dimension, once the chart's n is known
 
     def check_keys(name, spec, allowed, numeric=(), required=()):
-        # numeric keys hold numbers, those in LIST_KEYS lists of numbers
+        # numeric keys hold numbers, those in LIST_KEYS lists of numbers,
+        # those in AXIS_KEYS one entry per chart axis
         unknown = sorted(set(spec) - set(allowed))
         if unknown:
             problems.append(f"unknown {name} keys {unknown}; expected keys "
                             f"from {allowed}")
         problems.extend(f"missing required {name} key {key!r}" for key in required
                         if key not in spec)
-        problems.extend(f"{name} {key} must be a {'list of numbers' if key in LIST_KEYS else 'number'}"
-                        f", got {spec[key]!r:.80}" for key in numeric if key in spec and not (
-                            _numeric(spec[key]) and isinstance(spec[key], list) == (key in LIST_KEYS)))
+        for key, value in ((key, spec[key]) for key in numeric if key in spec):
+            if not (_numeric(value) and isinstance(value, list) == (key in LIST_KEYS)):
+                problems.append(f"{name} {key} must be a {'list of numbers' if key in LIST_KEYS else 'number'}"
+                                f", got {value!r:.80}")
+            elif key in AXIS_KEYS and dim and _shape(value) != (dim, *AXIS_KEYS[key]):
+                problems.append(f"{name} {key} must have shape {(dim, *AXIS_KEYS[key])} on a "
+                                f"{dim}-D chart, got {value!r:.80}")
 
     def obj(name, value):
         if not isinstance(value, dict):
@@ -193,6 +209,8 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     chart = need("chart")
     if isinstance(chart, dict):
+        n = chart.get("n", 2)
+        dim = int(n) if _number(n) and 1 <= n < np.inf else None  # as chart_from_spec reads it
         check_keys("chart", chart, CHART_KEYS, numeric=("n", "box"))
         params = obj("chart params", chart.get("params", {}))
         keys = _kind_keys(CHART_PARAMS, chart.get("kind"))

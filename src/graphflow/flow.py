@@ -20,14 +20,19 @@ phi + delta psi(t/delta) L^eps u0 with psi(s) = s (1 - s/2)^2, which has
 psi(0) = 0, psi'(0) = 1, |psi'| <= 1 and support in [0, 2].
 
 The operator is summed in closed form, component by component, from the
-grid stencils' arrays over the inner block values[1:-1, ..., 1:-1]; a step
-then gathers the interior nodes from that block and updates them, the step
-bound, u_t and the dissipation density as vectors in interior_index order.
+grid stencils' arrays over the inner block values[1:-1, ..., 1:-1].  One
+step evaluates Q, Delta_M u and W there (one gradient and one Hessian
+sweep), gathers them at the interior nodes, then takes the step bound, the
+update, the dirichlet values, the divergence guard (from sup|u|), u_t and
+the dissipation density, and last E^eps of the new state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -98,10 +103,10 @@ def _operator_arrays(domain: GridDomain, values: np.ndarray):
     hess = hessian_sweep(domain, values, lowered)
     w2 = 1.0 + gradsq
     if domain.chart.is_euclidean:
-        lap = sum(hess[a][a] for a in range(n))
+        lap = reduce(add, [hess[a][a] for a in range(n)])
     else:
         sig = domain.block_sig_inv
-        lap = sum(sig[a][b] * hess[a][b] for a in range(n) for b in range(n))
+        lap = reduce(add, [sig[a][b] * hess[a][b] for a in range(n) for b in range(n)])
     quu = contract(raised, matvec(hess, raised))
     return lap - quu / w2, lap, np.sqrt(w2)
 
@@ -167,11 +172,15 @@ def stable_dt(domain: GridDomain, params: FlowParams, w: np.ndarray) -> float:
     """Parabolic step bound cfl min(1, 2/n) h_min^2 / max lambda_max (1 + eps W),
     lambda_max of sigma^{ij}; the explicit Laplacian is stable to h^2 / 2n.
 
-    w holds W at the interior nodes, in interior_index order.
+    w holds W at the interior nodes, in interior_index order.  On Euclidean
+    charts lambda_max is 1, and the scalar 1 + eps max W equals max(1 + eps W)
+    bit for bit, since rounding is monotone.
     """
-    h_min = float(np.min(domain.h))
-    coeff = domain.interior_lambda_max * (1.0 + params.eps * w)
-    return params.cfl * min(1.0, 2.0 / domain.dim) * h_min ** 2 / float(coeff.max())
+    if domain.chart.is_euclidean:
+        coeff_max = float(1.0 + params.eps * w.max())
+    else:
+        coeff_max = float((domain.interior_lambda_max * (1.0 + params.eps * w)).max())
+    return params.cfl * min(1.0, 2.0 / domain.dim) * domain.h_min_sq / coeff_max
 
 
 def flow_step(state: FlowState, params: FlowParams) -> FlowState:
@@ -203,17 +212,19 @@ def flow_step(state: FlowState, params: FlowParams) -> FlowState:
             bc = bc + ramp * state.ramp_base
         new_vals = vals.copy()
         new_vals.put(interior, new)
-        new_vals[dom.dirichlet_index] = bc
+        new_vals.put(dom.dirichlet_flat, bc)
 
-        if not (np.isfinite(new).all() and np.isfinite(bc).all()):
+        # NaN and inf propagate through max, so the sups double as the guard
+        sup_new, sup_bc = float(np.abs(new).max()), float(np.abs(bc).max())
+        if not (math.isfinite(sup_new) and math.isfinite(sup_bc)):
             bad = tuple(int(i) for i in np.argwhere(~np.isfinite(new_vals) & dom.used)[0])
             raise FlowDiverged(f"non-finite value at node {bad} on step "
                                f"{state.step + 1}", step=state.step + 1, node=bad)
 
         ut = (new - old) / dt
         sup_ut = float(np.abs(ut).max())
-        sup_u = max(float(np.abs(new).max()), float(np.abs(bc).max()))
-        diss_density = ut * ut / w * dom.sqrt_det.take(interior)
+        sup_u = max(sup_new, sup_bc)
+        diss_density = ut * ut / w * dom.interior_sqrt_det
         diss_inc = float(diss_density.sum() * dom.cell_volume) * dt
     state.dissipation_cum += diss_inc
 
@@ -249,13 +260,11 @@ def _check_estimates(state: FlowState, sample: DiagnosticSample) -> None:
 
 
 def write_diagnostics_csv(history, path) -> None:
-    """Stream per-step samples as (step, t, sup_u, sup_ut, energy_eps,
-    dissipation_cum) rows."""
-    import csv
-
+    """Write per-step samples as (step, t, sup_u, sup_ut, energy_eps,
+    dissipation_cum) rows; floats with repr, lines ending in CRLF as
+    csv.writer's do."""
+    lines = ["step,t,sup_u,sup_ut,energy_eps,dissipation_cum"]
+    lines += [f"{s.step},{s.t!r},{s.sup_u!r},{s.sup_ut!r},{s.energy_eps!r},{s.dissipation_cum!r}"
+              for s in history]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "t", "sup_u", "sup_ut", "energy_eps", "dissipation_cum"])
-        for s in history:
-            writer.writerow([s.step, repr(s.t), repr(s.sup_u), repr(s.sup_ut),
-                             repr(s.energy_eps), repr(s.dissipation_cum)])
+        fh.write("\r\n".join([*lines, ""]))

@@ -58,6 +58,12 @@ def _cell_w(domain: GridDomain, values: np.ndarray):
     return gradsq, np.sqrt(1.0 + gradsq)
 
 
+def _cell_sum(domain: GridDomain, density: np.ndarray) -> float:
+    """Midpoint quadrature of a density given at the complete cells, in
+    cell_flat order."""
+    return float((density * domain.cell_weights).sum() * domain.cell_volume)
+
+
 def w_factor(u: GridField) -> GridField:
     """Area density W = sqrt(1 + |Du|^2_sigma) at interior nodes."""
     _, _, gradsq = gradient_sweep(u.domain, u.values)
@@ -68,8 +74,7 @@ def area(u: GridField) -> float:
     """Graph area A(u) by cell-centered quadrature over complete cells."""
     dom = u.domain
     _, w = _cell_w(dom, u.values)
-    cells = dom.cell_complete
-    return float(np.sum(w[cells] * dom.cell_sqrt_det[cells]) * dom.cell_volume)
+    return _cell_sum(dom, w.take(dom.cell_flat))
 
 
 def area_directional_derivative(u: GridField, eta: GridField) -> float:
@@ -80,8 +85,7 @@ def area_directional_derivative(u: GridField, eta: GridField) -> float:
     raised = matvec(_cell_sig(dom), gu)
     dot = contract(raised, cell_gradient(dom, eta.values))
     w = np.sqrt(1.0 + contract(raised, gu))
-    cells = dom.cell_complete
-    return float(np.sum((dot / w)[cells] * dom.cell_sqrt_det[cells]) * dom.cell_volume)
+    return _cell_sum(dom, (dot / w).take(dom.cell_flat))
 
 
 def _facet_measure(domain: GridDomain) -> float:
@@ -109,9 +113,7 @@ def total_variation(u: GridField) -> float:
     """Metric total variation integral of |Du|_sigma."""
     dom = u.domain
     gradsq, _ = _cell_w(dom, u.values)
-    cells = dom.cell_complete
-    return float(np.sum(np.sqrt(gradsq[cells]) * dom.cell_sqrt_det[cells])
-                 * dom.cell_volume)
+    return _cell_sum(dom, np.sqrt(gradsq.take(dom.cell_flat)))
 
 
 def e_eps(u: GridField, eps: float, f=None) -> float:
@@ -123,14 +125,13 @@ def e_eps(u: GridField, eps: float, f=None) -> float:
     integrand = w + 0.5 * eps * gradsq
     if f is not None:
         integrand = integrand + cell_average(dom, as_field(dom, f).values * u.values)
-    cells = dom.cell_complete
-    return float(np.sum(integrand[cells] * dom.cell_sqrt_det[cells]) * dom.cell_volume)
+    return _cell_sum(dom, integrand.take(dom.cell_flat))
 
 
 def interior_integral(domain: GridDomain, values: np.ndarray) -> float:
     """Node-based integral over interior nodes with metric volume weights."""
-    ii = domain.interior_index
-    return float(np.sum(values[ii] * domain.sqrt_det[ii]) * float(np.prod(domain.h)))
+    return float(np.sum(values.take(domain.interior_flat) * domain.interior_sqrt_det)
+                 * float(np.prod(domain.h)))
 
 
 # -- discrete sets -----------------------------------------------------------
@@ -275,18 +276,14 @@ def _product_cell_tv(pg: ProductGrid, chi: np.ndarray) -> float:
     base = pg.base
     n = base.dim
     grad = cell_gradient(pg, chi)
-    cells_shape = grad[0].shape
-
     sig = _cell_sig(base)
     if sig is not None:
         sig = [[s[..., None] for s in row] for row in sig]
     gs = grad[:n]
     norm2 = contract(gs, matvec(sig, gs)) + grad[n] ** 2
-
-    sdet = np.broadcast_to(base.cell_sqrt_det[..., None], cells_shape)
-    complete = np.broadcast_to(base.cell_complete[..., None], cells_shape)
-    vol = float(np.prod(pg.h))
-    return float(np.sum(np.sqrt(norm2[complete]) * sdet[complete]) * vol)
+    # the vertical columns of cells over the complete base cells, in C order
+    columns = norm2.reshape(-1, norm2.shape[-1]).take(base.cell_flat, axis=0)
+    return float(np.sum(np.sqrt(columns) * base.cell_weights[:, None]) * float(np.prod(pg.h)))
 
 
 def mollified_set_tv(F: DiscreteSet) -> float:

@@ -19,14 +19,18 @@ the inner block values[1:-1, ..., 1:-1] only and return one block array
 per component (sigma^{ij} and Gamma^k_ij are cached per domain in the same
 form); entries at the block's non-interior nodes carry no meaning.  The
 cell stencils used for quadrature likewise return one cell array per axis.
+The stencils read slice plans made once per domain (stencil_plan, and
+the cell corners per lattice shape) and sum left to right from the first
+term, so each value is one fixed expression, pinned by tests/stencil_oracle.py.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations, product
+from operator import add, mul
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from .manifold import MetricChart, _multilinear_interp
 
 EXTERIOR, INTERIOR, DIRICHLET = 0, 1, 2
 INNER = slice(1, -1)  # the inner block of an axis: every node off the lattice rim
+MOVED = {1: slice(2, None), -1: slice(0, -2)}  # the inner block moved one node up, down
 # keys _region_sdf reads for each region kind, besides "region" itself
 REGION_KEYS = {"box": ("bounds",), "disc": ("center", "radius"),
                "annulus": ("center", "r_inner", "r_outer"), "table": ("values",)}
@@ -46,6 +51,14 @@ def _components(arr: np.ndarray, depth: int):
     if depth == 0:
         return np.ascontiguousarray(arr)
     return tuple(_components(part, depth - 1) for part in np.moveaxis(arr, -depth, 0))
+
+
+@lru_cache(maxsize=32)
+def _corner_slices(shape: tuple) -> tuple:
+    """(corner, slices) for the 2^n cell corners of a lattice shape, in
+    product((0, 1), repeat=n) order: values[slices] is that corner of every cell."""
+    return tuple((corner, tuple(slice(c, s - 1 + c) for c, s in zip(corner, shape)))
+                 for corner in product((0, 1), repeat=len(shape)))
 
 
 def _region_sdf(region, points, chart_box):
@@ -91,6 +104,7 @@ class GridDomain:
         self.axes = axes
         self.shape = mask.shape
         self.dim = chart.dim
+        self.h_min_sq = float(np.min(self.h)) ** 2
 
     # -- classification ---------------------------------------------------
 
@@ -131,6 +145,11 @@ class GridDomain:
         return np.flatnonzero(self.interior[(INNER,) * self.dim])
 
     @cached_property
+    def dirichlet_flat(self) -> np.ndarray:
+        """Flat lattice indices of the dirichlet nodes, in dirichlet_index order."""
+        return np.flatnonzero(self.dirichlet)
+
+    @cached_property
     def inner_index(self):
         """Interior neighbor of each dirichlet node, aligned with dirichlet_index.
 
@@ -162,6 +181,11 @@ class GridDomain:
         return _region_sdf(self.region, flat, self.chart.box).reshape(self.shape)
 
     @cached_property
+    def interior_sqrt_det(self) -> np.ndarray:
+        """sqrt(det sigma) at the interior nodes, in interior_index order."""
+        return self.sqrt_det.take(self.interior_flat)
+
+    @cached_property
     def sig_inv(self) -> np.ndarray:
         return self.chart.inverse(self.points)
 
@@ -182,9 +206,22 @@ class GridDomain:
     @cached_property
     def interior_lambda_max(self) -> np.ndarray:
         """Largest eigenvalue of sigma^{ij} at each interior node."""
-        if self.chart.is_euclidean:
-            return np.ones(self.interior_flat.size)
         return np.linalg.eigvalsh(self.sig_inv[self.interior_index])[..., -1]
+
+    @cached_property
+    def stencil_plan(self) -> tuple:
+        """(block, axes, cross): the slice tuple of the inner block; per axis
+        a, the block moved one node up and down a with the divisors 2 h_a and
+        h_a^2; per axis pair a < b, the block moved along both as (++, +-,
+        -+, --) with the divisor 4 h_a h_b."""
+        n, h = self.dim, self.h
+
+        def moved(steps):
+            return tuple(MOVED.get(steps.get(a), INNER) for a in range(n))
+        axes = tuple((moved({a: 1}), moved({a: -1}), 2.0 * h[a], h[a] ** 2) for a in range(n))
+        cross = {(a, b): (*(moved({a: sa, b: sb}) for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))),
+                          4.0 * h[a] * h[b]) for a, b in combinations(range(n), 2)}
+        return (INNER,) * n, axes, cross
 
     # -- cell geometry (quadrature on complete lattice cells) --------------
 
@@ -193,10 +230,19 @@ class GridDomain:
         """Cells whose 2^n corner nodes are all non-exterior."""
         ok = self.used
         out = np.ones(tuple(s - 1 for s in self.shape), dtype=bool)
-        for corner in product((0, 1), repeat=self.dim):
-            sl = tuple(slice(c, s - 1 + c) for c, s in zip(corner, self.shape))
+        for _, sl in _corner_slices(self.shape):
             out &= ok[sl]
         return out
+
+    @cached_property
+    def cell_flat(self) -> np.ndarray:
+        """Flat indices of the complete cells, in boolean-gather (C) order."""
+        return np.flatnonzero(self.cell_complete)
+
+    @cached_property
+    def cell_weights(self) -> np.ndarray:
+        """sqrt(det sigma) at the complete cells, in cell_flat order."""
+        return self.cell_sqrt_det.take(self.cell_flat)
 
     @cached_property
     def cell_centers(self) -> np.ndarray:
@@ -335,27 +381,18 @@ def build_domain(chart: MetricChart, h, region=None) -> GridDomain:
 # -- stencils on the inner block values[1:-1, ..., 1:-1] ---------------------
 
 
-def _shifted(values: np.ndarray, steps: dict) -> np.ndarray:
-    """The inner block of values moved one node along some axes: with
-    steps {0: -1, 1: 1} it holds v[i0 - 1, i1 + 1] at inner node (i0, i1)."""
-    sl = [INNER] * values.ndim
-    for axis, step in steps.items():
-        sl[axis] = slice(2, None) if step > 0 else slice(0, -2)
-    return values[tuple(sl)]
-
-
 def matvec(m, v) -> list:
     """Components sum_j m[i][j] v[j] of per-component arrays, m nested
     [i][j] (sigma^{ij} raises an index); m None stands for the identity."""
     if m is None:
         return v
     n = len(v)
-    return [sum(m[i][j] * v[j] for j in range(n)) for i in range(n)]
+    return [reduce(add, [m[i][j] * v[j] for j in range(n)]) for i in range(n)]
 
 
 def contract(a, b):
     """sum_i a_i b_i of two lists of per-component arrays."""
-    return sum(x * y for x, y in zip(a, b))
+    return reduce(add, map(mul, a, b))
 
 
 def gradient_sweep(domain: GridDomain, values: np.ndarray):
@@ -366,9 +403,7 @@ def gradient_sweep(domain: GridDomain, values: np.ndarray):
     block.  Entries are meaningful at interior nodes, whose stencils never
     touch exterior data.
     """
-    n = domain.dim
-    lowered = [(_shifted(values, {a: 1}) - _shifted(values, {a: -1})) / (2.0 * domain.h[a])
-               for a in range(n)]
+    lowered = [(values[fwd] - values[bwd]) / den for fwd, bwd, den, _ in domain.stencil_plan[1]]
     raised = matvec(None if domain.chart.is_euclidean else domain.block_sig_inv, lowered)
     return lowered, raised, contract(lowered, raised)
 
@@ -381,24 +416,20 @@ def hessian_sweep(domain: GridDomain, values: np.ndarray, lowered=None):
     curved charts.
     """
     n = domain.dim
-    h = domain.h
-    centre = values[(INNER,) * n]
+    block, axes, cross = domain.stencil_plan
+    twice_centre = 2.0 * values[block]
     hess = [[None] * n for _ in range(n)]
-    for a in range(n):
-        hess[a][a] = (_shifted(values, {a: 1}) - 2.0 * centre
-                      + _shifted(values, {a: -1})) / h[a] ** 2
-        for b in range(a + 1, n):
-            hess[a][b] = hess[b][a] = (
-                _shifted(values, {a: 1, b: 1}) - _shifted(values, {a: 1, b: -1})
-                - _shifted(values, {a: -1, b: 1}) + _shifted(values, {a: -1, b: -1})) \
-                / (4.0 * h[a] * h[b])
+    for a, (fwd, bwd, _, den) in enumerate(axes):
+        hess[a][a] = (values[fwd] - twice_centre + values[bwd]) / den
+    for (a, b), (pp, pm, mp, mm, den) in cross.items():
+        hess[a][b] = hess[b][a] = (values[pp] - values[pm] - values[mp] + values[mm]) / den
     if not domain.chart.is_euclidean:
         if lowered is None:
             lowered = gradient_sweep(domain, values)[0]
         gamma = domain.block_gamma
         for a in range(n):
             for b in range(a, n):
-                corr = sum(gamma[k][a][b] * lowered[k] for k in range(n))
+                corr = reduce(add, [gamma[k][a][b] * lowered[k] for k in range(n)])
                 hess[a][b] = hess[b][a] = hess[a][b] - corr
     return hess
 
@@ -408,12 +439,10 @@ def hessian_sweep(domain: GridDomain, values: np.ndarray, lowered=None):
 
 def cell_average(domain: GridDomain, values: np.ndarray) -> np.ndarray:
     """Mean of the 2^n corner values per lattice cell."""
-    n = domain.dim
     out = np.zeros(tuple(s - 1 for s in domain.shape))
-    for corner in product((0, 1), repeat=n):
-        sl = tuple(slice(c, s - 1 + c) for c, s in zip(corner, domain.shape))
+    for _, sl in _corner_slices(domain.shape):
         out += values[sl]
-    return out / 2 ** n
+    return out / 2 ** domain.dim
 
 
 def cell_gradient(domain, values: np.ndarray) -> list:
@@ -427,9 +456,8 @@ def cell_gradient(domain, values: np.ndarray) -> list:
     lexicographic order.
     """
     n = domain.dim
-    corners = [(corner, values[tuple(slice(c, s - 1 + c)
-                                     for c, s in zip(corner, domain.shape))])
-               for corner in product((0, 1), repeat=n)]
+    h = domain.h
+    corners = [(corner, values[sl]) for corner, sl in _corner_slices(domain.shape)]
     grad = []
     for a in range(n):
         acc = -corners[0][1]
@@ -438,7 +466,7 @@ def cell_gradient(domain, values: np.ndarray) -> list:
                 acc += v
             else:
                 acc -= v
-        acc /= (2 ** (n - 1)) * domain.h[a]
+        acc /= (2 ** (n - 1)) * h[a]
         grad.append(acc)
     return grad
 
@@ -464,20 +492,17 @@ def interpolate_to(u: GridField, fine: GridDomain) -> GridField:
 
 
 def save_field_csv(u: GridField, path) -> None:
-    """One row per node: i1..in, x1..xn, mask, value."""
+    """One row per node, in C order: i1..in, x1..xn, mask, value.  Floats
+    are written with repr, and lines end in CRLF as csv.writer's do."""
     dom = u.domain
     n = dom.dim
     header = [f"i{a + 1}" for a in range(n)] + [f"x{a + 1}" for a in range(n)] \
         + ["mask", "value"]
+    columns = [map(str, index.ravel().tolist()) for index in np.indices(dom.shape)]
+    columns += [map(repr, dom.points[..., a].ravel().tolist()) for a in range(n)]
+    columns += [map(str, dom.mask.ravel().tolist()), map(repr, u.values.ravel().tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for idx in np.ndindex(*dom.shape):
-            row = [str(v) for v in idx]
-            row += [repr(float(c)) for c in dom.points[idx]]
-            row.append(str(int(dom.mask[idx])))
-            row.append(repr(float(u.values[idx])))
-            writer.writerow(row)
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
 
 
 def load_field_csv(path, domain: GridDomain) -> GridField:

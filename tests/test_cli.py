@@ -621,6 +621,19 @@ def test_config_fuzz_exits_0_or_1_with_failure_json(tmp_path, capsys):
      "region must name a kind"),
     ({"region": {"region": "disc", "center": [0.5, 0.5], "radius": [0.4]}},
      "region radius must be a number"),
+    # per-axis lists must match the chart dimension
+    ({"region": {"region": "disc", "center": [0.5, 0.5, 0.5], "radius": 0.4}},
+     "region center must have shape (2,) on a 2-D chart"),
+    ({"region": {"region": "annulus", "center": [0.5], "r_inner": 0.1, "r_outer": 0.4}},
+     "region center must have shape (2,)"),
+    ({"phi": {"kind": "radial_step", "center": [0.5, 0.5, 0.5], "radius": 0.2,
+              "inside": 1.0, "outside": 0.0}}, "phi center must have shape (2,)"),
+    ({"u0": {"kind": "linear", "coeffs": [1.0, 2.0, 3.0]}}, "u0 coeffs must have shape (2,)"),
+    ({"region": {"region": "box", "bounds": [[0.0, 1.0]]}},
+     "region bounds must have shape (2, 2)"),
+    ({"chart": {"kind": "euclidean", "n": 2, "box": [[0.0, 1.0], [0.0]]}},
+     "chart box must have shape (2, 2)"),
+    ({"chart": {"kind": "euclidean", "n": 3}}, "region bounds must have shape (3, 2)"),
 ])
 def test_barrier_malformed_config_is_a_config_error(tmp_path, overrides, problem):
     cfg_path, out = write_config(tmp_path, **overrides)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,28 @@ def test_estimate_guard_trips_when_bounds_tightened():
     state.bound_hi = 0.1  # below the actual sup, so the check must fire
     with pytest.raises(EstimateViolation):
         flow_step(state, params)
+
+
+def test_diagnostics_csv_bytes_match_csv_writer(tmp_path):
+    dom = euclid(1.0 / 16)
+    u0 = GridField.from_function(
+        dom, lambda x: 0.3 * np.sin(np.pi * x[0]) * np.sin(np.pi * x[1]))
+    params = FlowParams(eps=0.1, delta=0.002, t_end=1.0)
+    state = initial_state(u0, lambda x: 0.1 * x[0], params)
+    for _ in range(60):  # past the ramp's support [0, 2 delta]
+        flow_step(state, params)
+    assert state.t > 2.0 * params.delta
+    write_diagnostics_csv(state.history, tmp_path / "fast.csv")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "t", "sup_u", "sup_ut", "energy_eps", "dissipation_cum"])
+        for s in state.history:
+            writer.writerow([s.step, repr(s.t), repr(s.sup_u), repr(s.sup_ut),
+                             repr(s.energy_eps), repr(s.dissipation_cum)])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    write_diagnostics_csv([], tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_bytes() == \
+        b"step,t,sup_u,sup_ut,energy_eps,dissipation_cum\r\n"
 
 
 def test_diagnostics_csv_roundtrip(tmp_path):

@@ -1,0 +1,115 @@
+"""The per-domain stencil plans against the frozen reference in
+stencil_oracle.py: the sweeps, the operator, the step bound, the energy
+quadrature and whole flow histories must agree bit for bit."""
+
+import numpy as np
+import pytest
+
+import stencil_oracle as oracle
+from graphflow.errors import FlowDiverged
+from graphflow.flow import FlowParams, _operator_arrays, flow_step, initial_state, stable_dt
+from graphflow.functionals import _product_cell_tv, area, e_eps, product_grid
+from graphflow.grid import GridField, build_domain, gradient_sweep, hessian_sweep
+from graphflow.manifold import builtin_chart
+from test_grid import ORACLE_DOMAINS, _disc
+
+# ORACLE_DOMAINS are disc (ball) regions with exterior nodes in the inner
+# block; these add the full-box lattices and the remaining charts
+DOMAINS = dict(ORACLE_DOMAINS, **{
+    "euclidean_1d": lambda: build_domain(builtin_chart("euclidean", n=1), 1.0 / 32),
+    "euclidean_box": lambda: build_domain(
+        builtin_chart("euclidean", n=2, box=[[-1.0, 1.0], [-1.0, 1.0]]), 1.0 / 16),
+    "euclidean_cube": lambda: build_domain(builtin_chart("euclidean", n=3), 1.0 / 8),
+    "warped_product": lambda: build_domain(
+        builtin_chart("warped_product", n=2, params={"a": 1.0, "b": 0.25}), 1.0 / 16,
+        _disc([0.5, 0.5], 0.45)),
+})
+
+
+def _random_values(dom, seed):
+    vals = np.random.default_rng(seed).normal(size=dom.shape)
+    return np.where(dom.used, vals, np.nan)
+
+
+def _same(got, ref):
+    if isinstance(ref, (list, tuple)):
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            _same(g, r)
+    else:
+        assert np.array_equal(got, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_sweeps_and_operator_match_reference(name):
+    dom = DOMAINS[name]()
+    for seed in range(3):
+        vals = _random_values(dom, seed)
+        lowered = gradient_sweep(dom, vals)
+        _same(lowered, oracle.gradient_sweep(dom, vals))
+        _same(hessian_sweep(dom, vals), oracle.hessian_sweep(dom, vals))
+        _same(hessian_sweep(dom, vals, lowered[0]),
+              oracle.hessian_sweep(dom, vals, lowered[0]))
+        _same(_operator_arrays(dom, vals), oracle.operator_arrays(dom, vals))
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_energy_and_step_bound_match_reference(name):
+    dom = DOMAINS[name]()
+    u = GridField(dom, _random_values(dom, 5))
+    source = GridField(dom, _random_values(dom, 6))
+    for eps in (0.0, 0.1, 0.37):
+        assert e_eps(u, eps) == oracle.e_eps(u, eps)
+        assert e_eps(u, eps, f=source) == oracle.e_eps(u, eps, f=source)
+    # the eps = 0 integrand is W + 0 * gradsq = W, so area sums the same cells
+    assert area(u) == oracle.e_eps(u, 0.0)
+    pg = product_grid(dom, 1.0, float(np.min(dom.h)))
+    profile = np.random.default_rng(8).random(pg.shape)
+    assert _product_cell_tv(pg, profile) == oracle.product_cell_tv(pg, profile)
+
+    w = 1.0 + np.abs(np.random.default_rng(7).normal(size=dom.interior_flat.size))
+    for eps, cfl in ((0.0, 0.25), (0.1, 0.25), (0.37, 0.2), (0.05, 0.1)):
+        params = FlowParams(eps=eps, cfl=cfl)
+        assert stable_dt(dom, params, w) == oracle.stable_dt(dom, params, w)
+
+
+def _start(dom):
+    u0 = GridField.from_function(dom, lambda x: 0.3 * np.sin(3.0 * x[0] + 0.2) * np.cos(2.0 * x[-1]))
+    return u0, (lambda x: 0.2 * x[0] - 0.1 * x[-1] ** 2)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("name", ["euclidean_1d", "euclidean_box", "euclidean_3d",
+                                  "poincare_disk", "sphere_polar", "custom_table",
+                                  "warped_product"])
+def test_flow_histories_match_reference(name, eps):
+    dom = DOMAINS[name]()
+    u0, phi = _start(dom)
+    # dt <= h^2 / 4, so the ramp (active while t < 2 delta) spans 16 steps or more
+    params = FlowParams(eps=eps, delta=2.0 * min(dom.h) ** 2, t_end=10.0)
+    got, ref = initial_state(u0, phi, params), initial_state(u0, phi, params)
+    for _ in range(200):
+        flow_step(got, params)
+        oracle.flow_step(ref, params)
+    assert got.history == ref.history
+    assert np.array_equal(got.u.values, ref.u.values, equal_nan=True)
+    assert got.history[-1].t > 2.0 * params.delta
+
+
+@pytest.mark.parametrize("poison", ["interior", "dirichlet"])
+def test_divergence_guard_matches_reference(poison):
+    dom = DOMAINS["euclidean_2d"]()
+    params = FlowParams(eps=0.1)
+    caught = []
+    for step in (flow_step, oracle.flow_step):
+        u0, phi = _start(dom)
+        state = initial_state(u0, phi, params)
+        if poison == "interior":
+            state.u.values[dom.interior] = 1e308  # overflows within the step
+        else:
+            state.phi_dirichlet[7] = np.nan  # python's max(finite, nan) is finite
+        with pytest.raises(FlowDiverged) as exc:
+            step(state, params)
+        caught.append((exc.value.step, exc.value.node, str(exc.value)))
+    assert caught[0] == caught[1]
+    assert caught[0][1] is not None
