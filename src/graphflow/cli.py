@@ -35,7 +35,7 @@ from .functionals import (DiscreteSet, area, j_functional, set_perimeter,
                           subgraph_perimeter)
 from .grid import REGION_KEYS, GridField, build_domain, load_field_csv, save_field_csv
 from .manifold import (BUILTIN_KINDS, CHART_KEYS, CHART_PARAMS, builtin_chart,
-                       chart_from_spec)
+                       chart_dimension, chart_from_spec)
 
 RUN_ARTIFACTS = ("config_resolved.json", "barrier.json", "continuation.json",
                  "attainment.json", "solution.csv", "diagnostics.csv")
@@ -210,7 +210,11 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     chart = need("chart")
     if isinstance(chart, dict):
         n = chart.get("n", 2)
-        dim = int(n) if _number(n) and 1 <= n < np.inf else None  # as chart_from_spec reads it
+        if _number(n):  # a non-number is reported by check_keys
+            try:
+                dim = chart_dimension(n)
+            except ConfigError as exc:
+                problems.extend(exc.problems)
         check_keys("chart", chart, CHART_KEYS, numeric=("n", "box"))
         params = obj("chart params", chart.get("params", {}))
         keys = _kind_keys(CHART_PARAMS, chart.get("kind"))

@@ -19,20 +19,18 @@ Boundary values are held at phi, optionally ramped on a delta-scale:
 phi + delta psi(t/delta) L^eps u0 with psi(s) = s (1 - s/2)^2, which has
 psi(0) = 0, psi'(0) = 1, |psi'| <= 1 and support in [0, 2].
 
-The operator is summed in closed form, component by component, from the
-grid stencils' arrays over the inner block values[1:-1, ..., 1:-1].  One
-step evaluates Q, Delta_M u and W there (one gradient and one Hessian
-sweep), gathers them at the interior nodes, then takes the step bound, the
-update, the dirichlet values, the divergence guard (from sup|u|), u_t and
-the dissipation density, and last E^eps of the new state.
+The operator is summed in closed form at the interior nodes only.  One
+step gathers every stencil value with one take of the domain's node table,
+evaluates the gradient, the Hessian, Q, Delta_M u and W there, stacked by
+component in interior_index order, then takes the step bound, the update,
+the dirichlet values, the divergence guard (from sup|u|), u_t and the
+dissipation density, and last E^eps of the new state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -97,16 +95,16 @@ class FlowState:
 
 
 def _operator_arrays(domain: GridDomain, values: np.ndarray):
-    """(Q, lap, W) on the inner block, meaningful at interior nodes."""
+    """(Q, lap, W) at the interior nodes, in interior_index order."""
     n = domain.dim
-    lowered, raised, gradsq = gradient_sweep(domain, values)
-    hess = hessian_sweep(domain, values, lowered)
+    nbrs = values.take(domain.node_table)
+    lowered, raised, gradsq = gradient_sweep(domain, nbrs)
+    hess = hessian_sweep(domain, nbrs, lowered)
     w2 = 1.0 + gradsq
     if domain.chart.is_euclidean:
-        lap = reduce(add, [hess[a][a] for a in range(n)])
+        lap = hess.reshape(n * n, -1)[::n + 1].sum(axis=0)
     else:
-        sig = domain.block_sig_inv
-        lap = reduce(add, [sig[a][b] * hess[a][b] for a in range(n) for b in range(n)])
+        lap = (domain.interior_sig_inv * hess).reshape(n * n, -1).sum(axis=0)
     quu = contract(raised, matvec(hess, raised))
     return lap - quu / w2, lap, np.sqrt(w2)
 
@@ -114,7 +112,7 @@ def _operator_arrays(domain: GridDomain, values: np.ndarray):
 def q_operator(u: GridField) -> GridField:
     """Mean curvature operator Qu = g^{ij} D^2_ij u at interior nodes."""
     q, _, _ = _operator_arrays(u.domain, u.values)
-    return GridField.from_inner_block(u.domain, q)
+    return GridField.from_interior(u.domain, q)
 
 
 def l_eps_apply(u: GridField, eps: float) -> GridField:
@@ -127,7 +125,7 @@ def l_eps_apply(u: GridField, eps: float) -> GridField:
     if eps == 0.0:
         return q_operator(u)
     q, lap, w = _operator_arrays(u.domain, u.values)
-    return GridField.from_inner_block(u.domain, q + eps * w * lap)
+    return GridField.from_interior(u.domain, q + eps * w * lap)
 
 
 def _ramp_profile(s):
@@ -193,14 +191,12 @@ def flow_step(state: FlowState, params: FlowParams) -> FlowState:
     """
     dom = state.u.domain
     vals = state.u.values
-    interior, block = dom.interior_flat, dom.block_interior
+    interior = dom.interior_flat
     # overflow here surfaces as the FlowDiverged guard below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        q, lap, w = _operator_arrays(dom, vals)
-        w = w.take(block)
-        rhs = q.take(block)
+        rhs, lap, w = _operator_arrays(dom, vals)
         if params.eps != 0.0:
-            rhs = rhs + params.eps * w * lap.take(block)
+            rhs = rhs + params.eps * w * lap
         dt = stable_dt(dom, params, w)
         old = vals.take(interior)
         new = old + dt * rhs

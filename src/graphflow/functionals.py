@@ -4,7 +4,9 @@ Integrals over the domain use midpoint quadrature on complete lattice
 cells: the integrand is assembled at each cell center from the 2^n corner
 values (compact gradient, corner averages), weighted by sqrt(det sigma) at
 the center and the cell volume h^n.  This keeps the stated closed-form
-values of flat test fields exact and never reads exterior data.
+values of flat test fields exact and never reads exterior data.  One take
+of the domain's corner table gathers the corners, so the integrand is
+evaluated at the complete cells only, in cell_flat order.
 
 The area of the graph of u over Omega is
 
@@ -51,9 +53,14 @@ def _cell_sig(domain: GridDomain):
     return None if domain.chart.is_euclidean else domain.cell_sig_inv
 
 
+def _cell_grad(domain: GridDomain, values: np.ndarray) -> np.ndarray:
+    """Cell gradient at the complete cells, (n, cells) in cell_flat order."""
+    return cell_gradient(domain, values.take(domain.cell_table))
+
+
 def _cell_w(domain: GridDomain, values: np.ndarray):
-    """Cell-centered (gradsq, W) pair."""
-    grad = cell_gradient(domain, values)
+    """(gradsq, W) at the complete cells, in cell_flat order."""
+    grad = _cell_grad(domain, values)
     gradsq = contract(grad, matvec(_cell_sig(domain), grad))
     return gradsq, np.sqrt(1.0 + gradsq)
 
@@ -66,26 +73,27 @@ def _cell_sum(domain: GridDomain, density: np.ndarray) -> float:
 
 def w_factor(u: GridField) -> GridField:
     """Area density W = sqrt(1 + |Du|^2_sigma) at interior nodes."""
-    _, _, gradsq = gradient_sweep(u.domain, u.values)
-    return GridField.from_inner_block(u.domain, np.sqrt(1.0 + gradsq))
+    dom = u.domain
+    _, _, gradsq = gradient_sweep(dom, u.values.take(dom.node_table))
+    return GridField.from_interior(dom, np.sqrt(1.0 + gradsq))
 
 
 def area(u: GridField) -> float:
     """Graph area A(u) by cell-centered quadrature over complete cells."""
     dom = u.domain
     _, w = _cell_w(dom, u.values)
-    return _cell_sum(dom, w.take(dom.cell_flat))
+    return _cell_sum(dom, w)
 
 
 def area_directional_derivative(u: GridField, eta: GridField) -> float:
     """Exact derivative (d/ds) A(u + s eta) at s = 0 on the same quadrature:
     sum of <Du, D eta>_sigma / W over cells."""
     dom = u.domain
-    gu = cell_gradient(dom, u.values)
+    gu = _cell_grad(dom, u.values)
     raised = matvec(_cell_sig(dom), gu)
-    dot = contract(raised, cell_gradient(dom, eta.values))
+    dot = contract(raised, _cell_grad(dom, eta.values))
     w = np.sqrt(1.0 + contract(raised, gu))
-    return _cell_sum(dom, (dot / w).take(dom.cell_flat))
+    return _cell_sum(dom, dot / w)
 
 
 def _facet_measure(domain: GridDomain) -> float:
@@ -113,7 +121,7 @@ def total_variation(u: GridField) -> float:
     """Metric total variation integral of |Du|_sigma."""
     dom = u.domain
     gradsq, _ = _cell_w(dom, u.values)
-    return _cell_sum(dom, np.sqrt(gradsq.take(dom.cell_flat)))
+    return _cell_sum(dom, np.sqrt(gradsq))
 
 
 def e_eps(u: GridField, eps: float, f=None) -> float:
@@ -124,8 +132,9 @@ def e_eps(u: GridField, eps: float, f=None) -> float:
     gradsq, w = _cell_w(dom, u.values)
     integrand = w + 0.5 * eps * gradsq
     if f is not None:
-        integrand = integrand + cell_average(dom, as_field(dom, f).values * u.values)
-    return _cell_sum(dom, integrand.take(dom.cell_flat))
+        source = as_field(dom, f).values * u.values
+        integrand = integrand + cell_average(dom, source.take(dom.cell_table))
+    return _cell_sum(dom, integrand)
 
 
 def interior_integral(domain: GridDomain, values: np.ndarray) -> float:
@@ -272,18 +281,21 @@ def _vertical_mollify(F: DiscreteSet) -> np.ndarray:
 
 
 def _product_cell_tv(pg: ProductGrid, chi: np.ndarray) -> float:
-    """Cell-centered total variation of a profile on the product lattice."""
+    """Cell-centered total variation of a profile on the product lattice,
+    over the vertical columns of cells above the complete base cells."""
     base = pg.base
     n = base.dim
-    grad = cell_gradient(pg, chi)
+    layers = chi.shape[-1]
+    # per base corner, the columns over the complete base cells in cell_flat
+    # order; each yields its lower and upper product corners
+    columns = chi.reshape(-1, layers).take(base.cell_table, axis=0)
+    grad = cell_gradient(pg, [col[:, t:layers - 1 + t] for col in columns for t in (0, 1)])
     sig = _cell_sig(base)
     if sig is not None:
-        sig = [[s[..., None] for s in row] for row in sig]
+        sig = sig[..., None]
     gs = grad[:n]
     norm2 = contract(gs, matvec(sig, gs)) + grad[n] ** 2
-    # the vertical columns of cells over the complete base cells, in C order
-    columns = norm2.reshape(-1, norm2.shape[-1]).take(base.cell_flat, axis=0)
-    return float(np.sum(np.sqrt(columns) * base.cell_weights[:, None]) * float(np.prod(pg.h)))
+    return float(np.sum(np.sqrt(norm2) * base.cell_weights[:, None]) * float(np.prod(pg.h)))
 
 
 def mollified_set_tv(F: DiscreteSet) -> float:

@@ -14,14 +14,17 @@ partials, and the covariant correction
 
     D^2_ij u = d^2_ij u - Gamma^k_ij d_k u.
 
-Every interior node lies off the lattice rim, so the node stencils work on
-the inner block values[1:-1, ..., 1:-1] only and return one block array
-per component (sigma^{ij} and Gamma^k_ij are cached per domain in the same
-form); entries at the block's non-interior nodes carry no meaning.  The
-cell stencils used for quadrature likewise return one cell array per axis.
-The stencils read slice plans made once per domain (stencil_plan, and
-the cell corners per lattice shape) and sum left to right from the first
-term, so each value is one fixed expression, pinned by tests/stencil_oracle.py.
+The node stencils run on the interior nodes only.  Each domain keeps a
+table of flat lattice indices (node_table): per interior node the node
+itself, its neighbours along +e_a and -e_a, and its four diagonal
+neighbours per axis pair.  One values.take(node_table) gathers every value
+a sweep reads, and the sweeps return one stacked array per quantity whose
+last axis runs over the interior nodes in interior_index order (sigma^{ij}
+and Gamma^k_ij are gathered the same way once per domain).  The cell
+stencils used for quadrature likewise read the 2^n corners of the complete
+cells through a corner table (cell_table), in cell_flat order.  Components
+are summed left to right over the stacked axis, so each value is one fixed
+expression, pinned by tests/stencil_oracle.py.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import csv
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
-from operator import add, mul
+from operator import add
 
 import numpy as np
 
@@ -38,27 +41,22 @@ from .errors import GridError
 from .manifold import MetricChart, _multilinear_interp
 
 EXTERIOR, INTERIOR, DIRICHLET = 0, 1, 2
-INNER = slice(1, -1)  # the inner block of an axis: every node off the lattice rim
-MOVED = {1: slice(2, None), -1: slice(0, -2)}  # the inner block moved one node up, down
 # keys _region_sdf reads for each region kind, besides "region" itself
 REGION_KEYS = {"box": ("bounds",), "disc": ("center", "radius"),
                "annulus": ("center", "r_inner", "r_outer"), "table": ("values",)}
 
 
-def _components(arr: np.ndarray, depth: int):
-    """Nested tuples of contiguous arrays, one per entry of arr's trailing
-    depth axes: _components(g, 3)[k][i][j] is g[..., k, i, j]."""
-    if depth == 0:
-        return np.ascontiguousarray(arr)
-    return tuple(_components(part, depth - 1) for part in np.moveaxis(arr, -depth, 0))
-
-
-@lru_cache(maxsize=32)
-def _corner_slices(shape: tuple) -> tuple:
-    """(corner, slices) for the 2^n cell corners of a lattice shape, in
-    product((0, 1), repeat=n) order: values[slices] is that corner of every cell."""
-    return tuple((corner, tuple(slice(c, s - 1 + c) for c, s in zip(corner, shape)))
-                 for corner in product((0, 1), repeat=len(shape)))
+@lru_cache(maxsize=8)
+def _pair_rows(n: int) -> tuple:
+    """(pairs, rows) for the second derivatives of an n-D stencil.  They are
+    stacked as the n axis pairs (a, a), then the a < b pairs in combinations
+    order; pairs lists them, and rows[a, b] is the stacked row of the
+    pair {a, b}."""
+    pairs = [(a, a) for a in range(n)] + list(combinations(range(n), 2))
+    rows = np.empty((n, n), dtype=np.intp)
+    for r, (a, b) in enumerate(pairs):
+        rows[a, b] = rows[b, a] = r
+    return pairs, rows
 
 
 def _region_sdf(region, points, chart_box):
@@ -139,12 +137,6 @@ class GridDomain:
         return np.flatnonzero(self.interior)
 
     @cached_property
-    def block_interior(self) -> np.ndarray:
-        """Flat indices of the interior nodes within the inner block
-        values[1:-1, ..., 1:-1], in interior_index order."""
-        return np.flatnonzero(self.interior[(INNER,) * self.dim])
-
-    @cached_property
     def dirichlet_flat(self) -> np.ndarray:
         """Flat lattice indices of the dirichlet nodes, in dirichlet_index order."""
         return np.flatnonzero(self.dirichlet)
@@ -194,14 +186,17 @@ class GridDomain:
         return self.chart.sqrt_det(self.points)
 
     @cached_property
-    def block_sig_inv(self):
-        """sigma^{ij} on the inner block, [i][j] one contiguous array each."""
-        return _components(self.sig_inv[(INNER,) * self.dim], 2)
+    def interior_sig_inv(self) -> np.ndarray:
+        """sigma^{ij} at the interior nodes, (n, n, interior) in interior_index order."""
+        return np.ascontiguousarray(np.moveaxis(self.sig_inv[self.interior_index], 0, -1))
 
     @cached_property
-    def block_gamma(self):
-        """Gamma^k_ij on the inner block, [k][i][j] one contiguous array each."""
-        return _components(self.chart.christoffel(self.points)[(INNER,) * self.dim], 3)
+    def interior_gamma(self) -> np.ndarray:
+        """Gamma^k_ab at the interior nodes, (n, pairs, interior): k first,
+        then the axis pairs (a, b) in _pair_rows order."""
+        gamma = self.chart.christoffel(self.points)[self.interior_index]
+        a, b = np.array(_pair_rows(self.dim)[0]).T
+        return np.ascontiguousarray(np.moveaxis(gamma[:, :, a, b], 0, -1))
 
     @cached_property
     def interior_lambda_max(self) -> np.ndarray:
@@ -209,19 +204,29 @@ class GridDomain:
         return np.linalg.eigvalsh(self.sig_inv[self.interior_index])[..., -1]
 
     @cached_property
-    def stencil_plan(self) -> tuple:
-        """(block, axes, cross): the slice tuple of the inner block; per axis
-        a, the block moved one node up and down a with the divisors 2 h_a and
-        h_a^2; per axis pair a < b, the block moved along both as (++, +-,
-        -+, --) with the divisor 4 h_a h_b."""
-        n, h = self.dim, self.h
+    def node_table(self) -> np.ndarray:
+        """Flat lattice indices read by the node stencils, one column per
+        interior node in interior_index order.  The rows are the node, the
+        node moved along +e_a for each axis a, then along -e_a, then for
+        the axis pairs a < b in combinations order the node moved along
+        (+e_a, +e_b) for every pair, then (+, -), (-, +) and (-, -).
+        Interior nodes lie off the lattice rim, so every move stays on it."""
+        step = np.ravel_multi_index(np.eye(self.dim, dtype=np.intp), self.shape).tolist()
+        cross = _pair_rows(self.dim)[0][self.dim:]
+        moves = [0, *step, *(-s for s in step)]
+        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            moves += [sa * step[a] + sb * step[b] for a, b in cross]
+        return self.interior_flat + np.array(moves, dtype=np.intp)[:, None]
 
-        def moved(steps):
-            return tuple(MOVED.get(steps.get(a), INNER) for a in range(n))
-        axes = tuple((moved({a: 1}), moved({a: -1}), 2.0 * h[a], h[a] ** 2) for a in range(n))
-        cross = {(a, b): (*(moved({a: sa, b: sb}) for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))),
-                          4.0 * h[a] * h[b]) for a, b in combinations(range(n), 2)}
-        return (INNER,) * n, axes, cross
+    @cached_property
+    def node_divisors(self) -> tuple:
+        """(2 h_a, h_a^2, 4 h_a h_b) as columns: per axis, per axis, and per
+        axis pair a < b in combinations order."""
+        h = self.h
+        cross = _pair_rows(self.dim)[0][self.dim:]
+        return tuple(np.array(d, dtype=float).reshape(-1, 1) for d in (
+            [2.0 * h[a] for a in range(self.dim)], [h[a] ** 2 for a in range(self.dim)],
+            [4.0 * h[a] * h[b] for a, b in cross]))
 
     # -- cell geometry (quadrature on complete lattice cells) --------------
 
@@ -230,14 +235,24 @@ class GridDomain:
         """Cells whose 2^n corner nodes are all non-exterior."""
         ok = self.used
         out = np.ones(tuple(s - 1 for s in self.shape), dtype=bool)
-        for _, sl in _corner_slices(self.shape):
-            out &= ok[sl]
+        for corner in product((0, 1), repeat=self.dim):
+            out &= ok[tuple(slice(c, s - 1 + c) for c, s in zip(corner, self.shape))]
         return out
 
     @cached_property
     def cell_flat(self) -> np.ndarray:
         """Flat indices of the complete cells, in boolean-gather (C) order."""
         return np.flatnonzero(self.cell_complete)
+
+    @cached_property
+    def cell_table(self) -> np.ndarray:
+        """Flat lattice indices of the 2^n corners of each complete cell: one
+        row per corner in product((0, 1), repeat=n) order, one column per
+        cell in cell_flat order."""
+        cells = tuple(s - 1 for s in self.shape)
+        lowest = np.ravel_multi_index(np.unravel_index(self.cell_flat, cells), self.shape)
+        corners = np.ravel_multi_index(np.array([*product((0, 1), repeat=self.dim)]).T, self.shape)
+        return lowest + corners[:, None]
 
     @cached_property
     def cell_weights(self) -> np.ndarray:
@@ -250,9 +265,11 @@ class GridDomain:
         return np.stack(np.meshgrid(*half, indexing="ij"), axis=-1)
 
     @cached_property
-    def cell_sig_inv(self):
-        """sigma^{ij} at the cell centers, [i][j] one contiguous array each."""
-        return _components(self.chart.inverse(self.cell_centers), 2)
+    def cell_sig_inv(self) -> np.ndarray:
+        """sigma^{ij} at the centers of the complete cells, (n, n, cells)
+        in cell_flat order."""
+        sig = self.chart.inverse(self.cell_centers).reshape(-1, self.dim, self.dim)
+        return np.ascontiguousarray(np.moveaxis(sig.take(self.cell_flat, axis=0), 0, -1))
 
     @cached_property
     def cell_sqrt_det(self) -> np.ndarray:
@@ -292,10 +309,11 @@ class GridField:
         return cls(domain, vals)
 
     @classmethod
-    def from_inner_block(cls, domain: GridDomain, block: np.ndarray) -> "GridField":
-        """Interior-only field holding an inner-block array's interior values."""
+    def from_interior(cls, domain: GridDomain, values: np.ndarray) -> "GridField":
+        """Interior-only field holding values given at the interior nodes,
+        in interior_index order."""
         vals = np.full(domain.shape, np.nan)
-        vals.put(domain.interior_flat, block.take(domain.block_interior))
+        vals.put(domain.interior_flat, values)
         return cls(domain, vals, interior_only=True)
 
     @classmethod
@@ -368,7 +386,7 @@ def build_domain(chart: MetricChart, h, region=None) -> GridDomain:
 
     # Interior nodes must keep the full Moore neighborhood on the lattice,
     # so only the inner block (every node off the rim) can hold them.
-    inner = (INNER,) * n
+    inner = (slice(1, -1),) * n
     interior = np.zeros(shape, dtype=bool)
     interior[inner] = dom.sdf[inner] < -1e-12 * max(b[1] - b[0] for b in chart.box)
     if not np.any(interior):
@@ -378,96 +396,87 @@ def build_domain(chart: MetricChart, h, region=None) -> GridDomain:
     return dom
 
 
-# -- stencils on the inner block values[1:-1, ..., 1:-1] ---------------------
+# -- node stencils on the interior nodes -------------------------------------
+#
+# Component arrays are stacked on their leading axes and hold one entry per
+# interior node on the last.  Sums over a stacked axis run left to right.
 
 
-def matvec(m, v) -> list:
-    """Components sum_j m[i][j] v[j] of per-component arrays, m nested
-    [i][j] (sigma^{ij} raises an index); m None stands for the identity."""
-    if m is None:
-        return v
-    n = len(v)
-    return [reduce(add, [m[i][j] * v[j] for j in range(n)]) for i in range(n)]
+def matvec(m, v):
+    """Components sum_j m[i][j] v[j] of a stacked (n, ...) array, m stacked
+    (n, n, ...) (sigma^{ij} raises an index); m None stands for the identity."""
+    return v if m is None else (m * v).sum(axis=1)
 
 
 def contract(a, b):
-    """sum_i a_i b_i of two lists of per-component arrays."""
-    return reduce(add, map(mul, a, b))
+    """sum_i a_i b_i of two stacked (n, ...) arrays."""
+    return (a * b).sum(axis=0)
 
 
-def gradient_sweep(domain: GridDomain, values: np.ndarray):
-    """Central-difference gradient on the inner block.
+def gradient_sweep(domain: GridDomain, nbrs: np.ndarray):
+    """Central-difference gradient at the interior nodes.
 
-    Returns (lowered, raised, gradsq): lowered and raised are lists of n
-    block arrays, one per component, and gradsq is |Du|^2_sigma on the
-    block.  Entries are meaningful at interior nodes, whose stencils never
-    touch exterior data.
+    nbrs is values.take(domain.node_table).  Returns (lowered, raised,
+    gradsq): lowered and raised are (n, interior) arrays of the lowered
+    and raised gradient, gradsq is |Du|^2_sigma.
     """
-    lowered = [(values[fwd] - values[bwd]) / den for fwd, bwd, den, _ in domain.stencil_plan[1]]
-    raised = matvec(None if domain.chart.is_euclidean else domain.block_sig_inv, lowered)
+    n = domain.dim
+    lowered = (nbrs[1:n + 1] - nbrs[n + 1:2 * n + 1]) / domain.node_divisors[0]
+    raised = matvec(None if domain.chart.is_euclidean else domain.interior_sig_inv, lowered)
     return lowered, raised, contract(lowered, raised)
 
 
-def hessian_sweep(domain: GridDomain, values: np.ndarray, lowered=None):
-    """Covariant Hessian on the inner block, meaningful at interior nodes.
+def hessian_sweep(domain: GridDomain, nbrs: np.ndarray, lowered=None) -> np.ndarray:
+    """Covariant Hessian at the interior nodes, (n, n, interior).
 
-    hess[a][b] is the block array of D^2_ab u; hess[b][a] is the same array.
-    lowered, the gradient from gradient_sweep, saves recomputing it on
-    curved charts.
+    nbrs is values.take(domain.node_table); hess[a, b] is D^2_ab u, equal
+    to hess[b, a] bit for bit.  lowered, the gradient from gradient_sweep,
+    saves recomputing it on curved charts.
     """
     n = domain.dim
-    block, axes, cross = domain.stencil_plan
-    twice_centre = 2.0 * values[block]
-    hess = [[None] * n for _ in range(n)]
-    for a, (fwd, bwd, _, den) in enumerate(axes):
-        hess[a][a] = (values[fwd] - twice_centre + values[bwd]) / den
-    for (a, b), (pp, pm, mp, mm, den) in cross.items():
-        hess[a][b] = hess[b][a] = (values[pp] - values[pm] - values[mp] + values[mm]) / den
+    _, h_sq, four_hh = domain.node_divisors
+    fwd, bwd = nbrs[1:n + 1], nbrs[n + 1:2 * n + 1]
+    pp, pm, mp, mm = nbrs[2 * n + 1:].reshape(4, len(four_hh), nbrs.shape[1])
+    second = np.concatenate(((fwd - 2.0 * nbrs[0] + bwd) / h_sq,
+                             (pp - pm - mp + mm) / four_hh))
     if not domain.chart.is_euclidean:
         if lowered is None:
-            lowered = gradient_sweep(domain, values)[0]
-        gamma = domain.block_gamma
-        for a in range(n):
-            for b in range(a, n):
-                corr = reduce(add, [gamma[k][a][b] * lowered[k] for k in range(n)])
-                hess[a][b] = hess[b][a] = hess[a][b] - corr
-    return hess
+            lowered = gradient_sweep(domain, nbrs)[0]
+        second = second - (domain.interior_gamma * lowered[:, None]).sum(axis=0)
+    return second.take(_pair_rows(n)[1], axis=0)
 
 
 # -- cell-centered quadrature stencils --------------------------------------
 
 
-def cell_average(domain: GridDomain, values: np.ndarray) -> np.ndarray:
-    """Mean of the 2^n corner values per lattice cell."""
-    out = np.zeros(tuple(s - 1 for s in domain.shape))
-    for _, sl in _corner_slices(domain.shape):
-        out += values[sl]
-    return out / 2 ** domain.dim
+def cell_average(domain, corners) -> np.ndarray:
+    """Mean of the 2^n corner values per cell; corners as for cell_gradient."""
+    return reduce(add, corners) / 2 ** domain.dim
 
 
-def cell_gradient(domain, values: np.ndarray) -> list:
+def cell_gradient(domain, corners) -> np.ndarray:
     """Compact cell-centered gradient from the 2^n corner values.
 
     Along each axis: difference of the opposite face averages over h.
     Second order at the cell center and free of exterior reads on
-    complete cells.  domain is any lattice with dim, shape and per-axis
-    spacings h: a GridDomain, or a ProductGrid with its vertical axis last.
-    Returns one cell array per axis; each sums the corners in
-    lexicographic order.
+    complete cells.  domain is any lattice with dim and per-axis spacings
+    h: a GridDomain, or a ProductGrid with its vertical axis last.
+    corners holds one array per corner in product((0, 1), repeat=n) order,
+    such as values.take(domain.cell_table).  Returns the stacked (n, ...)
+    gradient; each component sums the corners in that order.
     """
     n = domain.dim
     h = domain.h
-    corners = [(corner, values[sl]) for corner, sl in _corner_slices(domain.shape)]
-    grad = []
-    for a in range(n):
-        acc = -corners[0][1]
-        for corner, v in corners[1:]:
+    signs = list(product((0, 1), repeat=n))[1:]
+    grad = np.empty((n, *np.shape(corners[0])))
+    for a, acc in enumerate(grad):
+        np.negative(corners[0], out=acc)
+        for corner, v in zip(signs, corners[1:]):
             if corner[a]:
                 acc += v
             else:
                 acc -= v
         acc /= (2 ** (n - 1)) * h[a]
-        grad.append(acc)
     return grad
 
 

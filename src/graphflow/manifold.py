@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ChartError
+from .errors import ChartError, ConfigError
 
 # the params each built-in kind reads; a custom_table takes axes and table
 # samples, or a csv path to read them from
@@ -353,12 +353,20 @@ def _check_positive_definite(chart: MetricChart) -> None:
                          "on the chart box") from None
 
 
+def chart_dimension(n) -> int:
+    """A chart spec's n as an int; ConfigError unless it is a whole number >= 1."""
+    whole = isinstance(n, int) or isinstance(n, float) and n.is_integer()
+    if isinstance(n, bool) or not whole or n < 1:
+        raise ConfigError(f"chart n must be a whole number >= 1, got {n!r:.80}")
+    return int(n)
+
+
 def chart_from_spec(spec: dict) -> MetricChart:
     """Build a chart from its JSON form {"kind", "n", "box", "params"}."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ChartError("chart spec must be an object with a 'kind' key")
     kind = spec["kind"]
-    n = int(spec.get("n", 2))
+    n = chart_dimension(spec.get("n", 2))
     params = dict(spec.get("params", {}))
     if kind == "custom_table" and "csv" in params:
         axes, table = load_metric_table(params.pop("csv"), n)

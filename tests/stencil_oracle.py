@@ -1,23 +1,64 @@
 """Frozen reference for the explicit flow step and the energy quadrature.
 
-These are the node sweeps, the operator sum, the step, the epsilon energy
-and the product-lattice total variation as written before the stencils
-read per-domain slice plans: every slice tuple is rebuilt per call, every
-sum starts from the int 0 and the quadrature gathers complete cells with a
-boolean mask.  The package code
+These are the node sweeps, the operator sum, the step, the epsilon energy,
+the total variation, the area derivative and the product-lattice total
+variation written over whole lattice blocks: the node sweeps return one
+array per component over the inner block values[1:-1, ..., 1:-1], the cell
+stencils one array per axis over every lattice cell.  Every slice tuple is
+rebuilt per call, every sum starts from the int 0 and the quadrature
+gathers complete cells with a boolean mask.  The block helpers (sigma^{ij}
+and Gamma^k_ij on the inner block, the interior nodes' block indices,
+sigma^{ij} at every cell center) are built here from the domain's node
+data, so the package code is free to lay its arrays out differently.  It
 must evaluate the same floating-point expressions in the same order, so
 tests compare the two with np.array_equal and exact history equality.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from graphflow.errors import FlowDiverged, FunctionalError
 from graphflow.flow import DiagnosticSample, _check_estimates, compatibility_ramp
-from graphflow.grid import INNER, GridField, as_field
+from graphflow.grid import GridField, as_field
+
+INNER = slice(1, -1)  # the inner block of an axis: every node off the lattice rim
+
+
+def _components(arr, depth):
+    """Nested tuples of contiguous arrays, one per entry of arr's trailing
+    depth axes: _components(g, 3)[k][i][j] is g[..., k, i, j]."""
+    if depth == 0:
+        return np.ascontiguousarray(arr)
+    return tuple(_components(part, depth - 1) for part in np.moveaxis(arr, -depth, 0))
+
+
+@lru_cache(maxsize=16)
+def block_sig_inv(domain):
+    """sigma^{ij} on the inner block, [i][j] one contiguous array each."""
+    return _components(domain.sig_inv[(INNER,) * domain.dim], 2)
+
+
+@lru_cache(maxsize=16)
+def block_gamma(domain):
+    """Gamma^k_ij on the inner block, [k][i][j] one contiguous array each."""
+    return _components(domain.chart.christoffel(domain.points)[(INNER,) * domain.dim], 3)
+
+
+@lru_cache(maxsize=16)
+def block_interior(domain):
+    """Flat indices of the interior nodes within the inner block, in
+    interior_index order."""
+    return np.flatnonzero(domain.interior[(INNER,) * domain.dim])
+
+
+@lru_cache(maxsize=16)
+def cell_sig_inv(domain):
+    """sigma^{ij} at every cell center, [i][j] one contiguous array each."""
+    return _components(domain.chart.inverse(domain.cell_centers), 2)
 
 
 def _shifted(values, steps):
@@ -42,7 +83,7 @@ def gradient_sweep(domain, values):
     n = domain.dim
     lowered = [(_shifted(values, {a: 1}) - _shifted(values, {a: -1})) / (2.0 * domain.h[a])
                for a in range(n)]
-    raised = matvec(None if domain.chart.is_euclidean else domain.block_sig_inv, lowered)
+    raised = matvec(None if domain.chart.is_euclidean else block_sig_inv(domain), lowered)
     return lowered, raised, contract(lowered, raised)
 
 
@@ -62,7 +103,7 @@ def hessian_sweep(domain, values, lowered=None):
     if not domain.chart.is_euclidean:
         if lowered is None:
             lowered = gradient_sweep(domain, values)[0]
-        gamma = domain.block_gamma
+        gamma = block_gamma(domain)
         for a in range(n):
             for b in range(a, n):
                 corr = sum(gamma[k][a][b] * lowered[k] for k in range(n))
@@ -78,7 +119,7 @@ def operator_arrays(domain, values):
     if domain.chart.is_euclidean:
         lap = sum(hess[a][a] for a in range(n))
     else:
-        sig = domain.block_sig_inv
+        sig = block_sig_inv(domain)
         lap = sum(sig[a][b] * hess[a][b] for a in range(n) for b in range(n))
     quu = contract(raised, matvec(hess, raised))
     return lap - quu / w2, lap, np.sqrt(w2)
@@ -116,7 +157,7 @@ def e_eps(u, eps, f=None):
         raise FunctionalError(f"epsilon must be nonnegative, got {eps}")
     dom = u.domain
     grad = cell_gradient(dom, u.values)
-    sig = None if dom.chart.is_euclidean else dom.cell_sig_inv
+    sig = None if dom.chart.is_euclidean else cell_sig_inv(dom)
     gradsq = contract(grad, matvec(sig, grad))
     w = np.sqrt(1.0 + gradsq)
     integrand = w + 0.5 * eps * gradsq
@@ -126,12 +167,34 @@ def e_eps(u, eps, f=None):
     return float(np.sum(integrand[cells] * dom.cell_sqrt_det[cells]) * dom.cell_volume)
 
 
+def _cell_sum(dom, density):
+    return float((density.take(dom.cell_flat) * dom.cell_sqrt_det.take(dom.cell_flat)).sum()
+                 * dom.cell_volume)
+
+
+def total_variation(u):
+    dom = u.domain
+    grad = cell_gradient(dom, u.values)
+    sig = None if dom.chart.is_euclidean else cell_sig_inv(dom)
+    gradsq = contract(grad, matvec(sig, grad))
+    return _cell_sum(dom, np.sqrt(gradsq))
+
+
+def area_directional_derivative(u, eta):
+    dom = u.domain
+    gu = cell_gradient(dom, u.values)
+    raised = matvec(None if dom.chart.is_euclidean else cell_sig_inv(dom), gu)
+    dot = contract(raised, cell_gradient(dom, eta.values))
+    w = np.sqrt(1.0 + contract(raised, gu))
+    return _cell_sum(dom, dot / w)
+
+
 def product_cell_tv(pg, chi):
     base = pg.base
     n = base.dim
     grad = cell_gradient(pg, chi)
     cells_shape = grad[0].shape
-    sig = None if base.chart.is_euclidean else base.cell_sig_inv
+    sig = None if base.chart.is_euclidean else cell_sig_inv(base)
     if sig is not None:
         sig = [[s[..., None] for s in row] for row in sig]
     gs = grad[:n]
@@ -151,7 +214,7 @@ def stable_dt(domain, params, w):
 def flow_step(state, params):
     dom = state.u.domain
     vals = state.u.values
-    interior, block = dom.interior_flat, dom.block_interior
+    interior, block = dom.interior_flat, block_interior(dom)
     with np.errstate(over="ignore", invalid="ignore"):
         q, lap, w = operator_arrays(dom, vals)
         w = w.take(block)

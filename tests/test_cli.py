@@ -634,6 +634,9 @@ def test_config_fuzz_exits_0_or_1_with_failure_json(tmp_path, capsys):
     ({"chart": {"kind": "euclidean", "n": 2, "box": [[0.0, 1.0], [0.0]]}},
      "chart box must have shape (2, 2)"),
     ({"chart": {"kind": "euclidean", "n": 3}}, "region bounds must have shape (3, 2)"),
+    # the chart dimension is a whole number >= 1, never truncated
+    ({"chart": {"kind": "euclidean", "n": 2.5}}, "chart n must be a whole number >= 1, got 2.5"),
+    ({"chart": {"kind": "euclidean", "n": 0}}, "chart n must be a whole number >= 1, got 0"),
 ])
 def test_barrier_malformed_config_is_a_config_error(tmp_path, overrides, problem):
     cfg_path, out = write_config(tmp_path, **overrides)

@@ -7,7 +7,7 @@ import sympy as sp
 
 from graphflow.errors import GridError
 from graphflow.flow import l_eps_apply, q_operator
-from graphflow.functionals import e_eps, product_grid
+from graphflow.functionals import e_eps, product_grid, w_factor
 from graphflow.grid import (DIRICHLET, EXTERIOR, INTERIOR, GridField, _region_sdf, build_domain,
                             cell_average, cell_gradient, gradient_sweep, hessian_sweep,
                             interpolate_to, load_field_csv, save_field_csv)
@@ -18,12 +18,20 @@ def unit_square(h):
     return build_domain(builtin_chart("euclidean", n=2), h)
 
 
-def at_node(block, node):
-    """A sweep's output at a lattice node: the sweeps return (nested lists
-    of) arrays over the inner block, which starts at lattice node (1, ..., 1)."""
-    if isinstance(block, np.ndarray):
-        return block[tuple(i - 1 for i in node)]
-    return np.array([at_node(b, node) for b in block])
+def at_node(dom, swept, node):
+    """A sweep's output at an interior lattice node: the sweeps return
+    stacked arrays whose last axis runs over the interior nodes in
+    interior_index order."""
+    column = np.flatnonzero(dom.interior_flat == np.ravel_multi_index(node, dom.shape))
+    assert column.size == 1, f"{node} is not an interior node"
+    return np.asarray(swept)[..., column[0]]
+
+
+def sweeps(dom, values):
+    """gradient_sweep and hessian_sweep of lattice values."""
+    nbrs = values.take(dom.node_table)
+    lowered, raised, gradsq = gradient_sweep(dom, nbrs)
+    return lowered, raised, gradsq, hessian_sweep(dom, nbrs, lowered)
 
 
 def test_unit_square_counts():
@@ -156,9 +164,9 @@ def test_mask_growth_matches_chebyshev_reference(shape):
 def test_gradient_exact_for_affine():
     dom = unit_square(1.0 / 8)
     u = GridField.from_function(dom, lambda x: 2.0 * x[0] - 3.0 * x[1] + 1.0)
-    lowered, _, gradsq = gradient_sweep(dom, u.values)
-    assert np.allclose(at_node(lowered, (4, 4)), [2.0, -3.0], atol=1e-13)
-    assert at_node(gradsq, (4, 4)) == pytest.approx(13.0, abs=1e-12)
+    lowered, _, gradsq, _ = sweeps(dom, u.values)
+    assert np.allclose(at_node(dom, lowered, (4, 4)), [2.0, -3.0], atol=1e-13)
+    assert at_node(dom, gradsq, (4, 4)) == pytest.approx(13.0, abs=1e-12)
 
 
 def test_poincare_gradient_norm_at_origin():
@@ -168,15 +176,15 @@ def test_poincare_gradient_norm_at_origin():
     u = GridField.from_function(dom, lambda x: x[0])
     node = (4, 4)
     assert np.allclose(dom.points[node], [0.0, 0.0], atol=1e-14)
-    _, _, gradsq = gradient_sweep(dom, u.values)
-    assert at_node(gradsq, node) == pytest.approx(0.25, rel=1e-13)
+    _, _, gradsq, _ = sweeps(dom, u.values)
+    assert at_node(dom, gradsq, node) == pytest.approx(0.25, rel=1e-13)
 
 
 def test_hessian_exact_for_quadratics():
     dom = unit_square(1.0 / 8)
     u = GridField.from_function(dom, lambda x: x[0] ** 2 - x[0] * x[1] + 3.0 * x[1] ** 2)
-    hess = hessian_sweep(dom, u.values)
-    assert np.allclose(at_node(hess, (3, 5)), [[2.0, -1.0], [-1.0, 6.0]], atol=1e-11)
+    hess = sweeps(dom, u.values)[3]
+    assert np.allclose(at_node(dom, hess, (3, 5)), [[2.0, -1.0], [-1.0, 6.0]], atol=1e-11)
 
 
 def test_hessian_mirrored_bitwise():
@@ -184,9 +192,9 @@ def test_hessian_mirrored_bitwise():
     dom = build_domain(chart, 0.125)
     rng = np.random.default_rng(5)
     vals = rng.random(dom.shape)
-    hess = hessian_sweep(dom, vals)
+    hess = hessian_sweep(dom, vals.take(dom.node_table))
     for node in [(2, 3), (4, 4), (5, 2)]:
-        assert at_node(hess, node)[0, 1] == at_node(hess, node)[1, 0]
+        assert at_node(dom, hess, node)[0, 1] == at_node(dom, hess, node)[1, 0]
 
 
 def _sphere_hessian_oracle():
@@ -214,8 +222,8 @@ def test_sphere_hessian_matches_symbolic_at_second_order():
         u = GridField.from_function(dom, lambda x: np.sin(x[0]) * np.cos(x[1]))
         node = (levels // 2, levels // 2)
         x = dom.points[node]
-        hess = hessian_sweep(dom, u.values)
-        errs.append(np.max(np.abs(at_node(hess, node) - oracle(*x))))
+        hess = sweeps(dom, u.values)[3]
+        errs.append(np.max(np.abs(at_node(dom, hess, node) - oracle(*x))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders > 1.9)
 
@@ -250,14 +258,13 @@ def test_sweeps_match_per_node_ops():
     chart = builtin_chart("warped_product", n=2, params={"a": 1.0, "b": 0.25})
     dom = build_domain(chart, 0.125)
     u = GridField.from_function(dom, lambda x: np.sin(x[0] + 0.3) * x[1] ** 2)
-    lowered, raised, gradsq = gradient_sweep(dom, u.values)
-    hess = hessian_sweep(dom, u.values, lowered)
+    lowered, raised, gradsq, hess = sweeps(dom, u.values)
     for node in [(1, 1), (3, 5), (6, 2)]:
         lo, ra, g2, he = _per_node_ops(u, node)
-        assert np.allclose(at_node(lowered, node), lo, atol=1e-14)
-        assert np.allclose(at_node(raised, node), ra, atol=1e-14)
-        assert at_node(gradsq, node) == pytest.approx(g2, rel=1e-13)
-        assert np.allclose(at_node(hess, node), he, atol=1e-13)
+        assert np.allclose(at_node(dom, lowered, node), lo, atol=1e-14)
+        assert np.allclose(at_node(dom, raised, node), ra, atol=1e-14)
+        assert at_node(dom, gradsq, node) == pytest.approx(g2, rel=1e-13)
+        assert np.allclose(at_node(dom, hess, node), he, atol=1e-13)
 
 
 def _table_chart():
@@ -316,6 +323,7 @@ def test_operators_match_per_node_reference(name):
         ref = np.array(ref)
         assert np.max(np.abs(got.values[ii] - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.all(np.isnan(got.values[~dom.interior]))
+    assert np.all(np.isnan(w_factor(u).values[~dom.interior]))
 
 
 def corner_loop_cell_gradient(domain, values):
@@ -339,8 +347,8 @@ def test_cell_gradient_and_energy_match_corner_loop(name):
     dom = ORACLE_DOMAINS[name]()
     u = _oracle_field(dom)
     ref = corner_loop_cell_gradient(dom, u.values)
-    assert np.array_equal(np.stack(cell_gradient(dom, u.values), axis=-1), ref,
-                          equal_nan=True)
+    cells = ref.reshape(-1, dom.dim)[dom.cell_flat].T
+    assert np.array_equal(cell_gradient(dom, u.values.take(dom.cell_table)), cells)
 
     eps = 0.05
     sig = dom.chart.inverse(dom.cell_centers)
@@ -352,19 +360,22 @@ def test_cell_gradient_and_energy_match_corner_loop(name):
 
     pg = product_grid(dom, 1.0, float(np.min(dom.h)))
     chi = np.random.default_rng(7).random(pg.shape)
-    assert np.array_equal(np.stack(cell_gradient(pg, chi), axis=-1),
+    corners = [chi[tuple(slice(c, s - 1 + c) for c, s in zip(corner, pg.shape))]
+               for corner in product((0, 1), repeat=pg.dim)]
+    assert np.array_equal(np.moveaxis(cell_gradient(pg, corners), 0, -1),
                           corner_loop_cell_gradient(pg, chi))
 
 
 def test_cell_stencils_exact_for_affine():
     dom = unit_square(0.25)
     vals = 2.0 * dom.points[..., 0] - dom.points[..., 1] + 0.5
-    grad = cell_gradient(dom, vals)
+    corners = vals.take(dom.cell_table)
+    grad = cell_gradient(dom, corners)
     assert np.allclose(grad[0], 2.0, atol=1e-13)
     assert np.allclose(grad[1], -1.0, atol=1e-13)
-    avg = cell_average(dom, vals)
-    centers = dom.cell_centers
-    assert np.allclose(avg, 2.0 * centers[..., 0] - centers[..., 1] + 0.5, atol=1e-13)
+    avg = cell_average(dom, corners)
+    centers = dom.cell_centers.reshape(-1, 2)[dom.cell_flat]
+    assert np.allclose(avg, 2.0 * centers[:, 0] - centers[:, 1] + 0.5, atol=1e-13)
 
 
 def test_eroded_interior_depth():
@@ -446,7 +457,7 @@ def test_one_dimensional_domain():
     assert int(np.sum(dom.mask == INTERIOR)) == 7
     assert int(np.sum(dom.mask == DIRICHLET)) == 2
     u = GridField.from_function(dom, lambda x: x[0] ** 2)
-    assert at_node(hessian_sweep(dom, u.values), (4,))[0, 0] == pytest.approx(2.0, rel=1e-12)
+    assert at_node(dom, sweeps(dom, u.values)[3], (4,))[0, 0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_table_region_classification():

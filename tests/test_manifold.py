@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphflow.errors import ChartError
+from graphflow.errors import ChartError, ConfigError
 from graphflow.manifold import (builtin_chart, chart_from_spec, christoffel_at,
                                 fd_christoffel_at, load_metric_table, metric_at)
 
@@ -147,3 +147,10 @@ def test_chart_spec_roundtrip():
     sig, _, _ = metric_at(chart, [np.pi / 2, 0.5])
     assert sig[0, 0] == pytest.approx(4.0)
     assert sig[1, 1] == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("n", [2.5, 0, -1, True, "2", float("inf"), float("nan")])
+def test_chart_spec_dimension_is_a_whole_number(n):
+    with pytest.raises(ConfigError, match="chart n must be a whole number >= 1"):
+        chart_from_spec({"kind": "euclidean", "n": n})
+    assert chart_from_spec({"kind": "euclidean", "n": 3.0}).dim == 3

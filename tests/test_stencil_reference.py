@@ -1,6 +1,6 @@
-"""The per-domain stencil plans against the frozen reference in
-stencil_oracle.py: the sweeps, the operator, the step bound, the energy
-quadrature and whole flow histories must agree bit for bit."""
+"""The interior-gather stencils against the frozen block reference in
+stencil_oracle.py: the sweeps, the operator, the step bound, the cell
+quadratures and whole flow histories must agree bit for bit."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ import pytest
 import stencil_oracle as oracle
 from graphflow.errors import FlowDiverged
 from graphflow.flow import FlowParams, _operator_arrays, flow_step, initial_state, stable_dt
-from graphflow.functionals import _product_cell_tv, area, e_eps, product_grid
+from graphflow.functionals import (_product_cell_tv, area, area_directional_derivative, e_eps,
+                                   product_grid, total_variation, w_factor)
 from graphflow.grid import GridField, build_domain, gradient_sweep, hessian_sweep
 from graphflow.manifold import builtin_chart
 from test_grid import ORACLE_DOMAINS, _disc
@@ -23,6 +24,9 @@ DOMAINS = dict(ORACLE_DOMAINS, **{
     "warped_product": lambda: build_domain(
         builtin_chart("warped_product", n=2, params={"a": 1.0, "b": 0.25}), 1.0 / 16,
         _disc([0.5, 0.5], 0.45)),
+    # the poincare_mixed benchmark lattice: 421 of the 961 block nodes are interior
+    "poincare_mixed": lambda: build_domain(builtin_chart("poincare_disk", n=2), 0.04375,
+                                           _disc([0.0, 0.0], 0.5)),
 })
 
 
@@ -40,17 +44,32 @@ def _same(got, ref):
         assert np.array_equal(got, ref, equal_nan=True)
 
 
+def _at_interior(dom, block):
+    """The oracle's (nested lists of) inner-block arrays gathered at the
+    interior nodes and stacked: the layout of the package's sweeps."""
+    if isinstance(block, np.ndarray):
+        return block.take(oracle.block_interior(dom))
+    return np.array([_at_interior(dom, b) for b in block])
+
+
 @pytest.mark.parametrize("name", sorted(DOMAINS))
 def test_sweeps_and_operator_match_reference(name):
     dom = DOMAINS[name]()
     for seed in range(3):
         vals = _random_values(dom, seed)
-        lowered = gradient_sweep(dom, vals)
-        _same(lowered, oracle.gradient_sweep(dom, vals))
-        _same(hessian_sweep(dom, vals), oracle.hessian_sweep(dom, vals))
-        _same(hessian_sweep(dom, vals, lowered[0]),
-              oracle.hessian_sweep(dom, vals, lowered[0]))
-        _same(_operator_arrays(dom, vals), oracle.operator_arrays(dom, vals))
+        nbrs = vals.take(dom.node_table)
+        lowered = gradient_sweep(dom, nbrs)
+        ref_lowered = oracle.gradient_sweep(dom, vals)
+        _same(lowered, [_at_interior(dom, r) for r in ref_lowered])
+        _same(hessian_sweep(dom, nbrs), _at_interior(dom, oracle.hessian_sweep(dom, vals)))
+        _same(hessian_sweep(dom, nbrs, lowered[0]),
+              _at_interior(dom, oracle.hessian_sweep(dom, vals, ref_lowered[0])))
+        _same(_operator_arrays(dom, vals),
+              [_at_interior(dom, r) for r in oracle.operator_arrays(dom, vals)])
+        w = w_factor(GridField(dom, vals)).values
+        assert np.array_equal(w.take(dom.interior_flat),
+                              _at_interior(dom, np.sqrt(1.0 + ref_lowered[2])))
+        assert np.isnan(w[~dom.interior]).all()
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))
@@ -63,6 +82,8 @@ def test_energy_and_step_bound_match_reference(name):
         assert e_eps(u, eps, f=source) == oracle.e_eps(u, eps, f=source)
     # the eps = 0 integrand is W + 0 * gradsq = W, so area sums the same cells
     assert area(u) == oracle.e_eps(u, 0.0)
+    assert total_variation(u) == oracle.total_variation(u)
+    assert area_directional_derivative(u, source) == oracle.area_directional_derivative(u, source)
     pg = product_grid(dom, 1.0, float(np.min(dom.h)))
     profile = np.random.default_rng(8).random(pg.shape)
     assert _product_cell_tv(pg, profile) == oracle.product_cell_tv(pg, profile)
@@ -80,8 +101,8 @@ def _start(dom):
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize("name", ["euclidean_1d", "euclidean_box", "euclidean_3d",
-                                  "poincare_disk", "sphere_polar", "custom_table",
-                                  "warped_product"])
+                                  "poincare_disk", "poincare_mixed", "sphere_polar",
+                                  "custom_table", "warped_product"])
 def test_flow_histories_match_reference(name, eps):
     dom = DOMAINS[name]()
     u0, phi = _start(dom)
