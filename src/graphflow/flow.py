@@ -22,7 +22,7 @@ psi(0) = 0, psi'(0) = 1, |psi'| <= 1 and support in [0, 2].
 The operator is summed in closed form at the interior nodes only.  One
 step gathers every stencil value with one take of the domain's node table,
 evaluates the gradient, the Hessian, Q, Delta_M u and W there, stacked by
-component in interior_index order, then takes the step bound, the update,
+component in interior_flat order, then takes the step bound, the update,
 the dirichlet values, the divergence guard (from sup|u|), u_t and the
 dissipation density, and last E^eps of the new state.
 """
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EstimateViolation, FlowDiverged
-from .functionals import e_eps
+from .functionals import e_eps, interior_integral
 from .grid import (GridDomain, GridField, as_field, contract, gradient_sweep,
                    hessian_sweep, matvec)
 
@@ -45,7 +45,8 @@ SUP_BOUND_REL_TOL = 1e-6  # slack on the maximum principle, scaled by data size
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Stepping parameters; cfl is the fraction of stable_dt's parabolic limit."""
+    """Stepping parameters.  cfl scales stable_dt and lies in (0, 1/4]: for
+    n >= 2 the explicit step is stable only up to cfl 1/4."""
 
     eps: float
     delta: float = 0.0
@@ -59,8 +60,8 @@ class FlowParams:
             problems.append(f"eps must be nonnegative, got {self.eps}")
         if self.delta < 0:
             problems.append(f"delta must be nonnegative, got {self.delta}")
-        if not 0.0 < self.cfl < 1.0:
-            problems.append(f"cfl must lie in (0, 1), got {self.cfl}")
+        if not 0.0 < self.cfl <= 0.25:
+            problems.append(f"cfl must lie in (0, 1/4], got {self.cfl}")
         if self.t_end <= 0:
             problems.append(f"t_end must be positive, got {self.t_end}")
         if problems:
@@ -95,7 +96,7 @@ class FlowState:
 
 
 def _operator_arrays(domain: GridDomain, values: np.ndarray):
-    """(Q, lap, W) at the interior nodes, in interior_index order."""
+    """(Q, lap, W) at the interior nodes, in interior_flat order."""
     n = domain.dim
     nbrs = values.take(domain.node_table)
     lowered, raised, gradsq = gradient_sweep(domain, nbrs)
@@ -109,14 +110,15 @@ def _operator_arrays(domain: GridDomain, values: np.ndarray):
     return lap - quu / w2, lap, np.sqrt(w2)
 
 
-def q_operator(u: GridField) -> GridField:
-    """Mean curvature operator Qu = g^{ij} D^2_ij u at interior nodes."""
-    q, _, _ = _operator_arrays(u.domain, u.values)
-    return GridField.from_interior(u.domain, q)
+def q_operator(u: GridField) -> np.ndarray:
+    """Mean curvature operator Qu = g^{ij} D^2_ij u at the interior nodes,
+    in interior_flat order."""
+    return _operator_arrays(u.domain, u.values)[0]
 
 
-def l_eps_apply(u: GridField, eps: float) -> GridField:
-    """Perturbed operator L^eps u = Qu + eps W Delta_M u at interior nodes.
+def l_eps_apply(u: GridField, eps: float) -> np.ndarray:
+    """Perturbed operator L^eps u = Qu + eps W Delta_M u at the interior
+    nodes, in interior_flat order.
 
     At eps = 0 this is bit-for-bit the unperturbed operator.
     """
@@ -125,7 +127,7 @@ def l_eps_apply(u: GridField, eps: float) -> GridField:
     if eps == 0.0:
         return q_operator(u)
     q, lap, w = _operator_arrays(u.domain, u.values)
-    return GridField.from_interior(u.domain, q + eps * w * lap)
+    return q + eps * w * lap
 
 
 def _ramp_profile(s):
@@ -157,8 +159,9 @@ def initial_state(u0: GridField, phi, params: FlowParams) -> FlowState:
     u.values[dom.dirichlet_index] = phi_vals
 
     residual = l_eps_apply(u, params.eps)
-    sup_l0 = float(np.max(np.abs(residual.values[dom.interior_index])))
-    ramp_base = residual.values[dom.inner_index]
+    sup_l0 = float(np.max(np.abs(residual)))
+    ramp_base = residual[np.searchsorted(dom.interior_flat,
+                                         np.ravel_multi_index(dom.inner_index, dom.shape))]
 
     used = u.values[dom.used]
     return FlowState(u=u, phi_dirichlet=phi_vals, ramp_base=ramp_base,
@@ -170,7 +173,7 @@ def stable_dt(domain: GridDomain, params: FlowParams, w: np.ndarray) -> float:
     """Parabolic step bound cfl min(1, 2/n) h_min^2 / max lambda_max (1 + eps W),
     lambda_max of sigma^{ij}; the explicit Laplacian is stable to h^2 / 2n.
 
-    w holds W at the interior nodes, in interior_index order.  On Euclidean
+    w holds W at the interior nodes, in interior_flat order.  On Euclidean
     charts lambda_max is 1, and the scalar 1 + eps max W equals max(1 + eps W)
     bit for bit, since rounding is monotone.
     """
@@ -220,8 +223,7 @@ def flow_step(state: FlowState, params: FlowParams) -> FlowState:
         ut = (new - old) / dt
         sup_ut = float(np.abs(ut).max())
         sup_u = max(sup_new, sup_bc)
-        diss_density = ut * ut / w * dom.interior_sqrt_det
-        diss_inc = float(diss_density.sum() * dom.cell_volume) * dt
+        diss_inc = interior_integral(dom, ut * ut / w) * dt
     state.dissipation_cum += diss_inc
 
     state.u = GridField.trusted(dom, new_vals)

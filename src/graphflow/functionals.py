@@ -71,11 +71,12 @@ def _cell_sum(domain: GridDomain, density: np.ndarray) -> float:
     return float((density * domain.cell_weights).sum() * domain.cell_volume)
 
 
-def w_factor(u: GridField) -> GridField:
-    """Area density W = sqrt(1 + |Du|^2_sigma) at interior nodes."""
+def w_factor(u: GridField) -> np.ndarray:
+    """Area density W = sqrt(1 + |Du|^2_sigma) at the interior nodes, in
+    interior_flat order."""
     dom = u.domain
     _, _, gradsq = gradient_sweep(dom, u.values.take(dom.node_table))
-    return GridField.from_interior(dom, np.sqrt(1.0 + gradsq))
+    return np.sqrt(1.0 + gradsq)
 
 
 def area(u: GridField) -> float:
@@ -138,9 +139,9 @@ def e_eps(u: GridField, eps: float, f=None) -> float:
 
 
 def interior_integral(domain: GridDomain, values: np.ndarray) -> float:
-    """Node-based integral over interior nodes with metric volume weights."""
-    return float(np.sum(values.take(domain.interior_flat) * domain.interior_sqrt_det)
-                 * float(np.prod(domain.h)))
+    """Node quadrature over the interior nodes of values given there, in
+    interior_flat order: sum of values sqrt(det sigma) h^n."""
+    return float((values * domain.interior_sqrt_det).sum() * domain.cell_volume)
 
 
 # -- discrete sets -----------------------------------------------------------

@@ -19,7 +19,7 @@ table of flat lattice indices (node_table): per interior node the node
 itself, its neighbours along +e_a and -e_a, and its four diagonal
 neighbours per axis pair.  One values.take(node_table) gathers every value
 a sweep reads, and the sweeps return one stacked array per quantity whose
-last axis runs over the interior nodes in interior_index order (sigma^{ij}
+last axis runs over the interior nodes in interior_flat order (sigma^{ij}
 and Gamma^k_ij are gathered the same way once per domain).  The cell
 stencils used for quadrature likewise read the 2^n corners of the complete
 cells through a corner table (cell_table), in cell_flat order.  Components
@@ -133,7 +133,8 @@ class GridDomain:
 
     @cached_property
     def interior_flat(self) -> np.ndarray:
-        """Flat lattice indices of the interior nodes, in interior_index order."""
+        """Flat lattice indices of the interior nodes, ascending as in
+        interior_index: the interior_flat order of every interior vector."""
         return np.flatnonzero(self.interior)
 
     @cached_property
@@ -174,7 +175,7 @@ class GridDomain:
 
     @cached_property
     def interior_sqrt_det(self) -> np.ndarray:
-        """sqrt(det sigma) at the interior nodes, in interior_index order."""
+        """sqrt(det sigma) at the interior nodes, in interior_flat order."""
         return self.sqrt_det.take(self.interior_flat)
 
     @cached_property
@@ -187,7 +188,7 @@ class GridDomain:
 
     @cached_property
     def interior_sig_inv(self) -> np.ndarray:
-        """sigma^{ij} at the interior nodes, (n, n, interior) in interior_index order."""
+        """sigma^{ij} at the interior nodes, (n, n, interior) in interior_flat order."""
         return np.ascontiguousarray(np.moveaxis(self.sig_inv[self.interior_index], 0, -1))
 
     @cached_property
@@ -206,7 +207,7 @@ class GridDomain:
     @cached_property
     def node_table(self) -> np.ndarray:
         """Flat lattice indices read by the node stencils, one column per
-        interior node in interior_index order.  The rows are the node, the
+        interior node in interior_flat order.  The rows are the node, the
         node moved along +e_a for each axis a, then along -e_a, then for
         the axis pairs a < b in combinations order the node moved along
         (+e_a, +e_b) for every pair, then (+, -), (-, +) and (-, -).
@@ -282,23 +283,18 @@ class GridDomain:
 
 @dataclass
 class GridField:
-    """Nodal scalar field on a GridDomain; exterior nodes hold NaN.
-
-    Fields marked interior_only (derived densities like W) are finite on
-    interior nodes; ordinary fields are finite on every non-exterior node.
-    """
+    """Nodal scalar field on a GridDomain: finite on every non-exterior
+    node; exterior nodes hold NaN."""
 
     domain: GridDomain
     values: np.ndarray
-    interior_only: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.domain.shape:
             raise GridError(f"field shape {self.values.shape} does not match "
                             f"lattice shape {self.domain.shape}")
-        used = self.domain.interior if self.interior_only else self.domain.used
-        if not np.all(np.isfinite(self.values[used])):
+        if not np.all(np.isfinite(self.values[self.domain.used])):
             raise GridError("field has non-finite values on non-exterior nodes")
 
     @classmethod
@@ -309,19 +305,11 @@ class GridField:
         return cls(domain, vals)
 
     @classmethod
-    def from_interior(cls, domain: GridDomain, values: np.ndarray) -> "GridField":
-        """Interior-only field holding values given at the interior nodes,
-        in interior_index order."""
-        vals = np.full(domain.shape, np.nan)
-        vals.put(domain.interior_flat, values)
-        return cls(domain, vals, interior_only=True)
-
-    @classmethod
     def trusted(cls, domain: GridDomain, values: np.ndarray) -> "GridField":
         """Field over a float lattice array the caller has already checked
         finite on every non-exterior node; skips that scan."""
         u = object.__new__(cls)
-        u.domain, u.values, u.interior_only = domain, values, False
+        u.domain, u.values = domain, values
         return u
 
     @classmethod
@@ -344,8 +332,6 @@ def as_field(domain: GridDomain, data) -> GridField:
     sampled at every non-exterior node.
     """
     if isinstance(data, GridField):
-        if data.interior_only:
-            raise GridError("data field is not defined on dirichlet nodes")
         return data
     if callable(data):
         return GridField.from_function(domain, data)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,14 @@ def test_crossings_match_closed_form_circle_roots(region, radii):
         node = tuple(int(ix[k]) for ix in outer)
         offset = tuple(int(ix[k] - jx[k]) for ix, jx in zip(outer, inner))
         assert np.array_equal(project_to_boundary(dom, node, offset), proj[k])
+
+
+@pytest.mark.xfail(strict=True, reason="a segment with both ends on the boundary yields "
+                   "only its lower end, so the (hi, ..., hi) corner of a box is never a row")
+def test_every_box_corner_is_a_crossing_row(square_16):
+    table = _crossing_table(square_16)[2]
+    for corner in product((0.0, 1.0), repeat=2):
+        assert np.all(table == corner, axis=1).any(), corner
 
 
 def test_segment_crossings_endpoints_and_one_sided_rows(square_16):

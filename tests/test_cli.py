@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import graphflow.flow
 from graphflow.cli import (RUN_ARTIFACTS, field_from_spec, main, parse_config)
 from graphflow.errors import ConfigError
 from graphflow.grid import EXTERIOR, GridField, build_domain, save_field_csv
@@ -275,14 +276,16 @@ def test_run_invalid_snapshot_cadence_exits_1(tmp_path):
 
 
 def test_run_invalid_cfl_exits_1(tmp_path, capsys):
-    cfg_path, out = write_config(tmp_path, flow={"eps": 0.1, "cfl": 1.5})
-    assert main(["run", str(cfg_path)]) == 1
-    fail = json.loads((out / "failure.json").read_text())
-    assert fail["error"] == "ConfigError"
-    assert fail["exit_code"] == 1
-    assert any("cfl" in p for p in fail["problems"])
-    assert "cfl" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    # 0.3 is past the explicit limit 1/4 for n >= 2
+    for cfl in (1.5, 0.3):
+        cfg_path, out = write_config(tmp_path, f"cfl_{cfl}.json", flow={"eps": 0.1, "cfl": cfl})
+        assert main(["run", str(cfg_path)]) == 1
+        fail = json.loads((out / "failure.json").read_text())
+        assert fail["error"] == "ConfigError"
+        assert fail["exit_code"] == 1
+        assert any("cfl" in p for p in fail["problems"])
+        assert "cfl" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 def test_run_unknown_top_level_key_exits_1(tmp_path):
@@ -340,12 +343,15 @@ def test_run_unknown_nested_key_exits_1(tmp_path, level, overrides):
     assert not (out / "manifest.json").exists()
 
 
-def test_run_divergence_records_step_and_node(tmp_path, capsys):
-    # cfl 0.99 is four times the explicit limit in two dimensions
+def test_run_divergence_records_step_and_node(tmp_path, capsys, monkeypatch):
+    # four times the default step is four times the explicit limit in two
+    # dimensions; no accepted cfl reaches it
+    bound = graphflow.flow.stable_dt
+    monkeypatch.setattr(graphflow.flow, "stable_dt", lambda *args: 4.0 * bound(*args))
     cfg_path, out = write_config(
         tmp_path, phi={"kind": "linear", "coeffs": [1.0, 0.5]},
         u0={"kind": "constant", "value": 0.0},
-        flow={"eps": 0.1, "cfl": 0.99, "t_end": 5.0}, schedule=[0.1])
+        flow={"eps": 0.1, "t_end": 5.0}, schedule=[0.1])
     assert main(["run", str(cfg_path)]) == 3
     assert "FlowDiverged" in capsys.readouterr().err
     fail = json.loads((out / "failure.json").read_text())

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from graphflow.continuation import run_to_quasi_steady
-from graphflow.errors import EstimateViolation, FlowDiverged, GraphflowError
+from graphflow.errors import ConfigError, EstimateViolation, FlowDiverged, GraphflowError
 from graphflow.flow import (FlowParams, compatibility_ramp, flow_step,
                             initial_state, l_eps_apply, q_operator, stable_dt,
                             write_diagnostics_csv, _ramp_profile)
 from graphflow.functionals import e_eps
 from graphflow.grid import GridField, build_domain
 from graphflow.manifold import builtin_chart
+
+
+def at_node(dom, interior_vector, node):
+    """The entry of an interior vector (interior_flat order) at a lattice node."""
+    return interior_vector[np.searchsorted(dom.interior_flat,
+                                           np.ravel_multi_index(node, dom.shape))]
 
 
 def euclid(h, box=None, n=2):
@@ -23,14 +29,14 @@ def test_q_operator_saddle_closed_form():
     dom = euclid(0.25, box=[[0, 2], [-1, 1]])
     u = GridField.from_function(dom, lambda x: x[0] ** 2 - x[1] ** 2)
     q = q_operator(u)
-    assert q.values[4, 4] == pytest.approx(-1.6, rel=1e-12)
+    assert at_node(dom, q, (4, 4)) == pytest.approx(-1.6, rel=1e-12)
 
 
 def test_q_operator_annihilates_affine():
     dom = euclid(0.125)
     u = GridField.from_function(dom, lambda x: 0.3 * x[0] - 0.7 * x[1] + 0.2)
     q = q_operator(u)
-    assert np.max(np.abs(q.values[dom.interior_index])) < 1e-12
+    assert np.max(np.abs(q)) < 1e-12
 
 
 def test_l_eps_parabola_closed_form():
@@ -38,7 +44,7 @@ def test_l_eps_parabola_closed_form():
     dom = euclid(0.25, box=[[-1, 1], [-1, 1]])
     u = GridField.from_function(dom, lambda x: x[0] ** 2)
     v = l_eps_apply(u, 0.1)
-    assert v.values[4, 4] == pytest.approx(2.2, rel=1e-12)
+    assert at_node(dom, v, (4, 4)) == pytest.approx(2.2, rel=1e-12)
 
 
 def test_l_eps_zero_matches_q_bitwise():
@@ -47,7 +53,7 @@ def test_l_eps_zero_matches_q_bitwise():
     u = GridField(dom, rng.standard_normal(dom.shape))
     a = l_eps_apply(u, 0.0)
     b = q_operator(u)
-    assert np.array_equal(a.values[dom.interior_index], b.values[dom.interior_index])
+    assert np.array_equal(a, b)
 
 
 def test_ramp_profile_shape():
@@ -81,6 +87,14 @@ def test_params_validation_collects_problems():
     msg = str(exc.value)
     for frag in ("eps", "delta", "cfl", "t_end"):
         assert frag in msg
+
+
+def test_cfl_is_bounded_by_the_explicit_limit():
+    # for n >= 2 the explicit step is stable only up to cfl 1/4
+    assert FlowParams(eps=0.1, cfl=0.25).cfl == 0.25
+    for cfl in (0.3, 0.0):
+        with pytest.raises(ConfigError, match="cfl"):
+            FlowParams(eps=0.1, cfl=cfl)
 
 
 def test_affine_data_is_a_bitwise_fixed_point():

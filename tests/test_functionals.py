@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from graphflow.errors import FunctionalError
 from graphflow.functionals import (DiscreteSet, area, area_directional_derivative,
-                                   e_eps, j_functional, mollified_set_tv,
+                                   e_eps, interior_integral, j_functional, mollified_set_tv,
                                    product_grid, set_perimeter, subgraph_perimeter,
                                    subgraph_set, total_variation,
                                    vertical_rearrangement, w_factor)
@@ -22,7 +24,25 @@ def test_w_factor_poincare_origin():
     dom = build_domain(chart, 0.125)
     u = GridField.from_function(dom, lambda x: x[0])
     w = w_factor(u)
-    assert w.values[4, 4] == pytest.approx(np.sqrt(5.0) / 2.0, rel=1e-13)
+    center = np.searchsorted(dom.interior_flat, np.ravel_multi_index((4, 4), dom.shape))
+    assert w[center] == pytest.approx(np.sqrt(5.0) / 2.0, rel=1e-13)
+
+
+def test_interior_integral_is_the_metric_node_sum():
+    chart = builtin_chart("poincare_disk", n=2, box=[[-0.5, 0.5], [-0.5, 0.5]])
+    # an off-center disc, so no lattice symmetry maps sqrt(det sigma) to itself
+    dom = build_domain(chart, 0.0625, region={"region": "disc", "center": [0.1, -0.05],
+                                             "radius": 0.35})
+    values = np.random.default_rng(3).normal(size=dom.interior_flat.size)
+    lattice = np.full(dom.shape, np.nan)
+    lattice[dom.interior] = values
+    # the boolean gather lists the interior nodes in interior_flat order
+    expected = float(np.sum(lattice[dom.interior] * dom.sqrt_det[dom.interior])
+                     * float(np.prod(dom.h)))
+    assert interior_integral(dom, values) == expected
+    nodes = zip(*dom.interior_index)
+    exact = math.fsum(v * dom.sqrt_det[node] for v, node in zip(values, nodes))
+    assert expected == pytest.approx(exact * 0.0625 ** 2, rel=1e-13)
 
 
 def test_area_flat_and_tilted_exact():

@@ -7,7 +7,7 @@ import sympy as sp
 
 from graphflow.errors import GridError
 from graphflow.flow import l_eps_apply, q_operator
-from graphflow.functionals import e_eps, product_grid, w_factor
+from graphflow.functionals import e_eps, product_grid
 from graphflow.grid import (DIRICHLET, EXTERIOR, INTERIOR, GridField, _region_sdf, build_domain,
                             cell_average, cell_gradient, gradient_sweep, hessian_sweep,
                             interpolate_to, load_field_csv, save_field_csv)
@@ -318,12 +318,10 @@ def test_operators_match_per_node_reference(name):
         q = lap - raised @ hess @ raised / (1.0 + g2)
         ref_q.append(q)
         ref_l.append(q + eps * np.sqrt(1.0 + g2) * lap)
-    ii = dom.interior_index
     for got, ref in ((q_operator(u), ref_q), (l_eps_apply(u, eps), ref_l)):
         ref = np.array(ref)
-        assert np.max(np.abs(got.values[ii] - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.all(np.isnan(got.values[~dom.interior]))
-    assert np.all(np.isnan(w_factor(u).values[~dom.interior]))
+        assert got.shape == ref.shape == (len(dom.interior_flat),)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def corner_loop_cell_gradient(domain, values):

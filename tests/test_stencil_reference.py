@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stencil_oracle as oracle
+from graphflow.continuation import time_sequence_uniqueness_check
 from graphflow.errors import FlowDiverged
 from graphflow.flow import FlowParams, _operator_arrays, flow_step, initial_state, stable_dt
 from graphflow.functionals import (_product_cell_tv, area, area_directional_derivative, e_eps,
@@ -66,10 +67,8 @@ def test_sweeps_and_operator_match_reference(name):
               _at_interior(dom, oracle.hessian_sweep(dom, vals, ref_lowered[0])))
         _same(_operator_arrays(dom, vals),
               [_at_interior(dom, r) for r in oracle.operator_arrays(dom, vals)])
-        w = w_factor(GridField(dom, vals)).values
-        assert np.array_equal(w.take(dom.interior_flat),
+        assert np.array_equal(w_factor(GridField(dom, vals)),
                               _at_interior(dom, np.sqrt(1.0 + ref_lowered[2])))
-        assert np.isnan(w[~dom.interior]).all()
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))
@@ -134,3 +133,41 @@ def test_divergence_guard_matches_reference(poison):
         caught.append((exc.value.step, exc.value.node, str(exc.value)))
     assert caught[0] == caught[1]
     assert caught[0][1] is not None
+
+
+def _block_l_eps(dom, values, eps):
+    """The oracle's L^eps and W on the inner block, combined as l_eps_apply
+    combines the package's interior vectors."""
+    q, lap, w = oracle.operator_arrays(dom, values)
+    return (q if eps == 0.0 else q + eps * w * lap), w
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("name", ["euclidean_1d", "euclidean_2d", "euclidean_3d",
+                                  "poincare_mixed", "sphere_polar", "custom_table"])
+def test_initial_state_matches_reference(name, eps):
+    dom = DOMAINS[name]()
+    u0, phi = _start(dom)
+    state = initial_state(u0, phi, FlowParams(eps=eps))
+    residual, _ = _block_l_eps(dom, state.u.values, eps)
+    assert state.sup_l0 == float(np.max(np.abs(residual.take(oracle.block_interior(dom)))))
+    # the inner block starts at lattice node (1, ..., 1)
+    assert np.array_equal(state.ramp_base, residual[tuple(i - 1 for i in dom.inner_index)])
+
+
+@pytest.mark.parametrize("name", ["euclidean_box", "poincare_mixed", "custom_table",
+                                  "warped_product"])
+def test_time_check_source_norms_match_reference(name):
+    dom = DOMAINS[name]()
+    u0, phi = _start(dom)
+    params = FlowParams(eps=0.1, t_end=10.0)
+    times = [40 * dom.h_min_sq, 80 * dom.h_min_sq]
+    got = time_sequence_uniqueness_check(params, phi, u0, times[:1], times[1:])
+    state, ref, block = initial_state(u0, phi, params), [], oracle.block_interior(dom)
+    for t in times:
+        while state.t < t:
+            oracle.flow_step(state, params)
+        residual, w = _block_l_eps(dom, state.u.values, params.eps)
+        density = (residual.take(block) / w.take(block)) ** 2
+        ref.append(float(np.sum(density * dom.sqrt_det[dom.interior]) * float(np.prod(dom.h))))
+    assert got.source_norms == ref
