@@ -13,9 +13,8 @@ continuation (quasi-steady runs, eps limits, attainment), cli (batch runner).
 """
 
 from .barrier import (BarrierSearchResult, BarrierSpec, SolvabilityReport,
-                      boundary_crossings, boundary_lipschitz,
-                      check_dirichlet_solvability, fit_boundary_graph,
-                      project_to_boundary, q_on_barrier, search_alpha)
+                      boundary_lipschitz, check_dirichlet_solvability,
+                      fit_boundary_graph, q_on_barrier, search_alpha)
 from .continuation import (AttainmentPoint, AttainmentReport,
                            ContinuationReport, EpsLeg, TimeUniquenessResult,
                            boundary_attainment_report, eps_continuation,
@@ -49,13 +48,13 @@ __all__ = [
     "GraphflowError", "GridDomain", "GridError", "GridField", "INTERIOR",
     "MetricChart", "SolvabilityReport", "TimeUniquenessResult", "area",
     "area_directional_derivative", "boundary_attainment_report",
-    "boundary_crossings", "boundary_lipschitz", "build_domain",
+    "boundary_lipschitz", "build_domain",
     "builtin_chart", "chart_from_spec", "check_dirichlet_solvability",
     "compatibility_ramp", "e_eps",
     "eps_continuation", "fit_boundary_graph", "flow_step", "initial_state",
     "interior_integral", "interpolate_to", "j_functional", "l_eps_apply",
     "load_field_csv", "load_metric_table",
-    "mollified_set_tv", "probe_mask", "product_grid", "project_to_boundary",
+    "mollified_set_tv", "probe_mask", "product_grid",
     "q_on_barrier", "q_operator",
     "run_to_quasi_steady", "save_field_csv", "search_alpha", "set_perimeter",
     "stable_dt", "subgraph_perimeter", "subgraph_set",

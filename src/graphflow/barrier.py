@@ -25,7 +25,8 @@ Admissibility is checked in the sharper form K < 1/sqrt((n-1) gamma) with
 gamma > 1, matching the oscillation hypothesis under which the certificate
 is applied.
 
-Certification handles all P boundary points at once, as arrays:
+fit_boundary_graph and search_alpha take all P boundary points at once, as
+a (P, n) array, and return one result per point:
 
 - gather: each point's fit samples are the rows of the domain's crossing
   table whose segments lie in its sup-norm window, one row per boundary
@@ -39,9 +40,6 @@ Certification handles all P boundary points at once, as arrays:
   point, and a point keeps the first rung that passes;
 - blocks: each batch is evaluated in blocks of at most BLOCK array
   entries, so memory does not grow with the number of points.
-
-The one-point functions boundary_crossings, fit_boundary_graph,
-q_on_barrier and search_alpha are one-row calls of the batched routines.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from .errors import BarrierError
-from .grid import DIRICHLET, GridDomain, _region_sdf, as_field
+from .grid import GridDomain, _region_sdf, as_field
 from .manifold import christoffel_at, metric_at
 
 MIN_BARRIER_V = 1e-12
@@ -87,10 +85,6 @@ class BarrierSpec:
     trace_term: float
     limit_margin: float
     chart: object
-
-    @property
-    def dim(self) -> int:
-        return self.x0.shape[0]
 
 
 @dataclass(frozen=True)
@@ -162,7 +156,10 @@ def segment_crossings(domain: GridDomain, a: np.ndarray, b: np.ndarray,
 def _crossing_table(domain: GridDomain):
     """(lo, hi, points) of the axis-aligned lattice segments meeting the region
     edge: flat indices of the end nodes and the crossing, ordered by axis, then
-    by lower node in C order.  Built once per domain."""
+    by lower node in C order.  A segment lying along the edge crosses at its
+    lower end, so its upper end (a box's (hi, ..., hi) corner is no segment's
+    lower end) is appended as a row after the crossings.  Built once per
+    domain."""
     if domain in _CROSSING_TABLES:
         return _CROSSING_TABLES[domain]
     flat = np.arange(domain.sdf.size).reshape(domain.shape)
@@ -172,21 +169,11 @@ def _crossing_table(domain: GridDomain):
     pts, F = domain.points.reshape(-1, domain.dim), domain.sdf.reshape(-1)
     cross = segment_crossings(domain, pts[lo], pts[hi], F[lo], F[hi])
     hit = ~np.isnan(cross[:, 0])
-    _CROSSING_TABLES[domain] = lo[hit], hi[hit], cross[hit]
+    edge = (F[lo] == 0) & (F[hi] == 0)
+    _CROSSING_TABLES[domain] = (np.concatenate([lo[hit], lo[edge]]),
+                                np.concatenate([hi[hit], hi[edge]]),
+                                np.concatenate([cross[hit], pts[hi[edge]]]))
     return _CROSSING_TABLES[domain]
-
-
-def project_to_boundary(domain: GridDomain, idx: tuple,
-                        offset: tuple) -> np.ndarray:
-    """Boundary point on the segment from idx's inner neighbor to idx."""
-    if domain.mask[idx] != DIRICHLET:
-        raise BarrierError(f"node {idx} is not a dirichlet node")
-    inner = tuple(i - o for i, o in zip(idx, offset))
-    cross = segment_crossings(domain, domain.points[inner][None], domain.points[idx][None],
-                              domain.sdf[inner][None], domain.sdf[idx][None])[0]
-    if np.isnan(cross[0]):
-        raise BarrierError(f"no boundary crossing between {inner} and {idx}")
-    return cross
 
 
 def _blocks(count: int, width: int) -> list:
@@ -218,15 +205,6 @@ def _window_rows(domain: GridDomain, x0s: np.ndarray, window: float) -> np.ndarr
     return keep
 
 
-def boundary_crossings(domain: GridDomain, x0: np.ndarray,
-                       window: float) -> np.ndarray:
-    """Boundary points where lattice segments near x0 cross the region edge:
-    the crossing-table rows whose segment endpoints both lie within the
-    sup-norm window of x0, one per boundary point, in table order."""
-    x0 = np.asarray(x0, dtype=float)
-    return _crossing_table(domain)[2][_window_rows(domain, x0[None], window)[0]]
-
-
 def _lstsq(A: np.ndarray, b: np.ndarray):
     """Stacked least squares A x = b by SVD, with the rank cut-off of
     numpy.linalg.lstsq's default: s > eps max(M, N) s_max."""
@@ -237,13 +215,16 @@ def _lstsq(A: np.ndarray, b: np.ndarray):
     return coef, np.sum(keep, axis=1)
 
 
-def _fit_points(domain: GridDomain, x0s: np.ndarray):
-    """Boundary fit at every point of x0s (P, n) on its nearest 4n window
-    samples; points with equal sample counts are fitted together.
+def fit_boundary_graph(domain: GridDomain, x0s: np.ndarray):
+    """Frame and quadratic graph of the boundary at every point of x0s (P, n).
 
-    Returns frames (P, n, n), Hessians (P, n-1, n-1), spectral norms L (P,),
-    the margin's trace terms tr w'' + sum_a Gamma^n_aa (P,) and one reason
-    per point, None where the fit holds.
+    Each point's frame columns are sigma(x0)-orthonormal with the inner
+    normal last; its w_fit is the Hessian of y_n = w(y') fitted with zero
+    constant and linear part over the nearest 4n window samples, and L is
+    its spectral norm.  Points with equal sample counts are fitted together.
+    Returns frames (P, n, n), Hessians (P, n-1, n-1), L (P,), the margin's
+    trace terms tr w'' + sum_a Gamma^n_aa (P,) and one reason per point,
+    None where the fit holds.
     """
     n, P, cross = domain.dim, len(x0s), _crossing_table(domain)[2]
     if n < 2:
@@ -271,7 +252,7 @@ def _fit_points(domain: GridDomain, x0s: np.ndarray):
 
 
 def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
-    """_fit_points for G points with m samples each, samples (G, m, n)."""
+    """fit_boundary_graph for G points with m samples each, samples (G, m, n)."""
     chart, n, G = domain.chart, domain.dim, len(x0s)
     why = [None] * G
 
@@ -363,18 +344,6 @@ def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
     return frame, H, L, trace, why
 
 
-def fit_boundary_graph(domain: GridDomain, x0) -> tuple[np.ndarray, np.ndarray, float]:
-    """Frame and quadratic graph of the boundary at x0: (frame, w_fit, L).
-
-    frame columns are sigma(x0)-orthonormal with the inner normal last; w_fit
-    is the Hessian of y_n = w(y') fitted with zero constant and linear part
-    over the nearest 4n boundary samples; L is its spectral norm."""
-    frames, H, L, _, reasons = _fit_points(domain, np.asarray(x0, dtype=float)[None])
-    if reasons[0] is not None:
-        raise BarrierError(reasons[0])
-    return frames[0], H[0], float(L[0])
-
-
 def _qv(y, K, alpha, w_fit, frame, Einv, inv, gam):
     """Qv, psi and v at frame coordinates y (rows, n); w_fit, frame, its
     inverse Einv, the chart's inverse metric inv and Christoffels gam carry
@@ -439,9 +408,15 @@ def _near_nodes(domain: GridDomain, x0s: np.ndarray, open_: np.ndarray,
     return tuple(np.concatenate(col) for col in zip(*found))
 
 
-def _search_points(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float,
-                   L: float | None = None) -> list:
-    """search_alpha at every point of x0s (P, n) at once."""
+def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) -> list:
+    """Largest-radius, then largest-alpha certificate search at every point
+    of x0s (P, n); one BarrierSearchResult per point.
+
+    Radii descend geometrically from the fit window, alpha descends from 1
+    by halving down to ALPHA_FLOOR; a pair is accepted when Qv stays below
+    QV_MARGIN at every interior lattice node of the neighborhood and the
+    point-limit margin is positive.  Everything is deterministic.
+    """
     chart, n, P = domain.chart, domain.chart.dim, len(x0s)
     for bad, what in ((K <= 0, f"K must be positive, got {K}"),
                       (gamma <= 1, f"gamma must exceed 1, got {gamma}"),
@@ -460,15 +435,11 @@ def _search_points(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float,
             out[p] = BarrierSearchResult(x0=x0s[p], admissible=True,
                                          certified=False, reason=reason)
 
-    frames, H, L_fit, trace, reasons = _fit_points(domain, x0s)
+    frames, H, L, trace, reasons = fit_boundary_graph(domain, x0s)
     stop({p: r for p, r in enumerate(reasons) if r is not None})
     r_max = FIT_WINDOW_CELLS * float(np.max(domain.h))
-    owner, node, dist = _near_nodes(domain, x0s, np.array([r is None for r in out]), r_max)
-    if L is not None:
-        bent = np.flatnonzero((np.bincount(owner, minlength=P) > 0) & (L < L_fit - 1e-9))
-        stop({p: f"boundary curvature {L_fit[p]:.6g} exceeds the assumed bound {L}"
-              for p in bent})
     open_ = np.array([r is None for r in out])
+    owner, node, dist = _near_nodes(domain, x0s, open_, r_max)
     last = ["no admissible (radius, alpha) pair found"] * P
     Einv = np.linalg.inv(frames)
     ipts = domain.points[domain.interior]
@@ -503,7 +474,7 @@ def _search_points(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float,
             for p, q in zip(owner[rows[starts[won]]], worst[won]):
                 spec = BarrierSpec(
                     x0=x0s[p], K=float(K), gamma=float(gamma), alpha=float(alpha),
-                    L=float(L_fit[p] if L is None else L), radius=float(radius),
+                    L=float(L[p]), radius=float(radius),
                     w_fit=H[p], frame=frames[p], trace_term=float(trace[p]),
                     limit_margin=float(margin[p]), chart=chart)
                 out[p] = BarrierSearchResult(
@@ -512,18 +483,6 @@ def _search_points(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float,
                 open_[p] = False
     stop({p: last[p] for p in np.flatnonzero(open_)})
     return out
-
-
-def search_alpha(domain: GridDomain, x0, K: float, gamma: float,
-                 L: float | None = None) -> BarrierSearchResult:
-    """Largest-radius, then largest-alpha certificate search at x0.
-
-    Radii descend geometrically from the fit window, alpha descends from 1
-    by halving down to ALPHA_FLOOR; a pair is accepted when Qv stays below
-    QV_MARGIN at every interior lattice node of the neighborhood and the
-    point-limit margin is positive.  Everything is deterministic.
-    """
-    return _search_points(domain, np.asarray(x0, dtype=float)[None], K, gamma, L)[0]
 
 
 @dataclass(frozen=True)
@@ -595,7 +554,7 @@ def check_dirichlet_solvability(phi, domain: GridDomain, K: float,
                          return_index=True)
     hit = hit[np.sort(first)]
     try:
-        found = _search_points(domain, crossings[hit], K, gamma) if hit.size else []
+        found = search_alpha(domain, crossings[hit], K, gamma) if hit.size else []
     except BarrierError as err:
         found = [BarrierSearchResult(x0=x0, admissible=True, certified=False,
                                      reason=str(err)) for x0 in crossings[hit]]

@@ -393,13 +393,9 @@ def _build_problem(cfg: ExperimentConfig):
     return domain, phi, u0
 
 
-def run_experiment(config_path: str, out_override: str | None = None) -> int:
-    """Full pipeline for one config; returns the process exit code."""
-    return _run(config_path, out_override, barrier_only=False)
-
-
 def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
-    """run_experiment, or with barrier_only the solvability certification alone."""
+    """Full pipeline for one config, or with barrier_only the solvability
+    certification alone; returns the process exit code."""
     out = None
     try:
         raw, base_dir = _read_raw(config_path)
@@ -524,7 +520,7 @@ def _selftest_battery(seed: int) -> dict:
     # flat-boundary barrier certificate
     dom16 = build_domain(chart, 1.0 / 16,
                          region={"region": "box", "bounds": [[0, 1], [0, 1]]})
-    res = search_alpha(dom16, np.array([0.5, 0.0]), K=0.3, gamma=1.1)
+    res = search_alpha(dom16, np.array([[0.5, 0.0]]), K=0.3, gamma=1.1)[0]
     results["flat_barrier"] = {"certified": res.certified,
                                "margin": res.limit_margin,
                                "alpha": res.spec.alpha if res.spec else None}
@@ -608,7 +604,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run_experiment(args.config, args.out)
+        return _run(args.config, args.out, barrier_only=False)
     if args.command == "report":
         return emit_report(args.rundir)
     if args.command == "barrier":

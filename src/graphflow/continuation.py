@@ -278,12 +278,6 @@ class TimeUniquenessResult:
     times_b: list
     source_norms: list
 
-    def json_dict(self) -> dict:
-        return {"gap": float(self.gap),
-                "times_a": [float(t) for t in self.times_a],
-                "times_b": [float(t) for t in self.times_b],
-                "source_norms": [float(s) for s in self.source_norms]}
-
 
 def _source_norm(u: GridField, eps: float) -> float:
     """integral of (L^eps u / W)^2 dV, the stationarity defect density."""

@@ -2,7 +2,7 @@
 
 Integrals over the domain use midpoint quadrature on complete lattice
 cells: the integrand is assembled at each cell center from the 2^n corner
-values (compact gradient, corner averages), weighted by sqrt(det sigma) at
+values (compact gradient), weighted by sqrt(det sigma) at
 the center and the cell volume h^n.  This keeps the stated closed-form
 values of flat test fields exact and never reads exterior data.  One take
 of the domain's corner table gathers the corners, so the integrand is
@@ -13,7 +13,7 @@ The area of the graph of u over Omega is
     A(u) = integral_Omega sqrt(1 + |Du|^2_sigma) dV,
 
 the penalized functional adds the boundary mismatch integral_dOmega |u - phi|,
-and the epsilon energy adds (eps/2) |Du|^2 (plus an optional linear source).
+and the epsilon energy adds (eps/2) |Du|^2.
 
 Set functionals live on node indicators: a face-counting perimeter
 weighted by the metric facet measure, subgraph perimeters evaluated as the
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FunctionalError
-from .grid import (GridDomain, GridField, as_field, cell_average, cell_gradient,
-                   contract, gradient_sweep, matvec)
+from .grid import (GridDomain, GridField, as_field, cell_gradient, contract,
+                   gradient_sweep, matvec)
 
 # vertical mollification band of the subgraph indicator, in t-cells
 MOLLIFY_BAND_CELLS = 3
@@ -37,16 +37,10 @@ MOLLIFY_BAND_CELLS = 3
 
 @dataclass(frozen=True)
 class FunctionalReport:
-    """One evaluated functional, ready for the JSON report stream."""
+    """One evaluated functional and its boundary part."""
 
-    name: str
     value: float
-    quadrature_h: float
     boundary_term: float | None = None
-
-    def json_dict(self) -> dict:
-        return {"name": self.name, "value": self.value,
-                "boundary_term": self.boundary_term, "h": self.quadrature_h}
 
 
 def _cell_sig(domain: GridDomain):
@@ -114,8 +108,7 @@ def j_functional(u: GridField, phi) -> FunctionalReport:
     uvals = u.values[dom.dirichlet_index]
     facets = dom.sqrt_det[dom.dirichlet_index] * _facet_measure(dom)
     boundary = float(np.sum(np.abs(uvals - bvals) * facets))
-    return FunctionalReport("j_functional", a + boundary,
-                            float(np.min(dom.h)), boundary_term=boundary)
+    return FunctionalReport(a + boundary, boundary_term=boundary)
 
 
 def total_variation(u: GridField) -> float:
@@ -125,17 +118,13 @@ def total_variation(u: GridField) -> float:
     return _cell_sum(dom, np.sqrt(gradsq))
 
 
-def e_eps(u: GridField, eps: float, f=None) -> float:
-    """Perturbed energy E^eps(u) = integral W + (eps/2) |Du|^2 + f u."""
+def e_eps(u: GridField, eps: float) -> float:
+    """Perturbed energy E^eps(u) = integral W + (eps/2) |Du|^2."""
     if eps < 0:
         raise FunctionalError(f"epsilon must be nonnegative, got {eps}")
     dom = u.domain
     gradsq, w = _cell_w(dom, u.values)
-    integrand = w + 0.5 * eps * gradsq
-    if f is not None:
-        source = as_field(dom, f).values * u.values
-        integrand = integrand + cell_average(dom, source.take(dom.cell_table))
-    return _cell_sum(dom, integrand)
+    return _cell_sum(dom, w + 0.5 * eps * gradsq)
 
 
 def interior_integral(domain: GridDomain, values: np.ndarray) -> float:
@@ -167,6 +156,14 @@ class ProductGrid:
     def h(self) -> np.ndarray:
         return np.concatenate([self.base.h, [self.h_t]])
 
+    @property
+    def used(self) -> np.ndarray:
+        return np.broadcast_to(self.base.used[..., None], self.shape)
+
+    @property
+    def sqrt_det(self) -> np.ndarray:
+        return np.broadcast_to(self.base.sqrt_det[..., None], self.shape)
+
 
 def product_grid(base: GridDomain, T: float, h_t: float) -> ProductGrid:
     """Vertical lattice with layers at -T + k h_t covering [-T, T]."""
@@ -192,22 +189,9 @@ class DiscreteSet:
         if self.indicator.shape != shape:
             raise FunctionalError(f"indicator shape {self.indicator.shape} does not "
                                   f"match lattice shape {shape}")
-        used = _used_mask(self.domain)
-        vals = self.indicator[used]
+        vals = self.indicator[self.domain.used]
         if not np.all((vals == 0) | (vals == 1)):
             raise FunctionalError("indicator must be 0/1 at every non-exterior node")
-
-
-def _used_mask(domain) -> np.ndarray:
-    if isinstance(domain, ProductGrid):
-        return np.broadcast_to(domain.base.used[..., None], domain.shape)
-    return domain.used
-
-
-def _node_sqrt_det(domain) -> np.ndarray:
-    if isinstance(domain, ProductGrid):
-        return np.broadcast_to(domain.base.sqrt_det[..., None], domain.shape)
-    return domain.sqrt_det
 
 
 def set_perimeter(E: DiscreteSet, window=None) -> float:
@@ -229,9 +213,8 @@ def set_perimeter(E: DiscreteSet, window=None) -> float:
         if lo < 0 or hi > s - 1 or lo >= hi:
             raise FunctionalError(f"window {window} exceeds the lattice {shape}")
 
-    used = _used_mask(dom)
-    sdet = _node_sqrt_det(dom)
-    chi = np.where(used, E.indicator.astype(float), np.nan)
+    sdet = dom.sqrt_det
+    chi = np.where(dom.used, E.indicator.astype(float), np.nan)
     total = 0.0
     vol = float(np.prod(spacings))
     for a in range(ndim):
@@ -268,7 +251,7 @@ def subgraph_set(u: GridField, T: float | None = None, h_t: float | None = None)
         h_t = float(np.min(dom.h))
     pg = product_grid(dom, T, h_t)
     chi = (pg.t_axis[None] < u.values.reshape(-1, 1)).reshape(pg.shape).astype(np.int8)
-    chi = np.where(_used_mask(pg), chi, 0)
+    chi = np.where(pg.used, chi, 0)
     return DiscreteSet(pg, chi)
 
 
@@ -335,7 +318,7 @@ def subgraph_perimeter(u: GridField, T: float | None = None,
     pg = product_grid(dom, T, h_t)
     prof = (u.values.reshape(-1, 1) - pg.t_axis[None]) / band + 0.5
     prof = np.clip(prof, 0.0, 1.0).reshape(pg.shape)
-    prof = np.where(_used_mask(pg), prof, 0.0)
+    prof = np.where(pg.used, prof, 0.0)
     return _product_cell_tv(pg, prof)
 
 

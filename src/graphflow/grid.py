@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations, product
-from operator import add
 
 import numpy as np
 
@@ -433,11 +432,6 @@ def hessian_sweep(domain: GridDomain, nbrs: np.ndarray, lowered=None) -> np.ndar
 
 
 # -- cell-centered quadrature stencils --------------------------------------
-
-
-def cell_average(domain, corners) -> np.ndarray:
-    """Mean of the 2^n corner values per cell; corners as for cell_gradient."""
-    return reduce(add, corners) / 2 ** domain.dim
 
 
 def cell_gradient(domain, corners) -> np.ndarray:

@@ -78,13 +78,13 @@ class MetricChart:
             return self.christoffel_fn(x)
         return fd_christoffel_at(self, x, self.christoffel_h)
 
-    def contains(self, x, margin: float = 0.0) -> np.ndarray:
-        """Componentwise box membership with an optional inner margin."""
+    def contains(self, x) -> np.ndarray:
+        """Componentwise box membership."""
         x = np.asarray(x, dtype=float)
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
         tol = 1e-12 * np.maximum(hi - lo, 1.0)
-        ok = (x >= lo + margin - tol) & (x <= hi - margin + tol)
+        ok = (x >= lo - tol) & (x <= hi + tol)
         return np.all(ok, axis=-1)
 
 
@@ -115,12 +115,13 @@ def metric_at(chart: MetricChart, x):
 def christoffel_at(chart: MetricChart, x) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij at x, indexed [k, i, j].
 
-    Differenced charts need x at least two differencing steps inside the box.
+    Raises ChartError if x leaves the chart box.  A differenced chart reads
+    its metric a differencing step past the box edge there, which a
+    custom_table metric extrapolates linearly.
     """
     x = _check_point_shape(chart, x)
-    margin = 0.0 if chart.christoffel_fn is not None else 2.0 * chart.christoffel_h
-    if not np.all(chart.contains(x, margin=margin)):
-        raise ChartError(f"point {x} too close to the chart box edge for Christoffel stencil")
+    if not np.all(chart.contains(x)):
+        raise ChartError(f"point {x} outside chart box {chart.box}")
     return chart.christoffel(x)
 
 

@@ -155,7 +155,7 @@ def _frame_coords(spec: BarrierSpec, x: np.ndarray) -> np.ndarray:
 
 def _psi_terms(spec: BarrierSpec, y: np.ndarray):
     """psi, its gradient, and its Hessian in frame coordinates."""
-    n = spec.dim
+    n = len(spec.x0)
     K2 = spec.K ** 2
     yp = y[..., :n - 1]
     yn = y[..., n - 1]

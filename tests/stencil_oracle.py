@@ -23,7 +23,7 @@ import numpy as np
 
 from graphflow.errors import FlowDiverged, FunctionalError
 from graphflow.flow import DiagnosticSample, _check_estimates, compatibility_ramp
-from graphflow.grid import GridField, as_field
+from graphflow.grid import GridField
 
 INNER = slice(1, -1)  # the inner block of an axis: every node off the lattice rim
 
@@ -125,15 +125,6 @@ def operator_arrays(domain, values):
     return lap - quu / w2, lap, np.sqrt(w2)
 
 
-def cell_average(domain, values):
-    n = domain.dim
-    out = np.zeros(tuple(s - 1 for s in domain.shape))
-    for corner in product((0, 1), repeat=n):
-        sl = tuple(slice(c, s - 1 + c) for c, s in zip(corner, domain.shape))
-        out += values[sl]
-    return out / 2 ** n
-
-
 def cell_gradient(domain, values):
     n = domain.dim
     corners = [(corner, values[tuple(slice(c, s - 1 + c)
@@ -152,7 +143,7 @@ def cell_gradient(domain, values):
     return grad
 
 
-def e_eps(u, eps, f=None):
+def e_eps(u, eps):
     if eps < 0:
         raise FunctionalError(f"epsilon must be nonnegative, got {eps}")
     dom = u.domain
@@ -161,8 +152,6 @@ def e_eps(u, eps, f=None):
     gradsq = contract(grad, matvec(sig, grad))
     w = np.sqrt(1.0 + gradsq)
     integrand = w + 0.5 * eps * gradsq
-    if f is not None:
-        integrand = integrand + cell_average(dom, as_field(dom, f).values * u.values)
     cells = dom.cell_complete
     return float(np.sum(integrand[cells] * dom.cell_sqrt_det[cells]) * dom.cell_volume)
 

@@ -17,8 +17,7 @@ from graphflow import (DiscreteSet, FlowParams, GridField, area, build_domain,
                        interior_integral, interpolate_to, j_functional,
                        probe_mask, q_on_barrier, q_operator,
                        run_to_quasi_steady, search_alpha, set_perimeter,
-                       subgraph_perimeter, subgraph_set,
-                       time_sequence_uniqueness_check, vertical_rearrangement)
+                       subgraph_perimeter, subgraph_set, vertical_rearrangement)
 from graphflow.cli import main as cli_main
 from graphflow.grid import EXTERIOR
 
@@ -311,11 +310,11 @@ def test_criterion_08_subgraph_perimeter(acceptance_log):
 def test_criterion_09_barrier_certification(acceptance_log):
     dom = unit_square(1.0 / 16)
     x0 = np.array([0.5, 0.0])
-    res = search_alpha(dom, x0, K=0.3, gamma=1.1)
+    res = search_alpha(dom, x0[None], K=0.3, gamma=1.1)[0]
     margin_ok = (res.certified
                  and abs(res.spec.limit_margin - 0.91) <= 1e-6)
 
-    res_k1 = search_alpha(dom, x0, K=1.0, gamma=1.1)
+    res_k1 = search_alpha(dom, x0[None], K=1.0, gamma=1.1)[0]
     inadmissible_ok = (not res_k1.admissible) and (not res_k1.certified)
 
     ipts = dom.points[dom.interior]
@@ -376,13 +375,8 @@ def test_criterion_10_supersolution_comparison(acceptance_log):
 # 11 --------------------------------------------------------------------------
 
 
-def test_criterion_11_time_sequence_uniqueness(acceptance_log):
-    dom32 = unit_square(1.0 / 32)
-    u0 = GridField.from_function(
-        dom32, lambda x: 0.3 * np.sin(np.pi * x[0]) * np.sin(np.pi * x[1]))
-    res = time_sequence_uniqueness_check(
-        FlowParams(eps=0.05, t_end=20.0), lambda x: 0.0, u0,
-        [5.0, 10.0, 15.0], [7.0, 12.0, 17.0])
+def test_criterion_11_time_sequence_uniqueness(acceptance_log, sine_bump_time_check):
+    res = sine_bump_time_check
     seq_ok = res.gap <= 1e-6
 
     dom16 = unit_square(1.0 / 16)

@@ -6,9 +6,8 @@ import pytest
 import barrier_oracle as oracle
 import graphflow.barrier as barrier_mod
 from barrier_oracle import make_barrier_spec, psi_eval, q_on_barrier_fd
-from graphflow.barrier import (FIT_WINDOW_CELLS, _crossing_table, _sdf,
-                               boundary_crossings, check_dirichlet_solvability,
-                               fit_boundary_graph, project_to_boundary,
+from graphflow.barrier import (FIT_WINDOW_CELLS, _crossing_table, _sdf, _window_rows,
+                               check_dirichlet_solvability, fit_boundary_graph,
                                q_on_barrier, search_alpha, segment_crossings)
 from graphflow.continuation import boundary_attainment_report
 from graphflow.errors import BarrierError
@@ -24,6 +23,27 @@ def disc_domain(h, radius=0.4):
                                            "radius": radius})
 
 
+def fit_one(domain, x0):
+    """(frame, w_fit, L) of the batched fit at one point; its failure raised."""
+    frames, H, L, _, reasons = fit_boundary_graph(domain, np.asarray(x0, dtype=float)[None])
+    if reasons[0] is not None:
+        raise BarrierError(reasons[0])
+    return frames[0], H[0], float(L[0])
+
+
+def crossings_near(domain, x0, window):
+    """Crossing-table rows in the sup-norm window of x0, one per boundary point."""
+    return _crossing_table(domain)[2][_window_rows(domain, x0[None], window)[0]]
+
+
+def projections(domain):
+    """Boundary point between each dirichlet node and its inner neighbour,
+    in dirichlet_index order."""
+    inner, outer = domain.inner_index, domain.dirichlet_index
+    return segment_crossings(domain, domain.points[inner], domain.points[outer],
+                             domain.sdf[inner], domain.sdf[outer])
+
+
 @pytest.fixture(scope="module")
 def square_16():
     return build_domain(EUCLID, 1.0 / 16)
@@ -36,7 +56,7 @@ def flat_spec(square_16):
 
 
 def test_flat_boundary_fit_exact(square_16):
-    frame, H, L = fit_boundary_graph(square_16, np.array([0.5, 0.0]))
+    frame, H, L = fit_one(square_16, np.array([0.5, 0.0]))
     assert abs(H[0, 0]) < 1e-12
     assert L < 1e-12
     assert np.allclose(frame[:, 1], [0.0, 1.0], atol=1e-12)  # inner normal up
@@ -47,7 +67,7 @@ def test_circle_curvature_recovered():
     errs = []
     for h in (1.0 / 32, 1.0 / 64):
         dom = disc_domain(h)
-        _, _, L = fit_boundary_graph(dom, np.array([0.9, 0.5]))
+        _, _, L = fit_one(dom, np.array([0.9, 0.5]))
         errs.append(abs(L - 2.5))
     assert errs[0] < 0.1
     assert errs[1] < errs[0]
@@ -55,17 +75,18 @@ def test_circle_curvature_recovered():
 
 def test_corner_fit_is_degenerate(square_16):
     with pytest.raises(BarrierError):
-        fit_boundary_graph(square_16, np.array([0.0, 0.0]))
+        fit_one(square_16, np.array([0.0, 0.0]))
 
 
 def test_boundary_crossings_on_flat_face(square_16):
-    pts = boundary_crossings(square_16, np.array([0.5, 0.0]), 0.2)
+    pts = crossings_near(square_16, np.array([0.5, 0.0]), 0.2)
     assert pts.shape[0] >= 4
     assert np.max(np.abs(pts[:, 1])) < 1e-12
 
 
 def scan_crossings(domain, x0, window):
-    """Reference: root-find every lattice segment inside the window of x0."""
+    """Reference: root-find every lattice segment inside the window of x0;
+    a segment along the boundary adds its upper end after all crossings."""
     pts = domain.points
     F = _sdf(domain, pts.reshape(-1, domain.dim)).reshape(domain.shape)
     near = np.all(np.abs(pts - x0) <= window + 1e-12, axis=-1)
@@ -83,19 +104,10 @@ def scan_crossings(domain, x0, window):
         return np.empty((0, domain.dim))
     p, q = (tuple(np.array(axis) for axis in zip(*side)) for side in zip(*ends))
     arr = segment_crossings(domain, pts[p], pts[q], F[p], F[q])
-    arr = arr[~np.isnan(arr[:, 0])]
+    arr = np.concatenate([arr[~np.isnan(arr[:, 0])], pts[q][(F[p] == 0) & (F[q] == 0)]])
     _, keep = np.unique(np.round(arr / 1e-12).astype(np.int64), axis=0,
                         return_index=True)
     return arr[np.sort(keep)]
-
-
-def boundary_nodes(domain):
-    """(dirichlet node, offset from its inner neighbour) pairs, in
-    dirichlet_index order."""
-    outer = list(zip(*domain.dirichlet_index))
-    inner = list(zip(*domain.inner_index))
-    return [(idx, tuple(int(i - j) for i, j in zip(idx, nb)))
-            for idx, nb in zip(outer, inner)]
 
 
 CROSSING_DOMAINS = {
@@ -119,16 +131,15 @@ CROSSING_DOMAINS = {
 @pytest.mark.parametrize("name", sorted(CROSSING_DOMAINS))
 def test_boundary_crossings_match_per_point_scan(name):
     dom = CROSSING_DOMAINS[name]()
-    nodes = boundary_nodes(dom)
-    base = [project_to_boundary(dom, *nodes[k])
-            for k in (0, len(nodes) // 3, len(nodes) // 2, len(nodes) - 1)]
+    proj = projections(dom)
+    base = [proj[k] for k in (0, len(proj) // 3, len(proj) // 2, len(proj) - 1)]
     # plus a point away from the boundary and the lattice centre
     centre = np.array([0.5 * (lo + hi) for lo, hi in dom.chart.box])
     fit_window = FIT_WINDOW_CELLS * float(np.max(dom.h))
     total = 0
     for x0 in base + [centre, base[0] + 0.3 * fit_window]:
         for window in (fit_window, 2.5 * float(np.max(dom.h)), 0.05, 10.0):
-            got = boundary_crossings(dom, x0, window)
+            got = crossings_near(dom, x0, window)
             want = scan_crossings(dom, x0, window)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
@@ -138,7 +149,7 @@ def test_boundary_crossings_match_per_point_scan(name):
 
 def test_boundary_crossings_dedup_node_aligned_corner():
     dom = CROSSING_DOMAINS["node_aligned_box"]()
-    pts = boundary_crossings(dom, np.array([0.25, 0.125]), 1.0 / 16)
+    pts = crossings_near(dom, np.array([0.25, 0.125]), 1.0 / 16)
     # the corner and its two edge neighbours, each once
     assert pts.tolist() == [[0.25, 0.125], [0.25, 0.1875], [0.3125, 0.125]]
 
@@ -183,8 +194,7 @@ def test_crossings_match_closed_form_circle_roots(region, radii):
     pts = dom.points.reshape(-1, 2)
     lo, hi, table = _crossing_table(dom)
     inner, outer = dom.inner_index, dom.dirichlet_index
-    proj = segment_crossings(dom, dom.points[inner], dom.points[outer],
-                             dom.sdf[inner], dom.sdf[outer])
+    proj = projections(dom)
     assert not np.isnan(proj).any()
     for a, b, got in ((pts[lo], pts[hi], table),
                       (dom.points[inner], dom.points[outer], proj)):
@@ -192,15 +202,8 @@ def test_crossings_match_closed_form_circle_roots(region, radii):
                           for r in circle_roots(a, b, center, radius)])
         err = np.nanmin(np.max(np.abs(roots - got), axis=2), axis=0)
         assert err.max() <= 1e-15
-    # the public one-row call runs the same routine
-    for k in range(0, len(proj), 17):
-        node = tuple(int(ix[k]) for ix in outer)
-        offset = tuple(int(ix[k] - jx[k]) for ix, jx in zip(outer, inner))
-        assert np.array_equal(project_to_boundary(dom, node, offset), proj[k])
 
 
-@pytest.mark.xfail(strict=True, reason="a segment with both ends on the boundary yields "
-                   "only its lower end, so the (hi, ..., hi) corner of a box is never a row")
 def test_every_box_corner_is_a_crossing_row(square_16):
     table = _crossing_table(square_16)[2]
     for corner in product((0.0, 1.0), repeat=2):
@@ -219,20 +222,14 @@ def test_segment_crossings_endpoints_and_one_sided_rows(square_16):
     assert np.array_equal(out[3], a[3])
 
 
-def test_project_to_boundary_lands_on_circle():
+def test_dirichlet_projections_land_on_circle():
     dom = disc_domain(1.0 / 16)
     hits = 0
-    for idx, offset in boundary_nodes(dom)[:10]:
-        x0 = project_to_boundary(dom, idx, offset)
+    for x0 in projections(dom)[:10]:
         r = np.hypot(x0[0] - 0.5, x0[1] - 0.5)
         assert r == pytest.approx(0.4, abs=1e-10)
         hits += 1
     assert hits == 10
-
-
-def test_project_rejects_interior_node(square_16):
-    with pytest.raises(BarrierError):
-        project_to_boundary(square_16, (5, 5), (0, 1))
 
 
 def test_psi_closed_form_on_normal_ray(flat_spec):
@@ -298,7 +295,7 @@ def test_qv_cross_check_on_conformal_chart():
     dom = build_domain(chart, 1.0 / 16,
                        region={"region": "disc", "center": [0.0, 0.0],
                                "radius": 0.35})
-    res = search_alpha(dom, np.array([0.35, 0.0]), K=0.3, gamma=1.1)
+    res = search_alpha(dom, np.array([[0.35, 0.0]]), K=0.3, gamma=1.1)[0]
     assert res.certified
     rng = np.random.default_rng(3)
     checked = 0
@@ -318,7 +315,7 @@ def test_qv_cross_check_on_conformal_chart():
 
 
 def test_search_certifies_flat_boundary(square_16):
-    res = search_alpha(square_16, np.array([0.5, 0.0]), K=0.3, gamma=1.1)
+    res = search_alpha(square_16, np.array([[0.5, 0.0]]), K=0.3, gamma=1.1)[0]
     assert res.admissible and res.certified
     assert res.limit_margin == pytest.approx(0.91, abs=1e-12)
     assert res.qv_max < -1e-8
@@ -326,7 +323,7 @@ def test_search_certifies_flat_boundary(square_16):
 
 
 def test_search_reports_inadmissible_k(square_16):
-    res = search_alpha(square_16, np.array([0.5, 0.0]), K=1.0, gamma=1.0001)
+    res = search_alpha(square_16, np.array([[0.5, 0.0]]), K=1.0, gamma=1.0001)[0]
     assert not res.admissible
     assert not res.certified
     assert "not below" in res.reason
@@ -334,13 +331,13 @@ def test_search_reports_inadmissible_k(square_16):
 
 def test_search_certifies_circle():
     dom = disc_domain(1.0 / 16)
-    res = search_alpha(dom, np.array([0.9, 0.5]), K=0.3, gamma=1.1)
+    res = search_alpha(dom, np.array([[0.9, 0.5]]), K=0.3, gamma=1.1)[0]
     assert res.certified
     assert res.limit_margin > 0
 
 
 def test_search_handles_corner_without_raising(square_16):
-    res = search_alpha(square_16, np.array([0.0, 0.0]), K=0.3, gamma=1.1)
+    res = search_alpha(square_16, np.array([[0.0, 0.0]]), K=0.3, gamma=1.1)[0]
     assert res.admissible
     assert not res.certified
     assert "degenerate" in res.reason
@@ -348,9 +345,9 @@ def test_search_handles_corner_without_raising(square_16):
 
 def test_search_validates_inputs(square_16):
     with pytest.raises(BarrierError):
-        search_alpha(square_16, np.array([0.5, 0.0]), K=-0.1, gamma=1.1)
+        search_alpha(square_16, np.array([[0.5, 0.0]]), K=-0.1, gamma=1.1)
     with pytest.raises(BarrierError):
-        search_alpha(square_16, np.array([0.5, 0.0]), K=0.3, gamma=0.9)
+        search_alpha(square_16, np.array([[0.5, 0.0]]), K=0.3, gamma=0.9)
 
 
 def test_assumed_curvature_bound_checked():
@@ -358,6 +355,22 @@ def test_assumed_curvature_bound_checked():
     with pytest.raises(BarrierError):
         make_barrier_spec(dom, [0.9, 0.5], K=0.3, gamma=1.1, alpha=0.1,
                           radius=0.2, L=1.0)  # true curvature is 2.5
+
+
+def test_table_chart_certifies_up_to_the_box_edge():
+    # the differenced Christoffels at the box edge read the table metric a
+    # step outside it, where the table extrapolates linearly
+    axis = [0.0, 0.5, 1.0]
+    identity = builtin_chart("custom_table", n=2, params={
+        "axes": [axis, axis], "table": np.broadcast_to(np.eye(2), (3, 3, 2, 2))})
+    got, want = (check_dirichlet_solvability(
+        lambda x: 0.25, build_domain(chart, 1.0 / 16, region={"region": "box"}),
+        K=0.3, gamma=1.1) for chart in (identity, EUCLID))
+    assert [p.certified for p in got.points] == [p.certified for p in want.points]
+    assert (sum(p.certified for p in got.points), len(got.points)) == (36, 64)
+    for p, q in zip(got.points, want.points):
+        if q.certified:
+            assert abs(p.limit_margin - q.limit_margin) <= 1e-11
 
 
 def test_solvability_constant_data_certified():
@@ -512,23 +525,20 @@ def test_batched_certification_matches_per_point_oracle(name, K):
 
 def test_one_point_calls_match_per_point_oracle():
     dom = ORACLE_DOMAINS["annulus"]()
-    nodes = boundary_nodes(dom)
-    for k in range(0, len(nodes), 7):
-        x0 = project_to_boundary(dom, *nodes[k])
-        frame, H, L = fit_boundary_graph(dom, x0)
+    for x0 in projections(dom)[::7]:
+        frame, H, L = fit_one(dom, x0)
         assert_same(list(same_signs(frame, H, oracle.fit_boundary_graph(dom, x0)[0]))
                     + [L], list(oracle.fit_boundary_graph(dom, x0)))
-        for L in (None, 1.0, 10.0):
-            got = search_alpha(dom, x0, K=0.3, gamma=1.1, L=L)
-            want = oracle.search_alpha(dom, x0, K=0.3, gamma=1.1, L=L)
-            assert_same(got.json_dict(), want.json_dict())
-            if want.certified:
-                pts = dom.points[dom.interior][::5]
-                pts = pts[np.linalg.norm(pts - x0, axis=1) <= want.spec.radius]
-                assert_same(q_on_barrier(got.spec, pts),
-                            oracle.q_on_barrier(want.spec, pts))
+        got = search_alpha(dom, x0[None], K=0.3, gamma=1.1)[0]
+        want = oracle.search_alpha(dom, x0, K=0.3, gamma=1.1)
+        assert_same(got.json_dict(), want.json_dict())
+        if want.certified:
+            pts = dom.points[dom.interior][::5]
+            pts = pts[np.linalg.norm(pts - x0, axis=1) <= want.spec.radius]
+            assert_same(q_on_barrier(got.spec, pts),
+                        oracle.q_on_barrier(want.spec, pts))
     with pytest.raises(BarrierError, match="degenerate boundary fit"):
-        fit_boundary_graph(ORACLE_DOMAINS["unit_square"](), [0.0, 0.0])
+        fit_one(ORACLE_DOMAINS["unit_square"](), [0.0, 0.0])
 
 
 def test_fit_ignores_sub_ulp_moves_of_the_base_point():
@@ -540,11 +550,11 @@ def test_fit_ignores_sub_ulp_moves_of_the_base_point():
                                       dom.points[dom.dirichlet_index],
                                       dom.sdf[dom.inner_index],
                                       dom.sdf[dom.dirichlet_index]), axis=0)
-    frames, _, L, _, reasons = barrier_mod._fit_points(dom, x0s)
+    frames, _, L, _, reasons = fit_boundary_graph(dom, x0s)
     assert not any(reasons)
     rng = np.random.default_rng(5)
     for _ in range(3):
         moved = x0s + rng.uniform(-4e-16, 4e-16, x0s.shape)
-        frames2, _, L2, _, _ = barrier_mod._fit_points(dom, moved)
+        frames2, _, L2, _, _ = fit_boundary_graph(dom, moved)
         assert np.max(np.abs(L2 - L)) <= 1e-12
         assert np.max(np.abs(frames2 - frames)) <= 1e-12

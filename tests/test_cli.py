@@ -491,6 +491,18 @@ def test_barrier_certifies_table_region(tmp_path):
     assert bar["certified"] is True
 
 
+def test_barrier_on_a_table_chart_reaching_the_box_edge(tmp_path):
+    axis = [0.0, 0.5, 1.0]
+    table = np.broadcast_to(np.eye(2), (3, 3, 2, 2)).tolist()
+    cfg_path, out = write_config(
+        tmp_path, region={"region": "box"},
+        chart={"kind": "custom_table", "n": 2,
+               "params": {"axes": [axis, axis], "table": table}})
+    assert main(["barrier", str(cfg_path)]) == 0
+    bar = json.loads((out / "barrier.json").read_text())
+    assert sum(p["certified"] for p in bar["points"]) == 36
+
+
 # -------------------------------------------------------------------- selftest
 
 

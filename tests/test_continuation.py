@@ -281,13 +281,8 @@ def test_time_sequences_stationary_gap_zero():
     assert res.gap == 0.0
 
 
-def test_time_sequences_sine_bump():
-    dom = euclid(1 / 32)
-    u0 = GridField.from_function(
-        dom, lambda x: 0.3 * np.sin(np.pi * x[0]) * np.sin(np.pi * x[1]))
-    params = FlowParams(eps=0.05, t_end=20.0)
-    res = time_sequence_uniqueness_check(params, lambda x: 0.0, u0,
-                                         [5.0, 10.0, 15.0], [7.0, 12.0, 17.0])
+def test_time_sequences_sine_bump(sine_bump_time_check):
+    res = sine_bump_time_check
     assert res.gap < 1e-6
     norms = np.array(res.source_norms)
     assert np.all(np.diff(norms) <= 1e-12 + 1e-9 * norms[0])

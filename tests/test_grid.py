@@ -9,7 +9,7 @@ from graphflow.errors import GridError
 from graphflow.flow import l_eps_apply, q_operator
 from graphflow.functionals import e_eps, product_grid
 from graphflow.grid import (DIRICHLET, EXTERIOR, INTERIOR, GridField, _region_sdf, build_domain,
-                            cell_average, cell_gradient, gradient_sweep, hessian_sweep,
+                            cell_gradient, gradient_sweep, hessian_sweep,
                             interpolate_to, load_field_csv, save_field_csv)
 from graphflow.manifold import builtin_chart
 
@@ -371,9 +371,6 @@ def test_cell_stencils_exact_for_affine():
     grad = cell_gradient(dom, corners)
     assert np.allclose(grad[0], 2.0, atol=1e-13)
     assert np.allclose(grad[1], -1.0, atol=1e-13)
-    avg = cell_average(dom, corners)
-    centers = dom.cell_centers.reshape(-1, 2)[dom.cell_flat]
-    assert np.allclose(avg, 2.0 * centers[:, 0] - centers[:, 1] + 0.5, atol=1e-13)
 
 
 def test_eroded_interior_depth():
