@@ -34,12 +34,14 @@ a (P, n) array, and return one result per point:
 - fit: the Cholesky factor, the SVD frame and the inward-normal probe are
   stacked calls, and the rotate-and-refit loop runs on the points that have
   not converged yet; a failed fit becomes the point's reason string;
-- rungs: the (radius, alpha) pairs are walked in a fixed order; on each
-  rung Qv is evaluated at the interior nodes within the radius of every
-  point still open, as one batch of rows with an owner index, reduced per
-  point, and a point keeps the first rung that passes;
-- blocks: each batch is evaluated in blocks of at most BLOCK array
-  entries, so memory does not grow with the number of points.
+- rungs: the interior nodes within the fit window of each point are found
+  once, among its lattice window (GridDomain.window_nodes); the (radius,
+  alpha) pairs are walked in a fixed order, and on each rung Qv (with no
+  Christoffel term on euclidean charts) is evaluated at those within the
+  radius of every point still open, as one batch of rows with an owner
+  index, reduced per point; a point keeps the first rung that passes;
+- blocks: the window gathers and the batches run in blocks of at most
+  BLOCK array entries, so memory does not grow with the number of points.
 """
 
 from __future__ import annotations
@@ -347,7 +349,7 @@ def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
 def _qv(y, K, alpha, w_fit, frame, Einv, inv, gam):
     """Qv, psi and v at frame coordinates y (rows, n); w_fit, frame, its
     inverse Einv, the chart's inverse metric inv and Christoffels gam carry
-    one row each, K and alpha are scalars.
+    one row each (gam None: Gamma vanishes), K and alpha are scalars.
 
     Assembles v_a = psi_a / 2v and v_ab = -psi_a psi_b / 4v^3 + psi_ab / 2v
     in the frame and contracts with the graph metric inverse; rows with
@@ -371,11 +373,10 @@ def _qv(y, K, alpha, w_fit, frame, Einv, inv, gam):
         vi_up = np.einsum("rab,rb->ra", inv_t, vi)
         w2 = 1.0 + np.einsum("ra,ra->r", vi, vi_up)
         g = inv_t - vi_up[:, :, None] * vi_up[:, None, :] / w2[:, None, None]
-        # g^{ab} Gamma^c_ab v_c with the frame's Gamma = E^-1 Gamma(E., E.)
-        g_chart = frame @ g @ np.swapaxes(frame, 1, 2)
-        dv = np.einsum("rca,rc->ra", Einv, vi)
-        qv = (np.einsum("rab,rab->r", g, vij)
-              - np.einsum("rkij,rij,rk->r", gam, g_chart, dv))
+        qv = np.einsum("rab,rab->r", g, vij)
+        if gam is not None:  # g^{ab} Gamma^c_ab v_c, the frame's Gamma = E^-1 Gamma(E., E.)
+            qv -= np.einsum("rkij,rij,rk->r", gam, frame @ g @ np.swapaxes(frame, 1, 2),
+                            np.einsum("rca,rc->ra", Einv, vi))
     return qv, psi, v
 
 
@@ -395,16 +396,26 @@ def q_on_barrier(spec: BarrierSpec, x) -> np.ndarray:
     return qv[0] if x.ndim == 1 else qv
 
 
+def _windows(domain: GridDomain, x0s: np.ndarray, reach: float):
+    """(blk, nodes, offsets) per block of x0s: each point's window_nodes and
+    their chart offsets from it, at most BLOCK offset entries a block."""
+    width = domain.window_nodes(x0s[:0], reach).shape[1]
+    for blk in _blocks(len(x0s), width * domain.dim):
+        nodes = domain.window_nodes(x0s[blk], reach)
+        yield blk, nodes, domain.points.reshape(-1, domain.dim)[nodes] - x0s[blk, None]
+
+
 def _near_nodes(domain: GridDomain, x0s: np.ndarray, open_: np.ndarray,
                 radius: float):
     """(owner, node, dist): every (point, interior node) pair within radius
-    of an open point of x0s, ordered by point, then by node."""
-    ipts = domain.points[domain.interior]
+    of an open point of x0s, by point, then node, read off window_nodes."""
+    interior = domain.interior.reshape(-1)
     found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
-    for blk in _blocks(len(x0s), len(ipts) * domain.dim):
-        dist = _norm(ipts - x0s[blk, None])
-        p, i = np.nonzero((dist <= radius) & open_[blk, None])
-        found.append((p + blk.start, i, dist[p, i]))
+    for blk, nodes, offsets in _windows(domain, x0s, radius):
+        dist = _norm(offsets)
+        p, k = np.nonzero((dist <= radius) & interior[nodes] & open_[blk, None])
+        found.append((p + blk.start, np.searchsorted(domain.interior_flat, nodes[p, k]),
+                      dist[p, k]))
     return tuple(np.concatenate(col) for col in zip(*found))
 
 
@@ -444,7 +455,8 @@ def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) ->
     Einv = np.linalg.inv(frames)
     ipts = domain.points[domain.interior]
     nodes, at = np.unique(node, return_inverse=True)
-    inv_n, gam_n = metric_at(chart, ipts[nodes])[1], christoffel_at(chart, ipts[nodes])
+    inv_n = metric_at(chart, ipts[nodes])[1]
+    gam_n = None if chart.is_euclidean else christoffel_at(chart, ipts[nodes])
 
     alphas = [2.0 ** (-m) for m in range(21) if 2.0 ** (-m) >= ALPHA_FLOOR]
     for radius in [r_max * 2.0 ** (-j) for j in range(6)]:
@@ -464,8 +476,8 @@ def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) ->
             for blk in _blocks(len(rows), 4 * n ** 3):
                 r, o = rows[blk], owner[rows[blk]]
                 y = np.einsum("rij,rj->ri", Einv[o], ipts[node[r]] - x0s[o])
-                qv[blk], psi, v = _qv(y, K, alpha, H[o], frames[o], Einv[o],
-                                      inv_n[at[r]], gam_n[at[r]])
+                qv[blk], psi, v = _qv(y, K, alpha, H[o], frames[o], Einv[o], inv_n[at[r]],
+                                      None if gam_n is None else gam_n[at[r]])
                 bad[blk] = ~(psi > 0) | (v < MIN_BARRIER_V)
             # rows run by owner: one segment per point evaluated on this rung
             starts = np.flatnonzero(np.diff(owner[rows], prepend=-1))

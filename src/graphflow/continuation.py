@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .barrier import _blocks, _norm
+from .barrier import _norm, _windows
 from .errors import ConfigError, EstimateViolation
 from .flow import FlowParams, FlowState, flow_step, initial_state, l_eps_apply
 from .functionals import e_eps, interior_integral, total_variation, w_factor
@@ -230,31 +230,34 @@ def boundary_attainment_report(u_bar: GridField, phi,
                                solvability) -> AttainmentReport:
     """Classify each barrier verdict point as attained, detached or uncertified.
 
-    All points are gathered at once, in blocks of points: the trace gap is
-    the worst |u_bar - phi| over the inner neighbors of the dirichlet nodes
-    within 1.5h (sup norm) of x0; phi(x0) is read at the dirichlet node at
-    x0, else at the first one within 1.5h; the modulus is the observed linear
-    rate of u_bar's approach to phi(x0) over the interior nodes within 4h.
-    A certified point is attained when its trace gap stays within a 10h band.
+    The trace gap is the worst |u_bar - phi| over the inner neighbors of the
+    dirichlet nodes within 1.5h (sup norm) of x0; phi(x0) is read at the
+    dirichlet node at x0, else at the first one within 1.5h; the modulus is
+    the observed linear rate of u_bar's approach to phi(x0) over the
+    interior nodes within 4h.  Each point reads only the nodes of its
+    lattice window (GridDomain.window_nodes), in blocks of points.  A
+    certified point is attained when its trace gap stays within a 10h band.
     """
     dom = u_bar.domain
     h_max = float(np.max(dom.h))
-    bpts, bphi = dom.points[dom.dirichlet_index], as_field(dom, phi).values[dom.dirichlet_index]
-    bgap = np.abs(u_bar.values[dom.inner_index] - bphi)
-    interior_pts, interior_vals = dom.points[dom.interior], u_bar.values[dom.interior]
+    phi_flat, u_flat = as_field(dom, phi).values.reshape(-1), u_bar.values.reshape(-1)
+    bgap = np.zeros(u_flat.shape)  # at each dirichlet node, the gap at its inner neighbor
+    bgap[dom.dirichlet_flat] = np.abs(u_bar.values[dom.inner_index] - phi_flat[dom.dirichlet_flat])
+    dirichlet, interior = dom.dirichlet.reshape(-1), dom.interior.reshape(-1)
     x0s = np.array([p.x0 for p in solvability.points], dtype=float).reshape(-1, dom.dim)
-    gap, modulus = np.zeros(len(x0s)), np.zeros(len(x0s))
-    for blk in _blocks(len(x0s), (len(bpts) + len(interior_pts)) * dom.dim):
-        x0 = x0s[blk, None]
-        dist = np.max(np.abs(bpts - x0), axis=-1)
-        close = dist <= 1.5 * h_max
-        gap[blk] = np.max(np.where(close, bgap, 0.0), axis=1, initial=0.0)
-        on = dist < 1e-12
+    gap, phi0, modulus = np.zeros(len(x0s)), np.zeros(len(x0s)), np.zeros(len(x0s))
+    for blk, nodes, offsets in _windows(dom, x0s, 1.5 * h_max):
+        dist = np.max(np.abs(offsets), axis=-1)
+        close = dirichlet[nodes] & (dist <= 1.5 * h_max)
+        gap[blk] = np.max(np.where(close, bgap[nodes], 0.0), axis=1, initial=0.0)
+        # nodes run in C order, which is dirichlet_index order
+        on = close & (dist < 1e-12)
         pick = np.where(on.any(axis=1), on.argmax(axis=1), close.argmax(axis=1))
-        phi0 = np.where(close.any(axis=1), bphi[pick], 0.0)
-        d = _norm(interior_pts - x0)
-        near = d <= 4.0 * h_max
-        rate = np.abs(interior_vals - phi0[:, None]) / np.where(near, d, 1.0)
+        phi0[blk] = np.where(close.any(axis=1), phi_flat[nodes[np.arange(len(pick)), pick]], 0.0)
+    for blk, nodes, offsets in _windows(dom, x0s, 4.0 * h_max):
+        d = _norm(offsets)
+        near = interior[nodes] & (d <= 4.0 * h_max)
+        rate = np.abs(u_flat[nodes] - phi0[blk, None]) / np.where(near, d, 1.0)
         modulus[blk] = np.where(near.any(axis=1), np.max(
             np.where(near, rate, -np.inf), axis=1, initial=-np.inf), np.nan)
 

@@ -155,6 +155,18 @@ class GridDomain:
         first = nbrs[np.arange(len(nbrs)), np.argmax(hit, axis=1)]
         return tuple(np.ascontiguousarray(axis) for axis in first.T)
 
+    def window_nodes(self, x0s: np.ndarray, reach: float) -> np.ndarray:
+        """(P, W) flat lattice indices around each point of x0s (P, n),
+        ascending (C order): a box of min(2 ceil(reach/h_a) + 3, shape_a)
+        nodes per axis, clipped into the lattice, holding every node within
+        sup-distance reach of the point, also off the lattice or on its rim."""
+        cells = np.ceil(reach / self.h).astype(np.intp)
+        width = np.minimum(2 * cells + 3, self.shape)
+        first = np.floor((x0s - [ax[0] for ax in self.axes]) / self.h).astype(np.intp)
+        first = np.clip(first - cells - 1, 0, np.array(self.shape) - width)
+        box = np.ravel_multi_index(np.indices(width).reshape(self.dim, -1), self.shape)
+        return np.ravel_multi_index(first.T, self.shape)[:, None] + box
+
     def eroded_interior(self, iterations: int) -> np.ndarray:
         """Interior nodes at Chebyshev lattice distance > iterations from any
         non-interior node.  The rim is never interior, so dilating the

@@ -4,7 +4,10 @@ These are the one-point-at-a-time fit, search, solvability and attainment
 routines the batched code in `graphflow.barrier` and
 `graphflow.continuation` replaced, kept as the oracle the tests compare
 against, together with the helpers only the tests use: `psi_eval`,
-`q_on_barrier_fd` and `make_barrier_spec`.  The fit follows the batched
+`q_on_barrier_fd` and `make_barrier_spec`.  `near_nodes_all_pairs` and
+`attainment_all_pairs` are the batched neighbourhood gathers that measured
+every point against every node, before the gathers read only each point's
+lattice window; the windowed ones must match them bit for bit.  The fit follows the batched
 one's tie rules: samples at equal distance (to 1e-12) are taken in
 coordinate order, and a tangent column's sign is set by its first entry of
 largest size (to 1e-12).
@@ -19,8 +22,9 @@ import numpy as np
 from graphflow.barrier import (ALPHA_FLOOR, DEGENERATE_RESIDUAL,
                                FIT_WINDOW_CELLS, MIN_BARRIER_V, QV_MARGIN,
                                BarrierSearchResult, BarrierSpec,
-                               SolvabilityReport, _crossing_table, _sdf,
-                               boundary_lipschitz, segment_crossings)
+                               SolvabilityReport, _blocks, _crossing_table,
+                               _norm, _sdf, boundary_lipschitz,
+                               segment_crossings)
 from graphflow.continuation import AttainmentPoint, AttainmentReport
 from graphflow.errors import BarrierError
 from graphflow.grid import GridDomain, as_field
@@ -474,3 +478,52 @@ def boundary_attainment_report(u_bar: GridField, phi,
             trace_gap=float(gap), modulus=modulus, classification=label))
     return AttainmentReport(points=out, attained=attained, detached=detached,
                             uncertified=uncertified)
+
+
+def near_nodes_all_pairs(domain: GridDomain, x0s: np.ndarray, open_: np.ndarray,
+                         radius: float):
+    """(owner, node, dist): every (point, interior node) pair within radius
+    of an open point of x0s, ordered by point, then by node; every interior
+    node is measured."""
+    ipts = domain.points[domain.interior]
+    found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+    for blk in _blocks(len(x0s), len(ipts) * domain.dim):
+        dist = _norm(ipts - x0s[blk, None])
+        p, i = np.nonzero((dist <= radius) & open_[blk, None])
+        found.append((p + blk.start, i, dist[p, i]))
+    return tuple(np.concatenate(col) for col in zip(*found))
+
+
+def attainment_all_pairs(u_bar: GridField, phi, solvability) -> AttainmentReport:
+    """boundary_attainment_report with every point measured against every
+    dirichlet and every interior node, in blocks of points."""
+    dom = u_bar.domain
+    h_max = float(np.max(dom.h))
+    bpts, bphi = dom.points[dom.dirichlet_index], as_field(dom, phi).values[dom.dirichlet_index]
+    bgap = np.abs(u_bar.values[dom.inner_index] - bphi)
+    interior_pts, interior_vals = dom.points[dom.interior], u_bar.values[dom.interior]
+    x0s = np.array([p.x0 for p in solvability.points], dtype=float).reshape(-1, dom.dim)
+    gap, modulus = np.zeros(len(x0s)), np.zeros(len(x0s))
+    for blk in _blocks(len(x0s), (len(bpts) + len(interior_pts)) * dom.dim):
+        x0 = x0s[blk, None]
+        dist = np.max(np.abs(bpts - x0), axis=-1)
+        close = dist <= 1.5 * h_max
+        gap[blk] = np.max(np.where(close, bgap, 0.0), axis=1, initial=0.0)
+        on = dist < 1e-12
+        pick = np.where(on.any(axis=1), on.argmax(axis=1), close.argmax(axis=1))
+        phi0 = np.where(close.any(axis=1), bphi[pick], 0.0)
+        d = _norm(interior_pts - x0)
+        near = d <= 4.0 * h_max
+        rate = np.abs(interior_vals - phi0[:, None]) / np.where(near, d, 1.0)
+        modulus[blk] = np.where(near.any(axis=1), np.max(
+            np.where(near, rate, -np.inf), axis=1, initial=-np.inf), np.nan)
+
+    out = [AttainmentPoint(
+        x0=[float(c) for c in x0], certified=bool(p.certified), trace_gap=float(g),
+        modulus=float(m), classification=("uncertified" if not p.certified else
+                                          "attained" if g <= 10.0 * h_max else "detached"))
+        for p, x0, g, m in zip(solvability.points, x0s, gap, modulus)]
+    labels = [p.classification for p in out]
+    return AttainmentReport(points=out, attained=labels.count("attained"),
+                            detached=labels.count("detached"),
+                            uncertified=labels.count("uncertified"))

@@ -1,4 +1,8 @@
+import json
+from dataclasses import replace
+from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +10,8 @@ import pytest
 import barrier_oracle as oracle
 import graphflow.barrier as barrier_mod
 from barrier_oracle import make_barrier_spec, psi_eval, q_on_barrier_fd
-from graphflow.barrier import (FIT_WINDOW_CELLS, _crossing_table, _sdf, _window_rows,
+from graphflow.barrier import (FIT_WINDOW_CELLS, BarrierSearchResult, _crossing_table, _sdf,
+                               _window_rows,
                                check_dirichlet_solvability, fit_boundary_graph,
                                q_on_barrier, search_alpha, segment_crossings)
 from graphflow.continuation import boundary_attainment_report
@@ -521,6 +526,56 @@ def test_batched_certification_matches_per_point_oracle(name, K):
                 "no interior lattice nodes"} <= reasons
     if name == "unit_square":
         assert not all(p.certified for p in want.points)
+
+
+@lru_cache(maxsize=None)
+def certified_case(name):
+    """(domain, phi, u, report) for the gather tests: the solvability report
+    of a domain plus verdict points at lattice nodes on the edge and in and
+    around the chart box."""
+    dom = (ORACLE_DOMAINS[name]() if name != "box_1d"
+           else build_domain(builtin_chart("euclidean", n=1), 1.0 / 16))
+    h = float(np.max(dom.h))
+    lo, hi = np.array(dom.chart.box).T
+    extra = np.concatenate([dom.points[dom.dirichlet_index][::5], np.random.default_rng(1)
+                            .uniform(lo - 2 * h, hi + 2 * h, (40, dom.dim))])
+    phi = GridField.from_function(dom, lambda x: 0.1 * float(np.sum(x)))
+    u = GridField.from_function(dom, lambda x: 0.1 * float(np.sum(np.sin(3 * x))))
+    report = check_dirichlet_solvability(phi, dom, K=0.3, gamma=1.1)
+    return dom, phi, u, SimpleNamespace(points=report.points + [BarrierSearchResult(
+        x0=x0, admissible=True, certified=bool(k % 2), reason="") for k, x0 in enumerate(extra)])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS) + ["box_1d"])
+@pytest.mark.parametrize("block", [barrier_mod.BLOCK, 64])
+def test_windowed_gathers_match_all_pairs_bit_for_bit(name, block, monkeypatch):
+    dom, phi, u, report = certified_case(name)
+    monkeypatch.setattr(barrier_mod, "BLOCK", block)  # 64: many blocks of few points
+    assert (json.dumps(boundary_attainment_report(u, phi, report).json_dict())
+            == json.dumps(oracle.attainment_all_pairs(u, phi, report).json_dict()))
+    x0s = np.array([p.x0 for p in report.points])
+    open_ = np.random.default_rng(2).random(len(x0s)) < 0.8
+    h = float(np.max(dom.h))
+    for radius in (FIT_WINDOW_CELLS * h, 2.0 * h, 1.5 * h):
+        got = barrier_mod._near_nodes(dom, x0s, open_, radius)
+        want = oracle.near_nodes_all_pairs(dom, x0s, open_, radius)
+        assert len(got[0]) > 0
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_euclidean_search_drops_only_a_zero_christoffel_term():
+    # flagged curved, the chart's zero Gamma is contracted on every row;
+    # every verdict, rung and qv_max keeps its bits
+    dom = ORACLE_DOMAINS["annulus"]()
+    x0s = np.unique(projections(dom), axis=0)
+    for K in (0.3, 0.9):
+        got = search_alpha(dom, x0s, K=K, gamma=1.1)
+        curved = build_domain(replace(dom.chart, is_euclidean=False), dom.h, dom.region)
+        want = search_alpha(curved, x0s, K=K, gamma=1.1)
+        assert sum(r.certified for r in got) > 0
+        assert (json.dumps([r.json_dict() for r in got])
+                == json.dumps([r.json_dict() for r in want]))
 
 
 def test_one_point_calls_match_per_point_oracle():

@@ -475,3 +475,31 @@ def test_table_region_interpolates_between_nodes():
     assert np.allclose(got, pts[:, 0] + 2.0 * pts[:, 1] - 1.0, atol=1e-15)
     with pytest.raises(GridError, match="does not match lattice shape"):
         build_domain(chart, 0.125, region)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_window_nodes_hold_every_node_of_the_sup_ball(n):
+    box = [(0.0, 1.0), (-0.5, 1.5), (0.0, 0.6)][:n]
+    h = [1.0 / 8, 0.25, 0.1][:n]
+    dom = build_domain(builtin_chart("euclidean", n=n, box=box), h)
+    pts = dom.points.reshape(-1, n)
+    lo, hi = np.array(box).T
+    rng = np.random.default_rng(n)
+    rim = np.where(rng.random((20, n)) < 0.5, lo, hi)    # on the rim: free along one axis
+    free = rng.integers(0, n, 20)
+    rim[np.arange(20), free] = rng.uniform(lo[free], hi[free])
+    x0s = np.concatenate([rng.uniform(lo - 0.3, hi + 0.3, (40, n)),  # in and off the lattice
+                          pts[rng.choice(len(pts), 20)],              # on lattice nodes
+                          np.array(list(product(*box)), dtype=float), rim])
+    for reach in (0.0, 0.1, 0.25, 0.37, 5.0):
+        nodes = dom.window_nodes(x0s, reach)
+        width = np.minimum(2 * np.ceil(reach / dom.h) + 3, dom.shape)
+        assert nodes.shape == (len(x0s), int(np.prod(width)))
+        assert nodes.shape[1] <= np.prod(2 * np.ceil(reach / dom.h) + 3)
+        assert nodes.min() >= 0 and nodes.max() < len(pts)
+        assert np.all(np.diff(nodes, axis=1) > 0)     # ascending, no duplicates
+        sup = np.max(np.abs(pts[None] - x0s[:, None]), axis=-1)
+        for row, want in zip(nodes, sup <= reach):
+            assert set(np.flatnonzero(want)) <= set(row.tolist())
+    assert dom.window_nodes(x0s[:0], 0.25).shape == (0, int(np.prod(np.minimum(
+        2 * np.ceil(0.25 / dom.h) + 3, dom.shape))))
