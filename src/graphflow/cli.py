@@ -19,14 +19,14 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .barrier import check_dirichlet_solvability, search_alpha
-from .continuation import (boundary_attainment_report, eps_continuation,
-                           time_sequence_uniqueness_check)
+from .continuation import (TimeSnapshots, boundary_attainment_report,
+                           eps_continuation, time_sequence_uniqueness_check)
 from .errors import (ConfigError, ConvergenceError, EstimateViolation,
                      FlowDiverged, GraphflowError)
 from .flow import (FlowParams, compatibility_ramp, q_operator,
@@ -289,7 +289,15 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     time_check = raw.get("time_check")
     if time_check is not None:
         times = ("times_a", "times_b")
-        check_keys("time_check", obj("time_check", time_check), times, times, times)
+        spec = obj("time_check", time_check)
+        check_keys("time_check", spec, times, times, times)
+        seqs = [spec.get(key) for key in times]
+        if flow is not None and all(isinstance(s, list) and s and all(map(_number, s))
+                                    for s in seqs):
+            try:  # the horizon, checked before any work is done
+                TimeSnapshots(flow, *seqs)
+            except ConfigError as exc:
+                problems.extend(exc.problems)
 
     cadence = raw.get("snapshot_every_steps", 1)
     if not isinstance(cadence, int) or cadence < 1:
@@ -393,6 +401,12 @@ def _build_problem(cfg: ExperimentConfig):
     return domain, phi, u0
 
 
+def _rides_leg_one(cfg: ExperimentConfig) -> bool:
+    """Whether eps-leg 1 (from u0, at the schedule's first eps, 0.1 for the
+    default schedule) runs at the time check's FlowParams."""
+    return replace(cfg.flow, eps=(cfg.schedule or [0.1])[0]) == cfg.flow
+
+
 def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
     """Full pipeline for one config, or with barrier_only the solvability
     certification alone; returns the process exit code."""
@@ -411,12 +425,14 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
             write_manifest(out, ("config_resolved.json", "barrier.json"))
             return 0
 
-        report = eps_continuation(cfg.schedule, cfg.flow, phi, u0,
-                                  tol=cfg.tol, warm_start=cfg.warm_start)
-        if cfg.time_check is not None:
-            res = time_sequence_uniqueness_check(
-                cfg.flow, phi, u0, cfg.time_check["times_a"],
-                cfg.time_check["times_b"])
+        times = () if cfg.time_check is None else (cfg.time_check["times_a"],
+                                                    cfg.time_check["times_b"])
+        riding = TimeSnapshots(cfg.flow, *times) if times and _rides_leg_one(cfg) else None
+        report = eps_continuation(cfg.schedule, cfg.flow, phi, u0, tol=cfg.tol,
+                                  warm_start=cfg.warm_start, observer=riding)
+        if times:
+            res = (riding.result() if riding is not None else
+                   time_sequence_uniqueness_check(cfg.flow, phi, u0, *times))
             report.time_uniqueness_gap = res.gap
         _dump_json(report.json_dict(), out / "continuation.json")
         if not report.converged:
@@ -428,12 +444,9 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
         _dump_json(att.json_dict(), out / "attainment.json")
 
         save_field_csv(report.u_bar, out / "solution.csv")
-        history = list(report.history or [])
-        k = cfg.snapshot_every_steps
-        if k > 1 and history:
-            # keep the cadence rows plus the final row so summaries stay exact
-            history = [s for i, s in enumerate(history)
-                       if i % k == 0 or i == len(history) - 1]
+        # keep the cadence rows plus the final row so summaries stay exact
+        history, k = report.history or [], cfg.snapshot_every_steps
+        history = [s for i, s in enumerate(history) if i % k == 0 or i == len(history) - 1]
         write_diagnostics_csv(history, out / "diagnostics.csv")
         write_manifest(out, RUN_ARTIFACTS)
         return 0

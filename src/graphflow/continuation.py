@@ -7,6 +7,9 @@ the schedule) is summarized by Cauchy gaps between successive leg limits on
 an interior probe set, a boundary trace error, and a cross-time-sequence
 uniqueness gap measured inside a single run.
 
+All stepping goes through one loop with observers, _step_until; the time
+check is an observer (TimeSnapshots) that can ride eps-leg 1.
+
 Convergence statements live on compact interior subsets, so the probe set
 excludes a 4-cell boundary collar; trace behavior at the boundary itself is
 classified separately against the barrier certificates.
@@ -39,25 +42,38 @@ def probe_mask(domain: GridDomain) -> np.ndarray:
     return mask
 
 
-def run_to_quasi_steady(params: FlowParams, phi, u0: GridField,
-                        tol: float) -> tuple[FlowState, bool]:
+def _step_until(state: FlowState, params: FlowParams, stop, observers=()) -> FlowState:
+    """Step until stop(state) holds; observers see the initial state and
+    every step."""
+    for observe in observers:
+        observe(state)
+    while not stop(state):
+        flow_step(state, params)
+        for observe in observers:
+            observe(state)
+    return state
+
+
+def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
+                        observer=None) -> tuple[FlowState, bool]:
     """Step the flow until sup|u_t| drops below tol * (1 + sup|u0|).
 
     Returns the final state and whether the threshold was reached before
     t_end.  Stationary data converges in zero steps: the initial residual
-    sup|L^eps u0| is checked before any stepping.
+    sup|L^eps u0| is checked before any stepping.  An observer sees the
+    initial state and every step.
     """
     if tol <= 0:
         raise ConfigError(f"quasi-steady tolerance must be positive, got {tol}")
     state = initial_state(u0, phi, params)
     threshold = tol * (1.0 + state.u.sup_abs())
-    if state.sup_l0 < threshold:
-        return state, True
-    while state.t < params.t_end:
-        flow_step(state, params)
-        if state.history[-1].sup_ut < threshold:
-            return state, True
-    return state, False
+
+    def settled(s: FlowState) -> bool:
+        return (s.history[-1].sup_ut if s.history else s.sup_l0) < threshold
+
+    _step_until(state, params, lambda s: settled(s) or s.t >= params.t_end,
+                () if observer is None else (observer,))
+    return state, settled(state)
 
 
 @dataclass(frozen=True)
@@ -121,8 +137,8 @@ def trace_error(u: GridField, phi, domain: GridDomain) -> float:
 
 
 def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
-                     tol: float = 1e-5,
-                     warm_start: bool = True) -> ContinuationReport:
+                     tol: float = 1e-5, warm_start: bool = True,
+                     observer=None) -> ContinuationReport:
     """Continuation over a decreasing eps schedule.
 
     schedule None uses eps_i = 0.1 * 2^-i and stops once the probe-set gap
@@ -130,7 +146,7 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     warm-starts from the previous limit by default; warm_start False reruns
     every leg from u0, exposing any dependence on the eps sequence.  A leg
     that fails to reach quasi-steady state within t_end is recorded and
-    aborts the remaining schedule.
+    aborts the remaining schedule.  An observer watches leg 1 only.
     """
     dom = u0.domain
     phi = as_field(dom, phi)
@@ -148,49 +164,30 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
                 f"eps schedule must be strictly decreasing: {sched_iter}")
     probe = probe_mask(dom)
 
-    legs = []
-    used_schedule = []
-    gaps = []
-    prev_probe = None
-    current = u0
-    all_converged = True
-    history = []
+    legs, gaps, history, current = [], [], [], u0
     for eps in sched_iter:
-        leg_params = replace(params, eps=eps)
-        start = current if warm_start else u0
-        state, ok = run_to_quasi_steady(leg_params, phi, start, tol)
+        state, ok = run_to_quasi_steady(replace(params, eps=eps), phi,
+                                        current if warm_start else u0, tol, observer)
+        observer = None  # leg 1 only
         history.extend(state.history)
         current = state.u
-        if state.history:
-            sup_ut = state.history[-1].sup_ut
-            energy = state.history[-1].energy_eps
-            diss = state.history[-1].dissipation_cum
-        else:
-            sup_ut = state.sup_l0
-            energy = e_eps(current, eps)
-            diss = 0.0
-        legs.append(EpsLeg(eps=eps, steps=state.step, final_sup_ut=float(sup_ut),
-                           converged=ok, energy_final=float(energy),
-                           dissipation_total=float(diss),
-                           tv_final=total_variation(current),
-                           u_ref=current))
-        used_schedule.append(eps)
-        this_probe = current.values[probe]
-        if prev_probe is not None:
-            gaps.append(float(np.max(np.abs(this_probe - prev_probe))))
-        prev_probe = this_probe
-        if not ok:
-            all_converged = False
-            break
-        if dynamic and gaps and gaps[-1] < DEFAULT_GAP_STOP:
+        last = state.history[-1] if state.history else None
+        legs.append(EpsLeg(eps=eps, steps=state.step,
+                           final_sup_ut=float(last.sup_ut if last else state.sup_l0),
+                           converged=ok,
+                           energy_final=float(last.energy_eps if last else e_eps(current, eps)),
+                           dissipation_total=float(last.dissipation_cum if last else 0.0),
+                           tv_final=total_variation(current), u_ref=current))
+        if len(legs) > 1:
+            gaps.append(float(np.max(np.abs(current.values[probe]
+                                            - legs[-2].u_ref.values[probe]))))
+        if not ok or (dynamic and gaps and gaps[-1] < DEFAULT_GAP_STOP):
             break
 
-    terr = trace_error(current, phi, dom)
-    return ContinuationReport(eps_schedule=used_schedule, legs=legs,
-                              cauchy_gaps=gaps, trace_error=terr,
-                              converged=all_converged, u_bar=current,
-                              probe_count=int(probe.sum()),
-                              history=history)
+    return ContinuationReport(eps_schedule=[leg.eps for leg in legs], legs=legs,
+                              cauchy_gaps=gaps, trace_error=trace_error(current, phi, dom),
+                              converged=all(leg.converged for leg in legs), u_bar=current,
+                              probe_count=int(probe.sum()), history=history)
 
 
 @dataclass(frozen=True)
@@ -287,6 +284,45 @@ def _source_norm(u: GridField, eps: float) -> float:
     return interior_integral(u.domain, (l_eps_apply(u, eps) / w_factor(u)) ** 2)
 
 
+class TimeSnapshots:
+    """Time-check observer: keeps the first observed state with t >= each
+    requested time.  It watches its own run from u0 or, at the same
+    FlowParams, eps-leg 1.  flow_step builds a new lattice array every
+    step, so a snapshot needs no copy."""
+
+    def __init__(self, params: FlowParams, times_a, times_b):
+        self.params, self.snaps, self.last = params, {}, None
+        self.times = [sorted(float(t) for t in ts) for ts in (times_a, times_b)]
+        if not all(self.times):
+            raise ConfigError("both time sequences must be nonempty")
+        horizon = max(ts[-1] for ts in self.times)
+        if horizon > params.t_end:
+            raise ConfigError(
+                f"time sequences reach {horizon}, beyond the horizon {params.t_end}")
+        self.pending = sorted(set().union(*self.times))
+
+    def __call__(self, state: FlowState) -> None:
+        while self.pending and state.t >= self.pending[0]:
+            self.snaps[self.pending.pop(0)] = state.u
+        self.last = state
+
+    def result(self) -> TimeUniquenessResult:
+        """Gap and source norms.  A run that stopped before the last time (a
+        leg that converged) is stepped on from a copy with its own history."""
+        _step_until(replace(self.last, history=[]), self.params,
+                    lambda s: not self.pending, (self,))
+        probe = probe_mask(self.last.u.domain)
+        norms = [(t, _source_norm(u, self.params.eps)) for t, u in self.snaps.items()]
+        slack = 1e-12 + 1e-9 * norms[0][1]
+        for (t0, n0), (t1, n1) in zip(norms, norms[1:]):
+            if n1 > n0 + slack:
+                raise EstimateViolation(
+                    f"stationarity defect rose from {n0} at t={t0} to {n1} at t={t1}")
+        ua, ub = (self.snaps[ts[-1]].values[probe] for ts in self.times)
+        return TimeUniquenessResult(gap=float(np.max(np.abs(ua - ub))), times_a=self.times[0],
+                                    times_b=self.times[1], source_norms=[n for _, n in norms])
+
+
 def time_sequence_uniqueness_check(params: FlowParams, phi, u0: GridField,
                                    times_a, times_b) -> TimeUniquenessResult:
     """Compare the flow limits extracted along two time sequences.
@@ -294,37 +330,9 @@ def time_sequence_uniqueness_check(params: FlowParams, phi, u0: GridField,
     One run, snapshots at every requested time (first step crossing it),
     last-iterate limits on the probe set.  Also checks that the stationarity
     defect norms decrease along the sampled times, as the dissipation bound
-    demands; a violation raises EstimateViolation.
+    demands; a violation raises EstimateViolation.  graphflow run calls this
+    only when eps-leg 1 is not the same run (see TimeSnapshots).
     """
-    times_a = sorted(float(t) for t in times_a)
-    times_b = sorted(float(t) for t in times_b)
-    if not times_a or not times_b:
-        raise ConfigError("both time sequences must be nonempty")
-    horizon = max(times_a[-1], times_b[-1])
-    if horizon > params.t_end:
-        raise ConfigError(
-            f"time sequences reach {horizon}, beyond the horizon {params.t_end}")
-
-    wanted = sorted(set(times_a) | set(times_b))
-    dom = u0.domain
-    probe = probe_mask(dom)
-    state = initial_state(u0, phi, params)
-    snaps = {}
-    k = 0
-    while k < len(wanted):
-        if state.t >= wanted[k]:
-            snaps[wanted[k]] = state.u.copy()
-            k += 1
-            continue
-        flow_step(state, params)
-    norms = [(t, _source_norm(snaps[t], params.eps)) for t in wanted]
-    slack = 1e-12 + 1e-9 * norms[0][1]
-    for (t0, n0), (t1, n1) in zip(norms, norms[1:]):
-        if n1 > n0 + slack:
-            raise EstimateViolation(
-                f"stationarity defect rose from {n0} at t={t0} to {n1} at t={t1}")
-    ua = snaps[times_a[-1]].values[probe]
-    ub = snaps[times_b[-1]].values[probe]
-    gap = float(np.max(np.abs(ua - ub)))
-    return TimeUniquenessResult(gap=gap, times_a=times_a, times_b=times_b,
-                                source_norms=[n for _, n in norms])
+    check = TimeSnapshots(params, times_a, times_b)
+    _step_until(initial_state(u0, phi, params), params, lambda s: not check.pending, (check,))
+    return check.result()

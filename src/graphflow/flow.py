@@ -81,7 +81,7 @@ class DiagnosticSample:
 
 @dataclass
 class FlowState:
-    """Mutable state of one flow run; history collects one sample per step."""
+    """Mutable state of one flow run; each step appends a sample and sets a new u."""
 
     u: GridField
     t: float = 0.0

@@ -220,14 +220,8 @@ def set_perimeter(E: DiscreteSet, window=None) -> float:
     for a in range(ndim):
         # faces along axis a between p and p+e_a; midpoints must lie strictly
         # inside the window, so transverse indices stay off the window rim
-        sl_lo = []
-        for b, w in enumerate(window):
-            if b == a:
-                sl_lo.append(slice(w[0], w[1]))
-            else:
-                sl_lo.append(slice(w[0] + 1, w[1]))
-        sl_hi = list(sl_lo)
-        sl_hi[a] = slice(window[a][0] + 1, window[a][1] + 1)
+        sl_lo = [slice(lo + (b != a), hi) for b, (lo, hi) in enumerate(window)]
+        sl_hi = [slice(lo + 1, hi + (b == a)) for b, (lo, hi) in enumerate(window)]
         lo_v = chi[tuple(sl_lo)]
         hi_v = chi[tuple(sl_hi)]
         both = np.isfinite(lo_v) & np.isfinite(hi_v)

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import graphflow.cli
+import graphflow.continuation
 import graphflow.flow
 from graphflow.cli import (RUN_ARTIFACTS, field_from_spec, main, parse_config)
 from graphflow.errors import ConfigError
@@ -238,6 +240,90 @@ def test_run_records_time_uniqueness_gap(tmp_path):
     assert main(["run", str(cfg_path)]) == 0
     cont = json.loads((out / "continuation.json").read_text())
     assert cont["time_uniqueness_gap"] == 0.0
+
+
+def test_run_time_check_beyond_the_horizon_fails_before_any_work(tmp_path):
+    cfg_path, out = write_config(
+        tmp_path, flow={"eps": 0.1, "t_end": 50.0},
+        time_check={"times_a": [0.05, 0.1], "times_b": [0.075, 60]})
+    assert main(["run", str(cfg_path)]) == 1
+    fail = json.loads((out / "failure.json").read_text())
+    assert "time sequences reach 60.0, beyond the horizon 50.0" in fail["problems"]
+    assert not (out / "barrier.json").exists()
+
+
+# moving data: leg 1 reaches quasi-steady state near t = 0.39 in 443 steps
+MOVING = {"phi": {"kind": "constant", "value": 0.0},
+          "u0": {"kind": "sine_product", "amplitude": 0.3, "waves": [1, 1]},
+          "schedule": [0.1, 0.05], "tol": 1e-3}
+
+
+def counted_run(tmp_path, monkeypatch, name, separate=False, **overrides):
+    """Run a config; return its output directory, the flow_step calls and
+    the time_sequence_uniqueness_check calls.  separate forces the time
+    check off eps-leg 1 onto its own run."""
+    steps, checks = [], []
+    step, check = graphflow.continuation.flow_step, graphflow.cli.time_sequence_uniqueness_check
+    monkeypatch.setattr(graphflow.continuation, "flow_step",
+                        lambda *args: steps.append(1) or step(*args))
+    monkeypatch.setattr(graphflow.cli, "time_sequence_uniqueness_check",
+                        lambda *args: checks.append(1) or check(*args))
+    if separate:
+        monkeypatch.setattr(graphflow.cli, "_rides_leg_one", lambda cfg: False)
+    cfg_path, _ = write_config(tmp_path, f"{name}.json", **overrides)
+    out = tmp_path / name
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    return out, len(steps), len(checks)
+
+
+def same_artifacts(a, b):
+    for name in RUN_ARTIFACTS + ("manifest.json",):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("data,times,past", [
+    (MOVING, ([0.05, 0.1], [0.075, 0.125]), True),  # leg 1 runs past the last time
+    (MOVING, ([0.3], [0.6]), False),                # leg 1 converges before it
+    ({}, ([0.01], [0.02]), False),                  # stationary: leg 1 takes 0 steps
+], ids=["past", "converged", "stationary"])
+def test_time_check_riding_leg_one_is_bitwise_its_own_run(tmp_path, monkeypatch, data, times,
+                                                          past):
+    check = {"times_a": times[0], "times_b": times[1]}
+    ride, ride_steps, ride_checks = counted_run(tmp_path, monkeypatch, "ride",
+                                                time_check=check, **data)
+    apart, apart_steps, apart_checks = counted_run(tmp_path, monkeypatch, "apart",
+                                                   separate=True, time_check=check, **data)
+    bare, bare_steps, _ = counted_run(tmp_path, monkeypatch, "bare", **data)
+    assert (ride_checks, apart_checks) == (0, 1)
+    same_artifacts(ride, apart)
+    cont, apart_cont, bare_cont = (json.loads((d / "continuation.json").read_text())
+                                   for d in (ride, apart, bare))
+    assert cont["time_uniqueness_gap"] == apart_cont["time_uniqueness_gap"] is not None
+    # the legs, their history and the limit do not see the check
+    assert {**cont, "time_uniqueness_gap": None} == bare_cont
+    for name in ("diagnostics.csv", "solution.csv"):
+        assert (ride / name).read_bytes() == (bare / name).read_bytes()
+    leg1 = cont["legs"][0]["steps"]
+    assert leg1 == (443 if data else 0)
+    if past:
+        assert ride_steps == bare_steps < apart_steps
+    else:  # the check steps on from leg 1's final state
+        assert ride_steps == apart_steps - leg1 > bare_steps
+
+
+@pytest.mark.parametrize("overrides,rides", [
+    ({"flow": {"eps": 0.2, "t_end": 5.0}}, False),   # flow.eps is not leg 1's eps
+    ({"schedule": None}, True),                      # the default schedule starts at 0.1
+    ({"schedule": None, "flow": {"eps": 0.05, "t_end": 5.0}}, False),
+], ids=["eps_differs", "default_schedule", "default_schedule_eps_differs"])
+def test_time_check_rides_only_at_leg_one_params(tmp_path, monkeypatch, overrides, rides):
+    cfg = {**MOVING, **overrides, "time_check": {"times_a": [0.05], "times_b": [0.1]}}
+    out, steps, checks = counted_run(tmp_path, monkeypatch, "run", **cfg)
+    apart, apart_steps, _ = counted_run(tmp_path, monkeypatch, "apart", separate=True, **cfg)
+    assert checks == (0 if rides else 1)
+    assert (steps < apart_steps) == rides
+    same_artifacts(out, apart)
 
 
 def test_run_snapshot_cadence_thins_diagnostics(tmp_path):
