@@ -42,16 +42,15 @@ def probe_mask(domain: GridDomain) -> np.ndarray:
     return mask
 
 
-def _step_until(state: FlowState, params: FlowParams, stop, observers=()) -> FlowState:
-    """Step until stop(state) holds; observers see the initial state and
-    every step."""
+def _step_until(state: FlowState, params: FlowParams, stop, observers=()) -> None:
+    """Step state until stop(state) holds; observers see the initial state
+    and every step."""
     for observe in observers:
         observe(state)
     while not stop(state):
         flow_step(state, params)
         for observe in observers:
             observe(state)
-    return state
 
 
 def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
