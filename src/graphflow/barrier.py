@@ -29,15 +29,17 @@ fit_boundary_graph and search_alpha take all P boundary points at once, as
 a (P, n) array, and return one result per point:
 
 - gather: each point's fit samples are the rows of the domain's crossing
-  table whose segments lie in its sup-norm window, one row per boundary
-  point, nearest first; the nearest 4n form a (P, 4n, n) array;
+  table whose segments lie in its sup-norm window (axis flags read by end
+  node), one row per boundary point; its own rows alone are sorted nearest
+  first, and the nearest 4n form a (P, 4n, n) array;
 - fit: the Cholesky factor, the SVD frame and the inward-normal probe are
   stacked calls, and the rotate-and-refit loop runs on the points that have
   not converged yet; a failed fit becomes the point's reason string;
 - rungs: the interior nodes within the fit window of each point are found
   once, among its lattice window (GridDomain.window_nodes); the (radius,
-  alpha) pairs are walked in a fixed order, and on each rung Qv (with no
-  Christoffel term on euclidean charts) is evaluated at those within the
+  alpha) pairs are walked in a fixed order, and on each rung Qv (on
+  euclidean charts with no Christoffel term, and with the frame's inverse
+  metric formed once per point) is evaluated at those within the
   radius of every point still open, as one batch of rows with an owner
   index, reduced per point; a point keeps the first rung that passes;
 - blocks: the window gathers and the batches run in blocks of at most
@@ -191,11 +193,14 @@ def _norm(d: np.ndarray) -> np.ndarray:
 
 def _window_rows(domain: GridDomain, x0s: np.ndarray, window: float) -> np.ndarray:
     """(P, rows) mask of the crossing-table rows whose segment endpoints both
-    lie within the sup-norm window of each point of x0s."""
+    lie within the sup-norm window of each point of x0s: each axis's lattice
+    coordinates are compared with the points once, then read by end node."""
     lo, hi, cross = _crossing_table(domain)
-    pts = domain.points.reshape(-1, domain.dim)
-    near = np.all(np.abs(pts[lo] - x0s[:, None]) <= window + 1e-12, axis=-1)
-    near &= np.all(np.abs(pts[hi] - x0s[:, None]) <= window + 1e-12, axis=-1)
+    lo_ix, hi_ix = (np.unravel_index(end, domain.shape) for end in (lo, hi))
+    near = np.ones((len(x0s), len(cross)), dtype=bool)
+    for a, ax in enumerate(domain.axes):
+        inside = np.abs(ax - x0s[:, a, None]) <= window + 1e-12
+        near &= inside[:, lo_ix[a]] & inside[:, hi_ix[a]]
     # lattice nodes sitting exactly on the boundary are seen by every
     # incident segment; each point keeps the first of those rows
     _, key = np.unique(np.round(cross / 1e-12).astype(np.int64), axis=0,
@@ -222,8 +227,9 @@ def fit_boundary_graph(domain: GridDomain, x0s: np.ndarray):
 
     Each point's frame columns are sigma(x0)-orthonormal with the inner
     normal last; its w_fit is the Hessian of y_n = w(y') fitted with zero
-    constant and linear part over the nearest 4n window samples, and L is
-    its spectral norm.  Points with equal sample counts are fitted together.
+    constant and linear part over the nearest 4n window samples (sorted
+    among each point's own window rows only), and L is its spectral norm.
+    Points with equal sample counts are fitted together.
     Returns frames (P, n, n), Hessians (P, n-1, n-1), L (P,), the margin's
     trace terms tr w'' + sum_a Gamma^n_aa (P,) and one reason per point,
     None where the fit holds.
@@ -236,12 +242,15 @@ def fit_boundary_graph(domain: GridDomain, x0s: np.ndarray):
     idx, count = np.zeros((P, 4 * n), dtype=np.int64), np.zeros(P, dtype=np.int64)
     for blk in _blocks(P, len(cross) * n):
         keep = _window_rows(domain, x0s[blk], FIT_WINDOW_CELLS * float(np.max(domain.h)))
-        dist = np.where(keep, _norm(cross - x0s[blk, None]), np.inf)
+        count[blk] = np.sum(keep, axis=1)
+        # each point's kept rows in ascending order, padded with distance inf
+        rows = np.argsort(~keep, axis=1, kind="stable")[:, :np.max(count[blk], initial=0)]
+        dist = np.where(np.take_along_axis(keep, rows, 1), _norm(cross[rows] - x0s[blk, None]), np.inf)
         # nearest first; distances equal to 1e-12 go by the sample coordinates,
         # so sub-ulp moves of x0 cannot reorder symmetric lattice samples
-        keys = [np.broadcast_to(c, dist.shape) for c in cross.T[::-1]]
+        keys = list(np.moveaxis(cross[rows], -1, 0)[::-1])
         order = np.lexsort(keys + [np.round(dist / 1e-12)], axis=1)[:, :4 * n]
-        idx[blk, :order.shape[1]], count[blk] = order, np.sum(keep, axis=1)
+        idx[blk, :order.shape[1]] = np.take_along_axis(rows, order, 1)
     for p in np.flatnonzero(count < 2 * n):
         reasons[p] = (f"boundary near {x0s[p].tolist()} resolved by only "
                       f"{count[p]} points; need at least {2 * n}")
@@ -346,10 +355,11 @@ def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
     return frame, H, L, trace, why
 
 
-def _qv(y, K, alpha, w_fit, frame, Einv, inv, gam):
+def _qv(y, K, alpha, w_fit, frame, Einv, inv_t, gam):
     """Qv, psi and v at frame coordinates y (rows, n); w_fit, frame, its
-    inverse Einv, the chart's inverse metric inv and Christoffels gam carry
-    one row each (gam None: Gamma vanishes), K and alpha are scalars.
+    inverse Einv, the frame's inverse metric inv_t = E^-1 sigma^-1 E^-T and
+    the chart's Christoffels gam carry one row each (gam None: Gamma
+    vanishes), K and alpha are scalars.
 
     Assembles v_a = psi_a / 2v and v_ab = -psi_a psi_b / 4v^3 + psi_ab / 2v
     in the frame and contracts with the graph metric inverse; rows with
@@ -369,7 +379,6 @@ def _qv(y, K, alpha, w_fit, frame, Einv, inv, gam):
         vi = pg / (2.0 * v[:, None])
         vij = (-pg[:, :, None] * pg[:, None, :] / (4.0 * psi * v)[:, None, None]
                + ph / (2.0 * v[:, None, None]))
-        inv_t = Einv @ inv @ np.swapaxes(Einv, 1, 2)
         vi_up = np.einsum("rab,rb->ra", inv_t, vi)
         w2 = 1.0 + np.einsum("ra,ra->r", vi, vi_up)
         g = inv_t - vi_up[:, :, None] * vi_up[:, None, :] / w2[:, None, None]
@@ -388,7 +397,7 @@ def q_on_barrier(spec: BarrierSpec, x) -> np.ndarray:
     qv, psi, v = _qv(
         np.einsum("ij,rj->ri", Einv, pts - spec.x0), spec.K, spec.alpha,
         *(np.broadcast_to(a, (len(pts),) + a.shape) for a in (spec.w_fit, spec.frame, Einv)),
-        metric_at(spec.chart, pts)[1], christoffel_at(spec.chart, pts))
+        Einv @ metric_at(spec.chart, pts)[1] @ Einv.T, christoffel_at(spec.chart, pts))
     if np.any(psi <= 0):
         raise BarrierError("psi is not positive at a requested point")
     if np.any(v < MIN_BARRIER_V):
@@ -455,8 +464,10 @@ def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) ->
     Einv = np.linalg.inv(frames)
     ipts = domain.points[domain.interior]
     nodes, at = np.unique(node, return_inverse=True)
-    inv_n = metric_at(chart, ipts[nodes])[1]
-    gam_n = None if chart.is_euclidean else christoffel_at(chart, ipts[nodes])
+    if chart.is_euclidean:  # sigma^-1 is one matrix: the frame's inverse metric per point
+        inv_p, gam_n = Einv @ metric_at(chart, x0s)[1] @ np.swapaxes(Einv, 1, 2), None
+    else:
+        inv_n, gam_n = metric_at(chart, ipts[nodes])[1], christoffel_at(chart, ipts[nodes])
 
     alphas = [2.0 ** (-m) for m in range(21) if 2.0 ** (-m) >= ALPHA_FLOOR]
     for radius in [r_max * 2.0 ** (-j) for j in range(6)]:
@@ -476,8 +487,9 @@ def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) ->
             for blk in _blocks(len(rows), 4 * n ** 3):
                 r, o = rows[blk], owner[rows[blk]]
                 y = np.einsum("rij,rj->ri", Einv[o], ipts[node[r]] - x0s[o])
-                qv[blk], psi, v = _qv(y, K, alpha, H[o], frames[o], Einv[o], inv_n[at[r]],
-                                      None if gam_n is None else gam_n[at[r]])
+                inv_t, gam = ((inv_p[o], None) if gam_n is None else
+                              (Einv[o] @ inv_n[at[r]] @ np.swapaxes(Einv[o], 1, 2), gam_n[at[r]]))
+                qv[blk], psi, v = _qv(y, K, alpha, H[o], frames[o], Einv[o], inv_t, gam)
                 bad[blk] = ~(psi > 0) | (v < MIN_BARRIER_V)
             # rows run by owner: one segment per point evaluated on this rung
             starts = np.flatnonzero(np.diff(owner[rows], prepend=-1))

@@ -292,6 +292,9 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         spec = obj("time_check", time_check)
         check_keys("time_check", spec, times, times, times)
         seqs = [spec.get(key) for key in times]
+        problems.extend(f"time_check {key} must be a flat list of numbers, got {s!r:.80}"
+                        for key, s in zip(times, seqs)  # _numeric passes nested lists
+                        if isinstance(s, list) and _numeric(s) and _shape(s) != (len(s),))
         if flow is not None and all(isinstance(s, list) and s and all(map(_number, s))
                                     for s in seqs):
             try:  # the horizon, checked before any work is done

@@ -4,10 +4,12 @@ These are the one-point-at-a-time fit, search, solvability and attainment
 routines the batched code in `graphflow.barrier` and
 `graphflow.continuation` replaced, kept as the oracle the tests compare
 against, together with the helpers only the tests use: `psi_eval`,
-`q_on_barrier_fd` and `make_barrier_spec`.  `near_nodes_all_pairs` and
-`attainment_all_pairs` are the batched neighbourhood gathers that measured
-every point against every node, before the gathers read only each point's
-lattice window; the windowed ones must match them bit for bit.  The fit follows the batched
+`q_on_barrier_fd` and `make_barrier_spec`.  `near_nodes_all_pairs`,
+`attainment_all_pairs`, `window_rows_all_pairs` and
+`fit_boundary_graph_all_pairs` are the batched gathers that measured every
+point against every node or crossing-table row, before the gathers read
+only each point's lattice window or kept rows; the windowed ones must match
+them bit for bit.  The fit follows the batched
 one's tie rules: samples at equal distance (to 1e-12) are taken in
 coordinate order, and a tangent column's sign is set by its first entry of
 largest size (to 1e-12).
@@ -23,7 +25,7 @@ from graphflow.barrier import (ALPHA_FLOOR, DEGENERATE_RESIDUAL,
                                FIT_WINDOW_CELLS, MIN_BARRIER_V, QV_MARGIN,
                                BarrierSearchResult, BarrierSpec,
                                SolvabilityReport, _blocks, _crossing_table,
-                               _norm, _sdf, boundary_lipschitz,
+                               _fit_group, _norm, _sdf, boundary_lipschitz,
                                segment_crossings)
 from graphflow.continuation import AttainmentPoint, AttainmentReport
 from graphflow.errors import BarrierError
@@ -492,6 +494,49 @@ def near_nodes_all_pairs(domain: GridDomain, x0s: np.ndarray, open_: np.ndarray,
         p, i = np.nonzero((dist <= radius) & open_[blk, None])
         found.append((p + blk.start, i, dist[p, i]))
     return tuple(np.concatenate(col) for col in zip(*found))
+
+
+def window_rows_all_pairs(domain: GridDomain, x0s: np.ndarray, window: float) -> np.ndarray:
+    """(P, rows) mask of the crossing-table rows whose segment endpoints both
+    lie within the sup-norm window of each point, one row per boundary point;
+    every row's end nodes are measured against every point."""
+    lo, hi, cross = _crossing_table(domain)
+    pts = domain.points.reshape(-1, domain.dim)
+    near = np.all(np.abs(pts[lo] - x0s[:, None]) <= window + 1e-12, axis=-1)
+    near &= np.all(np.abs(pts[hi] - x0s[:, None]) <= window + 1e-12, axis=-1)
+    _, key = np.unique(np.round(cross / 1e-12).astype(np.int64), axis=0,
+                       return_inverse=True)
+    p, r = np.nonzero(near)
+    _, first = np.unique(p * len(cross) + key.reshape(-1)[r], return_index=True)
+    keep = np.zeros_like(near)
+    keep[p[first], r[first]] = True
+    return keep
+
+
+def fit_boundary_graph_all_pairs(domain: GridDomain, x0s: np.ndarray):
+    """graphflow.barrier.fit_boundary_graph with each point's samples ordered
+    among all crossing-table rows: (P, rows) distances, inf off the window,
+    and one (P, rows) lexsort."""
+    n, P, cross = domain.dim, len(x0s), _crossing_table(domain)[2]
+    frames, H, L, trace = np.zeros((P, n, n)), np.zeros((P, n - 1, n - 1)), np.zeros(P), np.zeros(P)
+    reasons = np.full(P, None, dtype=object)
+    idx, count = np.zeros((P, 4 * n), dtype=np.int64), np.zeros(P, dtype=np.int64)
+    for blk in _blocks(P, len(cross) * n):
+        keep = window_rows_all_pairs(domain, x0s[blk],
+                                     FIT_WINDOW_CELLS * float(np.max(domain.h)))
+        dist = np.where(keep, _norm(cross - x0s[blk, None]), np.inf)
+        keys = [np.broadcast_to(c, dist.shape) for c in cross.T[::-1]]
+        order = np.lexsort(keys + [np.round(dist / 1e-12)], axis=1)[:, :4 * n]
+        idx[blk, :order.shape[1]], count[blk] = order, np.sum(keep, axis=1)
+    for p in np.flatnonzero(count < 2 * n):
+        reasons[p] = (f"boundary near {x0s[p].tolist()} resolved by only "
+                      f"{count[p]} points; need at least {2 * n}")
+    used = np.where(count < 2 * n, 0, np.minimum(count, 4 * n))
+    for m in sorted(set(used[used > 0].tolist())):
+        grp = np.flatnonzero(used == m)
+        frames[grp], H[grp], L[grp], trace[grp], reasons[grp] = _fit_group(
+            domain, x0s[grp], cross[idx[grp, :m]])
+    return frames, H, L, trace, reasons
 
 
 def attainment_all_pairs(u_bar: GridField, phi, solvability) -> AttainmentReport:

@@ -562,6 +562,15 @@ def test_windowed_gathers_match_all_pairs_bit_for_bit(name, block, monkeypatch):
         assert len(got[0]) > 0
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+        mask = _window_rows(dom, x0s, radius)
+        assert mask.any() and np.array_equal(mask, oracle.window_rows_all_pairs(dom, x0s, radius))
+    if dom.dim > 1:  # the fit's compact sample order; its base points lie in the chart box
+        x0s = x0s[dom.chart.contains(x0s)]
+        got, want = fit_boundary_graph(dom, x0s), oracle.fit_boundary_graph_all_pairs(dom, x0s)
+        assert sum(r is None for r in want[4]) > 0
+        for a, b in zip(got[:4], want[:4]):
+            assert np.array_equal(a, b)
+        assert list(got[4]) == list(want[4])
 
 
 def test_euclidean_search_drops_only_a_zero_christoffel_term():

@@ -400,6 +400,9 @@ def test_run_seed_key_exits_1(tmp_path):
     ("phi value", {"phi": {"kind": "constant", "value": "a"}}),
     ("chart n", {"chart": {"kind": "euclidean", "n": "two"}}),
     ("warm_start", {"warm_start": "no"}),
+    # nested lists pass the number check; they used to fail after barrier.json
+    ("time_check times_a", {"time_check": {"times_a": [[0.05]], "times_b": [0.1]}}),
+    ("time_check times_b", {"time_check": {"times_a": [0.05], "times_b": [0.1, [0.2]]}}),
 ])
 def test_run_malformed_value_exits_1(tmp_path, key, overrides):
     cfg_path, out = write_config(tmp_path, **overrides)
@@ -407,7 +410,7 @@ def test_run_malformed_value_exits_1(tmp_path, key, overrides):
     fail = json.loads((out / "failure.json").read_text())
     assert fail["error"] == "ConfigError"
     assert [p for p in fail["problems"] if p.startswith(f"{key} must be")]
-    assert not (out / "manifest.json").exists()
+    assert not (out / "manifest.json").exists() and not (out / "barrier.json").exists()
 
 
 @pytest.mark.parametrize("level,overrides", [
