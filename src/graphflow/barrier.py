@@ -463,10 +463,10 @@ def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) ->
     last = ["no admissible (radius, alpha) pair found"] * P
     Einv = np.linalg.inv(frames)
     ipts = domain.points[domain.interior]
-    nodes, at = np.unique(node, return_inverse=True)
     if chart.is_euclidean:  # sigma^-1 is one matrix: the frame's inverse metric per point
         inv_p, gam_n = Einv @ metric_at(chart, x0s)[1] @ np.swapaxes(Einv, 1, 2), None
     else:
+        nodes, at = np.unique(node, return_inverse=True)
         inv_n, gam_n = metric_at(chart, ipts[nodes])[1], christoffel_at(chart, ipts[nodes])
 
     alphas = [2.0 ** (-m) for m in range(21) if 2.0 ** (-m) >= ALPHA_FLOOR]
