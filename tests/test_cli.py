@@ -400,7 +400,7 @@ def test_run_seed_key_exits_1(tmp_path):
     ("phi value", {"phi": {"kind": "constant", "value": "a"}}),
     ("chart n", {"chart": {"kind": "euclidean", "n": "two"}}),
     ("warm_start", {"warm_start": "no"}),
-    # nested lists pass the number check; they used to fail after barrier.json
+    # nested lists pass the number check; the flat-list check must catch them
     ("time_check times_a", {"time_check": {"times_a": [[0.05]], "times_b": [0.1]}}),
     ("time_check times_b", {"time_check": {"times_a": [0.05], "times_b": [0.1, [0.2]]}}),
 ])
