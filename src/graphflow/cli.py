@@ -19,14 +19,15 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .barrier import check_dirichlet_solvability, search_alpha
 from .continuation import (TimeSnapshots, boundary_attainment_report,
-                           eps_continuation, time_sequence_uniqueness_check)
+                           eps_continuation, eps_schedule,
+                           time_sequence_uniqueness_check)
 from .errors import (ConfigError, ConvergenceError, EstimateViolation,
                      FlowDiverged, GraphflowError)
 from .flow import (FlowParams, compatibility_ramp, q_operator,
@@ -64,33 +65,18 @@ class ExperimentConfig:
     snapshot_every_steps: int
 
     def resolved_dict(self) -> dict:
-        return {
-            "chart": self.chart, "region": self.region, "h": self.h,
-            "phi": self.phi, "u0": self.u0,
-            "flow": {"eps": self.flow.eps, "delta": self.flow.delta,
-                     "cfl": self.flow.cfl, "t_end": self.flow.t_end,
-                     "assert_estimates": self.flow.assert_estimates},
-            "schedule": self.schedule, "tol": self.tol,
-            "warm_start": self.warm_start,
-            "barrier": {"K": self.barrier_k, "gamma": self.barrier_gamma},
-            "time_check": self.time_check, "output_dir": self.output_dir,
-            "snapshot_every_steps": self.snapshot_every_steps,
-        }
+        """The config as executed, keyed as in the config file."""
+        resolved = asdict(self)
+        resolved["barrier"] = {"K": resolved.pop("barrier_k"), "gamma": resolved.pop("barrier_gamma")}
+        return resolved
 
 
-CONFIG_KEYS = ("chart", "region", "h", "phi", "u0", "flow", "schedule", "tol",
-               "warm_start", "barrier", "time_check", "output_dir",
-               "snapshot_every_steps")
 # keys field_from_spec reads for each field kind, besides "kind" itself
 FIELD_KEYS = {"constant": ("value",), "linear": ("coeffs", "offset"),
               "sine_product": ("amplitude", "waves"), "scherk": (),
               "radial_step": ("center", "radius", "inside", "outside"),
               "csv": ("path",)}
 FIELD_KINDS = tuple(FIELD_KEYS)
-LIST_KEYS = ("box", "bounds", "center", "coeffs", "waves", "values", "axes", "table",
-             "times_a", "times_b")
-# list keys with one entry per chart axis, and the shape of each entry
-AXIS_KEYS = {"box": (2,), "bounds": (2,), "center": (), "coeffs": (), "waves": ()}
 
 
 def field_from_spec(spec: dict, domain) -> GridField:
@@ -143,12 +129,15 @@ def field_from_spec(spec: dict, domain) -> GridField:
 
 
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that is a finite float: not a bool, and not the NaN or
+    Infinity that json.loads accepts."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
-def _numeric(value) -> bool:
-    """A JSON number, or a nonempty (nested) list of them."""
-    return bool(value) and all(map(_numeric, value)) if isinstance(value, list) else _number(value)
+def _nested(value) -> bool:
+    """A nonempty list of numbers and of such lists, ragged or not."""
+    return isinstance(value, list) and bool(value) and all(_number(v) or _nested(v) for v in value)
 
 
 def _shape(value):
@@ -159,164 +148,142 @@ def _shape(value):
     return (len(value), *shapes.pop()) if len(shapes) == 1 and None not in shapes else None
 
 
-def _kind_keys(table: dict, kind):
-    """table's entry for a kind read from JSON, None for any other value."""
-    return table.get(kind) if isinstance(kind, str) else None
+# The JSON forms of config values: what a value must be, and its test.  A
+# per-axis list adds the shape of its entries, one entry per chart axis.
+NUMBER = ("a number", _number)
+POSITIVE = ("a positive number", lambda v: _number(v) and v > 0)
+COUNT = ("a positive integer", lambda v: _number(v) and isinstance(v, int) and v >= 1)
+FLAG = ("true or false", lambda v: isinstance(v, bool))
+TEXT = ("a string", lambda v: isinstance(v, str))
+OBJECT = ("an object", lambda v: isinstance(v, dict))
+FLAT = ("a flat list of numbers", lambda v: isinstance(v, list) and all(map(_number, v)))
+NESTED = ("a list of numbers", _nested)
+PAIRS, SCALARS = (*NESTED, (2,)), (*NESTED, ())
+KIND = None  # a kind name, checked by its section's kind table
+
+# the form of every section value by key, the same in every section
+FORMS = {
+    "kind": KIND, "n": NUMBER, "box": PAIRS, "params": OBJECT,
+    "radius": NUMBER, "a": NUMBER, "b": NUMBER, "axes": NESTED, "table": NESTED, "csv": TEXT,
+    "region": KIND, "bounds": PAIRS, "center": SCALARS, "r_inner": NUMBER, "r_outer": NUMBER,
+    "values": NESTED, "value": NUMBER, "coeffs": SCALARS, "offset": NUMBER,
+    "amplitude": NUMBER, "waves": SCALARS, "inside": NUMBER, "outside": NUMBER, "path": TEXT,
+    "eps": NUMBER, "delta": NUMBER, "cfl": NUMBER, "t_end": NUMBER, "assert_estimates": FLAG,
+    "K": POSITIVE, "gamma": NUMBER, "times_a": FLAT, "times_b": FLAT,
+}
+REQUIRED = object()  # the default of a key every config must give
+# (form, default) of every top-level key; null is accepted where the default is None
+TOP = {
+    "chart": (OBJECT, REQUIRED), "region": (OBJECT, REQUIRED), "h": (POSITIVE, REQUIRED),
+    "phi": (OBJECT, REQUIRED), "u0": (OBJECT, {"kind": "constant", "value": 0.0}),
+    "flow": (OBJECT, {}), "schedule": (FLAT, None), "tol": (POSITIVE, 1e-5),
+    "warm_start": (FLAG, True), "barrier": (OBJECT, {}), "time_check": (OBJECT, None),
+    "output_dir": (TEXT, "graphflow_out"), "snapshot_every_steps": (COUNT, 1),
+}
 
 
 def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     """Validate a raw config dict, collecting every problem (wrong JSON
-    types included) before raising."""
+    types included) before raising.  Range checks read only values whose
+    form check passed."""
     problems = []
     dim = None  # the chart dimension, once the chart's n is known
 
-    def check_keys(name, spec, allowed, numeric=(), required=()):
-        # numeric keys hold numbers, those in LIST_KEYS lists of numbers,
-        # those in AXIS_KEYS one entry per chart axis
+    def check(name, spec, allowed, required=()) -> set:
+        """Report spec's unknown keys, its missing required keys and every
+        value of the wrong form (from TOP when allowed is TOP, else from
+        FORMS); returns the keys it reported."""
+        where = "" if allowed is TOP else f"{name} "
         unknown = sorted(set(spec) - set(allowed))
         if unknown:
             problems.append(f"unknown {name} keys {unknown}; expected keys "
-                            f"from {allowed}")
-        problems.extend(f"missing required {name} key {key!r}" for key in required
-                        if key not in spec)
-        for key, value in ((key, spec[key]) for key in numeric if key in spec):
-            if not (_numeric(value) and isinstance(value, list) == (key in LIST_KEYS)):
-                problems.append(f"{name} {key} must be a {'list of numbers' if key in LIST_KEYS else 'number'}"
+                            f"from {tuple(allowed)}")
+        missing = [key for key in required if key not in spec]
+        problems.extend(f"missing required {where}key {key!r}" for key in missing)
+        bad = {*unknown, *missing}
+        for key in (key for key in allowed if key in spec):
+            form, default = TOP[key] if allowed is TOP else (FORMS[key], REQUIRED)
+            value = spec[key]
+            if form is KIND or value is None and default is None:
+                continue
+            what, fits, *shape = form
+            if not fits(value):
+                problems.append(f"{where}{key} must be {what}{' or null' if default is None else ''}"
                                 f", got {value!r:.80}")
-            elif key in AXIS_KEYS and dim and _shape(value) != (dim, *AXIS_KEYS[key]):
-                problems.append(f"{name} {key} must have shape {(dim, *AXIS_KEYS[key])} on a "
+            elif shape and dim and _shape(value) != (dim, *shape[0]):
+                problems.append(f"{where}{key} must have shape {(dim, *shape[0])} on a "
                                 f"{dim}-D chart, got {value!r:.80}")
+            else:
+                continue
+            bad.add(key)
+        return bad
 
-    def obj(name, value):
-        if not isinstance(value, dict):
-            problems.append(f"{name} must be an object, got {value!r:.80}")
-        return value if isinstance(value, dict) else {}
+    def collect(make, prefix=""):
+        """make(), or None once the problems of its ConfigError are collected."""
+        try:
+            return make()
+        except ConfigError as exc:
+            problems.extend(prefix + p for p in exc.problems)
 
-    def number(name, value):  # NaN after a problem: no follow-up range problem
-        if _number(value):
-            return float(value)
-        problems.append(f"{name} must be a number, got {value!r:.80}")
-        return float("nan")
+    reported = check("config", raw, TOP, [key for key, (_, d) in TOP.items() if d is REQUIRED])
+    cfg = {key: raw.get(key, default) for key, (_, default) in TOP.items()}
 
-    check_keys("config", raw, CONFIG_KEYS)
-
-    def need(key, default=None):
-        if key in raw:
-            return raw[key]
-        if default is None:
-            problems.append(f"missing required key {key!r}")
-        return default
-
-    chart = need("chart")
-    if isinstance(chart, dict):
-        n = chart.get("n", 2)
-        if _number(n):  # a non-number is reported by check_keys
-            try:
-                dim = chart_dimension(n)
-            except ConfigError as exc:
-                problems.extend(exc.problems)
-        check_keys("chart", chart, CHART_KEYS, numeric=("n", "box"))
-        params = obj("chart params", chart.get("params", {}))
-        keys = _kind_keys(CHART_PARAMS, chart.get("kind"))
-        if keys is None:
-            problems.append(f"chart kind must be one of {BUILTIN_KINDS}, got {chart.get('kind')!r:.80}")
-        else:
-            check_keys("chart params", params, keys, numeric=[k for k in keys if k != "csv"])
-    region = need("region")
-    if region is not None:
-        region = obj("region", region)
-        keys = _kind_keys(REGION_KEYS, region.get("region"))
-        if keys is None:
+    chart = cfg["chart"]
+    if "chart" not in reported:
+        if _number(chart.get("n", 2)):  # a non-number is reported by check
+            dim = collect(lambda: chart_dimension(chart.get("n", 2)))
+        kind = chart.get("kind")
+        if kind not in BUILTIN_KINDS:
+            problems.append(f"chart kind must be one of {BUILTIN_KINDS}, got {kind!r:.80}")
+        if "params" not in check("chart", chart, CHART_KEYS) and kind in BUILTIN_KINDS:
+            check("chart params", chart.get("params", {}), CHART_PARAMS[kind])
+    region = cfg["region"]
+    if "region" not in reported:
+        if region.get("region") not in tuple(REGION_KEYS):
             problems.append(f"region must name a kind from {tuple(REGION_KEYS)}")
         else:
-            check_keys("region", region, ("region",) + keys, numeric=keys,
-                       required=[k for k in keys if k != "bounds"])
-    h = raw.get("h", 0.0)
-    if not isinstance(h, (int, float)) or h <= 0:
-        problems.append(f"h must be a positive number, got {h!r}")
-    phi = need("phi")
-    u0 = raw.get("u0", {"kind": "constant", "value": 0.0})
-
-    def check_field(name, spec):
-        # csv paths are interpreted relative to the config file
-        keys = _kind_keys(FIELD_KEYS, spec.get("kind")) if isinstance(spec, dict) else None
-        if keys is None:
+            keys = REGION_KEYS[region["region"]]
+            check("region", region, ("region", *keys), [k for k in keys if k != "bounds"])
+    for name in ("phi", "u0"):
+        if name in reported:
+            continue
+        spec = cfg[name]
+        if spec.get("kind") not in FIELD_KINDS:
             problems.append(f"{name} spec must name a kind from {FIELD_KINDS}")
-            return spec
-        check_keys(name, spec, ("kind",) + keys, numeric=[k for k in keys if k != "path"],
-                   required=[k for k in keys if k != "offset"])
-        if spec["kind"] == "csv":
-            path = base_dir / spec.get("path", "")
+            continue
+        keys = FIELD_KEYS[spec["kind"]]
+        if "path" not in check(name, spec, ("kind", *keys), [k for k in keys if k != "offset"]) \
+                and spec["kind"] == "csv":  # csv paths are read relative to the config file
+            path = base_dir / spec["path"]
             if not path.is_file():
                 problems.append(f"{name} csv file {str(path)!r} does not exist")
-            else:
-                spec = {**spec, "path": str(path)}
-        return spec
+            cfg[name] = {**spec, "path": str(path)}
 
-    phi = check_field("phi", phi)
-    u0 = check_field("u0", u0)
-
-    flow_raw = dict(obj("flow", raw.get("flow", {})))
-    flow_raw.setdefault("eps", 0.1)
     flow = None
-    try:
-        flow = FlowParams(**flow_raw)
-    except ConfigError as exc:
-        problems.extend(f"flow: {p}" for p in exc.problems)
-    except TypeError as exc:
-        problems.append(f"flow: {exc}")
+    if "flow" not in reported and not check("flow", cfg["flow"], [f.name for f in fields(FlowParams)]):
+        flow = collect(lambda: FlowParams(**{"eps": 0.1, **cfg["flow"]}), "flow: ")
+    schedule = cfg["schedule"]
+    if schedule is not None and "schedule" not in reported:
+        schedule = collect(lambda: eps_schedule(schedule))
 
-    schedule = raw.get("schedule")
-    if schedule is not None and not (isinstance(schedule, list) and all(map(_number, schedule))):
-        problems.append("schedule must be a list of numbers or null")
+    k, gamma, barrier = 0.3, 1.1, cfg["barrier"]
+    if "barrier" not in reported and not check("barrier", barrier, ("K", "gamma")):
+        k, gamma = float(barrier.get("K", k)), float(barrier.get("gamma", gamma))
+        if gamma <= 1:
+            problems.append(f"barrier gamma must exceed 1, got {gamma}")
 
-    tol = number("tol", raw.get("tol", 1e-5))
-    if tol <= 0:
-        problems.append(f"tol must be positive, got {tol}")
-    warm_start = raw.get("warm_start", True)
-    if not isinstance(warm_start, bool):
-        problems.append(f"warm_start must be true or false, got {warm_start!r:.80}")
-
-    barrier = obj("barrier", raw.get("barrier", {}))
-    check_keys("barrier", barrier, ("K", "gamma"))
-    k = number("barrier K", barrier.get("K", 0.3))
-    gamma = number("barrier gamma", barrier.get("gamma", 1.1))
-    if k <= 0:
-        problems.append(f"barrier K must be positive, got {k}")
-    if gamma <= 1:
-        problems.append(f"barrier gamma must exceed 1, got {gamma}")
-
-    time_check = raw.get("time_check")
-    if time_check is not None:
-        times = ("times_a", "times_b")
-        spec = obj("time_check", time_check)
-        check_keys("time_check", spec, times, times, times)
-        seqs = [spec.get(key) for key in times]
-        problems.extend(f"time_check {key} must be a flat list of numbers, got {s!r:.80}"
-                        for key, s in zip(times, seqs)  # _numeric passes nested lists
-                        if isinstance(s, list) and _numeric(s) and _shape(s) != (len(s),))
-        if flow is not None and all(isinstance(s, list) and s and all(map(_number, s))
-                                    for s in seqs):
-            try:  # the horizon, checked before any work is done
-                TimeSnapshots(flow, *seqs)
-            except ConfigError as exc:
-                problems.extend(exc.problems)
-
-    cadence = raw.get("snapshot_every_steps", 1)
-    if not isinstance(cadence, int) or cadence < 1:
-        problems.append("snapshot_every_steps must be a positive integer, "
-                        f"got {cadence!r}")
-        cadence = 1
+    times, time_check = ("times_a", "times_b"), cfg["time_check"]
+    if time_check is not None and "time_check" not in reported and \
+            not check("time_check", time_check, times, times) and flow is not None:
+        collect(lambda: TimeSnapshots(flow, *(time_check[key] for key in times)))  # the horizon
 
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(
-        chart=chart, region=region, h=float(h), phi=phi, u0=u0, flow=flow,
-        schedule=None if schedule is None else [float(e) for e in schedule],
-        tol=tol, warm_start=warm_start,
+        chart=chart, region=region, h=float(cfg["h"]), phi=cfg["phi"], u0=cfg["u0"],
+        flow=flow, schedule=schedule, tol=float(cfg["tol"]), warm_start=cfg["warm_start"],
         barrier_k=k, barrier_gamma=gamma, time_check=time_check,
-        output_dir=str(raw.get("output_dir", "graphflow_out")),
-        snapshot_every_steps=cadence)
+        output_dir=cfg["output_dir"], snapshot_every_steps=cfg["snapshot_every_steps"])
 
 
 # --------------------------------------------------------------- persistence
@@ -336,8 +303,10 @@ def write_manifest(out: Path, names) -> None:
     _dump_json(manifest, out / "manifest.json")
 
 
-def _resolve_out(raw_out: str | None, override: str | None) -> Path:
+def _resolve_out(raw_out, override: str | None) -> Path:
     env = os.environ.get("GRAPHFLOW_OUT")
+    if not isinstance(raw_out, str):  # parse_config reports a non-string output_dir
+        raw_out = None
     chosen = override or env or raw_out or "graphflow_out"
     out = Path(chosen)
     out.mkdir(parents=True, exist_ok=True)

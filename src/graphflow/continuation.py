@@ -135,6 +135,20 @@ def trace_error(u: GridField, phi, domain: GridDomain) -> float:
     return float(np.max(np.abs(u.values[inner] - as_field(domain, phi).values[inner])))
 
 
+def eps_schedule(schedule) -> list:
+    """An explicit eps schedule as floats; ConfigError listing every broken
+    rule unless it is nonempty, positive and strictly decreasing."""
+    sched = [float(e) for e in schedule]
+    problems = [] if sched else ["eps schedule is empty"]
+    if any(e <= 0 for e in sched):
+        problems.append(f"eps schedule must be positive: {sched}")
+    if any(b >= a for a, b in zip(sched, sched[1:])):
+        problems.append(f"eps schedule must be strictly decreasing: {sched}")
+    if problems:
+        raise ConfigError(problems)
+    return sched
+
+
 def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
                      tol: float = 1e-5, warm_start: bool = True,
                      observer=None) -> ContinuationReport:
@@ -150,17 +164,8 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     dom = u0.domain
     phi = as_field(dom, phi)
     dynamic = schedule is None
-    if dynamic:
-        sched_iter = [0.1 * 2.0 ** (-i) for i in range(DEFAULT_MAX_LEGS)]
-    else:
-        sched_iter = [float(e) for e in schedule]
-        if not sched_iter:
-            raise ConfigError("eps schedule is empty")
-        if any(e <= 0 for e in sched_iter):
-            raise ConfigError(f"eps schedule must be positive: {sched_iter}")
-        if any(b >= a for a, b in zip(sched_iter, sched_iter[1:])):
-            raise ConfigError(
-                f"eps schedule must be strictly decreasing: {sched_iter}")
+    sched_iter = ([0.1 * 2.0 ** (-i) for i in range(DEFAULT_MAX_LEGS)] if dynamic
+                  else eps_schedule(schedule))
     probe = probe_mask(dom)
 
     legs, gaps, history, current = [], [], [], u0

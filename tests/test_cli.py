@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,10 +13,11 @@ import pytest
 import graphflow.cli
 import graphflow.continuation
 import graphflow.flow
-from graphflow.cli import (RUN_ARTIFACTS, field_from_spec, main, parse_config)
+from graphflow.cli import (FIELD_KEYS, FORMS, RUN_ARTIFACTS, field_from_spec, main,
+                           parse_config)
 from graphflow.errors import ConfigError
-from graphflow.grid import EXTERIOR, GridField, build_domain, save_field_csv
-from graphflow.manifold import builtin_chart
+from graphflow.grid import EXTERIOR, REGION_KEYS, GridField, build_domain, save_field_csv
+from graphflow.manifold import CHART_KEYS, CHART_PARAMS, builtin_chart
 
 UNIT_BOX = {"region": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]]}
 
@@ -188,8 +190,54 @@ def test_parse_missing_csv_is_reported(tmp_path):
 def test_parse_rejects_unknown_flow_key(tmp_path):
     raw = base_config(tmp_path / "out")
     raw["flow"] = {"eps": 0.1, "viscosity": 2.0}
-    with pytest.raises(ConfigError, match="flow"):
+    with pytest.raises(ConfigError) as exc:
         parse_config(raw, tmp_path)
+    assert exc.value.problems[0].startswith("unknown flow keys ['viscosity']; expected keys")
+
+
+@pytest.mark.parametrize("overrides,problem", [
+    ({"h": float("inf")}, "h must be a positive number, got inf"),
+    ({"flow": {"t_end": float("nan")}}, "flow t_end must be a number, got nan"),
+    ({"chart": {"kind": "euclidean", "n": 2, "box": [[0.0, float("inf")], [0.0, 1.0]]}},
+     "chart box must be a list of numbers"),
+    # a NaN time is never reached: the time check would step forever
+    ({"time_check": {"times_a": [float("nan")], "times_b": [0.1]}},
+     "time_check times_a must be a flat list of numbers, got [nan]"),
+])
+def test_parse_rejects_nan_and_infinity(tmp_path, overrides, problem):
+    # json.loads reads the NaN and Infinity that json.dumps writes
+    raw = json.loads(json.dumps(base_config(tmp_path / "out", **overrides)))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw, tmp_path)
+    assert [p for p in exc.value.problems if p.startswith(problem)], exc.value.problems
+
+
+def test_every_kind_key_has_a_json_form():
+    kind_keys = {key for table in (CHART_PARAMS, REGION_KEYS, FIELD_KEYS)
+                 for keys in table.values() for key in keys}
+    flow_keys = {f.name for f in dataclasses.fields(graphflow.flow.FlowParams)}
+    assert kind_keys | flow_keys | set(CHART_KEYS) <= set(FORMS)
+
+
+def test_readme_config_table_matches_resolved_defaults(tmp_path):
+    # the README's config-key table: key, JSON form, default, rule
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | JSON form | default | rule |") + 2
+    rows = [line.split(" | ")[:3] for line in lines[start:lines.index("", start)]]
+    minimal = {key: base_config(tmp_path)[key] for key in ("chart", "region", "h", "phi")}
+    (tmp_path / "config.json").write_text(json.dumps(minimal))
+    assert main(["barrier", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 0
+    resolved = json.loads((tmp_path / "out" / "config_resolved.json").read_text())
+    for key, _, default in rows:
+        path = key.strip("| `").split(".")
+        if default.startswith("`"):
+            value = resolved
+            for part in path:
+                value = value[part]
+            assert json.loads(default.strip("`")) == value, key
+    required = {key.strip("| `") for key, _, default in rows if default == "required"}
+    assert required == set(minimal)
+    assert set(resolved) == {key.strip("| `").split(".")[0] for key, _, _ in rows}
 
 
 # ------------------------------------------------------------------------- run
@@ -250,6 +298,19 @@ def test_run_time_check_beyond_the_horizon_fails_before_any_work(tmp_path):
     fail = json.loads((out / "failure.json").read_text())
     assert "time sequences reach 60.0, beyond the horizon 50.0" in fail["problems"]
     assert not (out / "barrier.json").exists()
+
+
+@pytest.mark.parametrize("schedule,problem", [
+    ([], "eps schedule is empty"),
+    ([0.1, -0.05], "eps schedule must be positive: [0.1, -0.05]"),
+    ([0.05, 0.1], "eps schedule must be strictly decreasing: [0.05, 0.1]"),
+])
+def test_run_bad_schedule_fails_before_any_work(tmp_path, schedule, problem):
+    cfg_path, out = write_config(tmp_path, schedule=schedule)
+    assert main(["run", str(cfg_path)]) == 1
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["error"] == "ConfigError" and fail["problems"] == [problem]
+    assert not (out / "config_resolved.json").exists() and not (out / "barrier.json").exists()
 
 
 # moving data: leg 1 reaches quasi-steady state near t = 0.39 in 443 steps
@@ -508,6 +569,19 @@ def test_run_out_flag_beats_env_var(tmp_path, monkeypatch):
     assert not (tmp_path / "env_out").exists()
 
 
+@pytest.mark.parametrize("output_dir", [5, 0.5, True, ["out"], {}])
+@pytest.mark.parametrize("flag", [True, False])
+def test_run_non_string_output_dir_exits_1(tmp_path, monkeypatch, output_dir, flag):
+    # without --out the failure goes to the default directory
+    monkeypatch.chdir(tmp_path)
+    cfg_path, _ = write_config(tmp_path, output_dir=output_dir)
+    out = tmp_path / ("flag_out" if flag else "graphflow_out")
+    assert main(["run", str(cfg_path)] + (["--out", str(out)] if flag else [])) == 1
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["problems"] == [f"output_dir must be a string, got {output_dir!r}"]
+    assert not (out / "config_resolved.json").exists()
+
+
 # ---------------------------------------------------------------------- report
 
 
@@ -670,25 +744,36 @@ FUZZ_BASE = {
     "phi": {"kind": "linear", "coeffs": [0.1, 0.05], "offset": 0.0},
     "u0": {"kind": "radial_step", "center": [0.5, 0.5], "radius": 0.2,
            "inside": 0.1, "outside": 0.0},
-    "flow": {"eps": 0.1, "t_end": 1.0},
+    "flow": {"eps": 0.1, "t_end": 1.0, "assert_estimates": False},
     "schedule": [0.1],
     "tol": 1e-4,
+    "warm_start": True,
     "barrier": {"K": 0.3, "gamma": 1.1},
     "time_check": {"times_a": [0.01], "times_b": [0.02]},
+    "output_dir": "unused",
+    "snapshot_every_steps": 1,
 }
 FUZZ_SWAPS = (None, "x", ["x"], [], {}, True, -1, 0.5)
+NULLABLE = (("schedule",), ("time_check",))
+
+
+def json_type(value):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return "number" if number else type(value).__name__
 
 
 def fuzz_mutants():
-    """(label, config): every key of FUZZ_BASE dropped, and its value
-    replaced by each of FUZZ_SWAPS, one at a time."""
+    """(label, config, retyped): every key of FUZZ_BASE dropped, and its
+    value replaced by each of FUZZ_SWAPS, one at a time.  retyped marks a
+    swap to another JSON type, which must be a config error (null is a
+    value of its own only for the keys in NULLABLE)."""
     def paths(node, prefix=()):
         for key, value in node.items():
-            yield prefix + (key,)
+            yield prefix + (key,), value
             if isinstance(value, dict):
                 yield from paths(value, prefix + (key,))
 
-    for path in paths(FUZZ_BASE):
+    for path, value in paths(FUZZ_BASE):
         for swap in ("drop",) + FUZZ_SWAPS:
             cfg = copy.deepcopy(FUZZ_BASE)
             parent = cfg
@@ -698,24 +783,32 @@ def fuzz_mutants():
                 del parent[path[-1]]
             else:
                 parent[path[-1]] = swap
-            yield f"{'.'.join(path)}={swap!r}", cfg
+            retyped = (swap != "drop" and json_type(swap) != json_type(value)
+                       and not (swap is None and path in NULLABLE))
+            yield f"{'.'.join(path)}={swap!r}", cfg, retyped
 
 
 def test_config_fuzz_exits_0_or_1_with_failure_json(tmp_path, capsys):
-    bad = []
-    for k, (label, cfg) in enumerate(fuzz_mutants()):
+    bad, retyped_count = [], 0
+    for k, (label, cfg, retyped) in enumerate(fuzz_mutants()):
         out = tmp_path / f"out{k}"
         path = tmp_path / f"config{k}.json"
-        path.write_text(json.dumps(dict(cfg, output_dir=str(out))))
+        path.write_text(json.dumps(cfg))
         try:
-            code = main(["barrier", str(path)])
+            code = main(["barrier", str(path), "--out", str(out)])
         except Exception as exc:  # a traceback is what the test looks for
             bad.append(f"{label}: {type(exc).__name__}: {exc}")
             continue
         if code not in (0, 1) or (code == 1) != (out / "failure.json").is_file():
             bad.append(f"{label}: exit {code}")
+        elif retyped:
+            retyped_count += 1
+            error = code == 1 and json.loads((out / "failure.json").read_text())["error"]
+            if error != "ConfigError" or (out / "config_resolved.json").exists() \
+                    or (out / "barrier.json").exists():
+                bad.append(f"{label}: a wrong JSON type gave exit {code}, {error}")
     capsys.readouterr()
-    assert k > 200
+    assert k > 300 and retyped_count > 200
     assert bad == [], "\n".join(bad)
 
 
