@@ -275,7 +275,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     times, time_check = ("times_a", "times_b"), cfg["time_check"]
     if time_check is not None and "time_check" not in reported and \
             not check("time_check", time_check, times, times) and flow is not None:
-        collect(lambda: TimeSnapshots(flow, *(time_check[key] for key in times)))  # the horizon
+        collect(lambda: TimeSnapshots(flow, *(time_check[key] for key in times)))  # nonempty, <= t_end
 
     if problems:
         raise ConfigError(problems)
