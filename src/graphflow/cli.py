@@ -26,7 +26,7 @@ import numpy as np
 
 from .barrier import check_dirichlet_solvability, search_alpha
 from .continuation import (TimeSnapshots, boundary_attainment_report,
-                           eps_continuation, eps_schedule,
+                           eps_continuation, eps_schedule, probe_mask,
                            time_sequence_uniqueness_check)
 from .errors import (ConfigError, ConvergenceError, EstimateViolation,
                      FlowDiverged, GraphflowError)
@@ -178,7 +178,7 @@ TOP = {
     "phi": (OBJECT, REQUIRED), "u0": (OBJECT, {"kind": "constant", "value": 0.0}),
     "flow": (OBJECT, {}), "schedule": (FLAT, None), "tol": (POSITIVE, 1e-5),
     "warm_start": (FLAG, True), "barrier": (OBJECT, {}), "time_check": (OBJECT, None),
-    "output_dir": (TEXT, "graphflow_out"), "snapshot_every_steps": (COUNT, 1),
+    "output_dir": (TEXT, "graphflow_out"), "snapshot_every_steps": (COUNT, 10),
 }
 
 
@@ -390,6 +390,8 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
         _dump_json(cfg.resolved_dict(), out / "config_resolved.json")
 
         domain, phi, u0 = _build_problem(cfg)
+        if not barrier_only:
+            probe_mask(domain)  # an empty probe set fails before the barrier work
         solv = check_dirichlet_solvability(phi, domain, K=cfg.barrier_k,
                                            gamma=cfg.barrier_gamma)
         _dump_json(solv.json_dict(), out / "barrier.json")
@@ -401,7 +403,8 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
                                                     cfg.time_check["times_b"])
         riding = TimeSnapshots(cfg.flow, *times) if times and _rides_leg_one(cfg) else None
         report = eps_continuation(cfg.schedule, cfg.flow, phi, u0, tol=cfg.tol,
-                                  warm_start=cfg.warm_start, observer=riding)
+                                  warm_start=cfg.warm_start, observer=riding,
+                                  sample_every=cfg.snapshot_every_steps)
         if times:
             res = (riding.result() if riding is not None else
                    time_sequence_uniqueness_check(cfg.flow, phi, u0, *times))
@@ -416,10 +419,7 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
         _dump_json(att.json_dict(), out / "attainment.json")
 
         save_field_csv(report.u_bar, out / "solution.csv")
-        # keep the cadence rows plus the final row so summaries stay exact
-        history, k = report.history or [], cfg.snapshot_every_steps
-        history = [s for i, s in enumerate(history) if i % k == 0 or i == len(history) - 1]
-        write_diagnostics_csv(history, out / "diagnostics.csv")
+        write_diagnostics_csv(report.history, out / "diagnostics.csv")
         write_manifest(out, RUN_ARTIFACTS)
         return 0
     except GraphflowError as exc:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .barrier import _norm, _windows
 from .errors import ConfigError, EstimateViolation
-from .flow import FlowParams, FlowState, flow_step, initial_state, l_eps_apply
+from .flow import FlowParams, FlowState, flow_step, initial_state, l_eps_apply, record_sample
 from .functionals import e_eps, interior_integral, total_variation, w_factor
 from .grid import GridDomain, GridField, as_field
 
@@ -42,37 +42,38 @@ def probe_mask(domain: GridDomain) -> np.ndarray:
     return mask
 
 
-def _step_until(state: FlowState, params: FlowParams, stop, observers=()) -> None:
+def _step_until(state: FlowState, params: FlowParams, stop, observers=(), sample_every=0) -> None:
     """Step state until stop(state) holds; observers see the initial state
-    and every step."""
+    and every step.  Steps 1, 1+k, 1+2k, ... for k = sample_every > 0
+    record a DiagnosticSample; with 0, no step does."""
     for observe in observers:
         observe(state)
     while not stop(state):
-        flow_step(state, params)
+        flow_step(state, params, sample_every > 0 and state.step % sample_every == 0)
         for observe in observers:
             observe(state)
 
 
 def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
-                        observer=None) -> tuple[FlowState, bool]:
+                        observer=None, sample_every: int = 1) -> tuple[FlowState, bool]:
     """Step the flow until sup|u_t| drops below tol * (1 + sup|u0|).
 
     Returns the final state and whether the threshold was reached before
     t_end.  Stationary data converges in zero steps: the initial residual
     sup|L^eps u0| is checked before any stepping.  An observer sees the
-    initial state and every step.
+    initial state and every step.  The history samples steps 1, 1+k, 1+2k,
+    ... for k = sample_every, and the last step.
     """
     if tol <= 0:
         raise ConfigError(f"quasi-steady tolerance must be positive, got {tol}")
     state = initial_state(u0, phi, params)
     threshold = tol * (1.0 + state.u.sup_abs())
 
-    def settled(s: FlowState) -> bool:
-        return (s.history[-1].sup_ut if s.history else s.sup_l0) < threshold
-
-    _step_until(state, params, lambda s: settled(s) or s.t >= params.t_end,
-                () if observer is None else (observer,))
-    return state, settled(state)
+    _step_until(state, params, lambda s: s.sup_ut < threshold or s.t >= params.t_end,
+                () if observer is None else (observer,), sample_every)
+    if state.step and state.history[-1].step != state.step:
+        record_sample(state, params)  # the last step, when the cadence missed it
+    return state, state.sup_ut < threshold
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class ContinuationReport:
     u_bar: GridField
     probe_count: int
     time_uniqueness_gap: float | None = None
-    # per-step samples concatenated across legs; step and t restart per leg
+    # the legs' sampled histories concatenated; step and t restart per leg
     history: list | None = None
 
     def json_dict(self) -> dict:
@@ -151,7 +152,7 @@ def eps_schedule(schedule) -> list:
 
 def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
                      tol: float = 1e-5, warm_start: bool = True,
-                     observer=None) -> ContinuationReport:
+                     observer=None, sample_every: int = 1) -> ContinuationReport:
     """Continuation over a decreasing eps schedule.
 
     schedule None uses eps_i = 0.1 * 2^-i and stops once the probe-set gap
@@ -159,7 +160,9 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     warm-starts from the previous limit by default; warm_start False reruns
     every leg from u0, exposing any dependence on the eps sequence.  A leg
     that fails to reach quasi-steady state within t_end is recorded and
-    aborts the remaining schedule.  An observer watches leg 1 only.
+    aborts the remaining schedule.  An observer watches leg 1 only.  The
+    report's history holds each leg's samples at the sample_every cadence
+    of run_to_quasi_steady, first and last step included.
     """
     dom = u0.domain
     phi = as_field(dom, phi)
@@ -171,16 +174,14 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     legs, gaps, history, current = [], [], [], u0
     for eps in sched_iter:
         state, ok = run_to_quasi_steady(replace(params, eps=eps), phi,
-                                        current if warm_start else u0, tol, observer)
+                                        current if warm_start else u0, tol, observer, sample_every)
         observer = None  # leg 1 only
         history.extend(state.history)
         current = state.u
-        last = state.history[-1] if state.history else None
-        legs.append(EpsLeg(eps=eps, steps=state.step,
-                           final_sup_ut=float(last.sup_ut if last else state.sup_l0),
-                           converged=ok,
-                           energy_final=float(last.energy_eps if last else e_eps(current, eps)),
-                           dissipation_total=float(last.dissipation_cum if last else 0.0),
+        energy = state.history[-1].energy_eps if state.step else e_eps(current, eps)
+        legs.append(EpsLeg(eps=eps, steps=state.step, final_sup_ut=float(state.sup_ut),
+                           converged=ok, energy_final=float(energy),
+                           dissipation_total=float(state.dissipation_cum),
                            tv_final=total_variation(current), u_ref=current))
         if len(legs) > 1:
             gaps.append(float(np.max(np.abs(current.values[probe]
@@ -312,9 +313,8 @@ class TimeSnapshots:
 
     def result(self) -> TimeUniquenessResult:
         """Gap and source norms.  A run that stopped before the last time (a
-        leg that converged) is stepped on from a copy with its own history."""
-        _step_until(replace(self.last, history=[]), self.params,
-                    lambda s: not self.pending, (self,))
+        leg that converged) is stepped on from a copy, without samples."""
+        _step_until(replace(self.last), self.params, lambda s: not self.pending, (self,))
         probe = probe_mask(self.last.u.domain)
         norms = [(t, _source_norm(u, self.params.eps)) for t, u in self.snaps.items()]
         slack = 1e-12 + 1e-9 * norms[0][1]

@@ -24,7 +24,8 @@ step gathers every stencil value with one take of the domain's node table,
 evaluates the gradient, the Hessian, Q, Delta_M u and W there, stacked by
 component in interior_flat order, then takes the step bound, the update,
 the dirichlet values, the divergence guard (from sup|u|), u_t and the
-dissipation density, and last E^eps of the new state.
+dissipation density.  E^eps of the new state, a full cell quadrature, is
+evaluated only on the steps that record a DiagnosticSample.
 """
 
 from __future__ import annotations
@@ -81,7 +82,9 @@ class DiagnosticSample:
 
 @dataclass
 class FlowState:
-    """Mutable state of one flow run; each step appends a sample and sets a new u."""
+    """Mutable state of one flow run.  Each step sets a new u and the last
+    step's sup|u|, sup|u_t| (sup|L^eps u0| before the first step) and
+    dissipation; history holds the samples of the steps that recorded one."""
 
     u: GridField
     t: float = 0.0
@@ -92,6 +95,9 @@ class FlowState:
     sup_l0: float = 0.0
     bound_lo: float = 0.0
     bound_hi: float = 0.0
+    sup_u: float = 0.0
+    sup_ut: float = 0.0
+    dissipation_increment: float = 0.0
     dissipation_cum: float = 0.0
 
 
@@ -166,7 +172,7 @@ def initial_state(u0: GridField, phi, params: FlowParams) -> FlowState:
     used = u.values[dom.used]
     return FlowState(u=u, phi_dirichlet=phi_vals, ramp_base=ramp_base,
                      sup_l0=sup_l0, bound_lo=float(np.min(used)),
-                     bound_hi=float(np.max(used)))
+                     bound_hi=float(np.max(used)), sup_ut=sup_l0)
 
 
 def stable_dt(domain: GridDomain, params: FlowParams, w: np.ndarray) -> float:
@@ -184,13 +190,12 @@ def stable_dt(domain: GridDomain, params: FlowParams, w: np.ndarray) -> float:
     return params.cfl * min(1.0, 2.0 / domain.dim) * domain.h_min_sq / coeff_max
 
 
-def flow_step(state: FlowState, params: FlowParams) -> FlowState:
+def flow_step(state: FlowState, params: FlowParams, sample: bool = True) -> FlowState:
     """One explicit step; mutates and returns the state.
 
-    Appends a DiagnosticSample built from backward differences and the cell
-    quadrature energy; raises FlowDiverged on non-finite values and
-    EstimateViolation when assert_estimates is set and a monitored bound
-    fails.
+    With sample set, appends a DiagnosticSample (record_sample); raises
+    FlowDiverged on non-finite values and EstimateViolation when
+    assert_estimates is set and a monitored bound fails, sampled or not.
     """
     dom = state.u.domain
     vals = state.u.values
@@ -224,41 +229,46 @@ def flow_step(state: FlowState, params: FlowParams) -> FlowState:
         sup_ut = float(np.abs(ut).max())
         sup_u = max(sup_new, sup_bc)
         diss_inc = interior_integral(dom, ut * ut / w) * dt
+    state.sup_u, state.sup_ut, state.dissipation_increment = sup_u, sup_ut, diss_inc
     state.dissipation_cum += diss_inc
 
     state.u = GridField.trusted(dom, new_vals)
     state.t = t_new
     state.step += 1
-    energy = e_eps(state.u, params.eps)
-    sample = DiagnosticSample(step=state.step, t=state.t, sup_u=sup_u, sup_ut=sup_ut,
-                              energy_eps=energy, dissipation_increment=diss_inc,
-                              dissipation_cum=state.dissipation_cum)
-    state.history.append(sample)
-
+    if sample:
+        record_sample(state, params)
     if params.assert_estimates:
-        _check_estimates(state, sample)
+        _check_estimates(state)
     return state
 
 
-def _check_estimates(state: FlowState, sample: DiagnosticSample) -> None:
+def record_sample(state: FlowState, params: FlowParams) -> None:
+    """Append a DiagnosticSample of the state's last step, with E^eps of u."""
+    state.history.append(DiagnosticSample(
+        step=state.step, t=state.t, sup_u=state.sup_u, sup_ut=state.sup_ut,
+        energy_eps=e_eps(state.u, params.eps), dissipation_increment=state.dissipation_increment,
+        dissipation_cum=state.dissipation_cum))
+
+
+def _check_estimates(state: FlowState) -> None:
     scale = max(1.0, abs(state.bound_lo), abs(state.bound_hi))
     tol = SUP_BOUND_REL_TOL * scale
     used = state.u.values[state.u.domain.used]
     lo, hi = float(np.min(used)), float(np.max(used))
     if lo < state.bound_lo - tol or hi > state.bound_hi + tol:
         raise EstimateViolation(
-            f"maximum principle violated at step {sample.step}: range "
+            f"maximum principle violated at step {state.step}: range "
             f"[{lo}, {hi}] leaves "
             f"[{state.bound_lo}, {state.bound_hi}] by more than {tol}")
     ut_cap = state.sup_l0 * (1.0 + UT_BOUND_REL_TOL) + 1e-12
-    if sample.sup_ut > ut_cap:
+    if state.sup_ut > ut_cap:
         raise EstimateViolation(
-            f"time-derivative bound violated at step {sample.step}: sup|u_t| = "
-            f"{sample.sup_ut} exceeds sup|L^eps u0| = {state.sup_l0} beyond tolerance")
+            f"time-derivative bound violated at step {state.step}: sup|u_t| = "
+            f"{state.sup_ut} exceeds sup|L^eps u0| = {state.sup_l0} beyond tolerance")
 
 
 def write_diagnostics_csv(history, path) -> None:
-    """Write per-step samples as (step, t, sup_u, sup_ut, energy_eps,
+    """Write diagnostic samples as (step, t, sup_u, sup_ut, energy_eps,
     dissipation_cum) rows; floats with repr, lines ending in CRLF as
     csv.writer's do."""
     lines = ["step,t,sup_u,sup_ut,energy_eps,dissipation_cum"]

@@ -395,7 +395,7 @@ def test_run_snapshot_cadence_thins_diagnostics(tmp_path):
         "schedule": [0.1],
         "tol": 1e-4,
     }
-    cfg_path, _ = write_config(tmp_path, **moving)
+    cfg_path, _ = write_config(tmp_path, snapshot_every_steps=1, **moving)
     dense = tmp_path / "dense"
     assert main(["run", str(cfg_path), "--out", str(dense)]) == 0
     full = (dense / "diagnostics.csv").read_text().splitlines()
@@ -413,6 +413,66 @@ def test_run_snapshot_cadence_thins_diagnostics(tmp_path):
     assert thin[-1] == full[-1]        # final row always kept
     resolved = json.loads((thin_dir / "config_resolved.json").read_text())
     assert resolved["snapshot_every_steps"] == 5
+
+
+def test_run_default_cadence_samples_each_leg(tmp_path, monkeypatch):
+    # two moving legs and a riding time check that steps on past leg 1: each
+    # leg keeps steps 1, 11, 21, ... and its last step, row for row as the
+    # dense run writes them, and E^eps is evaluated for those rows only
+    energies, real = [], graphflow.flow.e_eps
+    monkeypatch.setattr(graphflow.flow, "e_eps",
+                        lambda *args: energies.append(1) or real(*args))
+    check = {"times_a": [0.3], "times_b": [0.6]}
+    runs, rows = {"dense": {"snapshot_every_steps": 1}, "default": {}}, {}
+    for name, cadence in runs.items():
+        energies.clear()
+        cfg_path, _ = write_config(tmp_path, f"{name}.json", time_check=check,
+                                   **MOVING, **cadence)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+        rows[name] = (tmp_path / name / "diagnostics.csv").read_bytes().split(b"\r\n")[1:-1]
+        assert len(energies) == len(rows[name])
+    cont = json.loads((tmp_path / "default" / "continuation.json").read_text())
+    steps = [leg["steps"] for leg in cont["legs"]]
+    assert steps == [443, 11]  # leg 1 ends off the cadence, leg 2 on it
+    assert len(rows["dense"]) == sum(steps)
+    legs = [rows["dense"][:steps[0]], rows["dense"][steps[0]:]]
+    assert rows["default"] == [row for leg in legs for i, row in enumerate(leg)
+                               if i % 10 == 0 or i == len(leg) - 1]
+    for name in set(RUN_ARTIFACTS) - {"config_resolved.json", "diagnostics.csv"}:
+        assert ((tmp_path / "dense" / name).read_bytes()
+                == (tmp_path / "default" / name).read_bytes()), name
+
+
+def test_run_checks_estimates_on_steps_the_cadence_skips(tmp_path, monkeypatch):
+    # the bound is tightened before step 5, which the default cadence does
+    # not sample; the check must still fire there
+    step = graphflow.continuation.flow_step
+
+    def tightened(state, *args):
+        if state.step == 4:
+            state.bound_hi = 0.1  # below the actual sup
+        return step(state, *args)
+
+    monkeypatch.setattr(graphflow.continuation, "flow_step", tightened)
+    cfg_path, out = write_config(tmp_path, **{**MOVING, "flow": {
+        "eps": 0.1, "t_end": 5.0, "assert_estimates": True}})
+    assert main(["run", str(cfg_path)]) == 2
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["error"] == "EstimateViolation"
+    assert fail["message"].startswith("maximum principle violated at step 5:")
+
+
+def test_run_empty_probe_set_fails_before_barrier(tmp_path):
+    # no node of a radius-0.4 disc at h = 1/8 lies 4 cells inside it
+    cfg_path, out = write_config(tmp_path, h=0.125, region={
+        "region": "disc", "center": [0.5, 0.5], "radius": 0.4})
+    assert main(["run", str(cfg_path)]) == 1
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["error"] == "ConfigError"
+    assert fail["message"].startswith("probe set is empty")
+    assert not (out / "barrier.json").exists()
+    # the barrier command reads no probe set
+    assert main(["barrier", str(cfg_path), "--out", str(tmp_path / "barrier")]) == 0
 
 
 def test_run_invalid_snapshot_cadence_exits_1(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphflow import continuation
+from graphflow import continuation, flow
 from graphflow.barrier import check_dirichlet_solvability
 from graphflow.continuation import (boundary_attainment_report, eps_continuation,
                                     probe_mask, run_to_quasi_steady,
@@ -297,6 +297,17 @@ def test_source_norms_decrease_along_run():
     norms = res.source_norms
     assert len(norms) == 6
     assert all(b <= a for a, b in zip(norms, norms[1:]))
+
+
+def test_time_check_records_no_samples(monkeypatch):
+    # the check keeps states only: no step of its run evaluates E^eps
+    calls, real = [], flow.e_eps
+    monkeypatch.setattr(flow, "e_eps", lambda *args: calls.append(1) or real(*args))
+    dom = euclid(1 / 16)
+    u0 = GridField.from_function(
+        dom, lambda x: 0.5 * np.sin(np.pi * x[0]) * np.sin(2 * np.pi * x[1]))
+    res = time_sequence_uniqueness_check(PARAMS, lambda x: 0.0, u0, [0.02, 0.05], [0.03])
+    assert len(res.source_norms) == 3 and calls == []
 
 
 def test_time_check_starts_from_the_imposed_boundary(monkeypatch):
