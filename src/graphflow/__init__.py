@@ -26,12 +26,10 @@ from .errors import (BarrierError, ChartError, ConfigError, ConvergenceError,
 from .flow import (DiagnosticSample, FlowParams, FlowState,
                    compatibility_ramp, flow_step, initial_state, l_eps_apply,
                    q_operator, stable_dt, write_diagnostics_csv)
-from .functionals import (DiscreteSet, FunctionalReport, area,
-                          area_directional_derivative, e_eps,
-                          interior_integral, j_functional, mollified_set_tv,
-                          product_grid, set_perimeter, subgraph_perimeter,
-                          subgraph_set, total_variation,
-                          vertical_rearrangement, w_factor)
+from .functionals import (DiscreteSet, FunctionalReport, area, e_eps,
+                          interior_integral, j_functional, product_grid,
+                          set_perimeter, subgraph_perimeter, subgraph_set,
+                          total_variation, vertical_rearrangement, w_factor)
 from .grid import (DIRICHLET, EXTERIOR, INTERIOR, GridDomain, GridField,
                    build_domain, interpolate_to, load_field_csv, save_field_csv)
 from .manifold import (MetricChart, builtin_chart, chart_from_spec,
@@ -47,14 +45,14 @@ __all__ = [
     "FlowParams", "FlowState", "FunctionalError", "FunctionalReport",
     "GraphflowError", "GridDomain", "GridError", "GridField", "INTERIOR",
     "MetricChart", "SolvabilityReport", "TimeUniquenessResult", "area",
-    "area_directional_derivative", "boundary_attainment_report",
+    "boundary_attainment_report",
     "boundary_lipschitz", "build_domain",
     "builtin_chart", "chart_from_spec", "check_dirichlet_solvability",
     "compatibility_ramp", "e_eps",
     "eps_continuation", "fit_boundary_graph", "flow_step", "initial_state",
     "interior_integral", "interpolate_to", "j_functional", "l_eps_apply",
     "load_field_csv", "load_metric_table",
-    "mollified_set_tv", "probe_mask", "product_grid",
+    "probe_mask", "product_grid",
     "q_on_barrier", "q_operator",
     "run_to_quasi_steady", "save_field_csv", "search_alpha", "set_perimeter",
     "stable_dt", "subgraph_perimeter", "subgraph_set",

@@ -584,10 +584,11 @@ def check_dirichlet_solvability(phi, domain: GridDomain, K: float,
                                      reason=str(err)) for x0 in crossings[hit]]
     points = dict(zip(hit.tolist(), found))
     for k in np.flatnonzero(missing).tolist():
-        idx = tuple(ix[k] for ix in outer)
+        idx = tuple(int(ix[k]) for ix in outer)
         points[k] = BarrierSearchResult(
             x0=domain.points[idx], admissible=False, certified=False,
-            reason=f"no boundary crossing between {tuple(ix[k] for ix in inner)} and {idx}")
+            reason=f"no boundary crossing between {tuple(int(ix[k]) for ix in inner)} "
+                   f"and {idx}")
     points = [points[k] for k in sorted(points)]
 
     margins = [p.limit_margin for p in points if p.certified]

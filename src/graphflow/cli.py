@@ -309,9 +309,9 @@ def _resolve_out(raw_out, override: str | None) -> Path:
         raw_out = None
     chosen = override or env or raw_out or "graphflow_out"
     out = Path(chosen)
-    out.mkdir(parents=True, exist_ok=True)
     probe = out / ".writable"
     try:
+        out.mkdir(parents=True, exist_ok=True)
         probe.write_text("")
         probe.unlink()
     except OSError as exc:

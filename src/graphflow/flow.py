@@ -76,15 +76,15 @@ class DiagnosticSample:
     sup_u: float
     sup_ut: float
     energy_eps: float
-    dissipation_increment: float
     dissipation_cum: float
 
 
 @dataclass
 class FlowState:
     """Mutable state of one flow run.  Each step sets a new u and the last
-    step's sup|u|, sup|u_t| (sup|L^eps u0| before the first step) and
-    dissipation; history holds the samples of the steps that recorded one."""
+    step's sup|u|, sup|u_t| (sup|L^eps u0| before the first step) and adds
+    its dissipation to dissipation_cum; history holds the samples of the
+    steps that recorded one."""
 
     u: GridField
     t: float = 0.0
@@ -97,7 +97,6 @@ class FlowState:
     bound_hi: float = 0.0
     sup_u: float = 0.0
     sup_ut: float = 0.0
-    dissipation_increment: float = 0.0
     dissipation_cum: float = 0.0
 
 
@@ -226,11 +225,9 @@ def flow_step(state: FlowState, params: FlowParams, sample: bool = True) -> Flow
                                f"{state.step + 1}", step=state.step + 1, node=bad)
 
         ut = (new - old) / dt
-        sup_ut = float(np.abs(ut).max())
-        sup_u = max(sup_new, sup_bc)
-        diss_inc = interior_integral(dom, ut * ut / w) * dt
-    state.sup_u, state.sup_ut, state.dissipation_increment = sup_u, sup_ut, diss_inc
-    state.dissipation_cum += diss_inc
+        state.sup_ut = float(np.abs(ut).max())
+        state.sup_u = max(sup_new, sup_bc)
+        state.dissipation_cum += interior_integral(dom, ut * ut / w) * dt
 
     state.u = GridField.trusted(dom, new_vals)
     state.t = t_new
@@ -246,8 +243,7 @@ def record_sample(state: FlowState, params: FlowParams) -> None:
     """Append a DiagnosticSample of the state's last step, with E^eps of u."""
     state.history.append(DiagnosticSample(
         step=state.step, t=state.t, sup_u=state.sup_u, sup_ut=state.sup_ut,
-        energy_eps=e_eps(state.u, params.eps), dissipation_increment=state.dissipation_increment,
-        dissipation_cum=state.dissipation_cum))
+        energy_eps=e_eps(state.u, params.eps), dissipation_cum=state.dissipation_cum))
 
 
 def _check_estimates(state: FlowState) -> None:

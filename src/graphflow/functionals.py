@@ -16,8 +16,8 @@ the penalized functional adds the boundary mismatch integral_dOmega |u - phi|,
 and the epsilon energy adds (eps/2) |Du|^2.
 
 Set functionals live on node indicators: a face-counting perimeter
-weighted by the metric facet measure, subgraph perimeters evaluated as the
-product-metric total variation of a vertically mollified indicator, and
+weighted by the metric facet measure, the subgraph perimeter evaluated as
+the product-metric total variation of a vertically mollified indicator, and
 vertical rearrangement of a product-lattice set back to a graph.
 """
 
@@ -47,14 +47,9 @@ def _cell_sig(domain: GridDomain):
     return None if domain.chart.is_euclidean else domain.cell_sig_inv
 
 
-def _cell_grad(domain: GridDomain, values: np.ndarray) -> np.ndarray:
-    """Cell gradient at the complete cells, (n, cells) in cell_flat order."""
-    return cell_gradient(domain, values.take(domain.cell_table))
-
-
 def _cell_w(domain: GridDomain, values: np.ndarray):
     """(gradsq, W) at the complete cells, in cell_flat order."""
-    grad = _cell_grad(domain, values)
+    grad = cell_gradient(domain, values.take(domain.cell_table))
     gradsq = contract(grad, matvec(_cell_sig(domain), grad))
     return gradsq, np.sqrt(1.0 + gradsq)
 
@@ -78,17 +73,6 @@ def area(u: GridField) -> float:
     dom = u.domain
     _, w = _cell_w(dom, u.values)
     return _cell_sum(dom, w)
-
-
-def area_directional_derivative(u: GridField, eta: GridField) -> float:
-    """Exact derivative (d/ds) A(u + s eta) at s = 0 on the same quadrature:
-    sum of <Du, D eta>_sigma / W over cells."""
-    dom = u.domain
-    gu = _cell_grad(dom, u.values)
-    raised = matvec(_cell_sig(dom), gu)
-    dot = contract(raised, _cell_grad(dom, eta.values))
-    w = np.sqrt(1.0 + contract(raised, gu))
-    return _cell_sum(dom, dot / w)
 
 
 def _facet_measure(domain: GridDomain) -> float:
@@ -233,29 +217,15 @@ def set_perimeter(E: DiscreteSet, window=None) -> float:
     return total
 
 
-def subgraph_set(u: GridField, T: float | None = None, h_t: float | None = None) -> DiscreteSet:
-    """Lattice subgraph {(x, t): t < u(x)} of a field on the product grid."""
-    dom = u.domain
-    sup = u.sup_abs()
-    if T is None:
-        T = 2.0 * (sup + 1.0)
-    if sup >= T:
+def subgraph_set(u: GridField, T: float, h_t: float) -> DiscreteSet:
+    """Lattice subgraph {(x, t): t < u(x)} of a field on the product grid
+    with layers at -T + k h_t; sup|u| must stay below T."""
+    if u.sup_abs() >= T:
         raise FunctionalError(f"field reaches the truncation height T={T}")
-    if h_t is None:
-        h_t = float(np.min(dom.h))
-    pg = product_grid(dom, T, h_t)
+    pg = product_grid(u.domain, T, h_t)
     chi = (pg.t_axis[None] < u.values.reshape(-1, 1)).reshape(pg.shape).astype(np.int8)
     chi = np.where(pg.used, chi, 0)
     return DiscreteSet(pg, chi)
-
-
-def _vertical_mollify(F: DiscreteSet) -> np.ndarray:
-    """Box-filter each column over the 3-cell band; pads full below, empty above."""
-    chi = F.indicator.astype(float)
-    below = np.ones_like(chi[..., :1])
-    above = np.zeros_like(chi[..., :1])
-    padded = np.concatenate([below, chi, above], axis=-1)
-    return (padded[..., :-2] + padded[..., 1:-1] + padded[..., 2:]) / MOLLIFY_BAND_CELLS
 
 
 def _product_cell_tv(pg: ProductGrid, chi: np.ndarray) -> float:
@@ -274,18 +244,6 @@ def _product_cell_tv(pg: ProductGrid, chi: np.ndarray) -> float:
     gs = grad[:n]
     norm2 = contract(gs, matvec(sig, gs)) + grad[n] ** 2
     return float(np.sum(np.sqrt(norm2) * base.cell_weights[:, None]) * float(np.prod(pg.h)))
-
-
-def mollified_set_tv(F: DiscreteSet) -> float:
-    """Product-metric total variation of the vertically mollified indicator.
-
-    The box filter spreads each vertical jump over MOLLIFY_BAND_CELLS cells,
-    so for subgraph-like sets the integral approximates the graph area.
-    """
-    pg = F.domain
-    if not isinstance(pg, ProductGrid):
-        raise FunctionalError("mollified TV needs a product-grid set")
-    return _product_cell_tv(pg, _vertical_mollify(F))
 
 
 def subgraph_perimeter(u: GridField, T: float | None = None,

@@ -62,8 +62,6 @@ def _region_sdf(region, points, chart_box):
     """Signed distance style function: negative strictly inside the region."""
     if region is None:
         region = {"region": "box"}
-    if callable(region):
-        return np.apply_along_axis(region, -1, points)
     kind = region.get("region")
     if kind == "box":
         box = np.asarray(region.get("bounds", chart_box), dtype=float)
@@ -360,8 +358,9 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 def build_domain(chart: MetricChart, h, region=None) -> GridDomain:
     """Discretize the chart box at spacing h and classify nodes.
 
-    h is a scalar or per-axis sequence and must divide every box width.
-    Raises GridError when no interior node survives the mask.
+    h is a scalar or per-axis sequence and must divide every box width;
+    region is a region spec dict, None for the whole chart box.  Raises
+    GridError when no interior node survives the mask.
     """
     n = chart.dim
     h_arr = np.broadcast_to(np.asarray(h, dtype=float), (n,)).copy()
@@ -423,12 +422,12 @@ def gradient_sweep(domain: GridDomain, nbrs: np.ndarray):
     return lowered, raised, contract(lowered, raised)
 
 
-def hessian_sweep(domain: GridDomain, nbrs: np.ndarray, lowered=None) -> np.ndarray:
+def hessian_sweep(domain: GridDomain, nbrs: np.ndarray, lowered: np.ndarray) -> np.ndarray:
     """Covariant Hessian at the interior nodes, (n, n, interior).
 
-    nbrs is values.take(domain.node_table); hess[a, b] is D^2_ab u, equal
-    to hess[b, a] bit for bit.  lowered, the gradient from gradient_sweep,
-    saves recomputing it on curved charts.
+    nbrs is values.take(domain.node_table) and lowered the gradient from
+    gradient_sweep, which the Christoffel term reads on curved charts;
+    hess[a, b] is D^2_ab u, equal to hess[b, a] bit for bit.
     """
     n = domain.dim
     _, h_sq, four_hh = domain.node_divisors
@@ -437,8 +436,6 @@ def hessian_sweep(domain: GridDomain, nbrs: np.ndarray, lowered=None) -> np.ndar
     second = np.concatenate(((fwd - 2.0 * nbrs[0] + bwd) / h_sq,
                              (pp - pm - mp + mm) / four_hh))
     if not domain.chart.is_euclidean:
-        if lowered is None:
-            lowered = gradient_sweep(domain, nbrs)[0]
         second = second - (domain.interior_gamma * lowered[:, None]).sum(axis=0)
     return second.take(_pair_rows(n)[1], axis=0)
 

@@ -87,7 +87,7 @@ def gradient_sweep(domain, values):
     return lowered, raised, contract(lowered, raised)
 
 
-def hessian_sweep(domain, values, lowered=None):
+def hessian_sweep(domain, values, lowered):
     n = domain.dim
     h = domain.h
     centre = values[(INNER,) * n]
@@ -101,8 +101,6 @@ def hessian_sweep(domain, values, lowered=None):
                 - _shifted(values, {a: -1, b: 1}) + _shifted(values, {a: -1, b: -1})) \
                 / (4.0 * h[a] * h[b])
     if not domain.chart.is_euclidean:
-        if lowered is None:
-            lowered = gradient_sweep(domain, values)[0]
         gamma = block_gamma(domain)
         for a in range(n):
             for b in range(a, n):
@@ -169,15 +167,6 @@ def total_variation(u):
     return _cell_sum(dom, np.sqrt(gradsq))
 
 
-def area_directional_derivative(u, eta):
-    dom = u.domain
-    gu = cell_gradient(dom, u.values)
-    raised = matvec(None if dom.chart.is_euclidean else cell_sig_inv(dom), gu)
-    dot = contract(raised, cell_gradient(dom, eta.values))
-    w = np.sqrt(1.0 + contract(raised, gu))
-    return _cell_sum(dom, dot / w)
-
-
 def product_cell_tv(pg, chi):
     base = pg.base
     n = base.dim
@@ -232,16 +221,14 @@ def flow_step(state, params):
         sup_ut = float(np.abs(ut).max())
         sup_u = max(float(np.abs(new).max()), float(np.abs(bc).max()))
         diss_density = ut * ut / w * dom.sqrt_det.take(interior)
-        diss_inc = float(diss_density.sum() * dom.cell_volume) * dt
-    state.dissipation_cum += diss_inc
+        state.dissipation_cum += float(diss_density.sum() * dom.cell_volume) * dt
 
     state.u = GridField.trusted(dom, new_vals)
     state.t = t_new
     state.step += 1
     energy = e_eps(state.u, params.eps)
     sample = DiagnosticSample(step=state.step, t=state.t, sup_u=sup_u, sup_ut=sup_ut,
-                              energy_eps=energy, dissipation_increment=diss_inc,
-                              dissipation_cum=state.dissipation_cum)
+                              energy_eps=energy, dissipation_cum=state.dissipation_cum)
     state.history.append(sample)
 
     if params.assert_estimates:

@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import hashlib
 import json
@@ -611,6 +612,26 @@ def test_run_nonconvergence_exits_3(tmp_path, capsys):
     assert not (out / "attainment.json").exists()
 
 
+@pytest.mark.parametrize("command, source", [
+    ("run", "flag"), ("run", "env"), ("run", "config"), ("barrier", "flag"),
+    ("barrier", "env"), ("barrier", "config"), ("selftest", "flag"), ("selftest", "env")])
+def test_out_under_a_regular_file_exits_1(tmp_path, monkeypatch, capsys, command, source):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    bad = tmp_path / "file" / "sub"
+    argv = [command]
+    if command != "selftest":
+        cfg_path, _ = write_config(tmp_path, output_dir=str(bad) if source == "config" else "out")
+        argv.append(str(cfg_path))
+    if source == "flag":
+        argv += ["--out", str(bad)]
+    elif source == "env":
+        monkeypatch.setenv("GRAPHFLOW_OUT", str(bad))
+    assert main(argv) == 1
+    assert f"error (ConfigError): output directory {bad} is not writable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_env_var_overrides_config(tmp_path, monkeypatch):
     cfg_path, out = write_config(tmp_path)
     env_out = tmp_path / "env_out"
@@ -659,6 +680,22 @@ def test_report_bundles_and_reruns_identically(tmp_path):
     assert bundle["diagnostics"]["columns"][0] == "step"
 
 
+def test_report_summarises_a_run_that_steps(tmp_path):
+    cfg_path, out = write_config(
+        tmp_path, phi={"kind": "linear", "coeffs": [0.5, -0.25], "offset": 0.0},
+        u0={"kind": "constant", "value": 0.0})
+    assert main(["run", str(cfg_path)]) == 0
+    assert main(["report", str(out)]) == 0
+    summary = json.loads((out / "report.json").read_text())["diagnostics"]
+    with open(out / "diagnostics.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) > 2 and summary["rows"] == len(rows)
+    assert summary["columns"] == header
+    assert summary["first"] == dict(zip(header, rows[0]))
+    assert summary["last"] == dict(zip(header, rows[-1]))
+    assert int(summary["last"]["step"]) > int(summary["first"]["step"]) > 0
+
+
 def test_report_requires_manifest(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -684,6 +721,21 @@ def test_report_detects_missing_artifact(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------- barrier
+
+
+def test_barrier_region_past_the_chart_box_reports_rim_without_crossing(tmp_path):
+    # the region holds every lattice node, so no segment from an interior
+    # node to a rim node meets the region edge
+    cfg_path, out = write_config(
+        tmp_path, region={"region": "box", "bounds": [[-1.0, 2.0], [-1.0, 2.0]]})
+    assert main(["barrier", str(cfg_path)]) == 0
+    bar = json.loads((out / "barrier.json").read_text())
+    assert bar["certified"] is False
+    assert bar["points"][0] == {"x0": [0.0, 0.0], "admissible": False, "certified": False,
+                                "reason": "no boundary crossing between (1, 1) and (0, 0)",
+                                "samples": 0}
+    assert all(not p["admissible"] and not p["certified"]
+               and p["reason"].startswith("no boundary crossing") for p in bar["points"])
 
 
 def test_barrier_subcommand_writes_certificate_only(tmp_path):

@@ -324,6 +324,17 @@ def test_time_check_starts_from_the_imposed_boundary(monkeypatch):
     assert starts[0].sup_l0 == state.sup_l0 > 0.0
 
 
+def test_time_check_trips_when_the_stationarity_defect_rises(monkeypatch):
+    norms = iter([1.0, 2.0, 3.0])
+    monkeypatch.setattr(continuation, "_source_norm", lambda u, eps: next(norms))
+    dom = euclid(1 / 16)
+    u0 = GridField.from_function(
+        dom, lambda x: 0.5 * np.sin(np.pi * x[0]) * np.sin(2 * np.pi * x[1]))
+    with pytest.raises(EstimateViolation, match=r"stationarity defect rose from 1\.0 at "
+                                                r"t=0\.02 to 2\.0 at t=0\.03$"):
+        time_sequence_uniqueness_check(PARAMS, lambda x: 0.0, u0, [0.02, 0.05], [0.03])
+
+
 def test_time_sequences_validation():
     dom = euclid(1 / 16)
     u0 = GridField.constant(dom, 0.0)

@@ -253,6 +253,18 @@ def test_estimate_guard_trips_when_bounds_tightened():
         flow_step(state, params)
 
 
+def test_estimate_guard_trips_on_the_time_derivative_bound():
+    dom = euclid(1.0 / 16)
+    u0 = GridField.from_function(
+        dom, lambda x: 0.5 * np.sin(np.pi * x[0]) * np.sin(np.pi * x[1]))
+    params = FlowParams(eps=0.1, t_end=0.01, assert_estimates=True)
+    state = initial_state(u0, lambda x: 0.0, params)
+    state.sup_l0 = 0.0  # any motion now exceeds sup|L^eps u0|
+    with pytest.raises(EstimateViolation, match=r"time-derivative bound violated at step 1: "
+                                                r"sup\|u_t\| = .* exceeds sup\|L\^eps u0\| = 0\.0"):
+        flow_step(state, params)
+
+
 def test_diagnostics_csv_bytes_match_csv_writer(tmp_path):
     dom = euclid(1.0 / 16)
     u0 = GridField.from_function(

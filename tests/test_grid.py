@@ -192,7 +192,8 @@ def test_hessian_mirrored_bitwise():
     dom = build_domain(chart, 0.125)
     rng = np.random.default_rng(5)
     vals = rng.random(dom.shape)
-    hess = hessian_sweep(dom, vals.take(dom.node_table))
+    nbrs = vals.take(dom.node_table)
+    hess = hessian_sweep(dom, nbrs, gradient_sweep(dom, nbrs)[0])
     for node in [(2, 3), (4, 4), (5, 2)]:
         assert at_node(dom, hess, node)[0, 1] == at_node(dom, hess, node)[1, 0]
 

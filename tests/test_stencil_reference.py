@@ -9,8 +9,8 @@ import stencil_oracle as oracle
 from graphflow.continuation import time_sequence_uniqueness_check
 from graphflow.errors import FlowDiverged
 from graphflow.flow import FlowParams, _operator_arrays, flow_step, initial_state, stable_dt
-from graphflow.functionals import (_product_cell_tv, area, area_directional_derivative, e_eps,
-                                   product_grid, total_variation, w_factor)
+from graphflow.functionals import (_product_cell_tv, area, e_eps, product_grid, total_variation,
+                                   w_factor)
 from graphflow.grid import GridField, build_domain, gradient_sweep, hessian_sweep
 from graphflow.manifold import builtin_chart
 from test_grid import ORACLE_DOMAINS, _disc
@@ -62,7 +62,6 @@ def test_sweeps_and_operator_match_reference(name):
         lowered = gradient_sweep(dom, nbrs)
         ref_lowered = oracle.gradient_sweep(dom, vals)
         _same(lowered, [_at_interior(dom, r) for r in ref_lowered])
-        _same(hessian_sweep(dom, nbrs), _at_interior(dom, oracle.hessian_sweep(dom, vals)))
         _same(hessian_sweep(dom, nbrs, lowered[0]),
               _at_interior(dom, oracle.hessian_sweep(dom, vals, ref_lowered[0])))
         _same(_operator_arrays(dom, vals),
@@ -75,13 +74,11 @@ def test_sweeps_and_operator_match_reference(name):
 def test_energy_and_step_bound_match_reference(name):
     dom = DOMAINS[name]()
     u = GridField(dom, _random_values(dom, 5))
-    source = GridField(dom, _random_values(dom, 6))
     for eps in (0.0, 0.1, 0.37):
         assert e_eps(u, eps) == oracle.e_eps(u, eps)
     # the eps = 0 integrand is W + 0 * gradsq = W, so area sums the same cells
     assert area(u) == oracle.e_eps(u, 0.0)
     assert total_variation(u) == oracle.total_variation(u)
-    assert area_directional_derivative(u, source) == oracle.area_directional_derivative(u, source)
     pg = product_grid(dom, 1.0, float(np.min(dom.h)))
     profile = np.random.default_rng(8).random(pg.shape)
     assert _product_cell_tv(pg, profile) == oracle.product_cell_tv(pg, profile)
