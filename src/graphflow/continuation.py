@@ -7,8 +7,11 @@ the schedule) is summarized by Cauchy gaps between successive leg limits on
 an interior probe set, a boundary trace error, and a cross-time-sequence
 uniqueness gap measured inside a single run.
 
-All stepping goes through one loop with observers, _step_until; the time
-check is an observer (TimeSnapshots) that can ride eps-leg 1.
+All stepping goes through one loop, _step_until.  The legs take explicit
+steps by default, or RKL1 super-steps with stages > 1 (flow.flow_step),
+which reach the same leg limits in fewer operator sweeps.  The time check
+is a stop rule (TimeSnapshots) on its own explicit run, because it reads
+the states at the requested times, which super-steps step over.
 
 Convergence statements live on compact interior subsets, so the probe set
 excludes a 4-cell boundary collar; trace behavior at the boundary itself is
@@ -18,6 +21,7 @@ classified separately against the barrier certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -42,35 +46,36 @@ def probe_mask(domain: GridDomain) -> np.ndarray:
     return mask
 
 
-def _step_until(state: FlowState, params: FlowParams, stop, observers=(), sample_every=0) -> None:
-    """Step state until stop(state) holds; observers see the initial state
-    and every step.  Steps 1, 1+k, 1+2k, ... for k = sample_every > 0
-    record a DiagnosticSample; with 0, no step does."""
-    for observe in observers:
-        observe(state)
+def _step_until(state: FlowState, params: FlowParams, stop, sample_every=0, stages=1) -> None:
+    """Step state, stages at a time (flow.flow_step), until stop(state)
+    holds; stop sees the initial state and every step.  Steps 1, 1+k,
+    1+2k, ... for k = sample_every > 0 record a DiagnosticSample; with 0,
+    no step does."""
     while not stop(state):
-        flow_step(state, params, sample_every > 0 and state.step % sample_every == 0)
-        for observe in observers:
-            observe(state)
+        flow_step(state, params, sample_every > 0 and state.step % sample_every == 0, stages)
 
 
 def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
-                        observer=None, sample_every: int = 1) -> tuple[FlowState, bool]:
+                        sample_every: int = 1, stages: int = 1) -> tuple[FlowState, bool]:
     """Step the flow until sup|u_t| drops below tol * (1 + sup|u0|).
 
     Returns the final state and whether the threshold was reached before
     t_end.  Stationary data converges in zero steps: the initial residual
-    sup|L^eps u0| is checked before any stepping.  An observer sees the
-    initial state and every step.  The history samples steps 1, 1+k, 1+2k,
-    ... for k = sample_every, and the last step.
+    sup|L^eps u0| is checked before any stepping.  The history samples
+    steps 1, 1+k, 1+2k, ... for k = sample_every, and the last step.  With
+    stages > 1 each step is an RKL1 super-step of that many stages.
     """
-    if tol <= 0:
-        raise ConfigError(f"quasi-steady tolerance must be positive, got {tol}")
+    problems = [] if tol > 0 else [f"quasi-steady tolerance must be positive, got {tol}"]
+    problems += [f"{name} must be a positive integer, got {value!r}"
+                 for name, value in (("sample_every", sample_every), ("stages", stages))
+                 if not (isinstance(value, Integral) and value >= 1)]
+    if problems:
+        raise ConfigError(problems)
     state = initial_state(u0, phi, params)
     threshold = tol * (1.0 + state.u.sup_abs())
 
     _step_until(state, params, lambda s: s.sup_ut < threshold or s.t >= params.t_end,
-                () if observer is None else (observer,), sample_every)
+                sample_every, stages)
     if state.step and state.history[-1].step != state.step:
         record_sample(state, params)  # the last step, when the cadence missed it
     return state, state.sup_ut < threshold
@@ -81,11 +86,13 @@ class EpsLeg:
     """Summary of one eps level, with a reference to its quasi-steady field.
 
     tv_final is the graph total variation of the leg limit, the discrete
-    stand-in for the flow staying in W^{1,1}.
+    stand-in for the flow staying in W^{1,1}.  evaluations counts the
+    operator sweeps, the stages summed over the steps.
     """
 
     eps: float
     steps: int
+    evaluations: int
     final_sup_ut: float
     converged: bool
     energy_final: float
@@ -95,6 +102,7 @@ class EpsLeg:
 
     def json_dict(self) -> dict:
         return {"eps": float(self.eps), "steps": int(self.steps),
+                "evaluations": int(self.evaluations),
                 "final_sup_ut": float(self.final_sup_ut),
                 "converged": bool(self.converged),
                 "energy_final": float(self.energy_final),
@@ -152,7 +160,7 @@ def eps_schedule(schedule) -> list:
 
 def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
                      tol: float = 1e-5, warm_start: bool = True,
-                     observer=None, sample_every: int = 1) -> ContinuationReport:
+                     sample_every: int = 1, stages: int = 1) -> ContinuationReport:
     """Continuation over a decreasing eps schedule.
 
     schedule None uses eps_i = 0.1 * 2^-i and stops once the probe-set gap
@@ -160,9 +168,9 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     warm-starts from the previous limit by default; warm_start False reruns
     every leg from u0, exposing any dependence on the eps sequence.  A leg
     that fails to reach quasi-steady state within t_end is recorded and
-    aborts the remaining schedule.  An observer watches leg 1 only.  The
-    report's history holds each leg's samples at the sample_every cadence
-    of run_to_quasi_steady, first and last step included.
+    aborts the remaining schedule.  The report's history holds each leg's
+    samples at the sample_every cadence of run_to_quasi_steady, first and
+    last step included; stages is passed to it as well.
     """
     dom = u0.domain
     phi = as_field(dom, phi)
@@ -174,12 +182,12 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     legs, gaps, history, current = [], [], [], u0
     for eps in sched_iter:
         state, ok = run_to_quasi_steady(replace(params, eps=eps), phi,
-                                        current if warm_start else u0, tol, observer, sample_every)
-        observer = None  # leg 1 only
+                                        current if warm_start else u0, tol, sample_every, stages)
         history.extend(state.history)
         current = state.u
         energy = state.history[-1].energy_eps if state.step else e_eps(current, eps)
-        legs.append(EpsLeg(eps=eps, steps=state.step, final_sup_ut=float(state.sup_ut),
+        legs.append(EpsLeg(eps=eps, steps=state.step, evaluations=state.evaluations,
+                           final_sup_ut=float(state.sup_ut),
                            converged=ok, energy_final=float(energy),
                            dissipation_total=float(state.dissipation_cum),
                            tv_final=total_variation(current), u_ref=current))
@@ -290,13 +298,12 @@ def _source_norm(u: GridField, eps: float) -> float:
 
 
 class TimeSnapshots:
-    """Time-check observer: keeps the first observed state with t >= each
-    requested time.  It watches its own run from u0 or, at the same
-    FlowParams, eps-leg 1.  flow_step builds a new lattice array every
-    step, so a snapshot needs no copy."""
+    """Time-check stop rule: keeps the first state it sees with t >= each
+    requested time, and holds once every time is reached.  flow_step
+    builds a new lattice array every step, so a snapshot needs no copy."""
 
     def __init__(self, params: FlowParams, times_a, times_b):
-        self.params, self.snaps, self.last = params, {}, None
+        self.params, self.snaps = params, {}
         self.times = [sorted(float(t) for t in ts) for ts in (times_a, times_b)]
         if not all(self.times):
             raise ConfigError("both time sequences must be nonempty")
@@ -306,16 +313,14 @@ class TimeSnapshots:
                 f"time sequences reach {horizon}, beyond the horizon {params.t_end}")
         self.pending = sorted(set().union(*self.times))
 
-    def __call__(self, state: FlowState) -> None:
+    def __call__(self, state: FlowState) -> bool:
         while self.pending and state.t >= self.pending[0]:
             self.snaps[self.pending.pop(0)] = state.u
-        self.last = state
+        return not self.pending
 
     def result(self) -> TimeUniquenessResult:
-        """Gap and source norms.  A run that stopped before the last time (a
-        leg that converged) is stepped on from a copy, without samples."""
-        _step_until(replace(self.last), self.params, lambda s: not self.pending, (self,))
-        probe = probe_mask(self.last.u.domain)
+        """Gap and source norms of the snapshots, once every time is reached."""
+        probe = probe_mask(self.snaps[self.times[0][0]].domain)
         norms = [(t, _source_norm(u, self.params.eps)) for t, u in self.snaps.items()]
         slack = 1e-12 + 1e-9 * norms[0][1]
         for (t0, n0), (t1, n1) in zip(norms, norms[1:]):
@@ -331,12 +336,11 @@ def time_sequence_uniqueness_check(params: FlowParams, phi, u0: GridField,
                                    times_a, times_b) -> TimeUniquenessResult:
     """Compare the flow limits extracted along two time sequences.
 
-    One run, snapshots at every requested time (first step crossing it),
-    last-iterate limits on the probe set.  Also checks that the stationarity
-    defect norms decrease along the sampled times, as the dissipation bound
-    demands; a violation raises EstimateViolation.  graphflow run calls this
-    only when eps-leg 1 is not the same run (see TimeSnapshots).
+    One explicit run at params, snapshots at every requested time (first
+    step crossing it), last-iterate limits on the probe set.  Also checks
+    that the stationarity defect norms decrease along the sampled times, as
+    the dissipation bound demands; a violation raises EstimateViolation.
     """
     check = TimeSnapshots(params, times_a, times_b)
-    _step_until(initial_state(u0, phi, params), params, lambda s: not check.pending, (check,))
+    _step_until(initial_state(u0, phi, params), params, check)
     return check.result()

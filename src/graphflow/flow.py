@@ -6,8 +6,13 @@ The interior update integrates
     Q u = (sigma^{ij} - u^i u^j / W^2) D^2_ij u,   W = sqrt(1 + |Du|^2_sigma),
 
 with forward Euler under a parabolic step restriction recomputed every
-step.  The eps term is the uniformly parabolic viscosity perturbation: it
-makes the flow the metric gradient flow of the energy
+step, or, with s > 1 stages, with first-order Runge-Kutta-Legendre (RKL1)
+super-steps of length tau = dt (s^2 + s)/2 (Meyer, Balsara & Aslam, J.
+Comput. Phys. 257, 2014).  A super-step's first stage is the forward Euler
+step; its stages reuse the same stencil and keep every fixed point
+L^eps u = 0, so both schemes approach the same discrete limit.  The eps
+term is the uniformly parabolic viscosity perturbation: it makes the flow
+the metric gradient flow of the energy
 
     E^eps(u) = integral W + (eps/2) |Du|^2 dV
 
@@ -20,12 +25,15 @@ phi + delta psi(t/delta) L^eps u0 with psi(s) = s (1 - s/2)^2, which has
 psi(0) = 0, psi'(0) = 1, |psi'| <= 1 and support in [0, 2].
 
 The operator is summed in closed form at the interior nodes only.  One
-step gathers every stencil value with one take of the domain's node table,
-evaluates the gradient, the Hessian, Q, Delta_M u and W there, stacked by
-component in interior_flat order, then takes the step bound, the update,
-the dirichlet values, the divergence guard (from sup|u|), u_t and the
-dissipation density.  E^eps of the new state, a full cell quadrature, is
-evaluated only on the steps that record a DiagnosticSample.
+explicit step gathers every stencil value with one take of the domain's
+node table, evaluates the gradient, the Hessian, Q, Delta_M u and W
+there, stacked by component in interior_flat order, then takes the step
+bound, the update, the dirichlet values, the divergence guard (from
+sup|u|), u_t and the dissipation density.  A super-step evaluates the
+operator once per stage and takes the rest once: sup|u_t| is its first
+stage's rate, and the dissipation uses the one-point rule
+((Y_s - Y_0)/tau)^2 / W(Y_0) tau.  E^eps of the new state, a full cell
+quadrature, is evaluated only on the steps that record a DiagnosticSample.
 """
 
 from __future__ import annotations
@@ -83,8 +91,9 @@ class DiagnosticSample:
 class FlowState:
     """Mutable state of one flow run.  Each step sets a new u and the last
     step's sup|u|, sup|u_t| (sup|L^eps u0| before the first step) and adds
-    its dissipation to dissipation_cum; history holds the samples of the
-    steps that recorded one."""
+    its dissipation to dissipation_cum and its stage count to evaluations,
+    the operator sweeps taken; history holds the samples of the steps that
+    recorded one."""
 
     u: GridField
     t: float = 0.0
@@ -98,6 +107,7 @@ class FlowState:
     sup_u: float = 0.0
     sup_ut: float = 0.0
     dissipation_cum: float = 0.0
+    evaluations: int = 0
 
 
 def _operator_arrays(domain: GridDomain, values: np.ndarray):
@@ -189,8 +199,18 @@ def stable_dt(domain: GridDomain, params: FlowParams, w: np.ndarray) -> float:
     return params.cfl * min(1.0, 2.0 / domain.dim) * domain.h_min_sq / coeff_max
 
 
-def flow_step(state: FlowState, params: FlowParams, sample: bool = True) -> FlowState:
-    """One explicit step; mutates and returns the state.
+def flow_step(state: FlowState, params: FlowParams, sample: bool = True,
+              stages: int = 1) -> FlowState:
+    """One explicit step, or with stages s > 1 one RKL1 super-step of length
+    dt (s^2 + s)/2, dt = stable_dt at the start state; mutates and returns
+    the state.  stages is a positive integer.
+
+    The super-step's stages are Y_1 = Y_0 + dt L^eps(Y_0), the explicit
+    step, and Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + mu_j dt L^eps(Y_{j-1})
+    with mu_j = (2j - 1)/j and nu_j = (1 - j)/j, each on a lattice whose
+    dirichlet values stay phi.  While the delta-ramp moves the boundary
+    (t < 2 delta), and when assert_estimates is set, since the estimates
+    belong to the explicit scheme, the step is explicit whatever stages is.
 
     With sample set, appends a DiagnosticSample (record_sample); raises
     FlowDiverged on non-finite values and EstimateViolation when
@@ -199,23 +219,34 @@ def flow_step(state: FlowState, params: FlowParams, sample: bool = True) -> Flow
     dom = state.u.domain
     vals = state.u.values
     interior = dom.interior_flat
+    if params.assert_estimates or state.t < 2.0 * params.delta:
+        stages = 1
     # overflow here surfaces as the FlowDiverged guard below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         rhs, lap, w = _operator_arrays(dom, vals)
         if params.eps != 0.0:
             rhs = rhs + params.eps * w * lap
         dt = stable_dt(dom, params, w)
+        tau = dt * (stages * (stages + 1) // 2)
         old = vals.take(interior)
-        new = old + dt * rhs
-        t_new = state.t + dt
+        first = new = old + dt * rhs
+        t_new = state.t + tau
 
         bc = state.phi_dirichlet
         ramp = compatibility_ramp(t_new, params.delta)
         if ramp != 0.0:
             bc = bc + ramp * state.ramp_base
         new_vals = vals.copy()
-        new_vals.put(interior, new)
         new_vals.put(dom.dirichlet_flat, bc)
+        prev = old
+        for j in range(2, stages + 1):
+            new_vals.put(interior, new)
+            rhs_j, lap_j, w_j = _operator_arrays(dom, new_vals)
+            if params.eps != 0.0:
+                rhs_j = rhs_j + params.eps * w_j * lap_j
+            mu, nu = (2 * j - 1) / j, (1 - j) / j
+            prev, new = new, mu * new + nu * prev + (mu * dt) * rhs_j
+        new_vals.put(interior, new)
 
         # NaN and inf propagate through max, so the sups double as the guard
         sup_new, sup_bc = float(np.abs(new).max()), float(np.abs(bc).max())
@@ -224,14 +255,16 @@ def flow_step(state: FlowState, params: FlowParams, sample: bool = True) -> Flow
             raise FlowDiverged(f"non-finite value at node {bad} on step "
                                f"{state.step + 1}", step=state.step + 1, node=bad)
 
-        ut = (new - old) / dt
-        state.sup_ut = float(np.abs(ut).max())
+        rate = (first - old) / dt  # the explicit step's, or the first stage's
+        state.sup_ut = float(np.abs(rate).max())
+        ut = rate if stages == 1 else (new - old) / tau
         state.sup_u = max(sup_new, sup_bc)
-        state.dissipation_cum += interior_integral(dom, ut * ut / w) * dt
+        state.dissipation_cum += interior_integral(dom, ut * ut / w) * tau
 
     state.u = GridField.trusted(dom, new_vals)
     state.t = t_new
     state.step += 1
+    state.evaluations += stages
     if sample:
         record_sample(state, params)
     if params.assert_estimates:

@@ -16,6 +16,7 @@ import graphflow.continuation
 import graphflow.flow
 from graphflow.cli import (FIELD_KEYS, FORMS, RUN_ARTIFACTS, field_from_spec, main,
                            parse_config)
+from graphflow.continuation import time_sequence_uniqueness_check
 from graphflow.errors import ConfigError
 from graphflow.grid import EXTERIOR, REGION_KEYS, GridField, build_domain, save_field_csv
 from graphflow.manifold import CHART_KEYS, CHART_PARAMS, builtin_chart
@@ -314,78 +315,33 @@ def test_run_bad_schedule_fails_before_any_work(tmp_path, schedule, problem):
     assert not (out / "config_resolved.json").exists() and not (out / "barrier.json").exists()
 
 
-# moving data: leg 1 reaches quasi-steady state near t = 0.39 in 443 steps
+# moving data: leg 1 reaches quasi-steady state near t = 0.35 in 11 super-steps
 MOVING = {"phi": {"kind": "constant", "value": 0.0},
           "u0": {"kind": "sine_product", "amplitude": 0.3, "waves": [1, 1]},
           "schedule": [0.1, 0.05], "tol": 1e-3}
 
 
-def counted_run(tmp_path, monkeypatch, name, separate=False, **overrides):
-    """Run a config; return its output directory, the flow_step calls and
-    the time_sequence_uniqueness_check calls.  separate forces the time
-    check off eps-leg 1 onto its own run."""
-    steps, checks = [], []
-    step, check = graphflow.continuation.flow_step, graphflow.cli.time_sequence_uniqueness_check
-    monkeypatch.setattr(graphflow.continuation, "flow_step",
-                        lambda *args: steps.append(1) or step(*args))
-    monkeypatch.setattr(graphflow.cli, "time_sequence_uniqueness_check",
-                        lambda *args: checks.append(1) or check(*args))
-    if separate:
-        monkeypatch.setattr(graphflow.cli, "_rides_leg_one", lambda cfg: False)
-    cfg_path, _ = write_config(tmp_path, f"{name}.json", **overrides)
-    out = tmp_path / name
-    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
-    monkeypatch.undo()
-    return out, len(steps), len(checks)
-
-
-def same_artifacts(a, b):
-    for name in RUN_ARTIFACTS + ("manifest.json",):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-
-@pytest.mark.parametrize("data,times,past", [
-    (MOVING, ([0.05, 0.1], [0.075, 0.125]), True),  # leg 1 runs past the last time
-    (MOVING, ([0.3], [0.6]), False),                # leg 1 converges before it
-    ({}, ([0.01], [0.02]), False),                  # stationary: leg 1 takes 0 steps
+@pytest.mark.parametrize("data,times", [
+    (MOVING, ([0.05, 0.1], [0.075, 0.125])),  # leg 1 runs past the last time
+    (MOVING, ([0.3], [0.6])),                # leg 1 converges before it
+    ({}, ([0.01], [0.02])),                  # stationary: leg 1 takes 0 steps
 ], ids=["past", "converged", "stationary"])
-def test_time_check_riding_leg_one_is_bitwise_its_own_run(tmp_path, monkeypatch, data, times,
-                                                          past):
-    check = {"times_a": times[0], "times_b": times[1]}
-    ride, ride_steps, ride_checks = counted_run(tmp_path, monkeypatch, "ride",
-                                                time_check=check, **data)
-    apart, apart_steps, apart_checks = counted_run(tmp_path, monkeypatch, "apart",
-                                                   separate=True, time_check=check, **data)
-    bare, bare_steps, _ = counted_run(tmp_path, monkeypatch, "bare", **data)
-    assert (ride_checks, apart_checks) == (0, 1)
-    same_artifacts(ride, apart)
-    cont, apart_cont, bare_cont = (json.loads((d / "continuation.json").read_text())
-                                   for d in (ride, apart, bare))
-    assert cont["time_uniqueness_gap"] == apart_cont["time_uniqueness_gap"] is not None
-    # the legs, their history and the limit do not see the check
-    assert {**cont, "time_uniqueness_gap": None} == bare_cont
-    for name in ("diagnostics.csv", "solution.csv"):
-        assert (ride / name).read_bytes() == (bare / name).read_bytes()
-    leg1 = cont["legs"][0]["steps"]
-    assert leg1 == (443 if data else 0)
-    if past:
-        assert ride_steps == bare_steps < apart_steps
-    else:  # the check steps on from leg 1's final state
-        assert ride_steps == apart_steps - leg1 > bare_steps
-
-
-@pytest.mark.parametrize("overrides,rides", [
-    ({"flow": {"eps": 0.2, "t_end": 5.0}}, False),   # flow.eps is not leg 1's eps
-    ({"schedule": None}, True),                      # the default schedule starts at 0.1
-    ({"schedule": None, "flow": {"eps": 0.05, "t_end": 5.0}}, False),
-], ids=["eps_differs", "default_schedule", "default_schedule_eps_differs"])
-def test_time_check_rides_only_at_leg_one_params(tmp_path, monkeypatch, overrides, rides):
-    cfg = {**MOVING, **overrides, "time_check": {"times_a": [0.05], "times_b": [0.1]}}
-    out, steps, checks = counted_run(tmp_path, monkeypatch, "run", **cfg)
-    apart, apart_steps, _ = counted_run(tmp_path, monkeypatch, "apart", separate=True, **cfg)
-    assert checks == (0 if rides else 1)
-    assert (steps < apart_steps) == rides
-    same_artifacts(out, apart)
+def test_time_check_changes_no_artifact_but_its_gap(tmp_path, data, times):
+    runs = {}
+    for name, check in (("checked", {"times_a": times[0], "times_b": times[1]}), ("bare", None)):
+        cfg_path, _ = write_config(tmp_path, f"{name}.json", time_check=check, **data)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+        runs[name] = tmp_path / name
+    for name in set(RUN_ARTIFACTS) - {"config_resolved.json", "continuation.json"}:
+        assert (runs["checked"] / name).read_bytes() == (runs["bare"] / name).read_bytes(), name
+    cont, bare = (json.loads((d / "continuation.json").read_text()) for d in runs.values())
+    assert {**cont, "time_uniqueness_gap": None} == bare
+    assert (cont["legs"][0]["steps"] > 0) == bool(data)
+    # the gap is the library's explicit check at flow.eps, from u0
+    cfg = parse_config(json.loads((tmp_path / "checked.json").read_text()), tmp_path)
+    _, phi, u0 = graphflow.cli._build_problem(cfg)
+    assert cont["time_uniqueness_gap"] == time_sequence_uniqueness_check(
+        cfg.flow, phi, u0, *times).gap
 
 
 def test_run_snapshot_cadence_thins_diagnostics(tmp_path):
@@ -417,9 +373,9 @@ def test_run_snapshot_cadence_thins_diagnostics(tmp_path):
 
 
 def test_run_default_cadence_samples_each_leg(tmp_path, monkeypatch):
-    # two moving legs and a riding time check that steps on past leg 1: each
-    # leg keeps steps 1, 11, 21, ... and its last step, row for row as the
-    # dense run writes them, and E^eps is evaluated for those rows only
+    # moving data and a time check, which records no rows: each leg keeps
+    # steps 1, 11, 21, ... and its last step, row for row as the dense run
+    # writes them, and E^eps is evaluated for those rows only
     energies, real = [], graphflow.flow.e_eps
     monkeypatch.setattr(graphflow.flow, "e_eps",
                         lambda *args: energies.append(1) or real(*args))
@@ -434,7 +390,7 @@ def test_run_default_cadence_samples_each_leg(tmp_path, monkeypatch):
         assert len(energies) == len(rows[name])
     cont = json.loads((tmp_path / "default" / "continuation.json").read_text())
     steps = [leg["steps"] for leg in cont["legs"]]
-    assert steps == [443, 11]  # leg 1 ends off the cadence, leg 2 on it
+    assert steps == [11, 0]
     assert len(rows["dense"]) == sum(steps)
     legs = [rows["dense"][:steps[0]], rows["dense"][steps[0]:]]
     assert rows["default"] == [row for leg in legs for i, row in enumerate(leg)

@@ -65,6 +65,19 @@ def test_quasi_steady_tolerance_validation():
         run_to_quasi_steady(PARAMS, lambda x: 0.0, u0, 0.0)
 
 
+@pytest.mark.parametrize("key", ["sample_every", "stages"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_step_counts_below_one_are_config_errors(key, value):
+    # sample_every 0 used to record no sample and then read history[-1]
+    dom = euclid(1 / 16)
+    u0 = GridField.from_function(dom, lambda x: 0.1 * np.sin(np.pi * x[0]) * np.sin(np.pi * x[1]))
+    problem = f"{key} must be a positive integer, got {value}"
+    with pytest.raises(ConfigError, match=problem):
+        run_to_quasi_steady(PARAMS, lambda x: 0.0, u0, 1e-6, **{key: value})
+    with pytest.raises(ConfigError, match=problem):
+        eps_continuation([0.1], PARAMS, lambda x: 0.0, u0, **{key: value})
+
+
 def test_not_converged_flag_when_horizon_too_short():
     dom = euclid(1 / 8)
     u0 = GridField.constant(dom, 0.0)
