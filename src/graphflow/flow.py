@@ -216,6 +216,8 @@ def flow_step(state: FlowState, params: FlowParams, sample: bool = True,
     FlowDiverged on non-finite values and EstimateViolation when
     assert_estimates is set and a monitored bound fails, sampled or not.
     """
+    if stages < 1:  # tau would be 0 or negative
+        raise ConfigError(f"stages must be a positive integer, got {stages!r}")
     dom = state.u.domain
     vals = state.u.values
     interior = dom.interior_flat

@@ -60,3 +60,15 @@ def test_ramp_steps_explicitly_until_it_ends():
     assert stepped.step == stepped.evaluations > 1
     flow_step(stepped, params, True, SUPER_STAGES)
     assert stepped.evaluations == explicit.step + SUPER_STAGES
+
+
+@pytest.mark.parametrize("stages", [0, -3])
+def test_flow_step_rejects_stage_counts_below_one(stages):
+    # 0 stages gave a step of length 0 and a division by it
+    dom = DOMAINS["euclidean_2d"]()
+    u0, phi = _start(dom)
+    params = FlowParams(eps=0.1)
+    state = initial_state(u0, phi, params)
+    with pytest.raises(ConfigError, match=f"stages must be a positive integer, got {stages}"):
+        flow_step(state, params, True, stages)
+    assert state.step == 0
