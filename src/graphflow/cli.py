@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .barrier import check_dirichlet_solvability, search_alpha
-from .continuation import (TimeSnapshots, boundary_attainment_report,
+from .continuation import (SUPER_STAGES, TimeSnapshots, boundary_attainment_report,
                            eps_continuation, eps_schedule, probe_mask,
                            time_sequence_uniqueness_check)
 from .errors import (ConfigError, ConvergenceError, EstimateViolation,
@@ -40,10 +40,6 @@ from .manifold import (BUILTIN_KINDS, CHART_KEYS, CHART_PARAMS, builtin_chart,
 
 RUN_ARTIFACTS = ("config_resolved.json", "barrier.json", "continuation.json",
                  "attainment.json", "solution.csv", "diagnostics.csv")
-# RKL1 stages per eps-leg super-step: the fewest operator evaluations over
-# the three legs of the benchmark's scherk_flow at h=1/16 (4 stages: 936,
-# 8: 480, 12: 504, 16: 512, 24: 984; explicit: 2374)
-SUPER_STAGES = 8
 
 
 # ------------------------------------------------------------- config parsing
@@ -279,7 +275,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     times, time_check = ("times_a", "times_b"), cfg["time_check"]
     if time_check is not None and "time_check" not in reported and \
             not check("time_check", time_check, times, times) and flow is not None:
-        collect(lambda: TimeSnapshots(flow, *(time_check[key] for key in times)))  # nonempty, <= t_end
+        collect(lambda: TimeSnapshots(flow, *(time_check[key] for key in times)))  # nonempty, >= 0, <= t_end
 
     if problems:
         raise ConfigError(problems)

@@ -8,8 +8,10 @@ an interior probe set, a boundary trace error, and a cross-time-sequence
 uniqueness gap measured inside a single run.
 
 All stepping goes through one loop, _step_until.  The legs take explicit
-steps by default, or RKL1 super-steps with stages > 1 (flow.flow_step),
-which reach the same leg limits in fewer operator sweeps.  The time check
+steps by default, or with stages > 1 RKL1 super-steps (flow.flow_step)
+whose starts are Anderson-mixed (_AndersonMix): each next super-step
+starts from the type-II Anderson mix of the last super-step maps, which
+reaches the same leg limits in fewer operator sweeps.  The time check
 is a stop rule (TimeSnapshots) on its own explicit run, because it reads
 the states at the requested times, which super-steps step over.
 
@@ -34,6 +36,18 @@ from .grid import GridDomain, GridField, as_field
 PROBE_COLLAR = 4          # probe set: interior nodes >= this many cells inside
 DEFAULT_GAP_STOP = 1e-4   # default schedule stops once legs agree this well
 DEFAULT_MAX_LEGS = 13     # eps_i = 0.1 * 2^-i for i = 0..12
+# RKL1 stages per eps-leg super-step in graphflow run.  Operator
+# evaluations summed over the legs of the benchmark's scherk_flow at
+# h=1/16, 1/32, 1/64 with ANDERSON_DEPTH 5: 4 stages 172/728/2552, 8 stages
+# 248/384/1560, 12 stages 324/420/1104 (unmixed at h=1/16: 4 stages 936,
+# 8: 480, 12: 504, 16: 512; explicit: 2374)
+SUPER_STAGES = 8
+# Anderson depth m: the last m + 1 super-step maps mix each start.  The
+# same sums with 8 stages: m=3 264/528/2680, m=5 248/384/1560, m=8
+# 248/344/1000 (unmixed 480/2088/8496).  Past 5 nothing is saved at the
+# benchmark's h=1/16, and the least-squares fit costs more: 48 us at m=5,
+# 81 us at m=8, against 70 us per operator evaluation there
+ANDERSON_DEPTH = 5
 
 
 def probe_mask(domain: GridDomain) -> np.ndarray:
@@ -46,13 +60,63 @@ def probe_mask(domain: GridDomain) -> np.ndarray:
     return mask
 
 
+class _AndersonMix:
+    """Type-II Anderson mixing (Anderson 1965; Walker & Ni, SIAM J. Numer.
+    Anal. 49, 2011) of a fixed-point map G on the interior values.
+
+    Called with a start x_k and its image G(x_k), it returns
+    x_{k+1} = G(x_k) - dG gamma, where gamma is the least-squares fit of
+    f_k = G(x_k) - x_k by the columns of dF, and dF, dG hold the
+    differences of f and G over the last depth + 1 calls, so dG = dX + dF.
+    The first call returns G(x_0).  The differences live in preallocated
+    rings; their order does not change the mix."""
+
+    def __init__(self, size: int, depth: int):
+        self.df, self.dg = np.empty((depth, size)), np.empty((depth, size))
+        self.stored = 0
+        self.f = self.g = None
+
+    def __call__(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        f = g - x
+        if self.f is not None:
+            slot = self.stored % len(self.df)
+            np.subtract(f, self.f, out=self.df[slot])
+            np.subtract(g, self.g, out=self.dg[slot])
+            self.stored += 1
+        self.f, self.g = f, g
+        k = min(self.stored, len(self.df))
+        if not k:
+            return g
+        gamma = np.linalg.lstsq(self.df[:k].T, f, rcond=None)[0]
+        return g - gamma @ self.dg[:k]
+
+
 def _step_until(state: FlowState, params: FlowParams, stop, sample_every=0, stages=1) -> None:
     """Step state, stages at a time (flow.flow_step), until stop(state)
     holds; stop sees the initial state and every step.  Steps 1, 1+k,
     1+2k, ... for k = sample_every > 0 record a DiagnosticSample; with 0,
-    no step does."""
+    no step does.
+
+    When a step took more than one stage and stop does not hold, the next
+    step starts from the Anderson mix (_AndersonMix) of the last
+    ANDERSON_DEPTH + 1 super-step maps: its interior values replace those of
+    the step's result, its dirichlet values stay phi.  t, the samples and
+    dissipation_cum stay those of the super-steps, and the stop rule, read
+    after each step, sees sup|L^eps| at that step's start, so a leg stops on
+    the residual of its last start and ends on that start's super-step."""
+    dom = state.u.domain
+    interior = dom.interior_flat
+    mix = _AndersonMix(interior.size, ANDERSON_DEPTH) if stages > 1 else None
+    start = None  # the last step's start values, when that step was a super-step
     while not stop(state):
+        if start is not None:
+            vals = state.u.values.copy()
+            vals.put(interior, mix(start, vals.take(interior)))
+            state.u = GridField.trusted(dom, vals)
+        evaluations = state.evaluations
+        x = state.u.values.take(interior) if stages > 1 else None
         flow_step(state, params, sample_every > 0 and state.step % sample_every == 0, stages)
+        start = x if state.evaluations > evaluations + 1 else None
 
 
 def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
@@ -63,7 +127,10 @@ def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
     t_end.  Stationary data converges in zero steps: the initial residual
     sup|L^eps u0| is checked before any stepping.  The history samples
     steps 1, 1+k, 1+2k, ... for k = sample_every, and the last step.  With
-    stages > 1 each step is an RKL1 super-step of that many stages.
+    stages > 1 each step is an RKL1 super-step of that many stages, and
+    each super-step after the first starts from the Anderson mix of the
+    super-steps so far (_step_until); the samples read the super-steps'
+    results, and the state returned is the last super-step's result.
     """
     problems = [] if tol > 0 else [f"quasi-steady tolerance must be positive, got {tol}"]
     problems += [f"{name} must be a positive integer, got {value!r}"
@@ -170,7 +237,8 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     that fails to reach quasi-steady state within t_end is recorded and
     aborts the remaining schedule.  The report's history holds each leg's
     samples at the sample_every cadence of run_to_quasi_steady, first and
-    last step included; stages is passed to it as well.
+    last step included; stages is passed to it as well, so stages > 1
+    runs the legs in Anderson-mixed RKL1 super-steps.
     """
     dom = u0.domain
     phi = as_field(dom, phi)
@@ -300,17 +368,24 @@ def _source_norm(u: GridField, eps: float) -> float:
 class TimeSnapshots:
     """Time-check stop rule: keeps the first state it sees with t >= each
     requested time, and holds once every time is reached.  flow_step
-    builds a new lattice array every step, so a snapshot needs no copy."""
+    builds a new lattice array every step, so a snapshot needs no copy.
+
+    ConfigError, listing every broken rule, unless both sequences are
+    nonempty, hold no negative time (the run starts at t = 0, so such a
+    time would read the initial state) and stay within params.t_end."""
 
     def __init__(self, params: FlowParams, times_a, times_b):
         self.params, self.snaps = params, {}
         self.times = [sorted(float(t) for t in ts) for ts in (times_a, times_b)]
         if not all(self.times):
             raise ConfigError("both time sequences must be nonempty")
+        problems = [f"{name} must hold no negative time, got {ts}"
+                    for name, ts in zip(("times_a", "times_b"), self.times) if ts[0] < 0]
         horizon = max(ts[-1] for ts in self.times)
         if horizon > params.t_end:
-            raise ConfigError(
-                f"time sequences reach {horizon}, beyond the horizon {params.t_end}")
+            problems.append(f"time sequences reach {horizon}, beyond the horizon {params.t_end}")
+        if problems:
+            raise ConfigError(problems)
         self.pending = sorted(set().union(*self.times))
 
     def __call__(self, state: FlowState) -> bool:

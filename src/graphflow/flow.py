@@ -10,7 +10,11 @@ step, or, with s > 1 stages, with first-order Runge-Kutta-Legendre (RKL1)
 super-steps of length tau = dt (s^2 + s)/2 (Meyer, Balsara & Aslam, J.
 Comput. Phys. 257, 2014).  A super-step's first stage is the forward Euler
 step; its stages reuse the same stencil and keep every fixed point
-L^eps u = 0, so both schemes approach the same discrete limit.  The eps
+L^eps u = 0, so both schemes approach the same discrete limit.  The leg
+loop (continuation._step_until) starts each super-step after the first
+from an Anderson mix of the previous ones, which keeps those fixed points
+as well; t then adds tau per super-step and nothing per mix, a
+pseudo-time rather than the flow's time.  The eps
 term is the uniformly parabolic viscosity perturbation: it makes the flow
 the metric gradient flow of the energy
 

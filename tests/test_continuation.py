@@ -356,6 +356,8 @@ def test_time_sequences_validation():
     with pytest.raises(ConfigError):
         time_sequence_uniqueness_check(PARAMS, lambda x: 0.0, u0,
                                        [1.0], [PARAMS.t_end + 1.0])
+    with pytest.raises(ConfigError, match=r"^times_b must hold no negative time, got \[-1\.0, 0\.5\]$"):
+        time_sequence_uniqueness_check(PARAMS, lambda x: 0.0, u0, [0.0], [0.5, -1.0])
 
 
 # ------------------------------------------------------------------ attainment

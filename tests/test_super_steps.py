@@ -1,14 +1,17 @@
-"""RKL1 super-steps against the explicit reference: the same leg limits on
-every stencil-reference domain with a probe set, and explicit steps, bit
-for bit, wherever the super-step does not apply."""
+"""Anderson-mixed RKL1 super-steps against the explicit reference: the same
+leg limits on every stencil-reference domain with a probe set and on a
+strongly nonlinear detached case, and explicit steps, bit for bit,
+wherever the super-step does not apply."""
 
 import numpy as np
 import pytest
 
 from graphflow.cli import SUPER_STAGES
-from graphflow.continuation import eps_continuation, probe_mask
+from graphflow.continuation import _AndersonMix, eps_continuation, probe_mask
 from graphflow.errors import ConfigError
 from graphflow.flow import FlowParams, flow_step, initial_state
+from graphflow.grid import GridField, build_domain
+from graphflow.manifold import builtin_chart
 from test_stencil_reference import DOMAINS, _start
 
 
@@ -20,10 +23,23 @@ def _has_probe_set(name):
     return True
 
 
-@pytest.mark.parametrize("name", [name for name in sorted(DOMAINS) if _has_probe_set(name)])
+def _detached_annulus():
+    """test_continuation's detached annulus at h=1/32: u0 = 0 and phi = 2 on
+    the inner ring (r < 0.27), 0 on the outer one."""
+    dom = build_domain(builtin_chart("euclidean", n=2), 1.0 / 32, region={
+        "region": "annulus", "center": [0.5, 0.5], "r_inner": 0.08, "r_outer": 0.46})
+    return dom, GridField.constant(dom, 0.0), (
+        lambda x: 2.0 if np.hypot(x[0] - 0.5, x[1] - 0.5) < 0.27 else 0.0)
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(DOMAINS) if _has_probe_set(name)]
+                         + ["detached_annulus"])
 def test_super_steps_reach_the_explicit_limit(name):
-    dom = DOMAINS[name]()
-    u0, phi = _start(dom)
+    if name == "detached_annulus":
+        dom, u0, phi = _detached_annulus()
+    else:
+        dom = DOMAINS[name]()
+        u0, phi = _start(dom)
     params = FlowParams(eps=0.1, t_end=50.0)
     explicit, stepped = (eps_continuation([0.1, 0.05], params, phi, u0, tol=1e-6, stages=s)
                          for s in (1, SUPER_STAGES))
@@ -33,6 +49,26 @@ def test_super_steps_reach_the_explicit_limit(name):
     assert sum(leg.evaluations for leg in stepped.legs) < sum(leg.steps for leg in explicit.legs)
     used = dom.used
     assert np.max(np.abs(stepped.u_bar.values[used] - explicit.u_bar.values[used])) <= 1e-6
+
+
+def test_anderson_mix_solves_an_affine_fixed_point():
+    # on an affine contraction of R^n, type-II Anderson of depth n is GMRES
+    # in disguise: the mix of n + 1 maps is the fixed point, while the plain
+    # iteration (spectral radius 0.99) has barely moved
+    rng = np.random.default_rng(1)
+    n = 6
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = q @ np.diag(np.linspace(0.5, 0.99, n)) @ q.T
+    b = rng.normal(size=n)
+    fixed = np.linalg.solve(np.eye(n) - a, b)
+    mix, x, plain = _AndersonMix(n, n), np.zeros(n), np.zeros(n)
+    assert np.array_equal(mix(x, a @ x + b), b)  # the first map is not mixed
+    x = b
+    for _ in range(n):
+        x, plain = mix(x, a @ x + b), a @ plain + b
+    scale = np.abs(fixed).max()
+    assert np.abs(x - fixed).max() <= 1e-9 * scale
+    assert np.abs(plain - fixed).max() > 0.5 * scale
 
 
 def test_estimate_runs_step_explicitly():
