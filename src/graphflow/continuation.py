@@ -8,10 +8,10 @@ an interior probe set, a boundary trace error, and a cross-time-sequence
 uniqueness gap measured inside a single run.
 
 All stepping goes through one loop, _step_until.  The legs take explicit
-steps by default, or with stages > 1 RKL1 super-steps (flow.flow_step)
-whose starts are Anderson-mixed (_AndersonMix): each next super-step
-starts from the type-II Anderson mix of the last super-step maps, which
-reaches the same leg limits in fewer operator sweeps.  The time check
+steps by default, or with stages > 1 RKL1 super-steps (flow.flow_step),
+each after the first starting from the Anderson mix of the last
+super-step maps; they reach the same leg limits in fewer operator
+sweeps.  The time check
 is a stop rule (TimeSnapshots) on its own explicit run, because it reads
 the states at the requested times, which super-steps step over.
 

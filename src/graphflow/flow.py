@@ -14,9 +14,10 @@ L^eps u = 0, so both schemes approach the same discrete limit.  The leg
 loop (continuation._step_until) starts each super-step after the first
 from an Anderson mix of the previous ones, which keeps those fixed points
 as well; t then adds tau per super-step and nothing per mix, a
-pseudo-time rather than the flow's time.  The eps
-term is the uniformly parabolic viscosity perturbation: it makes the flow
-the metric gradient flow of the energy
+pseudo-time rather than the flow's time.
+
+The eps term is the uniformly parabolic viscosity perturbation: it makes
+the flow the metric gradient flow of the energy
 
     E^eps(u) = integral W + (eps/2) |Du|^2 dV
 
