@@ -65,7 +65,7 @@ FIT_WINDOW_CELLS = 8       # boundary sampling window, in units of max h
 DEGENERATE_RESIDUAL = 0.05 # rms graph-fit residual / window above this is no graph
 HALVINGS = 53              # bisection steps per crossing: the bracket on [0, 1] ends at 2^-53
 BLOCK = 1 << 15            # array entries per block of a batched gather or Qv evaluation
-_CROSSING_TABLES = weakref.WeakKeyDictionary()  # GridDomain -> _crossing_table
+_CROSSING_TABLES = weakref.WeakKeyDictionary()  # GridDomain -> _boundary_facts
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +163,14 @@ def _crossing_table(domain: GridDomain):
     by lower node in C order.  A segment lying along the edge crosses at its
     lower end, so its upper end (a box's (hi, ..., hi) corner is no segment's
     lower end) is appended as a row after the crossings.  Built once per
-    domain."""
+    domain, with _boundary_facts."""
+    return _boundary_facts(domain)[0]
+
+
+def _boundary_facts(domain: GridDomain):
+    """(_crossing_table, crossings of the dirichlet segments inner_index ->
+    dirichlet_index, _window_rows' dedup key of the table's points), once per
+    domain; one row-by-row segment_crossings pass bisects both segment sets."""
     if domain in _CROSSING_TABLES:
         return _CROSSING_TABLES[domain]
     flat = np.arange(domain.sdf.size).reshape(domain.shape)
@@ -171,12 +178,16 @@ def _crossing_table(domain: GridDomain):
                               for a in range(domain.dim)])
               for cut in (slice(None, -1), slice(1, None)))
     pts, F = domain.points.reshape(-1, domain.dim), domain.sdf.reshape(-1)
-    cross = segment_crossings(domain, pts[lo], pts[hi], F[lo], F[hi])
+    a = np.concatenate([lo, np.ravel_multi_index(domain.inner_index, domain.shape)])
+    b = np.concatenate([hi, domain.dirichlet_flat])
+    cross, dirichlet = np.split(segment_crossings(domain, pts[a], pts[b], F[a], F[b]), [len(lo)])
     hit = ~np.isnan(cross[:, 0])
     edge = (F[lo] == 0) & (F[hi] == 0)
-    _CROSSING_TABLES[domain] = (np.concatenate([lo[hit], lo[edge]]),
-                                np.concatenate([hi[hit], hi[edge]]),
-                                np.concatenate([cross[hit], pts[hi[edge]]]))
+    table = (np.concatenate([lo[hit], lo[edge]]), np.concatenate([hi[hit], hi[edge]]),
+             np.concatenate([cross[hit], pts[hi[edge]]]))
+    _, key = np.unique(np.round(table[2] / 1e-12).astype(np.int64), axis=0,
+                       return_inverse=True)
+    _CROSSING_TABLES[domain] = table, dirichlet, key.reshape(-1)
     return _CROSSING_TABLES[domain]
 
 
@@ -195,7 +206,7 @@ def _window_rows(domain: GridDomain, x0s: np.ndarray, window: float) -> np.ndarr
     """(P, rows) mask of the crossing-table rows whose segment endpoints both
     lie within the sup-norm window of each point of x0s: each axis's lattice
     coordinates are compared with the points once, then read by end node."""
-    lo, hi, cross = _crossing_table(domain)
+    (lo, hi, cross), _, key = _boundary_facts(domain)
     lo_ix, hi_ix = (np.unravel_index(end, domain.shape) for end in (lo, hi))
     near = np.ones((len(x0s), len(cross)), dtype=bool)
     for a, ax in enumerate(domain.axes):
@@ -203,10 +214,8 @@ def _window_rows(domain: GridDomain, x0s: np.ndarray, window: float) -> np.ndarr
         near &= inside[:, lo_ix[a]] & inside[:, hi_ix[a]]
     # lattice nodes sitting exactly on the boundary are seen by every
     # incident segment; each point keeps the first of those rows
-    _, key = np.unique(np.round(cross / 1e-12).astype(np.int64), axis=0,
-                       return_inverse=True)
     p, r = np.nonzero(near)
-    _, first = np.unique(p * len(cross) + key.reshape(-1)[r], return_index=True)
+    _, first = np.unique(p * len(cross) + key[r], return_index=True)
     keep = np.zeros_like(near)
     keep[p[first], r[first]] = True
     return keep
@@ -347,11 +356,12 @@ def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
     rows = rows[~bad & ~far]
     L, trace = np.zeros(G), np.zeros(G)
     L[rows] = np.linalg.norm(H[rows], 2, axis=(1, 2))
-    Einv = np.linalg.inv(frame[rows])
-    gam0_t = np.einsum("pck,pkij,pia,pjb->pcab", Einv, christoffel_at(chart, x0s[rows]),
-                       frame[rows], frame[rows])
-    trace[rows] = (np.trace(H[rows], axis1=1, axis2=2)
-                   + np.einsum("paa->p", gam0_t[:, n - 1, :n - 1, :n - 1]))
+    trace[rows] = np.trace(H[rows], axis1=1, axis2=2)
+    if not chart.is_euclidean:  # sum_a Gamma^n_aa in the frame; zero on euclidean charts
+        Einv = np.linalg.inv(frame[rows])
+        gam0_t = np.einsum("pck,pkij,pia,pjb->pcab", Einv, christoffel_at(chart, x0s[rows]),
+                           frame[rows], frame[rows])
+        trace[rows] += np.einsum("paa->p", gam0_t[:, n - 1, :n - 1, :n - 1])
     return frame, H, L, trace, why
 
 
@@ -570,8 +580,7 @@ def check_dirichlet_solvability(phi, domain: GridDomain, K: float,
     osc = float(np.max(vals) - np.min(vals)) if vals.size else 0.0
 
     inner, outer = domain.inner_index, domain.dirichlet_index
-    crossings = segment_crossings(domain, domain.points[inner], domain.points[outer],
-                                  domain.sdf[inner], domain.sdf[outer])
+    crossings = _boundary_facts(domain)[1]
     missing = np.isnan(crossings[:, 0])
     hit = np.flatnonzero(~missing)
     _, first = np.unique(np.round(crossings[hit] / 1e-9).astype(np.int64), axis=0,

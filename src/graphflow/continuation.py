@@ -111,7 +111,7 @@ def _step_until(state: FlowState, params: FlowParams, stop, sample_every=0, stag
     while not stop(state):
         if start is not None:
             vals = state.u.values.copy()
-            vals.put(interior, mix(start, vals.take(interior)))
+            vals[dom.interior] = mix(start, vals.take(interior))
             state.u = GridField.trusted(dom, vals)
         evaluations = state.evaluations
         x = state.u.values.take(interior) if stages > 1 else None

@@ -244,16 +244,16 @@ def flow_step(state: FlowState, params: FlowParams, sample: bool = True,
         if ramp != 0.0:
             bc = bc + ramp * state.ramp_base
         new_vals = vals.copy()
-        new_vals.put(dom.dirichlet_flat, bc)
+        new_vals[dom.dirichlet] = bc
         prev = old
         for j in range(2, stages + 1):
-            new_vals.put(interior, new)
+            new_vals[dom.interior] = new
             rhs_j, lap_j, w_j = _operator_arrays(dom, new_vals)
             if params.eps != 0.0:
                 rhs_j = rhs_j + params.eps * w_j * lap_j
             mu, nu = (2 * j - 1) / j, (1 - j) / j
             prev, new = new, mu * new + nu * prev + (mu * dt) * rhs_j
-        new_vals.put(interior, new)
+        new_vals[dom.interior] = new
 
         # NaN and inf propagate through max, so the sups double as the guard
         sup_new, sup_bc = float(np.abs(new).max()), float(np.abs(bc).max())

@@ -490,15 +490,16 @@ def interpolate_to(u: GridField, fine: GridDomain) -> GridField:
 
 
 def save_field_csv(u: GridField, path) -> None:
-    """One row per node, in C order: i1..in, x1..xn, mask, value.  Floats
-    are written with repr, and lines end in CRLF as csv.writer's do."""
+    """One row per node, in C order: i1..in, x1..xn, mask, value (indices and
+    coordinates from one string per axis entry).  Floats are written with
+    repr, and lines end in CRLF as csv.writer's do."""
     dom = u.domain
     n = dom.dim
     header = [f"i{a + 1}" for a in range(n)] + [f"x{a + 1}" for a in range(n)] \
         + ["mask", "value"]
-    columns = [map(str, index.ravel().tolist()) for index in np.indices(dom.shape)]
-    columns += [map(repr, dom.points[..., a].ravel().tolist()) for a in range(n)]
-    columns += [map(str, dom.mask.ravel().tolist()), map(repr, u.values.ravel().tolist())]
+    columns = [map(",".join, product(*[list(map(str, range(s))) for s in dom.shape])),
+               map(",".join, product(*[list(map(repr, ax.tolist())) for ax in dom.axes])),
+               map(str, dom.mask.ravel().tolist()), map(repr, u.values.ravel().tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
 

@@ -574,17 +574,32 @@ def test_windowed_gathers_match_all_pairs_bit_for_bit(name, block, monkeypatch):
 
 
 def test_euclidean_search_drops_only_a_zero_christoffel_term():
-    # flagged curved, the chart's zero Gamma is contracted on every row;
-    # every verdict, rung and qv_max keeps its bits
+    # flagged curved, the chart's zero Gamma is contracted in the fit's trace
+    # term and on every row; every frame, Hessian, L, trace term, verdict,
+    # rung and qv_max keeps its bits
     dom = ORACLE_DOMAINS["annulus"]()
     x0s = np.unique(projections(dom), axis=0)
+    curved = build_domain(replace(dom.chart, is_euclidean=False), dom.h, dom.region)
+    got, want = fit_boundary_graph(dom, x0s), fit_boundary_graph(curved, x0s)
+    assert all(r is None for r in got[4]) and list(got[4]) == list(want[4])
+    for a, b in zip(got[:4], want[:4]):
+        assert a.tobytes() == b.tobytes()
     for K in (0.3, 0.9):
         got = search_alpha(dom, x0s, K=K, gamma=1.1)
-        curved = build_domain(replace(dom.chart, is_euclidean=False), dom.h, dom.region)
         want = search_alpha(curved, x0s, K=K, gamma=1.1)
         assert sum(r.certified for r in got) > 0
         assert (json.dumps([r.json_dict() for r in got])
                 == json.dumps([r.json_dict() for r in want]))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_shared_pass_dirichlet_crossings_match_their_own_pass(name):
+    # the crossing table's pass also bisects the dirichlet segments; each
+    # crossing, NaN included, is the one a pass of its own gives
+    dom = ORACLE_DOMAINS[name]()
+    shared = barrier_mod._boundary_facts(dom)[1]
+    assert shared.shape == (len(dom.dirichlet_flat), dom.dim)
+    assert shared.tobytes() == projections(dom).tobytes()
 
 
 def test_one_point_calls_match_per_point_oracle():

@@ -409,7 +409,10 @@ def csv_writer_field(u, path):
                             + [str(int(dom.mask[idx])), repr(float(u.values[idx]))])
 
 
-@pytest.mark.parametrize("n,h", [(2, 1.0 / 16), (3, 1.0 / 8)])
+# the per-axis index and coordinate strings, also on a line and with
+# anisotropic spacing (axis entries with different reprs per axis)
+@pytest.mark.parametrize("n,h", [(1, 1.0 / 16), (2, 1.0 / 16), (3, 1.0 / 8),
+                                 (2, [1.0 / 16, 1.0 / 12]), (3, [1.0 / 8, 1.0 / 6, 1.0 / 10])])
 def test_field_csv_bytes_match_csv_writer(tmp_path, n, h):
     # disc or ball: the exterior rows carry nan values
     dom = build_domain(builtin_chart("euclidean", n=n), h, _disc([0.5] * n, 0.4))
