@@ -38,10 +38,14 @@ a (P, n) array, and return one result per point:
 - rungs: the interior nodes within the fit window of each point are found
   once, among its lattice window (GridDomain.window_nodes); the (radius,
   alpha) pairs are walked in a fixed order, and on each rung Qv (on
-  euclidean charts with no Christoffel term, and with the frame's inverse
-  metric formed once per point) is evaluated at those within the
-  radius of every point still open, as one batch of rows with an owner
-  index, reduced per point; a point keeps the first rung that passes;
+  euclidean charts with no Christoffel term and the frame's inverse metric
+  formed once per point, on curved ones from the domain's interior caches
+  of sigma^{ab} and Gamma) is evaluated at those within the radius of
+  every point still open, as one batch of rows with an owner index,
+  reduced per point; a point keeps the first rung that passes;
+- rows-last: a rung's per-row arrays and the window offsets hold their
+  components on the leading axes and the rows on the last, contiguous one,
+  and every contraction sums its components left to right;
 - blocks: the window gathers and the batches run in blocks of at most
   BLOCK array entries, so memory does not grow with the number of points.
 """
@@ -55,7 +59,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from .errors import BarrierError
-from .grid import GridDomain, _region_sdf, as_field
+from .grid import GridDomain, _pair_rows, _region_sdf, as_field, contract, matvec
 from .manifold import christoffel_at, metric_at
 
 MIN_BARRIER_V = 1e-12
@@ -197,9 +201,10 @@ def _blocks(count: int, width: int) -> list:
     return [slice(s, s + step) for s in range(0, count, step)]
 
 
-def _norm(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, bit for bit np.linalg.norm's."""
-    return np.sqrt(sum(d[..., k] * d[..., k] for k in range(d.shape[-1])))
+def _norm(d) -> np.ndarray:
+    """Euclidean norm of the components d[0], d[1], ..., summed left to
+    right: bit for bit np.linalg.norm's over a last axis holding them."""
+    return np.sqrt(sum(c * c for c in d))
 
 
 def _window_rows(domain: GridDomain, x0s: np.ndarray, window: float) -> np.ndarray:
@@ -254,7 +259,8 @@ def fit_boundary_graph(domain: GridDomain, x0s: np.ndarray):
         count[blk] = np.sum(keep, axis=1)
         # each point's kept rows in ascending order, padded with distance inf
         rows = np.argsort(~keep, axis=1, kind="stable")[:, :np.max(count[blk], initial=0)]
-        dist = np.where(np.take_along_axis(keep, rows, 1), _norm(cross[rows] - x0s[blk, None]), np.inf)
+        offsets = np.moveaxis(cross[rows] - x0s[blk, None], -1, 0)
+        dist = np.where(np.take_along_axis(keep, rows, 1), _norm(offsets), np.inf)
         # nearest first; distances equal to 1e-12 go by the sample coordinates,
         # so sub-ulp moves of x0 cannot reorder symmetric lattice samples
         keys = list(np.moveaxis(cross[rows], -1, 0)[::-1])
@@ -281,7 +287,7 @@ def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
             why[p] = f"degenerate boundary fit at {x0s[p].tolist()}: {text}"
 
     centered = samples - x0s[:, None]
-    window = np.max(_norm(centered), axis=1)
+    window = np.max(_norm(np.moveaxis(centered, -1, 0)), axis=1)
     for p in np.flatnonzero(window <= 0):
         why[p] = f"boundary samples near {x0s[p].tolist()} collapse onto it"
 
@@ -365,37 +371,43 @@ def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
     return frame, H, L, trace, why
 
 
+def _congruence(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """a s a^T of rows-last (n, n, rows) arrays, as (a s) a^T with matvec's sums."""
+    return matvec(matvec(a[:, :, None], s)[:, :, None], np.swapaxes(a, 0, 1))
+
+
 def _qv(y, K, alpha, w_fit, frame, Einv, inv_t, gam):
-    """Qv, psi and v at frame coordinates y (rows, n); w_fit, frame, its
-    inverse Einv, the frame's inverse metric inv_t = E^-1 sigma^-1 E^-T and
-    the chart's Christoffels gam carry one row each (gam None: Gamma
-    vanishes), K and alpha are scalars.
+    """Qv, psi and v at frame coordinates y (n, rows), rows-last like every
+    argument: w_fit (n-1, n-1, rows); frame, its inverse Einv and the
+    frame's inverse metric inv_t = E^-1 sigma^-1 E^-T (n, n, rows); the
+    chart's Christoffels Gamma^k_ij gam (n, n, n, rows) (None: Gamma
+    vanishes); K and alpha are scalars.
 
     Assembles v_a = psi_a / 2v and v_ab = -psi_a psi_b / 4v^3 + psi_ab / 2v
-    in the frame and contracts with the graph metric inverse; rows with
-    psi <= 0 give meaningless values and no warning.
+    in the frame and contracts with the graph metric inverse, each sum over
+    components left to right; rows with psi <= 0 give meaningless values
+    and no warning.
     """
-    n, K2 = y.shape[-1], K ** 2
-    yp, yn = y[:, :n - 1], y[:, n - 1]
-    w = 0.5 * np.einsum("ri,rij,rj->r", yp, w_fit, yp)
-    psi = K2 * np.sum(y * y, axis=-1) + 2.0 * alpha * (yn - w)
+    n, K2 = len(y), K ** 2
+    dw = matvec(w_fit, y[:n - 1])  # D w, w_fit being symmetric
+    psi = K2 * contract(y, y) + 2.0 * alpha * (y[n - 1] - 0.5 * contract(dw, y[:n - 1]))
     pg = 2.0 * K2 * y
-    pg[:, :n - 1] -= 2.0 * alpha * np.einsum("ri,rij->rj", yp, w_fit)
-    pg[:, n - 1] += 2.0 * alpha
-    ph = np.broadcast_to(2.0 * K2 * np.eye(n), y.shape + (n,)).copy()
-    ph[:, :n - 1, :n - 1] -= 2.0 * alpha * w_fit
+    pg[:n - 1] -= 2.0 * alpha * dw
+    pg[n - 1] += 2.0 * alpha
+    ph = np.broadcast_to(2.0 * K2 * np.eye(n)[..., None], (n, n, y.shape[1])).copy()
+    ph[:n - 1, :n - 1] -= 2.0 * alpha * w_fit
     with np.errstate(invalid="ignore", divide="ignore"):
         v = np.sqrt(psi)
-        vi = pg / (2.0 * v[:, None])
-        vij = (-pg[:, :, None] * pg[:, None, :] / (4.0 * psi * v)[:, None, None]
-               + ph / (2.0 * v[:, None, None]))
-        vi_up = np.einsum("rab,rb->ra", inv_t, vi)
-        w2 = 1.0 + np.einsum("ra,ra->r", vi, vi_up)
-        g = inv_t - vi_up[:, :, None] * vi_up[:, None, :] / w2[:, None, None]
-        qv = np.einsum("rab,rab->r", g, vij)
-        if gam is not None:  # g^{ab} Gamma^c_ab v_c, the frame's Gamma = E^-1 Gamma(E., E.)
-            qv -= np.einsum("rkij,rij,rk->r", gam, frame @ g @ np.swapaxes(frame, 1, 2),
-                            np.einsum("rca,rc->ra", Einv, vi))
+        vi = pg / (2.0 * v)
+        vij = -pg[:, None] * pg / (4.0 * psi * v) + ph / (2.0 * v)
+        vi_up = matvec(inv_t, vi)
+        g = inv_t - vi_up[:, None] * vi_up / (1.0 + contract(vi, vi_up))
+        # double sums go one axis at a time: numpy sums eight or more
+        # contiguous entries pairwise, so a one-row block would reorder them
+        qv = contract(g, vij).sum(axis=0)
+        if gam is not None:  # g^{ab} Gamma^c_ab v_c, in chart coordinates
+            G, dv = _congruence(frame, g), matvec(np.swapaxes(Einv, 0, 1), vi)
+            qv -= contract((gam * G).sum(axis=2).sum(axis=1), dv)
     return qv, psi, v
 
 
@@ -403,11 +415,13 @@ def q_on_barrier(spec: BarrierSpec, x) -> np.ndarray:
     """Qv at chart points x from the closed-form derivatives of v."""
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
-    Einv = np.linalg.inv(spec.frame)
+    R = len(pts)
+    E, F, H = (np.broadcast_to(a[..., None], a.shape + (R,))
+               for a in (np.linalg.inv(spec.frame), spec.frame, spec.w_fit))
     qv, psi, v = _qv(
-        np.einsum("ij,rj->ri", Einv, pts - spec.x0), spec.K, spec.alpha,
-        *(np.broadcast_to(a, (len(pts),) + a.shape) for a in (spec.w_fit, spec.frame, Einv)),
-        Einv @ metric_at(spec.chart, pts)[1] @ Einv.T, christoffel_at(spec.chart, pts))
+        matvec(E, (pts - spec.x0).T), spec.K, spec.alpha, H, F, E,
+        _congruence(E, np.moveaxis(metric_at(spec.chart, pts)[1], 0, -1)),
+        np.moveaxis(christoffel_at(spec.chart, pts), 0, -1))
     if np.any(psi <= 0):
         raise BarrierError("psi is not positive at a requested point")
     if np.any(v < MIN_BARRIER_V):
@@ -416,12 +430,19 @@ def q_on_barrier(spec: BarrierSpec, x) -> np.ndarray:
 
 
 def _windows(domain: GridDomain, x0s: np.ndarray, reach: float):
-    """(blk, nodes, offsets) per block of x0s: each point's window_nodes and
-    their chart offsets from it, at most BLOCK offset entries a block."""
-    width = domain.window_nodes(x0s[:0], reach).shape[1]
-    for blk in _blocks(len(x0s), width * domain.dim):
+    """(blk, nodes, offsets) per block of x0s: each point's window_nodes
+    (B, W) and, rows-last, their chart offsets from it: offsets[a] holds
+    the axis-a offsets of the window's w_a lattice planes, shaped to
+    broadcast over the box (B, w_0, ..., w_{n-1}) whose C order nodes
+    follow; at most BLOCK offset entries a block."""
+    n, width = domain.dim, domain.window_width(reach)
+    for blk in _blocks(len(x0s), int(np.prod(width)) * n):
         nodes = domain.window_nodes(x0s[blk], reach)
-        yield blk, nodes, domain.points.reshape(-1, domain.dim)[nodes] - x0s[blk, None]
+        first = np.unravel_index(nodes[:, 0], domain.shape)
+        yield blk, nodes, [
+            (ax[i[:, None] + np.arange(w)] - x0s[blk, a, None]).reshape(
+                (len(nodes),) + (1,) * a + (w,) + (1,) * (n - 1 - a))
+            for a, (ax, i, w) in enumerate(zip(domain.axes, first, width))]
 
 
 def _near_nodes(domain: GridDomain, x0s: np.ndarray, open_: np.ndarray,
@@ -431,7 +452,7 @@ def _near_nodes(domain: GridDomain, x0s: np.ndarray, open_: np.ndarray,
     interior = domain.interior.reshape(-1)
     found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
     for blk, nodes, offsets in _windows(domain, x0s, radius):
-        dist = _norm(offsets)
+        dist = _norm(offsets).reshape(nodes.shape)
         p, k = np.nonzero((dist <= radius) & interior[nodes] & open_[blk, None])
         found.append((p + blk.start, np.searchsorted(domain.interior_flat, nodes[p, k]),
                       dist[p, k]))
@@ -471,13 +492,16 @@ def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) ->
     open_ = np.array([r is None for r in out])
     owner, node, dist = _near_nodes(domain, x0s, open_, r_max)
     last = ["no admissible (radius, alpha) pair found"] * P
-    Einv = np.linalg.inv(frames)
-    ipts = domain.points[domain.interior]
+    # rows-last stores; a point with too few samples has no frame to invert
+    Einv = np.zeros_like(frames)
+    Einv[open_] = np.linalg.inv(frames[open_])
+    E_p, F_p, H_p, x0_p = (np.moveaxis(a, 0, -1) for a in (Einv, frames, H, x0s))
+    ipts = np.moveaxis(domain.points[domain.interior], 0, -1)
     if chart.is_euclidean:  # sigma^-1 is one matrix: the frame's inverse metric per point
-        inv_p, gam_n = Einv @ metric_at(chart, x0s)[1] @ np.swapaxes(Einv, 1, 2), None
-    else:
-        nodes, at = np.unique(node, return_inverse=True)
-        inv_n, gam_n = metric_at(chart, ipts[nodes])[1], christoffel_at(chart, ipts[nodes])
+        inv_p = _congruence(E_p, np.moveaxis(metric_at(chart, x0s)[1], 0, -1))
+    else:  # sigma^{ab} and Gamma^k_ab at the interior nodes, from the domain's caches
+        sig_n = domain.interior_sig_inv
+        gam_n = np.take(domain.interior_gamma, _pair_rows(n)[1], axis=1)
 
     alphas = [2.0 ** (-m) for m in range(21) if 2.0 ** (-m) >= ALPHA_FLOOR]
     for radius in [r_max * 2.0 ** (-j) for j in range(6)]:
@@ -495,11 +519,13 @@ def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) ->
                 continue
             qv, bad = np.empty(len(rows)), np.empty(len(rows), dtype=bool)
             for blk in _blocks(len(rows), 4 * n ** 3):
-                r, o = rows[blk], owner[rows[blk]]
-                y = np.einsum("rij,rj->ri", Einv[o], ipts[node[r]] - x0s[o])
-                inv_t, gam = ((inv_p[o], None) if gam_n is None else
-                              (Einv[o] @ inv_n[at[r]] @ np.swapaxes(Einv[o], 1, 2), gam_n[at[r]]))
-                qv[blk], psi, v = _qv(y, K, alpha, H[o], frames[o], Einv[o], inv_t, gam)
+                o, k = owner[rows[blk]], node[rows[blk]]
+                E = E_p.take(o, axis=-1)  # take, not [..., o], keeps rows contiguous
+                inv_t, gam = ((inv_p.take(o, axis=-1), None) if chart.is_euclidean else
+                              (_congruence(E, sig_n.take(k, axis=-1)), gam_n.take(k, axis=-1)))
+                y = matvec(E, ipts.take(k, axis=-1) - x0_p.take(o, axis=-1))
+                qv[blk], psi, v = _qv(y, K, alpha, H_p.take(o, axis=-1),
+                                      F_p.take(o, axis=-1), E, inv_t, gam)
                 bad[blk] = ~(psi > 0) | (v < MIN_BARRIER_V)
             # rows run by owner: one segment per point evaluated on this rung
             starts = np.flatnonzero(np.diff(owner[rows], prepend=-1))

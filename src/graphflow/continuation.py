@@ -23,6 +23,7 @@ classified separately against the barrier certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from numbers import Integral
 
 import numpy as np
@@ -325,7 +326,7 @@ def boundary_attainment_report(u_bar: GridField, phi,
     x0s = np.array([p.x0 for p in solvability.points], dtype=float).reshape(-1, dom.dim)
     gap, phi0, modulus = np.zeros(len(x0s)), np.zeros(len(x0s)), np.zeros(len(x0s))
     for blk, nodes, offsets in _windows(dom, x0s, 1.5 * h_max):
-        dist = np.max(np.abs(offsets), axis=-1)
+        dist = reduce(np.maximum, (np.abs(d) for d in offsets)).reshape(nodes.shape)
         close = dirichlet[nodes] & (dist <= 1.5 * h_max)
         gap[blk] = np.max(np.where(close, bgap[nodes], 0.0), axis=1, initial=0.0)
         # nodes run in C order, which is dirichlet_index order
@@ -333,7 +334,7 @@ def boundary_attainment_report(u_bar: GridField, phi,
         pick = np.where(on.any(axis=1), on.argmax(axis=1), close.argmax(axis=1))
         phi0[blk] = np.where(close.any(axis=1), phi_flat[nodes[np.arange(len(pick)), pick]], 0.0)
     for blk, nodes, offsets in _windows(dom, x0s, 4.0 * h_max):
-        d = _norm(offsets)
+        d = _norm(offsets).reshape(nodes.shape)
         near = interior[nodes] & (d <= 4.0 * h_max)
         rate = np.abs(u_flat[nodes] - phi0[blk, None]) / np.where(near, d, 1.0)
         modulus[blk] = np.where(near.any(axis=1), np.max(

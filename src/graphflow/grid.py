@@ -153,13 +153,17 @@ class GridDomain:
         first = nbrs[np.arange(len(nbrs)), np.argmax(hit, axis=1)]
         return tuple(np.ascontiguousarray(axis) for axis in first.T)
 
+    def window_width(self, reach: float) -> np.ndarray:
+        """Nodes per axis of a window_nodes box: min(2 ceil(reach/h_a) + 3, shape_a)."""
+        return np.minimum(2 * np.ceil(reach / self.h).astype(np.intp) + 3, self.shape)
+
     def window_nodes(self, x0s: np.ndarray, reach: float) -> np.ndarray:
         """(P, W) flat lattice indices around each point of x0s (P, n),
-        ascending (C order): a box of min(2 ceil(reach/h_a) + 3, shape_a)
-        nodes per axis, clipped into the lattice, holding every node within
-        sup-distance reach of the point, also off the lattice or on its rim."""
-        cells = np.ceil(reach / self.h).astype(np.intp)
-        width = np.minimum(2 * cells + 3, self.shape)
+        ascending (C order): a box of window_width(reach) nodes, clipped
+        into the lattice, holding every node within sup-distance reach of
+        the point, also off the lattice or on its rim; its first node is
+        its lowest corner."""
+        cells, width = np.ceil(reach / self.h).astype(np.intp), self.window_width(reach)
         first = np.floor((x0s - [ax[0] for ax in self.axes]) / self.h).astype(np.intp)
         first = np.clip(first - cells - 1, 0, np.array(self.shape) - width)
         box = np.ravel_multi_index(np.indices(width).reshape(self.dim, -1), self.shape)

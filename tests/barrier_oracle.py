@@ -9,10 +9,11 @@ against, together with the helpers only the tests use: `psi_eval`,
 `fit_boundary_graph_all_pairs` are the batched gathers that measured every
 point against every node or crossing-table row, before the gathers read
 only each point's lattice window or kept rows; the windowed ones must match
-them bit for bit.  The fit follows the batched
-one's tie rules: samples at equal distance (to 1e-12) are taken in
-coordinate order, and a tangent column's sign is set by its first entry of
-largest size (to 1e-12).
+them bit for bit.  `_qv` is the rung loop's rows-first kernel (rows on the
+leading axis, contractions by einsum), the reference for the rows-last one.
+The fit follows the batched one's tie rules: samples at equal distance (to
+1e-12) are taken in coordinate order, and a tangent column's sign is set by
+its first entry of largest size (to 1e-12).
 """
 
 from __future__ import annotations
@@ -225,6 +226,40 @@ def q_on_barrier(spec: BarrierSpec, x) -> np.ndarray:
     qv = (np.einsum("...ab,...ab->...", g, vij)
           - np.einsum("...ab,...cab,...c->...", g, gam_t, vi))
     return qv[0] if scalar else qv
+
+
+def _qv(y, K, alpha, w_fit, frame, Einv, inv_t, gam):
+    """Qv, psi and v at frame coordinates y (rows, n); w_fit, frame, its
+    inverse Einv, the frame's inverse metric inv_t = E^-1 sigma^-1 E^-T and
+    the chart's Christoffels gam carry one row each (gam None: Gamma
+    vanishes), K and alpha are scalars.
+
+    Assembles v_a = psi_a / 2v and v_ab = -psi_a psi_b / 4v^3 + psi_ab / 2v
+    in the frame and contracts with the graph metric inverse; rows with
+    psi <= 0 give meaningless values and no warning.
+    """
+    n, K2 = y.shape[-1], K ** 2
+    yp, yn = y[:, :n - 1], y[:, n - 1]
+    w = 0.5 * np.einsum("ri,rij,rj->r", yp, w_fit, yp)
+    psi = K2 * np.sum(y * y, axis=-1) + 2.0 * alpha * (yn - w)
+    pg = 2.0 * K2 * y
+    pg[:, :n - 1] -= 2.0 * alpha * np.einsum("ri,rij->rj", yp, w_fit)
+    pg[:, n - 1] += 2.0 * alpha
+    ph = np.broadcast_to(2.0 * K2 * np.eye(n), y.shape + (n,)).copy()
+    ph[:, :n - 1, :n - 1] -= 2.0 * alpha * w_fit
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v = np.sqrt(psi)
+        vi = pg / (2.0 * v[:, None])
+        vij = (-pg[:, :, None] * pg[:, None, :] / (4.0 * psi * v)[:, None, None]
+               + ph / (2.0 * v[:, None, None]))
+        vi_up = np.einsum("rab,rb->ra", inv_t, vi)
+        w2 = 1.0 + np.einsum("ra,ra->r", vi, vi_up)
+        g = inv_t - vi_up[:, :, None] * vi_up[:, None, :] / w2[:, None, None]
+        qv = np.einsum("rab,rab->r", g, vij)
+        if gam is not None:  # g^{ab} Gamma^c_ab v_c, the frame's Gamma = E^-1 Gamma(E., E.)
+            qv -= np.einsum("rkij,rij,rk->r", gam, frame @ g @ np.swapaxes(frame, 1, 2),
+                            np.einsum("rca,rc->ra", Einv, vi))
+    return qv, psi, v
 
 
 def _fit_with_trace(domain: GridDomain, x0: np.ndarray):
@@ -490,7 +525,7 @@ def near_nodes_all_pairs(domain: GridDomain, x0s: np.ndarray, open_: np.ndarray,
     ipts = domain.points[domain.interior]
     found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
     for blk in _blocks(len(x0s), len(ipts) * domain.dim):
-        dist = _norm(ipts - x0s[blk, None])
+        dist = _norm(np.moveaxis(ipts - x0s[blk, None], -1, 0))
         p, i = np.nonzero((dist <= radius) & open_[blk, None])
         found.append((p + blk.start, i, dist[p, i]))
     return tuple(np.concatenate(col) for col in zip(*found))
@@ -524,7 +559,7 @@ def fit_boundary_graph_all_pairs(domain: GridDomain, x0s: np.ndarray):
     for blk in _blocks(P, len(cross) * n):
         keep = window_rows_all_pairs(domain, x0s[blk],
                                      FIT_WINDOW_CELLS * float(np.max(domain.h)))
-        dist = np.where(keep, _norm(cross - x0s[blk, None]), np.inf)
+        dist = np.where(keep, _norm(np.moveaxis(cross - x0s[blk, None], -1, 0)), np.inf)
         keys = [np.broadcast_to(c, dist.shape) for c in cross.T[::-1]]
         order = np.lexsort(keys + [np.round(dist / 1e-12)], axis=1)[:, :4 * n]
         idx[blk, :order.shape[1]], count[blk] = order, np.sum(keep, axis=1)
@@ -557,7 +592,7 @@ def attainment_all_pairs(u_bar: GridField, phi, solvability) -> AttainmentReport
         on = dist < 1e-12
         pick = np.where(on.any(axis=1), on.argmax(axis=1), close.argmax(axis=1))
         phi0 = np.where(close.any(axis=1), bphi[pick], 0.0)
-        d = _norm(interior_pts - x0)
+        d = _norm(np.moveaxis(interior_pts - x0, -1, 0))
         near = d <= 4.0 * h_max
         rate = np.abs(interior_vals - phi0[:, None]) / np.where(near, d, 1.0)
         modulus[blk] = np.where(near.any(axis=1), np.max(

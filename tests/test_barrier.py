@@ -16,10 +16,11 @@ from graphflow.barrier import (FIT_WINDOW_CELLS, BarrierSearchResult, _crossing_
                                q_on_barrier, search_alpha, segment_crossings)
 from graphflow.continuation import boundary_attainment_report
 from graphflow.errors import BarrierError
-from graphflow.grid import GridField, build_domain
-from graphflow.manifold import builtin_chart
+from graphflow.grid import GridField, _pair_rows, build_domain
+from graphflow.manifold import builtin_chart, christoffel_at, metric_at
 
 EUCLID = builtin_chart("euclidean", n=2)
+QV_ROUNDING = 1e-14  # rows-last against rows-first Qv, psi, v: per row, of its largest term
 
 
 def disc_domain(h, radius=0.4):
@@ -590,6 +591,82 @@ def test_euclidean_search_drops_only_a_zero_christoffel_term():
         assert sum(r.certified for r in got) > 0
         assert (json.dumps([r.json_dict() for r in got])
                 == json.dumps([r.json_dict() for r in want]))
+
+
+def largest_terms(spec, y, inv_t, gam):
+    """Per row, the largest |summand| of psi and of Qv written out in full,
+    rows-first from the oracle's psi derivatives: each of g^ab = sigma^ab -
+    v^a v^b / W^2 and v_ab = -psi_a psi_b / 4v^3 + psi_ab / 2v splits in
+    two, and the Gamma term sums Gamma^k_ij (E g E^T)^ij v_k the same way."""
+    psi, pg, ph = oracle._psi_terms(spec, y)
+    v = np.sqrt(psi)[:, None, None]
+    vi = pg / (2.0 * v[..., 0])
+    up = np.einsum("rab,rb->ra", inv_t, vi)
+    g_parts = [inv_t, up[:, :, None] * up[:, None, :]
+               / (1.0 + np.sum(vi * up, axis=1))[:, None, None]]
+    vab_parts = [pg[:, :, None] * pg[:, None, :] / (4.0 * psi[:, None, None] * v), ph / (2.0 * v)]
+    terms = [g * d for g in g_parts for d in vab_parts]
+    if gam is not None:
+        dv = vi @ np.linalg.inv(spec.frame)
+        terms += [gam * (spec.frame @ g @ spec.frame.T)[:, None] * dv[:, :, None, None]
+                  for g in g_parts]
+    n = y.shape[1]
+    quad = y[:, :n - 1, None] * spec.w_fit * y[:, None, :n - 1]
+    psi_terms = [spec.K ** 2 * y * y, 2.0 * spec.alpha * y[:, -1:], spec.alpha * quad]
+    flat = [[np.abs(t).reshape(len(y), -1) for t in ts] for ts in (psi_terms, terms)]
+    return tuple(np.max(np.concatenate(f, axis=1), axis=1) for f in flat)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_rows_last_qv_matches_rows_first_reference(name):
+    # every certified neighbourhood: the rows-last kernel, fed as the rung
+    # loop feeds it (domain caches, _matvec, _congruence), against the
+    # rows-first one fed from metric_at and christoffel_at; the sums run in
+    # another order, so rows agree to rounding of their largest term
+    dom, _, _, report = certified_case(name)
+    ipts, curved = dom.points[dom.interior], not dom.chart.is_euclidean
+    specs = [p.spec for p in report.points if p.certified and p.spec is not None]
+    assert specs
+    for spec in specs:
+        k = np.flatnonzero(np.linalg.norm(ipts - spec.x0, axis=1) <= spec.radius)
+        x, Einv = ipts[k], np.linalg.inv(spec.frame)
+        y, inv_t = (x - spec.x0) @ Einv.T, Einv @ metric_at(dom.chart, x)[1] @ Einv.T
+        gam = christoffel_at(dom.chart, x) if curved else None
+        first = [np.broadcast_to(a, (len(k),) + a.shape) for a in (spec.w_fit, spec.frame, Einv)]
+        want = oracle._qv(y, spec.K, spec.alpha, *first, inv_t, gam)
+        last = [np.broadcast_to(a[..., None], a.shape + (len(k),))
+                for a in (spec.w_fit, spec.frame, Einv)]
+        gam_k = np.take(dom.interior_gamma[..., k], _pair_rows(dom.dim)[1], axis=1)
+        got = barrier_mod._qv(
+            barrier_mod.matvec(last[2], (x - spec.x0).T), spec.K, spec.alpha, *last,
+            barrier_mod._congruence(last[2], dom.interior_sig_inv[..., k]),
+            gam_k if curved else None)
+        psi_scale, qv_scale = largest_terms(spec, y, inv_t, gam)
+        for a, b, scale in zip(got, want, (qv_scale, psi_scale, np.sqrt(psi_scale))):
+            assert np.all(np.abs(a - b) <= QV_ROUNDING * scale)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_search_does_not_depend_on_the_block_size(name, monkeypatch):
+    # at BLOCK = 64 the rung loop runs one or two rows a block, so owner
+    # segments cross block edges; every verdict, rung and qv_max keeps its
+    # bits (every fourth boundary point, to bound the run time)
+    dom = ORACLE_DOMAINS[name]()
+    x0s = np.unique(projections(dom), axis=0)[::4]
+    x0s = x0s[~np.isnan(x0s[:, 0])]
+    want = json.dumps([r.json_dict() for r in search_alpha(dom, x0s, K=0.3, gamma=1.1)])
+    monkeypatch.setattr(barrier_mod, "BLOCK", 64)
+    assert json.dumps([r.json_dict() for r in search_alpha(dom, x0s, K=0.3, gamma=1.1)]) == want
+
+
+def test_search_with_a_point_too_few_samples():
+    # the far point's window holds no crossing, so its fit is never formed
+    dom = build_domain(EUCLID, 1.0 / 16, region={"region": "disc", "center": [0.3, 0.3],
+                                                 "radius": 0.2})
+    near, far = search_alpha(dom, np.array([[0.3, 0.1], [0.98, 0.98]]), K=0.3, gamma=1.1)
+    assert near.certified
+    assert not far.certified and far.reason == (
+        "boundary near [0.98, 0.98] resolved by only 0 points; need at least 4")
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
