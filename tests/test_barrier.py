@@ -20,7 +20,9 @@ from graphflow.grid import GridField, _pair_rows, build_domain
 from graphflow.manifold import builtin_chart, christoffel_at, metric_at
 
 EUCLID = builtin_chart("euclidean", n=2)
-QV_ROUNDING = 1e-14  # rows-last against rows-first Qv, psi, v: per row, of its largest term
+# rows-last against rows-first Qv, psi and v, per row, in units of its largest
+# term; the worst measured on the oracle domains is 1.7e-15
+QV_ROUNDING = 1e-14
 
 
 def disc_domain(h, radius=0.4):
@@ -620,7 +622,7 @@ def largest_terms(spec, y, inv_t, gam):
 @pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
 def test_rows_last_qv_matches_rows_first_reference(name):
     # every certified neighbourhood: the rows-last kernel, fed as the rung
-    # loop feeds it (domain caches, _matvec, _congruence), against the
+    # loop feeds it (domain caches, matvec, _congruence), against the
     # rows-first one fed from metric_at and christoffel_at; the sums run in
     # another order, so rows agree to rounding of their largest term
     dom, _, _, report = certified_case(name)
