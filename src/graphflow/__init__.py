@@ -7,9 +7,10 @@ certificates decide where the limit attains its boundary data and where it
 detaches along a vertical portion of the boundary cylinder.
 
 Module map: manifold (charts and metric tables), grid (lattice domains and
-fields), functionals (area, perturbed energy, BV machinery), flow (the
-explicit eps-flow stepper), barrier (solvability certification),
-continuation (quasi-steady runs, eps limits, attainment), cli (batch runner).
+fields, point windows, boundary crossings), functionals (area, perturbed
+energy, BV machinery), flow (the explicit eps-flow stepper), barrier
+(solvability certification), continuation (quasi-steady runs, eps limits,
+attainment), cli (batch runner).
 """
 
 from .barrier import (BarrierSearchResult, BarrierSpec, SolvabilityReport,

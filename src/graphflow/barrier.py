@@ -29,14 +29,15 @@ fit_boundary_graph and search_alpha take all P boundary points at once, as
 a (P, n) array, and return one result per point:
 
 - gather: each point's fit samples are the rows of the domain's crossing
-  table whose segments lie in its sup-norm window (axis flags read by end
-  node), one row per boundary point; its own rows alone are sorted nearest
-  first, and the nearest 4n form a (P, 4n, n) array;
+  table (GridDomain.boundary_facts, bisected once per domain) whose
+  segments lie in its sup-norm window (axis flags read by end node), one
+  row per boundary point; its own rows alone are sorted nearest first, and
+  the nearest 4n form a (P, 4n, n) array;
 - fit: the Cholesky factor, the SVD frame and the inward-normal probe are
   stacked calls, and the rotate-and-refit loop runs on the points that have
   not converged yet; a failed fit becomes the point's reason string;
 - rungs: the interior nodes within the fit window of each point are found
-  once, among its lattice window (GridDomain.window_nodes); the (radius,
+  once, among its lattice window (GridDomain.windows); the (radius,
   alpha) pairs are walked in a fixed order, and on each rung Qv (on
   euclidean charts with no Christoffel term and the frame's inverse metric
   formed once per point, on curved ones from the domain's interior caches
@@ -47,19 +48,20 @@ a (P, n) array, and return one result per point:
   components on the leading axes and the rows on the last, contiguous one,
   and every contraction sums its components left to right;
 - blocks: the window gathers and the batches run in blocks of at most
-  BLOCK array entries, so memory does not grow with the number of points.
+  grid.BLOCK array entries (grid._blocks), so memory does not grow with the
+  number of points.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .errors import BarrierError
-from .grid import GridDomain, _pair_rows, _region_sdf, as_field, contract, matvec
+from .grid import (GridDomain, _blocks, _norm, _pair_rows, _region_sdf, as_field, contract,
+                   matvec)
 from .manifold import christoffel_at, metric_at
 
 MIN_BARRIER_V = 1e-12
@@ -67,9 +69,6 @@ QV_MARGIN = -1e-8          # certification demands Qv below this at every sample
 ALPHA_FLOOR = 1e-6
 FIT_WINDOW_CELLS = 8       # boundary sampling window, in units of max h
 DEGENERATE_RESIDUAL = 0.05 # rms graph-fit residual / window above this is no graph
-HALVINGS = 53              # bisection steps per crossing: the bracket on [0, 1] ends at 2^-53
-BLOCK = 1 << 15            # array entries per block of a batched gather or Qv evaluation
-_CROSSING_TABLES = weakref.WeakKeyDictionary()  # GridDomain -> _boundary_facts
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,86 +131,11 @@ class BarrierSearchResult:
         return out
 
 
-def _sdf(domain: GridDomain, pts: np.ndarray) -> np.ndarray:
-    return _region_sdf(domain.region, pts, domain.chart.box)
-
-
-def segment_crossings(domain: GridDomain, a: np.ndarray, b: np.ndarray,
-                      fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Boundary point on each segment [a[k], b[k]], NaN where it stays one-sided.
-
-    fa, fb are the region's signed distances at the ends.  An end below 1e-13
-    of the larger end value is returned exactly; the segments with strictly
-    opposite-sign ends are bisected together, HALVINGS times.
-    """
-    tiny = 1e-13 * np.maximum(np.maximum(np.abs(fa), np.abs(fb)), 1e-30)
-    at_a = np.abs(fa) < tiny
-    at_b = ~at_a & (np.abs(fb) < tiny)
-    out = np.full(np.shape(a), np.nan)
-    out[at_a], out[at_b] = a[at_a], b[at_b]
-    todo = ~at_a & ~at_b & (((fa < 0) & (fb > 0)) | ((fa > 0) & (fb < 0)))
-    if np.any(todo):
-        a, step, side = a[todo], b[todo] - a[todo], np.sign(fa[todo])
-        lo, hi = np.zeros(len(a)), np.ones(len(a))
-        for _ in range(HALVINGS):
-            mid = 0.5 * (lo + hi)
-            same = _sdf(domain, a + mid[:, None] * step) * side > 0
-            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-        out[todo] = a + (0.5 * (lo + hi))[:, None] * step
-    return out
-
-
-def _crossing_table(domain: GridDomain):
-    """(lo, hi, points) of the axis-aligned lattice segments meeting the region
-    edge: flat indices of the end nodes and the crossing, ordered by axis, then
-    by lower node in C order.  A segment lying along the edge crosses at its
-    lower end, so its upper end (a box's (hi, ..., hi) corner is no segment's
-    lower end) is appended as a row after the crossings.  Built once per
-    domain, with _boundary_facts."""
-    return _boundary_facts(domain)[0]
-
-
-def _boundary_facts(domain: GridDomain):
-    """(_crossing_table, crossings of the dirichlet segments inner_index ->
-    dirichlet_index, _window_rows' dedup key of the table's points), once per
-    domain; one row-by-row segment_crossings pass bisects both segment sets."""
-    if domain in _CROSSING_TABLES:
-        return _CROSSING_TABLES[domain]
-    flat = np.arange(domain.sdf.size).reshape(domain.shape)
-    lo, hi = (np.concatenate([flat[(slice(None),) * a + (cut,)].reshape(-1)
-                              for a in range(domain.dim)])
-              for cut in (slice(None, -1), slice(1, None)))
-    pts, F = domain.points.reshape(-1, domain.dim), domain.sdf.reshape(-1)
-    a = np.concatenate([lo, np.ravel_multi_index(domain.inner_index, domain.shape)])
-    b = np.concatenate([hi, domain.dirichlet_flat])
-    cross, dirichlet = np.split(segment_crossings(domain, pts[a], pts[b], F[a], F[b]), [len(lo)])
-    hit = ~np.isnan(cross[:, 0])
-    edge = (F[lo] == 0) & (F[hi] == 0)
-    table = (np.concatenate([lo[hit], lo[edge]]), np.concatenate([hi[hit], hi[edge]]),
-             np.concatenate([cross[hit], pts[hi[edge]]]))
-    _, key = np.unique(np.round(table[2] / 1e-12).astype(np.int64), axis=0,
-                       return_inverse=True)
-    _CROSSING_TABLES[domain] = table, dirichlet, key.reshape(-1)
-    return _CROSSING_TABLES[domain]
-
-
-def _blocks(count: int, width: int) -> list:
-    """Slices of range(count) holding at most BLOCK entries of width each."""
-    step = max(1, BLOCK // max(width, 1))
-    return [slice(s, s + step) for s in range(0, count, step)]
-
-
-def _norm(d) -> np.ndarray:
-    """Euclidean norm of the components d[0], d[1], ..., summed left to
-    right: bit for bit np.linalg.norm's over a last axis holding them."""
-    return np.sqrt(sum(c * c for c in d))
-
-
 def _window_rows(domain: GridDomain, x0s: np.ndarray, window: float) -> np.ndarray:
     """(P, rows) mask of the crossing-table rows whose segment endpoints both
     lie within the sup-norm window of each point of x0s: each axis's lattice
     coordinates are compared with the points once, then read by end node."""
-    (lo, hi, cross), _, key = _boundary_facts(domain)
+    (lo, hi, cross), _, key = domain.boundary_facts
     lo_ix, hi_ix = (np.unravel_index(end, domain.shape) for end in (lo, hi))
     near = np.ones((len(x0s), len(cross)), dtype=bool)
     for a, ax in enumerate(domain.axes):
@@ -248,7 +172,7 @@ def fit_boundary_graph(domain: GridDomain, x0s: np.ndarray):
     trace terms tr w'' + sum_a Gamma^n_aa (P,) and one reason per point,
     None where the fit holds.
     """
-    n, P, cross = domain.dim, len(x0s), _crossing_table(domain)[2]
+    n, P, cross = domain.dim, len(x0s), domain.boundary_facts[0][2]
     if n < 2:
         raise BarrierError("the boundary-graph construction needs dimension >= 2")
     frames, H, L, trace = np.zeros((P, n, n)), np.zeros((P, n - 1, n - 1)), np.zeros(P), np.zeros(P)
@@ -298,7 +222,7 @@ def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
     frame = np.linalg.solve(np.swapaxes(chol, 1, 2), np.swapaxes(vt, 1, 2))
     # orient the normal inward
     probe = x0s + 0.25 * float(np.min(domain.h)) * frame[:, :, -1]
-    frame[_sdf(domain, probe) > 0, :, -1] *= -1
+    frame[_region_sdf(domain.region, probe, domain.chart.box) > 0, :, -1] *= -1
 
     pairs = list(combinations_with_replacement(range(n - 1), 2))
 
@@ -429,29 +353,13 @@ def q_on_barrier(spec: BarrierSpec, x) -> np.ndarray:
     return qv[0] if x.ndim == 1 else qv
 
 
-def _windows(domain: GridDomain, x0s: np.ndarray, reach: float):
-    """(blk, nodes, offsets) per block of x0s: each point's window_nodes
-    (B, W) and, rows-last, their chart offsets from it: offsets[a] holds
-    the axis-a offsets of the window's w_a lattice planes, shaped to
-    broadcast over the box (B, w_0, ..., w_{n-1}) whose C order nodes
-    follow; at most BLOCK offset entries a block."""
-    n, width = domain.dim, domain.window_width(reach)
-    for blk in _blocks(len(x0s), int(np.prod(width)) * n):
-        nodes = domain.window_nodes(x0s[blk], reach)
-        first = np.unravel_index(nodes[:, 0], domain.shape)
-        yield blk, nodes, [
-            (ax[i[:, None] + np.arange(w)] - x0s[blk, a, None]).reshape(
-                (len(nodes),) + (1,) * a + (w,) + (1,) * (n - 1 - a))
-            for a, (ax, i, w) in enumerate(zip(domain.axes, first, width))]
-
-
 def _near_nodes(domain: GridDomain, x0s: np.ndarray, open_: np.ndarray,
                 radius: float):
     """(owner, node, dist): every (point, interior node) pair within radius
-    of an open point of x0s, by point, then node, read off window_nodes."""
+    of an open point of x0s, by point, then node, read off its window."""
     interior = domain.interior.reshape(-1)
     found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
-    for blk, nodes, offsets in _windows(domain, x0s, radius):
+    for blk, nodes, offsets in domain.windows(x0s, radius):
         dist = _norm(offsets).reshape(nodes.shape)
         p, k = np.nonzero((dist <= radius) & interior[nodes] & open_[blk, None])
         found.append((p + blk.start, np.searchsorted(domain.interior_flat, nodes[p, k]),
@@ -606,7 +514,7 @@ def check_dirichlet_solvability(phi, domain: GridDomain, K: float,
     osc = float(np.max(vals) - np.min(vals)) if vals.size else 0.0
 
     inner, outer = domain.inner_index, domain.dirichlet_index
-    crossings = _boundary_facts(domain)[1]
+    crossings = domain.boundary_facts[1]
     missing = np.isnan(crossings[:, 0])
     hit = np.flatnonzero(~missing)
     _, first = np.unique(np.round(crossings[hit] / 1e-9).astype(np.int64), axis=0,

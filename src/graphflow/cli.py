@@ -218,6 +218,13 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
             bad.add(key)
         return bad
 
+    def resolve(name, path) -> str:
+        """A csv path read relative to the config file; a problem unless a file is there."""
+        path = base_dir / path
+        if not path.is_file():
+            problems.append(f"{name} csv file {str(path)!r} does not exist")
+        return str(path)
+
     def collect(make, prefix=""):
         """make(), or None once the problems of its ConfigError are collected."""
         try:
@@ -236,7 +243,9 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         if kind not in BUILTIN_KINDS:
             problems.append(f"chart kind must be one of {BUILTIN_KINDS}, got {kind!r:.80}")
         if "params" not in check("chart", chart, CHART_KEYS) and kind in BUILTIN_KINDS:
-            check("chart params", chart.get("params", {}), CHART_PARAMS[kind])
+            params = chart.get("params", {})
+            if "csv" not in check("chart params", params, CHART_PARAMS[kind]) and "csv" in params:
+                chart = {**chart, "params": {**params, "csv": resolve("chart", params["csv"])}}
     region = cfg["region"]
     if "region" not in reported:
         if region.get("region") not in tuple(REGION_KEYS):
@@ -253,11 +262,8 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
             continue
         keys = FIELD_KEYS[spec["kind"]]
         if "path" not in check(name, spec, ("kind", *keys), [k for k in keys if k != "offset"]) \
-                and spec["kind"] == "csv":  # csv paths are read relative to the config file
-            path = base_dir / spec["path"]
-            if not path.is_file():
-                problems.append(f"{name} csv file {str(path)!r} does not exist")
-            cfg[name] = {**spec, "path": str(path)}
+                and spec["kind"] == "csv":
+            cfg[name] = {**spec, "path": resolve(name, spec["path"])}
 
     flow = None
     if "flow" not in reported and not check("flow", cfg["flow"], [f.name for f in fields(FlowParams)]):
@@ -358,6 +364,8 @@ def _read_raw(config_path: str) -> tuple[dict, Path]:
         raise ConfigError(f"config file {config_path!r} does not exist")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {config_path!r} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -439,7 +447,12 @@ def emit_report(run_dir: str) -> int:
         if not manifest_path.is_file():
             raise ConfigError(f"{run_dir} has no manifest.json; not a "
                               "completed run directory")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both
+            raise ConfigError(f"{manifest_path} is not valid JSON: {exc}")
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("artifacts"), dict):
+            raise ConfigError(f"{manifest_path} has no artifacts object")
         bundle = {"manifest": manifest}
         for name, digest in manifest["artifacts"].items():
             path = out / name

@@ -28,11 +28,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .barrier import _norm, _windows
 from .errors import ConfigError, EstimateViolation
-from .flow import FlowParams, FlowState, flow_step, initial_state, l_eps_apply, record_sample
-from .functionals import e_eps, interior_integral, total_variation, w_factor
-from .grid import GridDomain, GridField, as_field
+from .flow import FlowParams, FlowState, _operator_arrays, flow_step, initial_state, record_sample
+from .functionals import e_eps, interior_integral, total_variation
+from .grid import GridDomain, GridField, _norm, as_field
 
 PROBE_COLLAR = 4          # probe set: interior nodes >= this many cells inside
 DEFAULT_GAP_STOP = 1e-4   # default schedule stops once legs agree this well
@@ -313,8 +312,8 @@ def boundary_attainment_report(u_bar: GridField, phi,
     dirichlet nodes within 1.5h (sup norm) of x0; phi(x0) is read at the
     dirichlet node at x0, else at the first one within 1.5h; the modulus is
     the observed linear rate of u_bar's approach to phi(x0) over the
-    interior nodes within 4h.  Each point reads only the nodes of its
-    lattice window (GridDomain.window_nodes), in blocks of points.  A
+    interior nodes within 4h.  Each point reads only the nodes of its 4h
+    lattice window (GridDomain.windows), once, in blocks of points.  A
     certified point is attained when its trace gap stays within a 10h band.
     """
     dom = u_bar.domain
@@ -324,19 +323,18 @@ def boundary_attainment_report(u_bar: GridField, phi,
     bgap[dom.dirichlet_flat] = np.abs(u_bar.values[dom.inner_index] - phi_flat[dom.dirichlet_flat])
     dirichlet, interior = dom.dirichlet.reshape(-1), dom.interior.reshape(-1)
     x0s = np.array([p.x0 for p in solvability.points], dtype=float).reshape(-1, dom.dim)
-    gap, phi0, modulus = np.zeros(len(x0s)), np.zeros(len(x0s)), np.zeros(len(x0s))
-    for blk, nodes, offsets in _windows(dom, x0s, 1.5 * h_max):
-        dist = reduce(np.maximum, (np.abs(d) for d in offsets)).reshape(nodes.shape)
-        close = dirichlet[nodes] & (dist <= 1.5 * h_max)
+    gap, modulus = np.zeros(len(x0s)), np.zeros(len(x0s))
+    for blk, nodes, offsets in dom.windows(x0s, 4.0 * h_max):
+        sup = reduce(np.maximum, (np.abs(d) for d in offsets)).reshape(nodes.shape)
+        close = dirichlet[nodes] & (sup <= 1.5 * h_max)
         gap[blk] = np.max(np.where(close, bgap[nodes], 0.0), axis=1, initial=0.0)
         # nodes run in C order, which is dirichlet_index order
-        on = close & (dist < 1e-12)
+        on = close & (sup < 1e-12)
         pick = np.where(on.any(axis=1), on.argmax(axis=1), close.argmax(axis=1))
-        phi0[blk] = np.where(close.any(axis=1), phi_flat[nodes[np.arange(len(pick)), pick]], 0.0)
-    for blk, nodes, offsets in _windows(dom, x0s, 4.0 * h_max):
+        phi0 = np.where(close.any(axis=1), phi_flat[nodes[np.arange(len(pick)), pick]], 0.0)
         d = _norm(offsets).reshape(nodes.shape)
         near = interior[nodes] & (d <= 4.0 * h_max)
-        rate = np.abs(u_flat[nodes] - phi0[blk, None]) / np.where(near, d, 1.0)
+        rate = np.abs(u_flat[nodes] - phi0[:, None]) / np.where(near, d, 1.0)
         modulus[blk] = np.where(near.any(axis=1), np.max(
             np.where(near, rate, -np.inf), axis=1, initial=-np.inf), np.nan)
 
@@ -363,7 +361,8 @@ class TimeUniquenessResult:
 
 def _source_norm(u: GridField, eps: float) -> float:
     """integral of (L^eps u / W)^2 dV, the stationarity defect density."""
-    return interior_integral(u.domain, (l_eps_apply(u, eps) / w_factor(u)) ** 2)
+    l_eps, w = _operator_arrays(u.domain, u.values, eps)
+    return interior_integral(u.domain, (l_eps / w) ** 2)
 
 
 class TimeSnapshots:

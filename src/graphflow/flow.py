@@ -115,8 +115,9 @@ class FlowState:
     evaluations: int = 0
 
 
-def _operator_arrays(domain: GridDomain, values: np.ndarray):
-    """(Q, lap, W) at the interior nodes, in interior_flat order."""
+def _operator_arrays(domain: GridDomain, values: np.ndarray, eps: float):
+    """(L^eps u, W) at the interior nodes, in interior_flat order; at
+    eps = 0, L^eps u is Qu bit for bit."""
     n = domain.dim
     nbrs = values.take(domain.node_table)
     lowered, raised, gradsq = gradient_sweep(domain, nbrs)
@@ -127,13 +128,16 @@ def _operator_arrays(domain: GridDomain, values: np.ndarray):
     else:
         lap = (domain.interior_sig_inv * hess).reshape(n * n, -1).sum(axis=0)
     quu = contract(raised, matvec(hess, raised))
-    return lap - quu / w2, lap, np.sqrt(w2)
+    l_eps, w = lap - quu / w2, np.sqrt(w2)
+    if eps != 0.0:
+        l_eps = l_eps + eps * w * lap
+    return l_eps, w
 
 
 def q_operator(u: GridField) -> np.ndarray:
     """Mean curvature operator Qu = g^{ij} D^2_ij u at the interior nodes,
     in interior_flat order."""
-    return _operator_arrays(u.domain, u.values)[0]
+    return _operator_arrays(u.domain, u.values, 0.0)[0]
 
 
 def l_eps_apply(u: GridField, eps: float) -> np.ndarray:
@@ -144,10 +148,7 @@ def l_eps_apply(u: GridField, eps: float) -> np.ndarray:
     """
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    if eps == 0.0:
-        return q_operator(u)
-    q, lap, w = _operator_arrays(u.domain, u.values)
-    return q + eps * w * lap
+    return _operator_arrays(u.domain, u.values, eps)[0]
 
 
 def _ramp_profile(s):
@@ -230,9 +231,7 @@ def flow_step(state: FlowState, params: FlowParams, sample: bool = True,
         stages = 1
     # overflow here surfaces as the FlowDiverged guard below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs, lap, w = _operator_arrays(dom, vals)
-        if params.eps != 0.0:
-            rhs = rhs + params.eps * w * lap
+        rhs, w = _operator_arrays(dom, vals, params.eps)
         dt = stable_dt(dom, params, w)
         tau = dt * (stages * (stages + 1) // 2)
         old = vals.take(interior)
@@ -248,9 +247,7 @@ def flow_step(state: FlowState, params: FlowParams, sample: bool = True,
         prev = old
         for j in range(2, stages + 1):
             new_vals[dom.interior] = new
-            rhs_j, lap_j, w_j = _operator_arrays(dom, new_vals)
-            if params.eps != 0.0:
-                rhs_j = rhs_j + params.eps * w_j * lap_j
+            rhs_j = _operator_arrays(dom, new_vals, params.eps)[0]
             mu, nu = (2 * j - 1) / j, (1 - j) / j
             prev, new = new, mu * new + nu * prev + (mu * dt) * rhs_j
         new_vals[dom.interior] = new

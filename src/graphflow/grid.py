@@ -25,6 +25,9 @@ stencils used for quadrature likewise read the 2^n corners of the complete
 cells through a corner table (cell_table), in cell_flat order.  Components
 are summed left to right over the stacked axis, so each value is one fixed
 expression, pinned by tests/stencil_oracle.py.
+
+The barrier and attainment code read the lattice near boundary points from
+the domain: node windows (windows) and edge crossings (boundary_facts).
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from .errors import GridError
 from .manifold import MetricChart, _multilinear_interp
 
 EXTERIOR, INTERIOR, DIRICHLET = 0, 1, 2
+HALVINGS = 53    # bisection steps per crossing: the bracket on [0, 1] ends at 2^-53
+BLOCK = 1 << 15  # array entries per block of a batched gather or evaluation
 # keys _region_sdf reads for each region kind, besides "region" itself
 REGION_KEYS = {"box": ("bounds",), "disc": ("center", "radius"),
                "annulus": ("center", "r_inner", "r_outer"), "table": ("values",)}
@@ -153,21 +158,23 @@ class GridDomain:
         first = nbrs[np.arange(len(nbrs)), np.argmax(hit, axis=1)]
         return tuple(np.ascontiguousarray(axis) for axis in first.T)
 
-    def window_width(self, reach: float) -> np.ndarray:
-        """Nodes per axis of a window_nodes box: min(2 ceil(reach/h_a) + 3, shape_a)."""
-        return np.minimum(2 * np.ceil(reach / self.h).astype(np.intp) + 3, self.shape)
-
-    def window_nodes(self, x0s: np.ndarray, reach: float) -> np.ndarray:
-        """(P, W) flat lattice indices around each point of x0s (P, n),
-        ascending (C order): a box of window_width(reach) nodes, clipped
-        into the lattice, holding every node within sup-distance reach of
-        the point, also off the lattice or on its rim; its first node is
-        its lowest corner."""
-        cells, width = np.ceil(reach / self.h).astype(np.intp), self.window_width(reach)
-        first = np.floor((x0s - [ax[0] for ax in self.axes]) / self.h).astype(np.intp)
-        first = np.clip(first - cells - 1, 0, np.array(self.shape) - width)
-        box = np.ravel_multi_index(np.indices(width).reshape(self.dim, -1), self.shape)
-        return np.ravel_multi_index(first.T, self.shape)[:, None] + box
+    def windows(self, x0s: np.ndarray, reach: float):
+        """(blk, nodes, offsets) per block of x0s (P, n), at most BLOCK offset
+        entries a block.  nodes (B, W): each point's window, the ascending
+        (C order) flat indices of a box of min(2 ceil(reach/h_a) + 3, shape_a)
+        nodes per axis, clipped into the lattice, that holds every node within
+        sup-distance reach of the point, on the lattice or off it.  offsets[a]:
+        the axis-a chart offsets from the point, (B, 1, .., w_a, .., 1)."""
+        n, cells = self.dim, np.ceil(reach / self.h).astype(np.intp)
+        width = np.minimum(2 * cells + 3, self.shape)
+        box = np.ravel_multi_index(np.indices(width).reshape(n, -1), self.shape)
+        for blk in _blocks(len(x0s), int(np.prod(width)) * n):
+            first = np.floor((x0s[blk] - [ax[0] for ax in self.axes]) / self.h).astype(np.intp)
+            first = np.clip(first - cells - 1, 0, np.array(self.shape) - width)
+            yield blk, np.ravel_multi_index(first.T, self.shape)[:, None] + box, [
+                (ax[i[:, None] + np.arange(w)] - x0s[blk, a, None]).reshape(
+                    (len(first),) + (1,) * a + (w,) + (1,) * (n - 1 - a))
+                for a, (ax, i, w) in enumerate(zip(self.axes, first.T, width))]
 
     def eroded_interior(self, iterations: int) -> np.ndarray:
         """Interior nodes at Chebyshev lattice distance > iterations from any
@@ -185,6 +192,56 @@ class GridDomain:
         """Region signed distance at every node, negative strictly inside."""
         flat = self.points.reshape(-1, self.dim)
         return _region_sdf(self.region, flat, self.chart.box).reshape(self.shape)
+
+    def segment_crossings(self, a: np.ndarray, b: np.ndarray,
+                          fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+        """Boundary point on each segment [a[k], b[k]], NaN where it stays one-sided.
+
+        fa, fb are the region's signed distances at the ends.  An end below
+        1e-13 of the larger end value is returned exactly; the segments with
+        strictly opposite-sign ends are bisected together, HALVINGS times.
+        """
+        tiny = 1e-13 * np.maximum(np.maximum(np.abs(fa), np.abs(fb)), 1e-30)
+        at_a = np.abs(fa) < tiny
+        at_b = ~at_a & (np.abs(fb) < tiny)
+        out = np.full(np.shape(a), np.nan)
+        out[at_a], out[at_b] = a[at_a], b[at_b]
+        todo = ~at_a & ~at_b & (((fa < 0) & (fb > 0)) | ((fa > 0) & (fb < 0)))
+        if np.any(todo):
+            a, step, side = a[todo], b[todo] - a[todo], np.sign(fa[todo])
+            lo, hi = np.zeros(len(a)), np.ones(len(a))
+            for _ in range(HALVINGS):
+                mid = 0.5 * (lo + hi)
+                same = _region_sdf(self.region, a + mid[:, None] * step, self.chart.box) * side > 0
+                lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+            out[todo] = a + (0.5 * (lo + hi))[:, None] * step
+        return out
+
+    @cached_property
+    def boundary_facts(self) -> tuple:
+        """(table, dirichlet, key) from one segment_crossings pass.  table is
+        (lo, hi, points) of the axis-aligned lattice segments meeting the
+        region edge: end nodes (flat indices) and crossing, by axis, then by
+        lower node in C order.  A segment along the edge crosses at its lower
+        end, so its upper end (a box's (hi, ..., hi) corner is no segment's
+        lower end) is a row after the crossings.  dirichlet holds the
+        crossings inner_index -> dirichlet_index, NaN where none; key numbers
+        the table's points equal to 1e-12."""
+        flat = np.arange(self.sdf.size).reshape(self.shape)
+        lo, hi = (np.concatenate([flat[(slice(None),) * a + (cut,)].reshape(-1)
+                                  for a in range(self.dim)])
+                  for cut in (slice(None, -1), slice(1, None)))
+        pts, F = self.points.reshape(-1, self.dim), self.sdf.reshape(-1)
+        a = np.concatenate([lo, np.ravel_multi_index(self.inner_index, self.shape)])
+        b = np.concatenate([hi, self.dirichlet_flat])
+        cross, dirichlet = np.split(self.segment_crossings(pts[a], pts[b], F[a], F[b]), [len(lo)])
+        hit = ~np.isnan(cross[:, 0])
+        edge = (F[lo] == 0) & (F[hi] == 0)
+        table = (np.concatenate([lo[hit], lo[edge]]), np.concatenate([hi[hit], hi[edge]]),
+                 np.concatenate([cross[hit], pts[hi[edge]]]))
+        _, key = np.unique(np.round(table[2] / 1e-12).astype(np.int64), axis=0,
+                           return_inverse=True)
+        return table, dirichlet, key.reshape(-1)
 
     @cached_property
     def interior_sqrt_det(self) -> np.ndarray:
@@ -413,6 +470,18 @@ def contract(a, b):
     return (a * b).sum(axis=0)
 
 
+def _norm(d) -> np.ndarray:
+    """Euclidean norm of the components d[0], d[1], ..., summed left to
+    right: bit for bit np.linalg.norm's over a last axis holding them."""
+    return np.sqrt(sum(c * c for c in d))
+
+
+def _blocks(count: int, width: int) -> list:
+    """Slices of range(count) holding at most BLOCK entries of width each."""
+    step = max(1, BLOCK // max(width, 1))
+    return [slice(s, s + step) for s in range(0, count, step)]
+
+
 def gradient_sweep(domain: GridDomain, nbrs: np.ndarray):
     """Central-difference gradient at the interior nodes.
 
@@ -515,9 +584,12 @@ def load_field_csv(path, domain: GridDomain) -> GridField:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in reader:
-            idx = tuple(int(v) for v in row[:n])
-            if int(row[2 * n]) != int(domain.mask[idx]):
+        for line, row in enumerate(reader, start=2):
+            try:
+                idx = tuple(int(v) for v in row[:n])
+                mask, values[idx] = int(row[2 * n]), float(row[2 * n + 1])
+            except (ValueError, IndexError) as exc:
+                raise GridError(f"field csv {str(path)!r} row {line}: {exc}") from None
+            if mask != int(domain.mask[idx]):
                 raise GridError(f"mask mismatch at node {idx}: CSV does not match domain")
-            values[idx] = float(row[2 * n + 1])
     return GridField(domain, values)

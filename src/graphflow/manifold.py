@@ -389,8 +389,13 @@ def load_metric_table(path: str, n: int):
         width = n + n * n
         if len(header) != width:
             raise ChartError(f"metric table needs {width} columns, found {len(header)}")
-        for row in reader:
-            rows.append([float(v) for v in row])
+        for line, row in enumerate(reader, start=2):
+            try:
+                if len(row) != width:
+                    raise ValueError(f"{len(row)} columns, expected {width}")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ChartError(f"metric table {str(path)!r} row {line}: {exc}") from None
     data = np.asarray(rows, dtype=float)
     axes = []
     for a in range(n):

@@ -25,12 +25,10 @@ import numpy as np
 from graphflow.barrier import (ALPHA_FLOOR, DEGENERATE_RESIDUAL,
                                FIT_WINDOW_CELLS, MIN_BARRIER_V, QV_MARGIN,
                                BarrierSearchResult, BarrierSpec,
-                               SolvabilityReport, _blocks, _crossing_table,
-                               _fit_group, _norm, _sdf, boundary_lipschitz,
-                               segment_crossings)
+                               SolvabilityReport, _fit_group, boundary_lipschitz)
 from graphflow.continuation import AttainmentPoint, AttainmentReport
 from graphflow.errors import BarrierError
-from graphflow.grid import GridDomain, as_field
+from graphflow.grid import GridDomain, _blocks, _norm, _region_sdf, as_field
 from graphflow.manifold import christoffel_at, metric_at
 
 
@@ -42,7 +40,7 @@ def boundary_crossings(domain: GridDomain, x0: np.ndarray,
     both lie within the sup-norm window of x0; the table root-finds the
     signed distance along each crossing segment once per domain.
     """
-    lo, hi, cross = _crossing_table(domain)
+    lo, hi, cross = domain.boundary_facts[0]
     near = np.all(np.abs(domain.points - x0) <= window + 1e-12, axis=-1).reshape(-1)
     arr = cross[near[lo] & near[hi]]
     # lattice nodes sitting exactly on the boundary are seen by every
@@ -89,7 +87,8 @@ def fit_boundary_graph(domain: GridDomain, x0) -> tuple[np.ndarray, np.ndarray, 
 
     # orient the normal inward
     probe = 0.25 * float(np.min(domain.h))
-    if float(_sdf(domain, (x0 + probe * frame[:, -1])[None])[0]) > 0:
+    probe_pt = (x0 + probe * frame[:, -1])[None]
+    if float(_region_sdf(domain.region, probe_pt, domain.chart.box)[0]) > 0:
         frame[:, -1] = -frame[:, -1]
 
     # rotate the frame until the fitted linear term vanishes: this is what
@@ -435,8 +434,8 @@ def check_dirichlet_solvability(phi, domain: GridDomain, K: float,
     inner, outer = domain.inner_index, domain.dirichlet_index
     points = []
     seen = set()
-    crossings = segment_crossings(domain, domain.points[inner], domain.points[outer],
-                                  domain.sdf[inner], domain.sdf[outer])
+    crossings = domain.segment_crossings(domain.points[inner], domain.points[outer],
+                                         domain.sdf[inner], domain.sdf[outer])
     for k, x0 in enumerate(crossings):
         if np.isnan(x0[0]):
             idx = tuple(ix[k] for ix in outer)
@@ -535,7 +534,7 @@ def window_rows_all_pairs(domain: GridDomain, x0s: np.ndarray, window: float) ->
     """(P, rows) mask of the crossing-table rows whose segment endpoints both
     lie within the sup-norm window of each point, one row per boundary point;
     every row's end nodes are measured against every point."""
-    lo, hi, cross = _crossing_table(domain)
+    lo, hi, cross = domain.boundary_facts[0]
     pts = domain.points.reshape(-1, domain.dim)
     near = np.all(np.abs(pts[lo] - x0s[:, None]) <= window + 1e-12, axis=-1)
     near &= np.all(np.abs(pts[hi] - x0s[:, None]) <= window + 1e-12, axis=-1)
@@ -552,7 +551,7 @@ def fit_boundary_graph_all_pairs(domain: GridDomain, x0s: np.ndarray):
     """graphflow.barrier.fit_boundary_graph with each point's samples ordered
     among all crossing-table rows: (P, rows) distances, inf off the window,
     and one (P, rows) lexsort."""
-    n, P, cross = domain.dim, len(x0s), _crossing_table(domain)[2]
+    n, P, cross = domain.dim, len(x0s), domain.boundary_facts[0][2]
     frames, H, L, trace = np.zeros((P, n, n)), np.zeros((P, n - 1, n - 1)), np.zeros(P), np.zeros(P)
     reasons = np.full(P, None, dtype=object)
     idx, count = np.zeros((P, 4 * n), dtype=np.int64), np.zeros(P, dtype=np.int64)

@@ -9,14 +9,14 @@ import pytest
 
 import barrier_oracle as oracle
 import graphflow.barrier as barrier_mod
+import graphflow.grid as grid_mod
 from barrier_oracle import make_barrier_spec, psi_eval, q_on_barrier_fd
-from graphflow.barrier import (FIT_WINDOW_CELLS, BarrierSearchResult, _crossing_table, _sdf,
-                               _window_rows,
+from graphflow.barrier import (FIT_WINDOW_CELLS, BarrierSearchResult, _window_rows,
                                check_dirichlet_solvability, fit_boundary_graph,
-                               q_on_barrier, search_alpha, segment_crossings)
+                               q_on_barrier, search_alpha)
 from graphflow.continuation import boundary_attainment_report
 from graphflow.errors import BarrierError
-from graphflow.grid import GridField, _pair_rows, build_domain
+from graphflow.grid import GridDomain, GridField, _pair_rows, _region_sdf, build_domain
 from graphflow.manifold import builtin_chart, christoffel_at, metric_at
 
 EUCLID = builtin_chart("euclidean", n=2)
@@ -41,15 +41,15 @@ def fit_one(domain, x0):
 
 def crossings_near(domain, x0, window):
     """Crossing-table rows in the sup-norm window of x0, one per boundary point."""
-    return _crossing_table(domain)[2][_window_rows(domain, x0[None], window)[0]]
+    return domain.boundary_facts[0][2][_window_rows(domain, x0[None], window)[0]]
 
 
 def projections(domain):
     """Boundary point between each dirichlet node and its inner neighbour,
     in dirichlet_index order."""
     inner, outer = domain.inner_index, domain.dirichlet_index
-    return segment_crossings(domain, domain.points[inner], domain.points[outer],
-                             domain.sdf[inner], domain.sdf[outer])
+    return domain.segment_crossings(domain.points[inner], domain.points[outer],
+                                    domain.sdf[inner], domain.sdf[outer])
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,8 @@ def scan_crossings(domain, x0, window):
     """Reference: root-find every lattice segment inside the window of x0;
     a segment along the boundary adds its upper end after all crossings."""
     pts = domain.points
-    F = _sdf(domain, pts.reshape(-1, domain.dim)).reshape(domain.shape)
+    F = _region_sdf(domain.region, pts.reshape(-1, domain.dim),
+                    domain.chart.box).reshape(domain.shape)
     near = np.all(np.abs(pts - x0) <= window + 1e-12, axis=-1)
     ends = []
     for a in range(domain.dim):
@@ -111,7 +112,7 @@ def scan_crossings(domain, x0, window):
     if not ends:
         return np.empty((0, domain.dim))
     p, q = (tuple(np.array(axis) for axis in zip(*side)) for side in zip(*ends))
-    arr = segment_crossings(domain, pts[p], pts[q], F[p], F[q])
+    arr = domain.segment_crossings(pts[p], pts[q], F[p], F[q])
     arr = np.concatenate([arr[~np.isnan(arr[:, 0])], pts[q][(F[p] == 0) & (F[q] == 0)]])
     _, keep = np.unique(np.round(arr / 1e-12).astype(np.int64), axis=0,
                         return_index=True)
@@ -166,19 +167,41 @@ def test_solvability_root_finds_each_segment_once(monkeypatch):
     # the disc_barrier benchmark domain: 208 boundary points, 4997 segments
     # root-found when every point re-solved the segments in its window
     bisected = []
-    crossings = barrier_mod.segment_crossings
+    crossings = GridDomain.segment_crossings
 
     def counting(domain, a, b, fa, fb):
         bisected.append(int(np.sum(fa * fb < 0)))
         return crossings(domain, a, b, fa, fb)
 
-    monkeypatch.setattr(barrier_mod, "segment_crossings", counting)
+    monkeypatch.setattr(GridDomain, "segment_crossings", counting)
     dom = disc_domain(1.0 / 64)
     rep = check_dirichlet_solvability(GridField.constant(dom, 0.2), dom,
                                       K=0.3, gamma=1.1)
     assert len(rep.points) == 208
     assert rep.certified
     assert sum(bisected) <= 450
+
+
+def test_crossing_facts_are_built_once_per_domain(monkeypatch):
+    # the fit, the search and every solvability check of a domain share its
+    # one bisection pass; a second domain makes its own
+    calls = []
+    crossings = GridDomain.segment_crossings
+
+    def counting(domain, a, b, fa, fb):
+        calls.append(domain)
+        return crossings(domain, a, b, fa, fb)
+
+    monkeypatch.setattr(GridDomain, "segment_crossings", counting)
+    dom, other = disc_domain(1.0 / 16), disc_domain(1.0 / 16)
+    x0s = np.array([[0.5, 0.1], [0.9, 0.5]])
+    fit_boundary_graph(dom, x0s)
+    search_alpha(dom, x0s, K=0.3, gamma=1.1)
+    for _ in range(2):
+        check_dirichlet_solvability(GridField.constant(dom, 0.2), dom, K=0.3, gamma=1.1)
+    assert len(calls) == 1 and calls[0] is dom
+    check_dirichlet_solvability(GridField.constant(other, 0.2), other, K=0.3, gamma=1.1)
+    assert len(calls) == 2 and calls[1] is other
 
 
 def circle_roots(a, b, center, radius):
@@ -200,7 +223,7 @@ def test_crossings_match_closed_form_circle_roots(region, radii):
     dom = build_domain(EUCLID, 1.0 / 64, region=region)
     center = np.asarray(region["center"])
     pts = dom.points.reshape(-1, 2)
-    lo, hi, table = _crossing_table(dom)
+    lo, hi, table = dom.boundary_facts[0]
     inner, outer = dom.inner_index, dom.dirichlet_index
     proj = projections(dom)
     assert not np.isnan(proj).any()
@@ -213,7 +236,7 @@ def test_crossings_match_closed_form_circle_roots(region, radii):
 
 
 def test_every_box_corner_is_a_crossing_row(square_16):
-    table = _crossing_table(square_16)[2]
+    table = square_16.boundary_facts[0][2]
     for corner in product((0.0, 1.0), repeat=2):
         assert np.all(table == corner, axis=1).any(), corner
 
@@ -223,7 +246,7 @@ def test_segment_crossings_endpoints_and_one_sided_rows(square_16):
     b = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
     fa = np.array([0.0, -0.2, -0.2, 1e-15])
     fb = np.array([0.3, 1e-15, -0.1, 0.4])
-    out = segment_crossings(square_16, a, b, fa, fb)
+    out = square_16.segment_crossings(a, b, fa, fb)
     assert np.array_equal(out[0], a[0])    # a zero end is returned exactly
     assert np.array_equal(out[1], b[1])    # so is one below 1e-13 of the other
     assert np.isnan(out[2]).all()          # same-sign ends: no crossing
@@ -550,10 +573,10 @@ def certified_case(name):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS) + ["box_1d"])
-@pytest.mark.parametrize("block", [barrier_mod.BLOCK, 64])
+@pytest.mark.parametrize("block", [grid_mod.BLOCK, 64])
 def test_windowed_gathers_match_all_pairs_bit_for_bit(name, block, monkeypatch):
     dom, phi, u, report = certified_case(name)
-    monkeypatch.setattr(barrier_mod, "BLOCK", block)  # 64: many blocks of few points
+    monkeypatch.setattr(grid_mod, "BLOCK", block)  # 64: many blocks of few points
     assert (json.dumps(boundary_attainment_report(u, phi, report).json_dict())
             == json.dumps(oracle.attainment_all_pairs(u, phi, report).json_dict()))
     x0s = np.array([p.x0 for p in report.points])
@@ -657,7 +680,7 @@ def test_search_does_not_depend_on_the_block_size(name, monkeypatch):
     x0s = np.unique(projections(dom), axis=0)[::4]
     x0s = x0s[~np.isnan(x0s[:, 0])]
     want = json.dumps([r.json_dict() for r in search_alpha(dom, x0s, K=0.3, gamma=1.1)])
-    monkeypatch.setattr(barrier_mod, "BLOCK", 64)
+    monkeypatch.setattr(grid_mod, "BLOCK", 64)
     assert json.dumps([r.json_dict() for r in search_alpha(dom, x0s, K=0.3, gamma=1.1)]) == want
 
 
@@ -676,7 +699,7 @@ def test_shared_pass_dirichlet_crossings_match_their_own_pass(name):
     # the crossing table's pass also bisects the dirichlet segments; each
     # crossing, NaN included, is the one a pass of its own gives
     dom = ORACLE_DOMAINS[name]()
-    shared = barrier_mod._boundary_facts(dom)[1]
+    shared = dom.boundary_facts[1]
     assert shared.shape == (len(dom.dirichlet_flat), dom.dim)
     assert shared.tobytes() == projections(dom).tobytes()
 
@@ -704,10 +727,10 @@ def test_fit_ignores_sub_ulp_moves_of_the_base_point():
     # to depend on the last bit of x0 (L moved by 6e-4 for 3.3e-16 moves)
     dom = build_domain(builtin_chart("euclidean", n=3), 1.0 / 16, region={
         "region": "disc", "center": [0.5, 0.5, 0.5], "radius": 0.35})
-    x0s = np.unique(segment_crossings(dom, dom.points[dom.inner_index],
-                                      dom.points[dom.dirichlet_index],
-                                      dom.sdf[dom.inner_index],
-                                      dom.sdf[dom.dirichlet_index]), axis=0)
+    x0s = np.unique(dom.segment_crossings(dom.points[dom.inner_index],
+                                          dom.points[dom.dirichlet_index],
+                                          dom.sdf[dom.inner_index],
+                                          dom.sdf[dom.dirichlet_index]), axis=0)
     frames, _, L, _, reasons = fit_boundary_graph(dom, x0s)
     assert not any(reasons)
     rng = np.random.default_rng(5)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,85 @@ def test_run_with_csv_initial_guess(tmp_path):
     assert main(["run", str(cfg_path)]) == 0
     cont = json.loads((out / "continuation.json").read_text())
     assert cont["trace_error"] == 0.0
+
+
+def write_metric_csv(path, bad=None):
+    """An identity metric table on the nodes {0, 0.5, 1}^2; bad replaces the
+    s12 entry of the third data row (file row 4) with its text."""
+    rows = ["x1,x2,s11,s12,s21,s22"]
+    rows += [f"{x},{y},1.0,{bad if bad and k == 2 else 0.0},0.0,1.0"
+             for k, (x, y) in enumerate(product((0.0, 0.5, 1.0), repeat=2))]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_run_table_chart_csv_from_another_directory(tmp_path, monkeypatch):
+    # the chart's csv, like a field's path, is read relative to the config file
+    cfg_dir, elsewhere = tmp_path / "cfg", tmp_path / "elsewhere"
+    cfg_dir.mkdir()
+    elsewhere.mkdir()
+    write_metric_csv(cfg_dir / "metric.csv")
+    cfg_path, out = write_config(cfg_dir, chart={"kind": "custom_table", "n": 2,
+                                                 "params": {"csv": "metric.csv"}})
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", str(cfg_path)]) == 0
+    assert sorted(json.loads((out / "manifest.json").read_text())["artifacts"]) \
+        == sorted(RUN_ARTIFACTS)
+    resolved = json.loads((out / "config_resolved.json").read_text())
+    assert resolved["chart"]["params"]["csv"] == str(cfg_dir / "metric.csv")
+
+
+def test_parse_missing_chart_csv_is_reported(tmp_path):
+    raw = base_config(tmp_path / "out")
+    raw["chart"] = {"kind": "custom_table", "n": 2, "params": {"csv": "nope.csv"}}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw, tmp_path)
+    assert exc.value.problems == [f"chart csv file {str(tmp_path / 'nope.csv')!r} does not exist"]
+
+
+def _failed_run(cfg_path, out, capsys, error):
+    """The run exits 1, writes failure.json naming error, and returns stderr."""
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    assert json.loads((out / "failure.json").read_text())["error"] == error
+    assert not (out / "manifest.json").exists()
+    return capsys.readouterr().err
+
+
+def test_run_non_utf8_config_exits_1(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(json.dumps(base_config(tmp_path / "o")).encode()[:-1] + b', "x": "\xe9"}')
+    err = _failed_run(bad, tmp_path / "o", capsys, "ConfigError")
+    assert f"config file {str(bad)!r} is not UTF-8 text" in err
+
+
+def test_run_non_numeric_field_csv_exits_1(tmp_path, capsys):
+    save_field_csv(GridField.constant(unit_domain(1.0 / 16), 0.25), tmp_path / "u0.csv")
+    lines = (tmp_path / "u0.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",abc"
+    (tmp_path / "u0.csv").write_text("\n".join(lines))
+    cfg_path, out = write_config(tmp_path, u0={"kind": "csv", "path": "u0.csv"})
+    err = _failed_run(cfg_path, out, capsys, "GridError")
+    assert f"field csv {str(tmp_path / 'u0.csv')!r} row 4: could not convert" in err
+
+
+@pytest.mark.parametrize("bad,problem", [("zero", "could not convert"),
+                                         ("0.0,0.0", "7 columns, expected 6")])
+def test_run_malformed_metric_table_exits_1(tmp_path, capsys, bad, problem):
+    write_metric_csv(tmp_path / "metric.csv", bad=bad)
+    cfg_path, out = write_config(tmp_path, chart={"kind": "custom_table", "n": 2,
+                                                  "params": {"csv": "metric.csv"}})
+    err = _failed_run(cfg_path, out, capsys, "ChartError")
+    assert f"metric table {str(tmp_path / 'metric.csv')!r} row 4: {problem}" in err
+
+
+@pytest.mark.parametrize("text,problem", [
+    ('{"artifacts": {"barrier.json": "ab', "is not valid JSON"),
+    ('{"files": {}}\n', "has no artifacts object"),
+])
+def test_report_on_a_broken_manifest_exits_1(tmp_path, capsys, text, problem):
+    (tmp_path / "manifest.json").write_text(text)
+    assert main(["report", str(tmp_path)]) == 1
+    assert f"{tmp_path / 'manifest.json'} {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_run_records_time_uniqueness_gap(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import graphflow.grid as grid_mod
 from graphflow.errors import GridError
 from graphflow.flow import l_eps_apply, q_operator
 from graphflow.functionals import e_eps, product_grid
@@ -482,7 +483,7 @@ def test_table_region_interpolates_between_nodes():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_window_nodes_hold_every_node_of_the_sup_ball(n):
+def test_window_nodes_hold_every_node_of_the_sup_ball(n, monkeypatch):
     box = [(0.0, 1.0), (-0.5, 1.5), (0.0, 0.6)][:n]
     h = [1.0 / 8, 0.25, 0.1][:n]
     dom = build_domain(builtin_chart("euclidean", n=n, box=box), h)
@@ -495,8 +496,12 @@ def test_window_nodes_hold_every_node_of_the_sup_ball(n):
     x0s = np.concatenate([rng.uniform(lo - 0.3, hi + 0.3, (40, n)),  # in and off the lattice
                           pts[rng.choice(len(pts), 20)],              # on lattice nodes
                           np.array(list(product(*box)), dtype=float), rim])
-    for reach in (0.0, 0.1, 0.25, 0.37, 5.0):
-        nodes = dom.window_nodes(x0s, reach)
+    for block, reach in product((grid_mod.BLOCK, 64), (0.0, 0.1, 0.25, 0.37, 5.0)):
+        monkeypatch.setattr(grid_mod, "BLOCK", block)  # 64: many blocks of few points
+        windows = list(dom.windows(x0s, reach))
+        assert np.array_equal(np.concatenate([np.arange(len(x0s))[blk] for blk, _, _ in windows]),
+                              np.arange(len(x0s)))     # every point once, in order
+        nodes = np.concatenate([box for _, box, _ in windows])
         width = np.minimum(2 * np.ceil(reach / dom.h) + 3, dom.shape)
         assert nodes.shape == (len(x0s), int(np.prod(width)))
         assert nodes.shape[1] <= np.prod(2 * np.ceil(reach / dom.h) + 3)
@@ -505,5 +510,8 @@ def test_window_nodes_hold_every_node_of_the_sup_ball(n):
         sup = np.max(np.abs(pts[None] - x0s[:, None]), axis=-1)
         for row, want in zip(nodes, sup <= reach):
             assert set(np.flatnonzero(want)) <= set(row.tolist())
-    assert dom.window_nodes(x0s[:0], 0.25).shape == (0, int(np.prod(np.minimum(
-        2 * np.ceil(0.25 / dom.h) + 3, dom.shape))))
+        for blk, box, offsets in windows:  # each box's chart offsets, bit for bit
+            for a, off in enumerate(offsets):
+                full = np.broadcast_to(off, (len(box), *width.astype(int))).reshape(box.shape)
+                assert full.tobytes() == (pts[box][..., a] - x0s[blk, a, None]).tobytes()
+    assert list(dom.windows(x0s[:0], 0.25)) == []     # no points, no block

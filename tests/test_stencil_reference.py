@@ -64,8 +64,9 @@ def test_sweeps_and_operator_match_reference(name):
         _same(lowered, [_at_interior(dom, r) for r in ref_lowered])
         _same(hessian_sweep(dom, nbrs, lowered[0]),
               _at_interior(dom, oracle.hessian_sweep(dom, vals, ref_lowered[0])))
-        _same(_operator_arrays(dom, vals),
-              [_at_interior(dom, r) for r in oracle.operator_arrays(dom, vals)])
+        for eps in (0.0, 0.1):
+            _same(_operator_arrays(dom, vals, eps),
+                  [_at_interior(dom, r) for r in _block_l_eps(dom, vals, eps)])
         assert np.array_equal(w_factor(GridField(dom, vals)),
                               _at_interior(dom, np.sqrt(1.0 + ref_lowered[2])))
 
