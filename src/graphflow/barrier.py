@@ -421,6 +421,8 @@ def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) ->
             last[p] = (f"no interior lattice nodes within radius "
                        f"{radius:.3e} of the boundary point")
         for alpha in alphas:
+            if not open_.any():
+                break
             margin = 1.0 + K ** 2 * (1 - n) + alpha * trace
             rows = np.flatnonzero(inside & (open_ & (margin > 0))[owner])
             if not rows.size:
@@ -439,16 +441,17 @@ def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) ->
             starts = np.flatnonzero(np.diff(owner[rows], prepend=-1))
             worst = np.maximum.reduceat(qv, starts)
             won = ~np.logical_or.reduceat(bad, starts) & (worst < QV_MARGIN)
-            for p, q in zip(owner[rows[starts[won]]], worst[won]):
+            won_p = owner[rows[starts[won]]]
+            for p, q, l_p, tr, mg, ns in zip(*(a.tolist() for a in (
+                    won_p, worst[won], L[won_p], trace[won_p], margin[won_p], samples[won_p]))):
                 spec = BarrierSpec(
                     x0=x0s[p], K=float(K), gamma=float(gamma), alpha=float(alpha),
-                    L=float(L[p]), radius=float(radius),
-                    w_fit=H[p], frame=frames[p], trace_term=float(trace[p]),
-                    limit_margin=float(margin[p]), chart=chart)
+                    L=l_p, radius=float(radius), w_fit=H[p], frame=frames[p],
+                    trace_term=tr, limit_margin=mg, chart=chart)
                 out[p] = BarrierSearchResult(
                     x0=x0s[p], admissible=True, certified=True, reason="certified",
-                    spec=spec, qv_max=float(q), samples=int(samples[p]))
-                open_[p] = False
+                    spec=spec, qv_max=q, samples=ns)
+            open_[won_p] = False
     stop({p: last[p] for p in np.flatnonzero(open_)})
     return out
 

@@ -18,7 +18,9 @@ import argparse
 import hashlib
 import json
 import os
+import pickle
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -63,11 +65,14 @@ class ExperimentConfig:
     time_check: dict | None
     output_dir: str
     snapshot_every_steps: int
+    base_dir: Path  # csv paths are read relative to it
 
     def resolved_dict(self) -> dict:
-        """The config as executed, keyed as in the config file."""
+        """The config as executed, keyed as in the config file; csv paths
+        as the config gives them."""
         resolved = asdict(self)
         resolved["barrier"] = {"K": resolved.pop("barrier_k"), "gamma": resolved.pop("barrier_gamma")}
+        del resolved["base_dir"]
         return resolved
 
 
@@ -79,12 +84,12 @@ FIELD_KEYS = {"constant": ("value",), "linear": ("coeffs", "offset"),
 FIELD_KINDS = tuple(FIELD_KEYS)
 
 
-def field_from_spec(spec: dict, domain) -> GridField:
+def field_from_spec(spec: dict, domain, base_dir=".") -> GridField:
     """Evaluate a closed-form field spec on the domain lattice.
 
     The kind table is intentionally small: the constants, linear forms and
-    sin/cos/log compositions the oracles use, plus nodal CSV input.  There
-    is no expression parser.
+    sin/cos/log compositions the oracles use, plus nodal CSV input, read
+    relative to base_dir.  There is no expression parser.
     """
     kind = spec.get("kind")
     if kind == "constant":
@@ -123,7 +128,7 @@ def field_from_spec(spec: dict, domain) -> GridField:
         d = np.linalg.norm(domain.points - center, axis=-1)
         return GridField(domain, np.where(d < r, inside, outside))
     if kind == "csv":
-        return load_field_csv(spec["path"], domain)
+        return load_field_csv(Path(base_dir) / spec["path"], domain)
     raise ConfigError(f"unknown field kind {kind!r}; expected one of "
                       f"{FIELD_KINDS}")
 
@@ -218,12 +223,11 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
             bad.add(key)
         return bad
 
-    def resolve(name, path) -> str:
-        """A csv path read relative to the config file; a problem unless a file is there."""
+    def exists(name, path):
+        """A problem unless a file is at path, read relative to the config file."""
         path = base_dir / path
         if not path.is_file():
             problems.append(f"{name} csv file {str(path)!r} does not exist")
-        return str(path)
 
     def collect(make, prefix=""):
         """make(), or None once the problems of its ConfigError are collected."""
@@ -245,7 +249,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         if "params" not in check("chart", chart, CHART_KEYS) and kind in BUILTIN_KINDS:
             params = chart.get("params", {})
             if "csv" not in check("chart params", params, CHART_PARAMS[kind]) and "csv" in params:
-                chart = {**chart, "params": {**params, "csv": resolve("chart", params["csv"])}}
+                exists("chart", params["csv"])
     region = cfg["region"]
     if "region" not in reported:
         if region.get("region") not in tuple(REGION_KEYS):
@@ -263,7 +267,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         keys = FIELD_KEYS[spec["kind"]]
         if "path" not in check(name, spec, ("kind", *keys), [k for k in keys if k != "offset"]) \
                 and spec["kind"] == "csv":
-            cfg[name] = {**spec, "path": resolve(name, spec["path"])}
+            exists(name, spec["path"])
 
     flow = None
     if "flow" not in reported and not check("flow", cfg["flow"], [f.name for f in fields(FlowParams)]):
@@ -289,7 +293,8 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         chart=chart, region=region, h=float(cfg["h"]), phi=cfg["phi"], u0=cfg["u0"],
         flow=flow, schedule=schedule, tol=float(cfg["tol"]), warm_start=cfg["warm_start"],
         barrier_k=k, barrier_gamma=gamma, time_check=time_check,
-        output_dir=cfg["output_dir"], snapshot_every_steps=cfg["snapshot_every_steps"])
+        output_dir=cfg["output_dir"], snapshot_every_steps=cfg["snapshot_every_steps"],
+        base_dir=base_dir)
 
 
 # --------------------------------------------------------------- persistence
@@ -374,16 +379,74 @@ def _read_raw(config_path: str) -> tuple[dict, Path]:
 
 
 def _build_problem(cfg: ExperimentConfig):
-    chart = chart_from_spec(cfg.chart)
-    domain = build_domain(chart, cfg.h, region=cfg.region)
-    phi = field_from_spec(cfg.phi, domain)
-    u0 = field_from_spec(cfg.u0, domain)
+    chart, params = cfg.chart, cfg.chart.get("params", {})
+    if "csv" in params:
+        chart = {**chart, "params": {**params, "csv": str(cfg.base_dir / params["csv"])}}
+    domain = build_domain(chart_from_spec(chart), cfg.h, region=cfg.region)
+    phi = field_from_spec(cfg.phi, domain, cfg.base_dir)
+    u0 = field_from_spec(cfg.u0, domain, cfg.base_dir)
     return domain, phi, u0
+
+
+@contextmanager
+def _beside(fn):
+    """Start fn() in a forked worker process and yield join(), which returns
+    fn's result or raises its exception.  Until the block ends the worker
+    runs on the second CPU of this process's affinity mask and this process
+    on the first.  On leaving, the worker is always reaped (killed if join
+    was not reached, so the block's own exception wins) and the mask is
+    restored.  With fewer than two CPUs allowed, or without os.fork or
+    os.sched_setaffinity, join() calls fn inline; without fn it returns None."""
+    setaffinity = getattr(os, "sched_setaffinity", None)
+    mask = os.sched_getaffinity(0) if fn and setaffinity and hasattr(os, "fork") else ()
+    if len(mask) < 2:
+        yield fn or (lambda: None)
+        return
+    cpus = sorted(mask)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: one pickled (ok, result or exception), no cleanup
+        try:
+            os.close(read)
+            try:
+                setaffinity(0, cpus[1:2])
+                message = pickle.dumps((True, fn()))
+            except BaseException as exc:
+                message = pickle.dumps((False, exc))
+            with open(write, "wb") as fh:
+                fh.write(message)
+        finally:
+            os._exit(0)
+    os.close(write)
+    reader = open(read, "rb")
+
+    def join():
+        nonlocal pid
+        try:
+            ok, value = pickle.load(reader)
+        except EOFError:
+            ok, value = False, ChildProcessError(f"worker {pid} exited without a result")
+        os.waitpid(pid, 0)
+        pid = None
+        if not ok:
+            raise value
+        return value
+
+    try:
+        setaffinity(0, cpus[:1])
+        yield join
+    finally:
+        reader.close()
+        if pid is not None:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        setaffinity(0, mask)
 
 
 def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
     """Full pipeline for one config, or with barrier_only the solvability
-    certification alone; returns the process exit code."""
+    certification alone; returns the process exit code.  A time check runs
+    beside the barrier check and the eps-legs (see _beside)."""
     out = None
     try:
         raw, base_dir = _read_raw(config_path)
@@ -392,21 +455,25 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
         _dump_json(cfg.resolved_dict(), out / "config_resolved.json")
 
         domain, phi, u0 = _build_problem(cfg)
+        time_check = None
         if not barrier_only:
             probe_mask(domain)  # an empty probe set fails before the barrier work
-        solv = check_dirichlet_solvability(phi, domain, K=cfg.barrier_k,
-                                           gamma=cfg.barrier_gamma)
-        _dump_json(solv.json_dict(), out / "barrier.json")
-        if barrier_only:
-            write_manifest(out, ("config_resolved.json", "barrier.json"))
-            return 0
+            if cfg.time_check is not None:  # explicit, at flow.eps, from u0
+                def time_check():
+                    times = cfg.time_check["times_a"], cfg.time_check["times_b"]
+                    return time_sequence_uniqueness_check(cfg.flow, phi, u0, *times).gap
+        with _beside(time_check) as time_gap:
+            solv = check_dirichlet_solvability(phi, domain, K=cfg.barrier_k,
+                                               gamma=cfg.barrier_gamma)
+            _dump_json(solv.json_dict(), out / "barrier.json")
+            if barrier_only:
+                write_manifest(out, ("config_resolved.json", "barrier.json"))
+                return 0
 
-        report = eps_continuation(cfg.schedule, cfg.flow, phi, u0, tol=cfg.tol,
-                                  warm_start=cfg.warm_start,
-                                  sample_every=cfg.snapshot_every_steps, stages=SUPER_STAGES)
-        if cfg.time_check is not None:  # explicit, at flow.eps, from u0
-            report.time_uniqueness_gap = time_sequence_uniqueness_check(
-                cfg.flow, phi, u0, cfg.time_check["times_a"], cfg.time_check["times_b"]).gap
+            report = eps_continuation(cfg.schedule, cfg.flow, phi, u0, tol=cfg.tol,
+                                      warm_start=cfg.warm_start,
+                                      sample_every=cfg.snapshot_every_steps, stages=SUPER_STAGES)
+            report.time_uniqueness_gap = time_gap()
         _dump_json(report.json_dict(), out / "continuation.json")
         if not report.converged:
             raise ConvergenceError(

@@ -583,7 +583,8 @@ def load_field_csv(path, domain: GridDomain) -> GridField:
     values = np.full(domain.shape, np.nan)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        if next(reader, None) is None:
+            raise GridError(f"field csv {str(path)!r} is empty")
         for line, row in enumerate(reader, start=2):
             try:
                 idx = tuple(int(v) for v in row[:n])

@@ -385,7 +385,9 @@ def load_metric_table(path: str, n: int):
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ChartError(f"metric table {str(path)!r} is empty")
         width = n + n * n
         if len(header) != width:
             raise ChartError(f"metric table needs {width} columns, found {len(header)}")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 
 import graphflow.cli
 import graphflow.continuation
+import graphflow.errors
 import graphflow.flow
 from graphflow.cli import (FIELD_KEYS, FORMS, RUN_ARTIFACTS, field_from_spec, main,
                            parse_config)
@@ -174,13 +176,18 @@ def test_parse_defaults(tmp_path):
     assert cfg.output_dir == "graphflow_out"
 
 
-def test_parse_resolves_csv_relative_to_config(tmp_path):
+def test_parse_resolves_csv_relative_to_config(tmp_path, monkeypatch):
+    # the path is kept as the config gives it and read from the config's directory
     dom = unit_domain(1.0 / 16)
     save_field_csv(GridField.constant(dom, 0.25), tmp_path / "u0.csv")
     raw = base_config(tmp_path / "out")
     raw["u0"] = {"kind": "csv", "path": "u0.csv"}
     cfg = parse_config(raw, tmp_path)
-    assert cfg.u0["path"] == str(tmp_path / "u0.csv")
+    assert cfg.u0["path"] == "u0.csv"
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    _, _, u0 = graphflow.cli._build_problem(cfg)
+    assert np.all(u0.values == 0.25)
 
 
 def test_parse_missing_csv_is_reported(tmp_path):
@@ -306,7 +313,7 @@ def test_run_table_chart_csv_from_another_directory(tmp_path, monkeypatch):
     assert sorted(json.loads((out / "manifest.json").read_text())["artifacts"]) \
         == sorted(RUN_ARTIFACTS)
     resolved = json.loads((out / "config_resolved.json").read_text())
-    assert resolved["chart"]["params"]["csv"] == str(cfg_dir / "metric.csv")
+    assert resolved["chart"]["params"]["csv"] == "metric.csv"
 
 
 def test_parse_missing_chart_csv_is_reported(tmp_path):
@@ -350,6 +357,42 @@ def test_run_malformed_metric_table_exits_1(tmp_path, capsys, bad, problem):
                                                   "params": {"csv": "metric.csv"}})
     err = _failed_run(cfg_path, out, capsys, "ChartError")
     assert f"metric table {str(tmp_path / 'metric.csv')!r} row 4: {problem}" in err
+
+
+def test_run_empty_field_csv_exits_1(tmp_path, capsys):
+    (tmp_path / "u0.csv").write_text("")
+    cfg_path, out = write_config(tmp_path, u0={"kind": "csv", "path": "u0.csv"})
+    err = _failed_run(cfg_path, out, capsys, "GridError")
+    assert f"field csv {str(tmp_path / 'u0.csv')!r} is empty" in err
+
+
+def test_run_empty_metric_table_exits_1(tmp_path, capsys):
+    (tmp_path / "metric.csv").write_text("")
+    cfg_path, out = write_config(tmp_path, chart={"kind": "custom_table", "n": 2,
+                                                  "params": {"csv": "metric.csv"}})
+    err = _failed_run(cfg_path, out, capsys, "ChartError")
+    assert f"metric table {str(tmp_path / 'metric.csv')!r} is empty" in err
+
+
+def test_run_writes_the_same_bytes_from_any_config_path(tmp_path, monkeypatch):
+    # csv paths are recorded as the config gives them, so a relative and an
+    # absolute config path write the same config_resolved.json
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    write_metric_csv(cfg_dir / "metric.csv")
+    save_field_csv(GridField.constant(unit_domain(1.0 / 16), 0.25), cfg_dir / "u0.csv")
+    cfg_path, _ = write_config(cfg_dir, "c.json", u0={"kind": "csv", "path": "u0.csv"},
+                               chart={"kind": "custom_table", "n": 2,
+                                      "params": {"csv": "metric.csv"}})
+    monkeypatch.chdir(cfg_dir)
+    assert main(["run", "c.json", "--out", str(tmp_path / "relative")]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "absolute")]) == 0
+    for name in ("config_resolved.json", "manifest.json"):
+        assert ((tmp_path / "relative" / name).read_bytes()
+                == (tmp_path / "absolute" / name).read_bytes()), name
+    resolved = json.loads((tmp_path / "absolute" / "config_resolved.json").read_text())
+    assert (resolved["u0"]["path"], resolved["chart"]["params"]["csv"]) == ("u0.csv", "metric.csv")
 
 
 @pytest.mark.parametrize("text,problem", [
@@ -411,6 +454,7 @@ def test_run_bad_schedule_fails_before_any_work(tmp_path, schedule, problem):
 MOVING = {"phi": {"kind": "scherk"},
           "u0": {"kind": "sine_product", "amplitude": 0.3, "waves": [1, 1]},
           "schedule": [0.1, 0.05], "tol": 3e-4}
+CHECKED = {**MOVING, "time_check": {"times_a": [0.05, 0.1], "times_b": [0.075, 0.125]}}
 
 
 @pytest.mark.parametrize("data,times", [
@@ -468,7 +512,9 @@ def test_run_snapshot_cadence_thins_diagnostics(tmp_path):
 def test_run_default_cadence_samples_each_leg(tmp_path, monkeypatch):
     # moving data and a time check, which records no rows: each leg keeps
     # steps 1, 11, 21, ... and its last step, row for row as the dense run
-    # writes them, and E^eps is evaluated for those rows only
+    # writes them, and E^eps is evaluated for those rows only.  The time
+    # check runs inline, so the count sees every call of this process
+    one_cpu(monkeypatch)
     energies, real = [], graphflow.flow.e_eps
     monkeypatch.setattr(graphflow.flow, "e_eps",
                         lambda *args: energies.append(1) or real(*args))
@@ -495,11 +541,12 @@ def test_run_default_cadence_samples_each_leg(tmp_path, monkeypatch):
 
 def test_run_is_byte_identical_across_blas_threads(tmp_path):
     # the least-squares fit of the legs' Anderson mixing is the first
-    # BLAS-sized reduction on the flow path: the thread count of a fresh
-    # interpreter must not change a byte
+    # BLAS-sized reduction on the flow path, and the time check's worker is
+    # forked from a process whose BLAS may hold threads: the thread count of
+    # a fresh interpreter must not change a byte
     import graphflow
     src = str(Path(graphflow.__file__).resolve().parents[1])
-    cfg_path, _ = write_config(tmp_path, **MOVING)
+    cfg_path, _ = write_config(tmp_path, **CHECKED)
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
@@ -528,6 +575,115 @@ def test_run_checks_estimates_on_steps_the_cadence_skips(tmp_path, monkeypatch):
     fail = json.loads((out / "failure.json").read_text())
     assert fail["error"] == "EstimateViolation"
     assert fail["message"].startswith("maximum principle violated at step 5:")
+
+
+# ------------------------------------------------------- the time check worker
+
+TWO_CPUS = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def one_cpu(monkeypatch):
+    """Allow this process one CPU, so a time check runs inline."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers forked from this process."""
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def run_both_ways(tmp_path, monkeypatch, forks, **overrides):
+    """Run one config with the time check in a worker, then inline; returns
+    the exit codes and the two output directories."""
+    cfg_path, _ = write_config(tmp_path, **overrides)
+    codes, affinity = [], os.sched_getaffinity
+    mask = affinity(0)
+    for way in ("worker", "inline"):
+        if way == "inline":
+            one_cpu(monkeypatch)
+        codes.append(main(["run", str(cfg_path), "--out", str(tmp_path / way)]))
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert affinity(0) == mask
+    assert len(forks) == TWO_CPUS and all(pid > 0 for pid in forks)
+    return codes, tmp_path / "worker", tmp_path / "inline"
+
+
+def same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    return names
+
+
+def test_time_check_worker_writes_the_inline_bytes(tmp_path, monkeypatch, forks):
+    codes, worker, inline = run_both_ways(tmp_path, monkeypatch, forks, **CHECKED)
+    assert codes == [0, 0]
+    assert same_files(worker, inline) == sorted(RUN_ARTIFACTS + ("manifest.json",))
+    assert json.loads((worker / "continuation.json").read_text())["time_uniqueness_gap"] > 0
+
+
+def test_time_check_worker_estimate_violation_fails_as_inline(tmp_path, monkeypatch, forks):
+    # patched before the fork, so the worker's time check reads it too
+    norms = iter(range(10 ** 6))
+    monkeypatch.setattr(graphflow.continuation, "_source_norm", lambda u, eps: float(next(norms)))
+    codes, worker, inline = run_both_ways(tmp_path, monkeypatch, forks, **CHECKED)
+    assert codes == [2, 2]
+    assert same_files(worker, inline) == ["barrier.json", "config_resolved.json", "failure.json"]
+    fail = json.loads((worker / "failure.json").read_text())
+    assert fail["error"] == "EstimateViolation"
+    assert fail["message"].startswith("stationarity defect rose from")
+
+
+def test_time_check_worker_divergence_keeps_step_and_node(tmp_path, monkeypatch, forks):
+    def diverged(*args):
+        raise graphflow.errors.FlowDiverged("non-finite value at node (3, 4) on step 7",
+                                            step=7, node=(3, 4))
+
+    monkeypatch.setattr(graphflow.cli, "time_sequence_uniqueness_check", diverged)
+    codes, worker, inline = run_both_ways(tmp_path, monkeypatch, forks, **CHECKED)
+    assert codes == [3, 3]
+    same_files(worker, inline)
+    fail = json.loads((worker / "failure.json").read_text())
+    assert (fail["error"], fail["step"], fail["node"]) == ("FlowDiverged", 7, [3, 4])
+
+
+def test_time_check_worker_loses_to_a_failing_leg(tmp_path, monkeypatch, forks):
+    # the legs fail while the worker still runs: the worker is killed, and
+    # the legs' error is the run's, as when the check runs inline after them
+    def legs(*args, **kwargs):
+        raise graphflow.errors.FlowDiverged("the legs diverged", step=2, node=(1, 1))
+
+    monkeypatch.setattr(graphflow.cli, "eps_continuation", legs)
+    monkeypatch.setattr(graphflow.cli, "time_sequence_uniqueness_check",
+                        lambda *args: time.sleep(60))
+    began = time.monotonic()
+    codes, worker, inline = run_both_ways(tmp_path, monkeypatch, forks, **CHECKED)
+    assert time.monotonic() - began < 30
+    assert codes == [3, 3]
+    assert same_files(worker, inline) == ["barrier.json", "config_resolved.json", "failure.json"]
+    assert json.loads((worker / "failure.json").read_text())["message"] == "the legs diverged"
+
+
+def test_time_check_worker_joins_before_a_convergence_failure(tmp_path, monkeypatch, forks):
+    # a leg that does not converge still records the gap, as inline
+    codes, worker, inline = run_both_ways(tmp_path, monkeypatch, forks,
+                                          **{**CHECKED, "flow": {"eps": 0.1, "t_end": 0.2}})
+    assert codes == [3, 3]
+    assert "continuation.json" in same_files(worker, inline)
+    cont = json.loads((worker / "continuation.json").read_text())
+    assert cont["converged"] is False and cont["time_uniqueness_gap"] is not None
+
 
 
 def test_run_empty_probe_set_fails_before_barrier(tmp_path):
@@ -902,6 +1058,18 @@ def test_import_loads_no_scipy():
     src = str(Path(graphflow.__file__).resolve().parents[1])
     code = ("import sys, graphflow.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_process_pool_module():
+    # graphflow forks its one worker itself: multiprocessing and
+    # concurrent.futures would add their import time to every run
+    import graphflow
+    src = str(Path(graphflow.__file__).resolve().parents[1])
+    code = ("import sys, graphflow.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "[]"
