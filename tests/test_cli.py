@@ -634,9 +634,10 @@ def test_time_check_worker_writes_the_inline_bytes(tmp_path, monkeypatch, forks)
 
 
 def test_time_check_worker_estimate_violation_fails_as_inline(tmp_path, monkeypatch, forks):
-    # patched before the fork, so the worker's time check reads it too
-    norms = iter(range(10 ** 6))
-    monkeypatch.setattr(graphflow.continuation, "_source_norm", lambda u, eps: float(next(norms)))
+    # patched before the fork, so the worker's time check reads it too: the
+    # negated defect rises wherever the real one falls
+    real = graphflow.continuation._source_norm
+    monkeypatch.setattr(graphflow.continuation, "_source_norm", lambda u, eps: -real(u, eps))
     codes, worker, inline = run_both_ways(tmp_path, monkeypatch, forks, **CHECKED)
     assert codes == [2, 2]
     assert same_files(worker, inline) == ["barrier.json", "config_resolved.json", "failure.json"]
@@ -683,7 +684,6 @@ def test_time_check_worker_joins_before_a_convergence_failure(tmp_path, monkeypa
     assert "continuation.json" in same_files(worker, inline)
     cont = json.loads((worker / "continuation.json").read_text())
     assert cont["converged"] is False and cont["time_uniqueness_gap"] is not None
-
 
 
 def test_run_empty_probe_set_fails_before_barrier(tmp_path):
