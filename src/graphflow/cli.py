@@ -84,12 +84,12 @@ FIELD_KEYS = {"constant": ("value",), "linear": ("coeffs", "offset"),
 FIELD_KINDS = tuple(FIELD_KEYS)
 
 
-def field_from_spec(spec: dict, domain, base_dir=".") -> GridField:
+def field_from_spec(spec: dict, domain) -> GridField:
     """Evaluate a closed-form field spec on the domain lattice.
 
     The kind table is intentionally small: the constants, linear forms and
-    sin/cos/log compositions the oracles use, plus nodal CSV input, read
-    relative to base_dir.  There is no expression parser.
+    sin/cos/log compositions the oracles use, plus nodal CSV input.  There
+    is no expression parser.
     """
     kind = spec.get("kind")
     if kind == "constant":
@@ -128,7 +128,7 @@ def field_from_spec(spec: dict, domain, base_dir=".") -> GridField:
         d = np.linalg.norm(domain.points - center, axis=-1)
         return GridField(domain, np.where(d < r, inside, outside))
     if kind == "csv":
-        return load_field_csv(Path(base_dir) / spec["path"], domain)
+        return load_field_csv(spec["path"], domain)
     raise ConfigError(f"unknown field kind {kind!r}; expected one of "
                       f"{FIELD_KINDS}")
 
@@ -379,12 +379,12 @@ def _read_raw(config_path: str) -> tuple[dict, Path]:
 
 
 def _build_problem(cfg: ExperimentConfig):
-    chart, params = cfg.chart, cfg.chart.get("params", {})
-    if "csv" in params:
-        chart = {**chart, "params": {**params, "csv": str(cfg.base_dir / params["csv"])}}
+    def located(spec, key):  # spec with its csv path read relative to the config file
+        return {**spec, key: str(cfg.base_dir / spec[key])} if key in spec else spec
+
+    chart = {**cfg.chart, "params": located(cfg.chart.get("params", {}), "csv")}
     domain = build_domain(chart_from_spec(chart), cfg.h, region=cfg.region)
-    phi = field_from_spec(cfg.phi, domain, cfg.base_dir)
-    u0 = field_from_spec(cfg.u0, domain, cfg.base_dir)
+    phi, u0 = (field_from_spec(located(spec, "path"), domain) for spec in (cfg.phi, cfg.u0))
     return domain, phi, u0
 
 
