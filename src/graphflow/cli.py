@@ -65,14 +65,12 @@ class ExperimentConfig:
     time_check: dict | None
     output_dir: str
     snapshot_every_steps: int
-    base_dir: Path  # csv paths are read relative to it
 
     def resolved_dict(self) -> dict:
         """The config as executed, keyed as in the config file; csv paths
         as the config gives them."""
         resolved = asdict(self)
         resolved["barrier"] = {"K": resolved.pop("barrier_k"), "gamma": resolved.pop("barrier_gamma")}
-        del resolved["base_dir"]
         return resolved
 
 
@@ -293,8 +291,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         chart=chart, region=region, h=float(cfg["h"]), phi=cfg["phi"], u0=cfg["u0"],
         flow=flow, schedule=schedule, tol=float(cfg["tol"]), warm_start=cfg["warm_start"],
         barrier_k=k, barrier_gamma=gamma, time_check=time_check,
-        output_dir=cfg["output_dir"], snapshot_every_steps=cfg["snapshot_every_steps"],
-        base_dir=base_dir)
+        output_dir=cfg["output_dir"], snapshot_every_steps=cfg["snapshot_every_steps"])
 
 
 # --------------------------------------------------------------- persistence
@@ -378,9 +375,9 @@ def _read_raw(config_path: str) -> tuple[dict, Path]:
     return raw, path.parent
 
 
-def _build_problem(cfg: ExperimentConfig):
+def _build_problem(cfg: ExperimentConfig, base_dir: Path):
     def located(spec, key):  # spec with its csv path read relative to the config file
-        return {**spec, key: str(cfg.base_dir / spec[key])} if key in spec else spec
+        return {**spec, key: str(base_dir / spec[key])} if key in spec else spec
 
     chart = {**cfg.chart, "params": located(cfg.chart.get("params", {}), "csv")}
     domain = build_domain(chart_from_spec(chart), cfg.h, region=cfg.region)
@@ -388,31 +385,67 @@ def _build_problem(cfg: ExperimentConfig):
     return domain, phi, u0
 
 
+def _runnable_and_cpu() -> tuple[int, int]:
+    """The host's count of runnable tasks and the CPU this process runs on."""
+    with open("/proc/loadavg", "rb") as fh:  # ... runnable/total last-pid
+        running = int(fh.read().split()[3].split(b"/")[0])
+    with open("/proc/self/stat", "rb") as fh:  # field 39, after the ")" of comm
+        return running, int(fh.read().rsplit(b")", 1)[1].split()[36])
+
+
+def _worker_cpus(mask: set) -> set | None:
+    """The CPUs of mask a worker may run on beside this process: all but
+    the one this process runs on, while the host has fewer runnable tasks
+    than mask has CPUs (this process among them), so that one is idle.
+    None when none is, and where /proc does not tell."""
+    try:
+        running, cpu = _runnable_and_cpu()
+    except (OSError, ValueError, IndexError):
+        return None
+    return mask - {cpu} if running < len(mask) else None
+
+
+def _pickled_failure(exc: BaseException) -> bytes:
+    """(False, exc) pickled, exc noted with the worker's traceback; a
+    RuntimeError with its repr and that traceback when exc does not survive
+    pickling."""
+    import traceback  # in the worker, on failure only
+    trace = "".join(traceback.format_exception(exc)).rstrip()
+    if hasattr(exc, "add_note"):  # Python 3.11 and later
+        exc.add_note(f"in the time-check worker:\n{trace}")
+    try:
+        message = pickle.dumps((False, exc))
+        pickle.loads(message)
+        return message
+    except Exception:
+        return pickle.dumps((False, RuntimeError(f"{exc!r} in the time-check worker:\n{trace}")))
+
+
 @contextmanager
 def _beside(fn):
     """Start fn() in a forked worker process and yield join(), which returns
-    fn's result or raises its exception.  Until the block ends the worker
-    runs on the second CPU of this process's affinity mask and this process
-    on the first.  On leaving, the worker is always reaped (killed if join
-    was not reached, so the block's own exception wins) and the mask is
-    restored.  With fewer than two CPUs allowed, or without os.fork or
-    os.sched_setaffinity, join() calls fn inline; without fn it returns None."""
+    fn's result or raises its exception.  The worker is pinned to the CPUs
+    of this process's affinity mask but the one this process runs on, and
+    is forked only while one of them is idle (see _worker_cpus); otherwise,
+    or without os.fork or os.sched_setaffinity, join() calls fn inline, and
+    without fn returns None.  On leaving, the worker is always reaped,
+    killed if join was not reached, so the block's own exception wins."""
     setaffinity = getattr(os, "sched_setaffinity", None)
-    mask = os.sched_getaffinity(0) if fn and setaffinity and hasattr(os, "fork") else ()
-    if len(mask) < 2:
+    mask = os.sched_getaffinity(0) if fn and setaffinity and hasattr(os, "fork") else set()
+    cpus = _worker_cpus(mask) if len(mask) >= 2 else None
+    if not cpus:
         yield fn or (lambda: None)
         return
-    cpus = sorted(mask)
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the worker: one pickled (ok, result or exception), no cleanup
         try:
             os.close(read)
             try:
-                setaffinity(0, cpus[1:2])
+                setaffinity(0, cpus)
                 message = pickle.dumps((True, fn()))
             except BaseException as exc:
-                message = pickle.dumps((False, exc))
+                message = _pickled_failure(exc)
             with open(write, "wb") as fh:
                 fh.write(message)
         finally:
@@ -433,14 +466,12 @@ def _beside(fn):
         return value
 
     try:
-        setaffinity(0, cpus[:1])
         yield join
     finally:
         reader.close()
         if pid is not None:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-        setaffinity(0, mask)
 
 
 def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
@@ -454,7 +485,7 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
         cfg = parse_config(raw, base_dir)
         _dump_json(cfg.resolved_dict(), out / "config_resolved.json")
 
-        domain, phi, u0 = _build_problem(cfg)
+        domain, phi, u0 = _build_problem(cfg, base_dir)
         time_check = None
         if not barrier_only:
             probe_mask(domain)  # an empty probe set fails before the barrier work

@@ -186,7 +186,7 @@ def test_parse_resolves_csv_relative_to_config(tmp_path, monkeypatch):
     assert cfg.u0["path"] == "u0.csv"
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path / "elsewhere")
-    _, _, u0 = graphflow.cli._build_problem(cfg)
+    _, _, u0 = graphflow.cli._build_problem(cfg, tmp_path)
     assert np.all(u0.values == 0.25)
 
 
@@ -475,7 +475,7 @@ def test_time_check_changes_no_artifact_but_its_gap(tmp_path, data, times):
     assert (cont["legs"][0]["steps"] > 0) == bool(data)
     # the gap is the library's explicit check at flow.eps, from u0
     cfg = parse_config(json.loads((tmp_path / "checked.json").read_text()), tmp_path)
-    _, phi, u0 = graphflow.cli._build_problem(cfg)
+    _, phi, u0 = graphflow.cli._build_problem(cfg, tmp_path)
     assert cont["time_uniqueness_gap"] == time_sequence_uniqueness_check(
         cfg.flow, phi, u0, *times).gap
 
@@ -587,6 +587,13 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
+def idle_host(monkeypatch, running=1):
+    """Report running runnable tasks on the host (1: this process alone),
+    with the CPU this process really runs on."""
+    real = graphflow.cli._runnable_and_cpu
+    monkeypatch.setattr(graphflow.cli, "_runnable_and_cpu", lambda: (running, real()[1]))
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of the workers forked from this process."""
@@ -607,6 +614,7 @@ def run_both_ways(tmp_path, monkeypatch, forks, **overrides):
     cfg_path, _ = write_config(tmp_path, **overrides)
     codes, affinity = [], os.sched_getaffinity
     mask = affinity(0)
+    idle_host(monkeypatch)
     for way in ("worker", "inline"):
         if way == "inline":
             one_cpu(monkeypatch)
@@ -684,6 +692,79 @@ def test_time_check_worker_joins_before_a_convergence_failure(tmp_path, monkeypa
     assert "continuation.json" in same_files(worker, inline)
     cont = json.loads((worker / "continuation.json").read_text())
     assert cont["converged"] is False and cont["time_uniqueness_gap"] is not None
+
+
+def test_time_check_runs_inline_while_no_cpu_is_idle(tmp_path, monkeypatch, forks):
+    # as many runnable tasks as allowed CPUs, as with concurrent runs: the
+    # check runs inline, as on one CPU, and writes the worker's bytes
+    cfg_path, _ = write_config(tmp_path, **CHECKED)
+    idle_host(monkeypatch, running=len(os.sched_getaffinity(0)))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "busy")]) == 0
+    assert forks == []
+    idle_host(monkeypatch)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "idle")]) == 0
+    assert len(forks) == TWO_CPUS
+    same_files(tmp_path / "busy", tmp_path / "idle")
+
+
+@pytest.mark.parametrize("running,cpus", [(1, {1, 2}), (2, {1, 2}), (3, None), (9, None)])
+def test_worker_cpus_leave_this_process_its_cpu_while_one_is_idle(monkeypatch, running, cpus):
+    monkeypatch.setattr(graphflow.cli, "_runnable_and_cpu", lambda: (running, 0))
+    assert graphflow.cli._worker_cpus({0, 1, 2}) == cpus
+
+
+def test_worker_cpus_none_where_proc_does_not_tell(monkeypatch):
+    def unreadable():
+        raise FileNotFoundError("/proc/loadavg")
+
+    monkeypatch.setattr(graphflow.cli, "_runnable_and_cpu", unreadable)
+    assert graphflow.cli._worker_cpus({0, 1}) is None
+
+
+def test_runnable_and_cpu_reads_this_process():
+    running, cpu = graphflow.cli._runnable_and_cpu()
+    assert running >= 1 and cpu in os.sched_getaffinity(0)
+
+
+def test_time_check_worker_is_pinned_off_this_process_cpu(monkeypatch, forks):
+    # this process stays on its whole mask; the worker gets the rest of it
+    mask = os.sched_getaffinity(0)
+    cpu = min(mask)
+    monkeypatch.setattr(graphflow.cli, "_runnable_and_cpu", lambda: (1, cpu))
+    with graphflow.cli._beside(lambda: os.sched_getaffinity(0)) as join:
+        assert os.sched_getaffinity(0) == mask
+        worker = join()
+    assert len(forks) == TWO_CPUS
+    assert worker == (mask - {cpu} if TWO_CPUS else mask)
+
+
+def test_time_check_worker_error_keeps_its_traceback(monkeypatch, forks):
+    # an unexpected error shows the worker's failing frame, not only join's
+    def failing():
+        return {}["missing"]
+
+    idle_host(monkeypatch)
+    with pytest.raises(KeyError) as info:
+        with graphflow.cli._beside(failing) as join:
+            join()
+    notes = "\n".join(getattr(info.value, "__notes__", []))
+    assert ("in failing" in notes and "in the time-check worker" in notes) == TWO_CPUS
+
+
+def test_time_check_worker_error_that_does_not_pickle(monkeypatch, forks):
+    class Local(Exception):  # a class local to a function does not pickle
+        pass
+
+    def failing():
+        raise Local("odd")
+
+    idle_host(monkeypatch)
+    with pytest.raises(RuntimeError if TWO_CPUS else Local) as info:
+        with graphflow.cli._beside(failing) as join:
+            join()
+    if TWO_CPUS:
+        assert str(info.value).startswith("Local('odd') in the time-check worker:")
+        assert "in failing" in str(info.value)
 
 
 def test_run_empty_probe_set_fails_before_barrier(tmp_path):
