@@ -21,7 +21,7 @@ import os
 import pickle
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,31 +47,12 @@ RUN_ARTIFACTS = ("config_resolved.json", "barrier.json", "continuation.json",
 # ------------------------------------------------------------- config parsing
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved experiment description."""
+class ResolvedConfig(dict):
+    """A parsed config (parse_config).  Its keys also read as attributes,
+    as bench/make_refs.py reads them."""
 
-    chart: dict
-    region: dict
-    h: float
-    phi: dict
-    u0: dict
-    flow: FlowParams
-    schedule: list | None
-    tol: float
-    warm_start: bool
-    barrier_k: float
-    barrier_gamma: float
-    time_check: dict | None
-    output_dir: str
-    snapshot_every_steps: int
-
-    def resolved_dict(self) -> dict:
-        """The config as executed, keyed as in the config file; csv paths
-        as the config gives them."""
-        resolved = asdict(self)
-        resolved["barrier"] = {"K": resolved.pop("barrier_k"), "gamma": resolved.pop("barrier_gamma")}
-        return resolved
+    def __getattr__(self, key):
+        return self[key] if key in self else super().__getattribute__(key)
 
 
 # keys field_from_spec reads for each field kind, besides "kind" itself
@@ -185,10 +166,11 @@ TOP = {
 }
 
 
-def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
+def parse_config(raw: dict, base_dir: Path) -> ResolvedConfig:
     """Validate a raw config dict, collecting every problem (wrong JSON
     types included) before raising.  Range checks read only values whose
-    form check passed."""
+    form check passed.  Returns the config keyed as in the file with every
+    default filled in, barrier as {"K", "gamma"} and flow a FlowParams."""
     problems = []
     dim = None  # the chart dimension, once the chart's n is known
 
@@ -269,36 +251,32 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     flow = None
     if "flow" not in reported and not check("flow", cfg["flow"], [f.name for f in fields(FlowParams)]):
-        flow = collect(lambda: FlowParams(**{"eps": 0.1, **cfg["flow"]}), "flow: ")
-    schedule = cfg["schedule"]
-    if schedule is not None and "schedule" not in reported:
-        schedule = collect(lambda: eps_schedule(schedule))
+        flow = cfg["flow"] = collect(lambda: FlowParams(**{"eps": 0.1, **cfg["flow"]}), "flow: ")
+    if cfg["schedule"] is not None and "schedule" not in reported:
+        cfg["schedule"] = collect(lambda: eps_schedule(cfg["schedule"]))
 
-    k, gamma, barrier = 0.3, 1.1, cfg["barrier"]
+    barrier = cfg["barrier"]
     if "barrier" not in reported and not check("barrier", barrier, ("K", "gamma")):
-        k, gamma = float(barrier.get("K", k)), float(barrier.get("gamma", gamma))
+        k, gamma = float(barrier.get("K", 0.3)), float(barrier.get("gamma", 1.1))
+        cfg["barrier"] = {"K": k, "gamma": gamma}
         if gamma <= 1:
             problems.append(f"barrier gamma must exceed 1, got {gamma}")
 
     times, time_check = ("times_a", "times_b"), cfg["time_check"]
     if time_check is not None and "time_check" not in reported and \
             not check("time_check", time_check, times, times) and flow is not None:
-        collect(lambda: TimeSnapshots(flow, *(time_check[key] for key in times)))  # nonempty, >= 0, <= t_end
+        collect(lambda: TimeSnapshots(flow, **time_check))  # nonempty, >= 0, <= t_end
 
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(
-        chart=chart, region=region, h=float(cfg["h"]), phi=cfg["phi"], u0=cfg["u0"],
-        flow=flow, schedule=schedule, tol=float(cfg["tol"]), warm_start=cfg["warm_start"],
-        barrier_k=k, barrier_gamma=gamma, time_check=time_check,
-        output_dir=cfg["output_dir"], snapshot_every_steps=cfg["snapshot_every_steps"])
+    return ResolvedConfig(cfg, h=float(cfg["h"]), tol=float(cfg["tol"]))
 
 
 # --------------------------------------------------------------- persistence
 
 
 def _dump_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=asdict) + "\n",
                     encoding="utf-8")
 
 
@@ -375,13 +353,13 @@ def _read_raw(config_path: str) -> tuple[dict, Path]:
     return raw, path.parent
 
 
-def _build_problem(cfg: ExperimentConfig, base_dir: Path):
+def _build_problem(cfg: dict, base_dir: Path):
     def located(spec, key):  # spec with its csv path read relative to the config file
         return {**spec, key: str(base_dir / spec[key])} if key in spec else spec
 
-    chart = {**cfg.chart, "params": located(cfg.chart.get("params", {}), "csv")}
-    domain = build_domain(chart_from_spec(chart), cfg.h, region=cfg.region)
-    phi, u0 = (field_from_spec(located(spec, "path"), domain) for spec in (cfg.phi, cfg.u0))
+    chart = {**cfg["chart"], "params": located(cfg["chart"].get("params", {}), "csv")}
+    domain = build_domain(chart_from_spec(chart), cfg["h"], region=cfg["region"])
+    phi, u0 = (field_from_spec(located(cfg[key], "path"), domain) for key in ("phi", "u0"))
     return domain, phi, u0
 
 
@@ -483,33 +461,32 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
         raw, base_dir = _read_raw(config_path)
         out = _resolve_out(raw.get("output_dir"), out_override)
         cfg = parse_config(raw, base_dir)
-        _dump_json(cfg.resolved_dict(), out / "config_resolved.json")
+        _dump_json(cfg, out / "config_resolved.json")
 
         domain, phi, u0 = _build_problem(cfg, base_dir)
         time_check = None
         if not barrier_only:
             probe_mask(domain)  # an empty probe set fails before the barrier work
-            if cfg.time_check is not None:  # explicit, at flow.eps, from u0
+            if cfg["time_check"] is not None:  # explicit, at flow.eps, from u0
                 def time_check():
-                    times = cfg.time_check["times_a"], cfg.time_check["times_b"]
-                    return time_sequence_uniqueness_check(cfg.flow, phi, u0, *times).gap
+                    times = cfg["time_check"]["times_a"], cfg["time_check"]["times_b"]
+                    return time_sequence_uniqueness_check(cfg["flow"], phi, u0, *times).gap
         with _beside(time_check) as time_gap:
-            solv = check_dirichlet_solvability(phi, domain, K=cfg.barrier_k,
-                                               gamma=cfg.barrier_gamma)
+            solv = check_dirichlet_solvability(phi, domain, **cfg["barrier"])
             _dump_json(solv.json_dict(), out / "barrier.json")
             if barrier_only:
                 write_manifest(out, ("config_resolved.json", "barrier.json"))
                 return 0
 
-            report = eps_continuation(cfg.schedule, cfg.flow, phi, u0, tol=cfg.tol,
-                                      warm_start=cfg.warm_start,
-                                      sample_every=cfg.snapshot_every_steps, stages=SUPER_STAGES)
+            report = eps_continuation(cfg["schedule"], cfg["flow"], phi, u0, tol=cfg["tol"],
+                                      warm_start=cfg["warm_start"],
+                                      sample_every=cfg["snapshot_every_steps"], stages=SUPER_STAGES)
             report.time_uniqueness_gap = time_gap()
         _dump_json(report.json_dict(), out / "continuation.json")
         if not report.converged:
             raise ConvergenceError(
                 "continuation aborted: a leg failed to reach quasi-steady "
-                f"state within t_end = {cfg.flow.t_end}")
+                f"state within t_end = {cfg['flow'].t_end}")
 
         att = boundary_attainment_report(report.u_bar, phi, solv)
         _dump_json(att.json_dict(), out / "attainment.json")

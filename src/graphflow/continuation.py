@@ -7,13 +7,12 @@ the schedule) is summarized by Cauchy gaps between successive leg limits on
 an interior probe set, a boundary trace error, and a cross-time-sequence
 uniqueness gap measured inside a single run.
 
-All stepping goes through one loop, _step_until.  The legs take explicit
-steps by default, or with stages > 1 RKL1 super-steps (flow.flow_step),
-each after the first starting from the Anderson mix of the last
-super-step maps; they reach the same leg limits in fewer operator
-sweeps.  The time check
-is a stop rule (TimeSnapshots) on its own explicit run, because it reads
-the states at the requested times, which super-steps step over.
+All stepping goes through one loop, _step_until, which states the mixing
+and sampling rules; flow.flow_step states the RKL1 super-step.  Mixed
+super-steps reach the same leg limits as explicit steps in fewer operator
+sweeps.  The time check is a stop rule (TimeSnapshots) on its own explicit
+run, because it reads the states at the requested times, which
+super-steps step over.
 
 Convergence statements live on compact interior subsets, so the probe set
 excludes a 4-cell boundary collar; trace behavior at the boundary itself is
@@ -125,12 +124,8 @@ def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
 
     Returns the final state and whether the threshold was reached before
     t_end.  Stationary data converges in zero steps: the initial residual
-    sup|L^eps u0| is checked before any stepping.  The history samples
-    steps 1, 1+k, 1+2k, ... for k = sample_every, and the last step.  With
-    stages > 1 each step is an RKL1 super-step of that many stages, and
-    each super-step after the first starts from the Anderson mix of the
-    super-steps so far (_step_until); the samples read the super-steps'
-    results, and the state returned is the last super-step's result.
+    sup|L^eps u0| is checked before any stepping.  sample_every and stages
+    go to _step_until; the history holds its samples and the last step.
     """
     problems = [] if tol > 0 else [f"quasi-steady tolerance must be positive, got {tol}"]
     problems += [f"{name} must be a positive integer, got {value!r}"
@@ -235,10 +230,8 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     warm-starts from the previous limit by default; warm_start False reruns
     every leg from u0, exposing any dependence on the eps sequence.  A leg
     that fails to reach quasi-steady state within t_end is recorded and
-    aborts the remaining schedule.  The report's history holds each leg's
-    samples at the sample_every cadence of run_to_quasi_steady, first and
-    last step included; stages is passed to it as well, so stages > 1
-    runs the legs in Anderson-mixed RKL1 super-steps.
+    aborts the remaining schedule.  sample_every and stages go to
+    run_to_quasi_steady; the report's history holds each leg's samples.
     """
     dom = u0.domain
     phi = as_field(dom, phi)
@@ -284,10 +277,8 @@ class AttainmentPoint:
     def json_dict(self) -> dict:
         return {"x0": [float(c) for c in self.x0],
                 "certified": bool(self.certified),
-                "trace_gap": (None if self.trace_gap is None
-                              else float(self.trace_gap)),
-                "modulus": (None if self.modulus is None
-                            else float(self.modulus)),
+                "trace_gap": float(self.trace_gap),
+                "modulus": float(self.modulus),
                 "classification": self.classification}
 
 

@@ -6,15 +6,11 @@ The interior update integrates
     Q u = (sigma^{ij} - u^i u^j / W^2) D^2_ij u,   W = sqrt(1 + |Du|^2_sigma),
 
 with forward Euler under a parabolic step restriction recomputed every
-step, or, with s > 1 stages, with first-order Runge-Kutta-Legendre (RKL1)
-super-steps of length tau = dt (s^2 + s)/2 (Meyer, Balsara & Aslam, J.
-Comput. Phys. 257, 2014).  A super-step's first stage is the forward Euler
-step; its stages reuse the same stencil and keep every fixed point
-L^eps u = 0, so both schemes approach the same discrete limit.  The leg
-loop (continuation._step_until) starts each super-step after the first
-from an Anderson mix of the previous ones, which keeps those fixed points
-as well; t then adds tau per super-step and nothing per mix, a
-pseudo-time rather than the flow's time.
+step, or with first-order Runge-Kutta-Legendre (RKL1) super-steps (Meyer,
+Balsara & Aslam, J. Comput. Phys. 257, 2014), stated in flow_step.  Their
+stages reuse the same stencil and keep every fixed point L^eps u = 0, so
+both schemes approach the same discrete limit.  The leg loop that mixes
+super-steps is continuation._step_until.
 
 The eps term is the uniformly parabolic viscosity perturbation: it makes
 the flow the metric gradient flow of the energy
@@ -29,16 +25,9 @@ Boundary values are held at phi, optionally ramped on a delta-scale:
 phi + delta psi(t/delta) L^eps u0 with psi(s) = s (1 - s/2)^2, which has
 psi(0) = 0, psi'(0) = 1, |psi'| <= 1 and support in [0, 2].
 
-The operator is summed in closed form at the interior nodes only.  One
-explicit step gathers every stencil value with one take of the domain's
-node table, evaluates the gradient, the Hessian, Q, Delta_M u and W
-there, stacked by component in interior_flat order, then takes the step
-bound, the update, the dirichlet values, the divergence guard (from
-sup|u|), u_t and the dissipation density.  A super-step evaluates the
-operator once per stage and takes the rest once: sup|u_t| is its first
-stage's rate, and the dissipation uses the one-point rule
-((Y_s - Y_0)/tau)^2 / W(Y_0) tau.  E^eps of the new state, a full cell
-quadrature, is evaluated only on the steps that record a DiagnosticSample.
+The operator is summed in closed form at the interior nodes only.  E^eps
+of the new state, a full cell quadrature, is evaluated only on the steps
+that record a DiagnosticSample.
 """
 
 from __future__ import annotations
@@ -48,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EstimateViolation, FlowDiverged
+from .errors import ConfigError, EstimateViolation, FlowDiverged, FunctionalError
 from .functionals import e_eps, interior_integral
 from .grid import (GridDomain, GridField, as_field, contract, gradient_sweep,
                    hessian_sweep, matvec)
@@ -147,7 +136,7 @@ def l_eps_apply(u: GridField, eps: float) -> np.ndarray:
     At eps = 0 this is bit-for-bit the unperturbed operator.
     """
     if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+        raise FunctionalError(f"eps must be nonnegative, got {eps}")
     return _operator_arrays(u.domain, u.values, eps)[0]
 
 

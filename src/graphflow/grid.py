@@ -578,9 +578,11 @@ def save_field_csv(u: GridField, path) -> None:
 
 
 def load_field_csv(path, domain: GridDomain) -> GridField:
-    """Rebuild a field over a matching domain from its CSV form."""
+    """Rebuild a field over a matching domain from its CSV form; every
+    non-exterior node needs a row."""
     n = domain.dim
     values = np.full(domain.shape, np.nan)
+    listed = np.zeros(domain.shape, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:
@@ -593,4 +595,9 @@ def load_field_csv(path, domain: GridDomain) -> GridField:
                 raise GridError(f"field csv {str(path)!r} row {line}: {exc}") from None
             if mask != int(domain.mask[idx]):
                 raise GridError(f"mask mismatch at node {idx}: CSV does not match domain")
+            listed[idx] = True
+    unlisted = np.argwhere(domain.used & ~listed)
+    if unlisted.size:
+        node = tuple(int(i) for i in unlisted[0])
+        raise GridError(f"field csv {str(path)!r} has no row for node {node}")
     return GridField(domain, values)

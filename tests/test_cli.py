@@ -168,12 +168,12 @@ def test_parse_defaults(tmp_path):
         "phi": {"kind": "constant", "value": 0.0},
     }
     cfg = parse_config(raw, tmp_path)
-    assert cfg.u0 == {"kind": "constant", "value": 0.0}
-    assert cfg.tol == 1e-5
-    assert cfg.warm_start is True
-    assert cfg.schedule is None
-    assert (cfg.barrier_k, cfg.barrier_gamma) == (0.3, 1.1)
-    assert cfg.output_dir == "graphflow_out"
+    assert cfg["u0"] == {"kind": "constant", "value": 0.0}
+    assert cfg["tol"] == 1e-5
+    assert cfg["warm_start"] is True
+    assert cfg["schedule"] is None
+    assert cfg["barrier"] == {"K": 0.3, "gamma": 1.1}
+    assert cfg["output_dir"] == "graphflow_out"
 
 
 def test_parse_resolves_csv_relative_to_config(tmp_path, monkeypatch):
@@ -183,7 +183,7 @@ def test_parse_resolves_csv_relative_to_config(tmp_path, monkeypatch):
     raw = base_config(tmp_path / "out")
     raw["u0"] = {"kind": "csv", "path": "u0.csv"}
     cfg = parse_config(raw, tmp_path)
-    assert cfg.u0["path"] == "u0.csv"
+    assert cfg["u0"]["path"] == "u0.csv"
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path / "elsewhere")
     _, _, u0 = graphflow.cli._build_problem(cfg, tmp_path)
@@ -366,6 +366,18 @@ def test_run_empty_field_csv_exits_1(tmp_path, capsys):
     assert f"field csv {str(tmp_path / 'u0.csv')!r} is empty" in err
 
 
+@pytest.mark.parametrize("kept,node", [(0, (0, 0)), (288, (16, 16))], ids=["header_only", "one_row_short"])
+def test_run_field_csv_missing_rows_exits_1(tmp_path, capsys, kept, node):
+    # the header and the first `kept` node rows of a full 17 x 17 field csv
+    save_field_csv(GridField.constant(unit_domain(1.0 / 16), 0.25), tmp_path / "full.csv")
+    lines = (tmp_path / "full.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "u0.csv").write_text("".join(lines[:1 + kept]))
+    cfg_path, out = write_config(tmp_path, u0={"kind": "csv", "path": "u0.csv"})
+    _failed_run(cfg_path, out, capsys, "GridError")
+    message = json.loads((out / "failure.json").read_text())["message"]
+    assert message == f"field csv {str(tmp_path / 'u0.csv')!r} has no row for node {node}"
+
+
 def test_run_empty_metric_table_exits_1(tmp_path, capsys):
     (tmp_path / "metric.csv").write_text("")
     cfg_path, out = write_config(tmp_path, chart={"kind": "custom_table", "n": 2,
@@ -477,7 +489,17 @@ def test_time_check_changes_no_artifact_but_its_gap(tmp_path, data, times):
     cfg = parse_config(json.loads((tmp_path / "checked.json").read_text()), tmp_path)
     _, phi, u0 = graphflow.cli._build_problem(cfg, tmp_path)
     assert cont["time_uniqueness_gap"] == time_sequence_uniqueness_check(
-        cfg.flow, phi, u0, *times).gap
+        cfg["flow"], phi, u0, *times).gap
+
+
+def test_resolved_config_is_a_config(tmp_path):
+    # running a run's own config_resolved.json, elsewhere, writes the same bytes
+    cfg_path, _ = write_config(tmp_path, **CHECKED)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["run", str(cfg_path), "--out", str(first)]) == 0
+    assert main(["run", str(first / "config_resolved.json"), "--out", str(again)]) == 0
+    for name in (*RUN_ARTIFACTS, "manifest.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_run_snapshot_cadence_thins_diagnostics(tmp_path):

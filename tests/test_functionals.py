@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphflow.errors import FunctionalError
+from graphflow.flow import l_eps_apply
 from graphflow.functionals import (DiscreteSet, area, e_eps, interior_integral,
                                    j_functional, product_grid, set_perimeter,
                                    subgraph_perimeter, subgraph_set, total_variation,
@@ -116,6 +117,8 @@ def test_e_eps_negative_eps_rejected():
     dom = euclid_square(0.25)
     with pytest.raises(FunctionalError):
         e_eps(GridField.constant(dom, 0.0), -0.1)
+    with pytest.raises(FunctionalError, match="eps must be nonnegative, got -0.1"):
+        l_eps_apply(GridField.constant(dom, 0.0), -0.1)
 
 
 def test_e_eps_midpoint_convexity():
