@@ -23,6 +23,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,14 +46,6 @@ RUN_ARTIFACTS = ("config_resolved.json", "barrier.json", "continuation.json",
 
 
 # ------------------------------------------------------------- config parsing
-
-
-class ResolvedConfig(dict):
-    """A parsed config (parse_config).  Its keys also read as attributes,
-    as bench/make_refs.py reads them."""
-
-    def __getattr__(self, key):
-        return self[key] if key in self else super().__getattribute__(key)
 
 
 # keys field_from_spec reads for each field kind, besides "kind" itself
@@ -166,11 +159,12 @@ TOP = {
 }
 
 
-def parse_config(raw: dict, base_dir: Path) -> ResolvedConfig:
+def parse_config(raw: dict, base_dir: Path) -> SimpleNamespace:
     """Validate a raw config dict, collecting every problem (wrong JSON
     types included) before raising.  Range checks read only values whose
-    form check passed.  Returns the config keyed as in the file with every
-    default filled in, barrier as {"K", "gamma"} and flow a FlowParams."""
+    form check passed.  Returns the config with one attribute per
+    top-level key and every default filled in, barrier as {"K", "gamma"}
+    and flow a FlowParams."""
     problems = []
     dim = None  # the chart dimension, once the chart's n is known
 
@@ -269,14 +263,14 @@ def parse_config(raw: dict, base_dir: Path) -> ResolvedConfig:
 
     if problems:
         raise ConfigError(problems)
-    return ResolvedConfig(cfg, h=float(cfg["h"]), tol=float(cfg["tol"]))
+    return SimpleNamespace(**{**cfg, "h": float(cfg["h"]), "tol": float(cfg["tol"])})
 
 
 # --------------------------------------------------------------- persistence
 
 
 def _dump_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=asdict) + "\n",
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
@@ -353,13 +347,13 @@ def _read_raw(config_path: str) -> tuple[dict, Path]:
     return raw, path.parent
 
 
-def _build_problem(cfg: dict, base_dir: Path):
+def _build_problem(cfg: SimpleNamespace, base_dir: Path):
     def located(spec, key):  # spec with its csv path read relative to the config file
         return {**spec, key: str(base_dir / spec[key])} if key in spec else spec
 
-    chart = {**cfg["chart"], "params": located(cfg["chart"].get("params", {}), "csv")}
-    domain = build_domain(chart_from_spec(chart), cfg["h"], region=cfg["region"])
-    phi, u0 = (field_from_spec(located(cfg[key], "path"), domain) for key in ("phi", "u0"))
+    chart = {**cfg.chart, "params": located(cfg.chart.get("params", {}), "csv")}
+    domain = build_domain(chart_from_spec(chart), cfg.h, region=cfg.region)
+    phi, u0 = (field_from_spec(located(spec, "path"), domain) for spec in (cfg.phi, cfg.u0))
     return domain, phi, u0
 
 
@@ -461,32 +455,31 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
         raw, base_dir = _read_raw(config_path)
         out = _resolve_out(raw.get("output_dir"), out_override)
         cfg = parse_config(raw, base_dir)
-        _dump_json(cfg, out / "config_resolved.json")
+        _dump_json({**vars(cfg), "flow": asdict(cfg.flow)}, out / "config_resolved.json")
 
         domain, phi, u0 = _build_problem(cfg, base_dir)
         time_check = None
         if not barrier_only:
             probe_mask(domain)  # an empty probe set fails before the barrier work
-            if cfg["time_check"] is not None:  # explicit, at flow.eps, from u0
+            if cfg.time_check is not None:  # explicit, at flow.eps, from u0
                 def time_check():
-                    times = cfg["time_check"]["times_a"], cfg["time_check"]["times_b"]
-                    return time_sequence_uniqueness_check(cfg["flow"], phi, u0, *times).gap
+                    return time_sequence_uniqueness_check(cfg.flow, phi, u0, **cfg.time_check).gap
         with _beside(time_check) as time_gap:
-            solv = check_dirichlet_solvability(phi, domain, **cfg["barrier"])
+            solv = check_dirichlet_solvability(phi, domain, **cfg.barrier)
             _dump_json(solv.json_dict(), out / "barrier.json")
             if barrier_only:
                 write_manifest(out, ("config_resolved.json", "barrier.json"))
                 return 0
 
-            report = eps_continuation(cfg["schedule"], cfg["flow"], phi, u0, tol=cfg["tol"],
-                                      warm_start=cfg["warm_start"],
-                                      sample_every=cfg["snapshot_every_steps"], stages=SUPER_STAGES)
+            report = eps_continuation(cfg.schedule, cfg.flow, phi, u0, tol=cfg.tol,
+                                      warm_start=cfg.warm_start,
+                                      sample_every=cfg.snapshot_every_steps, stages=SUPER_STAGES)
             report.time_uniqueness_gap = time_gap()
         _dump_json(report.json_dict(), out / "continuation.json")
         if not report.converged:
             raise ConvergenceError(
                 "continuation aborted: a leg failed to reach quasi-steady "
-                f"state within t_end = {cfg['flow'].t_end}")
+                f"state within t_end = {cfg.flow.t_end}")
 
         att = boundary_attainment_report(report.u_bar, phi, solv)
         _dump_json(att.json_dict(), out / "attainment.json")

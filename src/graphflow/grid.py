@@ -590,6 +590,8 @@ def load_field_csv(path, domain: GridDomain) -> GridField:
         for line, row in enumerate(reader, start=2):
             try:
                 idx = tuple(int(v) for v in row[:n])
+                if not all(0 <= i < size for i, size in zip(idx, domain.shape)):
+                    raise IndexError(f"node {idx} is outside the grid of shape {domain.shape}")
                 mask, values[idx] = int(row[2 * n]), float(row[2 * n + 1])
             except (ValueError, IndexError) as exc:
                 raise GridError(f"field csv {str(path)!r} row {line}: {exc}") from None

@@ -168,12 +168,12 @@ def test_parse_defaults(tmp_path):
         "phi": {"kind": "constant", "value": 0.0},
     }
     cfg = parse_config(raw, tmp_path)
-    assert cfg["u0"] == {"kind": "constant", "value": 0.0}
-    assert cfg["tol"] == 1e-5
-    assert cfg["warm_start"] is True
-    assert cfg["schedule"] is None
-    assert cfg["barrier"] == {"K": 0.3, "gamma": 1.1}
-    assert cfg["output_dir"] == "graphflow_out"
+    assert cfg.u0 == {"kind": "constant", "value": 0.0}
+    assert cfg.tol == 1e-5
+    assert cfg.warm_start is True
+    assert cfg.schedule is None
+    assert cfg.barrier == {"K": 0.3, "gamma": 1.1}
+    assert cfg.output_dir == "graphflow_out"
 
 
 def test_parse_resolves_csv_relative_to_config(tmp_path, monkeypatch):
@@ -183,7 +183,7 @@ def test_parse_resolves_csv_relative_to_config(tmp_path, monkeypatch):
     raw = base_config(tmp_path / "out")
     raw["u0"] = {"kind": "csv", "path": "u0.csv"}
     cfg = parse_config(raw, tmp_path)
-    assert cfg["u0"]["path"] == "u0.csv"
+    assert cfg.u0["path"] == "u0.csv"
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path / "elsewhere")
     _, _, u0 = graphflow.cli._build_problem(cfg, tmp_path)
@@ -378,6 +378,19 @@ def test_run_field_csv_missing_rows_exits_1(tmp_path, capsys, kept, node):
     assert message == f"field csv {str(tmp_path / 'u0.csv')!r} has no row for node {node}"
 
 
+def test_run_field_csv_negative_node_index_exits_1(tmp_path, capsys):
+    # a -1,-1 row stands in for the last row, (16, 16), which numpy would wrap to
+    save_field_csv(GridField.constant(unit_domain(1.0 / 16), 0.25), tmp_path / "full.csv")
+    *lines, last = (tmp_path / "full.csv").read_text().splitlines(keepends=True)
+    assert last.startswith("16,16,")
+    (tmp_path / "u0.csv").write_text("".join(lines) + "-1,-1," + last[len("16,16,"):])
+    cfg_path, out = write_config(tmp_path, u0={"kind": "csv", "path": "u0.csv"})
+    _failed_run(cfg_path, out, capsys, "GridError")
+    message = json.loads((out / "failure.json").read_text())["message"]
+    assert message == (f"field csv {str(tmp_path / 'u0.csv')!r} row 290: "
+                       "node (-1, -1) is outside the grid of shape (17, 17)")
+
+
 def test_run_empty_metric_table_exits_1(tmp_path, capsys):
     (tmp_path / "metric.csv").write_text("")
     cfg_path, out = write_config(tmp_path, chart={"kind": "custom_table", "n": 2,
@@ -489,7 +502,7 @@ def test_time_check_changes_no_artifact_but_its_gap(tmp_path, data, times):
     cfg = parse_config(json.loads((tmp_path / "checked.json").read_text()), tmp_path)
     _, phi, u0 = graphflow.cli._build_problem(cfg, tmp_path)
     assert cont["time_uniqueness_gap"] == time_sequence_uniqueness_check(
-        cfg["flow"], phi, u0, *times).gap
+        cfg.flow, phi, u0, *times).gap
 
 
 def test_resolved_config_is_a_config(tmp_path):
@@ -677,7 +690,7 @@ def test_time_check_worker_estimate_violation_fails_as_inline(tmp_path, monkeypa
 
 
 def test_time_check_worker_divergence_keeps_step_and_node(tmp_path, monkeypatch, forks):
-    def diverged(*args):
+    def diverged(*args, **kwargs):
         raise graphflow.errors.FlowDiverged("non-finite value at node (3, 4) on step 7",
                                             step=7, node=(3, 4))
 
@@ -697,7 +710,7 @@ def test_time_check_worker_loses_to_a_failing_leg(tmp_path, monkeypatch, forks):
 
     monkeypatch.setattr(graphflow.cli, "eps_continuation", legs)
     monkeypatch.setattr(graphflow.cli, "time_sequence_uniqueness_check",
-                        lambda *args: time.sleep(60))
+                        lambda *args, **kwargs: time.sleep(60))
     began = time.monotonic()
     codes, worker, inline = run_both_ways(tmp_path, monkeypatch, forks, **CHECKED)
     assert time.monotonic() - began < 30
