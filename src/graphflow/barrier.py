@@ -54,8 +54,8 @@ a (P, n) array, and return one result per point:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ FIT_WINDOW_CELLS = 8       # boundary sampling window, in units of max h
 DEGENERATE_RESIDUAL = 0.05 # rms graph-fit residual / window above this is no graph
 
 
-@dataclass(frozen=True, eq=False)
-class BarrierSpec:
+class BarrierSpec(NamedTuple):
     """A fitted supersolution candidate at one boundary point.
 
     frame columns are sigma(x0)-orthonormal chart vectors, inner normal
@@ -94,8 +93,7 @@ class BarrierSpec:
     chart: object
 
 
-@dataclass(frozen=True)
-class BarrierSearchResult:
+class BarrierSearchResult(NamedTuple):
     """Outcome of the (radius, alpha) search at one boundary point."""
 
     x0: np.ndarray
@@ -456,8 +454,7 @@ def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) ->
     return out
 
 
-@dataclass(frozen=True)
-class SolvabilityReport:
+class SolvabilityReport(NamedTuple):
     """Aggregate certificate for the Dirichlet data on a domain."""
 
     lipschitz_constant: float

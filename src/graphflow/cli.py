@@ -21,7 +21,6 @@ import os
 import pickle
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -211,7 +210,9 @@ def parse_config(raw: dict, base_dir: Path) -> SimpleNamespace:
             problems.extend(prefix + p for p in exc.problems)
 
     reported = check("config", raw, TOP, [key for key, (_, d) in TOP.items() if d is REQUIRED])
-    cfg = {key: raw.get(key, default) for key, (_, default) in TOP.items()}
+    # dict defaults are copied, so editing one parsed config leaves the next parse alone
+    cfg = {key: raw.get(key, {**default} if isinstance(default, dict) else default)
+           for key, (_, default) in TOP.items()}
 
     chart = cfg["chart"]
     if "chart" not in reported:
@@ -244,7 +245,7 @@ def parse_config(raw: dict, base_dir: Path) -> SimpleNamespace:
             exists(name, spec["path"])
 
     flow = None
-    if "flow" not in reported and not check("flow", cfg["flow"], [f.name for f in fields(FlowParams)]):
+    if "flow" not in reported and not check("flow", cfg["flow"], FlowParams._fields):
         flow = cfg["flow"] = collect(lambda: FlowParams(**{"eps": 0.1, **cfg["flow"]}), "flow: ")
     if cfg["schedule"] is not None and "schedule" not in reported:
         cfg["schedule"] = collect(lambda: eps_schedule(cfg["schedule"]))
@@ -455,7 +456,7 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
         raw, base_dir = _read_raw(config_path)
         out = _resolve_out(raw.get("output_dir"), out_override)
         cfg = parse_config(raw, base_dir)
-        _dump_json({**vars(cfg), "flow": asdict(cfg.flow)}, out / "config_resolved.json")
+        _dump_json({**vars(cfg), "flow": cfg.flow._asdict()}, out / "config_resolved.json")
 
         domain, phi, u0 = _build_problem(cfg, base_dir)
         time_check = None
@@ -474,7 +475,7 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
             report = eps_continuation(cfg.schedule, cfg.flow, phi, u0, tol=cfg.tol,
                                       warm_start=cfg.warm_start,
                                       sample_every=cfg.snapshot_every_steps, stages=SUPER_STAGES)
-            report.time_uniqueness_gap = time_gap()
+            report = report._replace(time_uniqueness_gap=time_gap())
         _dump_json(report.json_dict(), out / "continuation.json")
         if not report.converged:
             raise ConvergenceError(

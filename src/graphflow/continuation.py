@@ -21,9 +21,9 @@ classified separately against the barrier certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import reduce
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,8 +143,7 @@ def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
     return state, state.sup_ut < threshold
 
 
-@dataclass(frozen=True)
-class EpsLeg:
+class EpsLeg(NamedTuple):
     """Summary of one eps level, with a reference to its quasi-steady field.
 
     tv_final is the graph total variation of the leg limit, the discrete
@@ -172,8 +171,7 @@ class EpsLeg:
                 "tv_final": float(self.tv_final)}
 
 
-@dataclass
-class ContinuationReport:
+class ContinuationReport(NamedTuple):
     """Outcome of the eps schedule: leg summaries and convergence gaps."""
 
     eps_schedule: list
@@ -242,7 +240,7 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
 
     legs, gaps, history, current = [], [], [], u0
     for eps in sched_iter:
-        state, ok = run_to_quasi_steady(replace(params, eps=eps), phi,
+        state, ok = run_to_quasi_steady(params._replace(eps=eps), phi,
                                         current if warm_start else u0, tol, sample_every, stages)
         history.extend(state.history)
         current = state.u
@@ -264,8 +262,7 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
                               probe_count=int(probe.sum()), history=history)
 
 
-@dataclass(frozen=True)
-class AttainmentPoint:
+class AttainmentPoint(NamedTuple):
     """Boundary-trace behavior of the limit at one certified test point."""
 
     x0: list
@@ -282,8 +279,7 @@ class AttainmentPoint:
                 "classification": self.classification}
 
 
-@dataclass(frozen=True)
-class AttainmentReport:
+class AttainmentReport(NamedTuple):
     points: list
     attained: int
     detached: int
@@ -340,8 +336,7 @@ def boundary_attainment_report(u_bar: GridField, phi,
                             uncertified=labels.count("uncertified"))
 
 
-@dataclass(frozen=True)
-class TimeUniquenessResult:
+class TimeUniquenessResult(NamedTuple):
     """Gap between two time-sequence limits sampled from one run."""
 
     gap: float

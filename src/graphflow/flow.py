@@ -33,7 +33,7 @@ that record a DiagnosticSample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,33 +46,42 @@ UT_BOUND_REL_TOL = 1e-3   # slack on sup|u_t| <= sup|L^eps u0|
 SUP_BOUND_REL_TOL = 1e-6  # slack on the maximum principle, scaled by data size
 
 
-@dataclass(frozen=True)
-class FlowParams:
-    """Stepping parameters.  cfl scales stable_dt and lies in (0, 1/4]: for
-    n >= 2 the explicit step is stable only up to cfl 1/4."""
-
+class _FlowFields(NamedTuple):
     eps: float
     delta: float = 0.0
     cfl: float = 0.25
     t_end: float = 1.0
     assert_estimates: bool = False
 
-    def __post_init__(self):
+
+class FlowParams(_FlowFields):
+    """Stepping parameters.  cfl scales stable_dt and lies in (0, 1/4]: for
+    n >= 2 the explicit step is stable only up to cfl 1/4.  Every
+    construction, _make and _replace included, checks the values."""
+
+    __slots__ = ()
+
+    def __new__(cls, eps: float, delta: float = 0.0, cfl: float = 0.25, t_end: float = 1.0,
+                assert_estimates: bool = False):
         problems = []
-        if self.eps < 0:
-            problems.append(f"eps must be nonnegative, got {self.eps}")
-        if self.delta < 0:
-            problems.append(f"delta must be nonnegative, got {self.delta}")
-        if not 0.0 < self.cfl <= 0.25:
-            problems.append(f"cfl must lie in (0, 1/4], got {self.cfl}")
-        if self.t_end <= 0:
-            problems.append(f"t_end must be positive, got {self.t_end}")
+        if eps < 0:
+            problems.append(f"eps must be nonnegative, got {eps}")
+        if delta < 0:
+            problems.append(f"delta must be nonnegative, got {delta}")
+        if not 0.0 < cfl <= 0.25:
+            problems.append(f"cfl must lie in (0, 1/4], got {cfl}")
+        if t_end <= 0:
+            problems.append(f"t_end must be positive, got {t_end}")
         if problems:
             raise ConfigError(problems)
+        return super().__new__(cls, eps, delta, cfl, t_end, assert_estimates)
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class DiagnosticSample:
+class DiagnosticSample(NamedTuple):
     step: int
     t: float
     sup_u: float
@@ -81,7 +90,6 @@ class DiagnosticSample:
     dissipation_cum: float
 
 
-@dataclass
 class FlowState:
     """Mutable state of one flow run.  Each step sets a new u and the last
     step's sup|u|, sup|u_t| (sup|L^eps u0| before the first step) and adds
@@ -89,19 +97,16 @@ class FlowState:
     the operator sweeps taken; history holds the samples of the steps that
     recorded one."""
 
-    u: GridField
-    t: float = 0.0
-    step: int = 0
-    history: list = field(default_factory=list)
-    phi_dirichlet: np.ndarray | None = None
-    ramp_base: np.ndarray | None = None
-    sup_l0: float = 0.0
-    bound_lo: float = 0.0
-    bound_hi: float = 0.0
-    sup_u: float = 0.0
-    sup_ut: float = 0.0
-    dissipation_cum: float = 0.0
-    evaluations: int = 0
+    def __init__(self, u: GridField, t: float = 0.0, step: int = 0, history: list | None = None,
+                 phi_dirichlet: np.ndarray | None = None, ramp_base: np.ndarray | None = None,
+                 sup_l0: float = 0.0, bound_lo: float = 0.0, bound_hi: float = 0.0,
+                 sup_u: float = 0.0, sup_ut: float = 0.0, dissipation_cum: float = 0.0,
+                 evaluations: int = 0):
+        self.u, self.t, self.step = u, t, step
+        self.history = [] if history is None else history
+        self.phi_dirichlet, self.ramp_base, self.sup_l0 = phi_dirichlet, ramp_base, sup_l0
+        self.bound_lo, self.bound_hi, self.sup_u, self.sup_ut = bound_lo, bound_hi, sup_u, sup_ut
+        self.dissipation_cum, self.evaluations = dissipation_cum, evaluations
 
 
 def _operator_arrays(domain: GridDomain, values: np.ndarray, eps: float):

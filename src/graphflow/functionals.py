@@ -23,7 +23,7 @@ vertical rearrangement of a product-lattice set back to a graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .grid import (GridDomain, GridField, as_field, cell_gradient, contract,
 MOLLIFY_BAND_CELLS = 3
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
+class FunctionalReport(NamedTuple):
     """One evaluated functional and its boundary part."""
 
     value: float
@@ -120,8 +119,7 @@ def interior_integral(domain: GridDomain, values: np.ndarray) -> float:
 # -- discrete sets -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductGrid:
+class ProductGrid(NamedTuple):
     """Spatial domain crossed with a uniform vertical lattice [-T, T]."""
 
     base: GridDomain
@@ -160,15 +158,11 @@ def product_grid(base: GridDomain, T: float, h_t: float) -> ProductGrid:
     return ProductGrid(base, t_axis, h_t)
 
 
-@dataclass
 class DiscreteSet:
     """Indicator set on a grid or a product grid."""
 
-    domain: GridDomain | ProductGrid
-    indicator: np.ndarray
-
-    def __post_init__(self):
-        self.indicator = np.asarray(self.indicator)
+    def __init__(self, domain: GridDomain | ProductGrid, indicator: np.ndarray):
+        self.domain, self.indicator = domain, np.asarray(indicator)
         shape = self.domain.shape
         if self.indicator.shape != shape:
             raise FunctionalError(f"indicator shape {self.indicator.shape} does not "

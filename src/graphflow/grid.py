@@ -33,7 +33,6 @@ the domain: node windows (windows) and edge crossings (boundary_facts).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
@@ -351,16 +350,14 @@ class GridDomain:
         return float(np.prod(self.h))
 
 
-@dataclass
 class GridField:
     """Nodal scalar field on a GridDomain: finite on every non-exterior
     node; exterior nodes hold NaN."""
 
-    domain: GridDomain
-    values: np.ndarray
+    __slots__ = ("domain", "values")
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+    def __init__(self, domain: GridDomain, values: np.ndarray):
+        self.domain, self.values = domain, np.asarray(values, dtype=float)
         if self.values.shape != self.domain.shape:
             raise GridError(f"field shape {self.values.shape} does not match "
                             f"lattice shape {self.domain.shape}")

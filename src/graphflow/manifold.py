@@ -19,8 +19,7 @@ yields metric arrays of shape (..., n, n).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,8 +36,7 @@ CHART_KEYS = ("kind", "n", "box", "params")  # keys chart_from_spec reads
 _PD_SAMPLES_PER_AXIS = 9
 
 
-@dataclass(frozen=True)
-class MetricChart:
+class MetricChart(NamedTuple):
     """A coordinate chart with metric callbacks and bounds.
 
     The box is the closed coordinate rectangle on which the chart is valid.
@@ -338,7 +336,7 @@ def builtin_chart(kind: str, n: int = 2, box=None, params: dict | None = None) -
         chart = _table_chart(n, box, params)
 
     width = min(b[1] - b[0] for b in box)
-    chart = replace(chart, christoffel_h=1e-4 * width)
+    chart = chart._replace(christoffel_h=1e-4 * width)
     _check_positive_definite(chart)
     return chart
 

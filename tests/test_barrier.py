@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
@@ -605,7 +604,7 @@ def test_euclidean_search_drops_only_a_zero_christoffel_term():
     # rung and qv_max keeps its bits
     dom = ORACLE_DOMAINS["annulus"]()
     x0s = np.unique(projections(dom), axis=0)
-    curved = build_domain(replace(dom.chart, is_euclidean=False), dom.h, dom.region)
+    curved = build_domain(dom.chart._replace(is_euclidean=False), dom.h, dom.region)
     got, want = fit_boundary_graph(dom, x0s), fit_boundary_graph(curved, x0s)
     assert all(r is None for r in got[4]) and list(got[4]) == list(want[4])
     for a, b in zip(got[:4], want[:4]):

@@ -1,6 +1,5 @@
 import copy
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -176,6 +175,14 @@ def test_parse_defaults(tmp_path):
     assert cfg.output_dir == "graphflow_out"
 
 
+def test_parse_gives_each_config_its_own_defaults(tmp_path):
+    # editing a filled-in default of one parse leaves the next parse's alone
+    raw = {key: base_config(tmp_path)[key] for key in ("chart", "region", "h", "phi")}
+    first = parse_config(raw, tmp_path)
+    first.u0["value"] = 7.0
+    assert parse_config(raw, tmp_path).u0 == {"kind": "constant", "value": 0.0}
+
+
 def test_parse_resolves_csv_relative_to_config(tmp_path, monkeypatch):
     # the path is kept as the config gives it and read from the config's directory
     dom = unit_domain(1.0 / 16)
@@ -225,7 +232,7 @@ def test_parse_rejects_nan_and_infinity(tmp_path, overrides, problem):
 def test_every_kind_key_has_a_json_form():
     kind_keys = {key for table in (CHART_PARAMS, REGION_KEYS, FIELD_KEYS)
                  for keys in table.values() for key in keys}
-    flow_keys = {f.name for f in dataclasses.fields(graphflow.flow.FlowParams)}
+    flow_keys = set(graphflow.flow.FlowParams._fields)
     assert kind_keys | flow_keys | set(CHART_KEYS) <= set(FORMS)
 
 
@@ -1189,6 +1196,17 @@ def test_import_loads_no_process_pool_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_dataclasses():
+    # graphflow's records are named tuples and plain classes: generating
+    # their dataclass methods took 9-13 ms of every run's start-up
+    import graphflow
+    src = str(Path(graphflow.__file__).resolve().parents[1])
+    code = "import sys, graphflow.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point():

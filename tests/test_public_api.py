@@ -1,11 +1,24 @@
 """The package's public surface: every name in __all__ is listed once and
-resolves, so `from graphflow import *` cannot break on a deleted name; and
-no module reaches into barrier's private names."""
+resolves, so `from graphflow import *` cannot break on a deleted name; no
+module reaches into barrier's private names; and the immutable records stay
+immutable, FlowParams checking its values on every way of building one."""
 
 import ast
+import copy
+import pickle
 from pathlib import Path
 
+import pytest
+
 import graphflow
+from graphflow import (AttainmentPoint, AttainmentReport, BarrierSearchResult, BarrierSpec,
+                       ConfigError, ContinuationReport, DiagnosticSample, EpsLeg, FlowParams,
+                       FunctionalReport, MetricChart, SolvabilityReport, TimeUniquenessResult)
+from graphflow.functionals import ProductGrid
+
+IMMUTABLE_RECORDS = (BarrierSpec, BarrierSearchResult, SolvabilityReport, FunctionalReport,
+                     ProductGrid, DiagnosticSample, EpsLeg, ContinuationReport, AttainmentPoint,
+                     AttainmentReport, TimeUniquenessResult, MetricChart, FlowParams)
 
 
 def test_all_has_no_duplicates():
@@ -30,3 +43,30 @@ def test_no_module_imports_a_private_barrier_name():
                 found += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE_RECORDS, ids=lambda cls: cls.__name__)
+def test_record_fields_cannot_be_assigned(cls):
+    record = FlowParams(eps=0.1) if cls is FlowParams else cls(*range(len(cls._fields)))
+    for attr in (cls._fields[0], "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FlowParams(eps=-1.0),
+    lambda: FlowParams._make([0.1, 0.0, 0.5, 1.0, False]),
+    lambda: FlowParams(eps=0.1)._replace(t_end=0.0),
+    lambda: FlowParams(eps=0.1)._replace(delta=-1.0, cfl=0.0),
+], ids=["constructor", "_make", "_replace", "_replace two fields"])
+def test_flow_params_checks_every_construction(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_flow_params_round_trips_and_keeps_its_defaults():
+    params = FlowParams(eps=0.1, delta=0.01, cfl=0.2, t_end=3.0, assert_estimates=True)
+    assert pickle.loads(pickle.dumps(params)) == copy.copy(params) == params
+    assert type(pickle.loads(pickle.dumps(params))) is FlowParams
+    assert FlowParams(eps=0.1) == FlowParams._make([0.1, *FlowParams._field_defaults.values()])
+    assert FlowParams._fields == ("eps", "delta", "cfl", "t_end", "assert_estimates")
