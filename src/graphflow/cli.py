@@ -1,9 +1,9 @@
 """Batch front end: experiment configs in, artifact bundles out.
 
-One experiment per invocation.  A run executes build -> continuation ->
-barrier -> attainment and persists every report next to a manifest listing
-the produced files with content hashes; a failed run leaves failure.json
-instead.  Exit codes: 0 success, 1 configuration, 2 violated estimate,
+One experiment per invocation, in one process.  A run executes build ->
+barrier -> continuation (a time check riding eps-leg 1) -> attainment and
+persists every report next to a manifest listing the produced files with
+content hashes; a failed run leaves failure.json instead.  Exit codes: 0 success, 1 configuration, 2 violated estimate,
 3 non-convergence or divergence.
 
 All output is deterministic for a fixed config: floats are
@@ -18,9 +18,7 @@ import argparse
 import hashlib
 import json
 import os
-import pickle
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,8 +26,7 @@ import numpy as np
 
 from .barrier import check_dirichlet_solvability, search_alpha
 from .continuation import (SUPER_STAGES, TimeSnapshots, boundary_attainment_report,
-                           eps_continuation, eps_schedule, probe_mask,
-                           time_sequence_uniqueness_check)
+                           eps_continuation, eps_schedule, probe_mask)
 from .errors import (ConfigError, ConvergenceError, EstimateViolation,
                      FlowDiverged, GraphflowError)
 from .flow import (FlowParams, compatibility_ramp, q_operator,
@@ -163,7 +160,7 @@ def parse_config(raw: dict, base_dir: Path) -> SimpleNamespace:
     types included) before raising.  Range checks read only values whose
     form check passed.  Returns the config with one attribute per
     top-level key and every default filled in, barrier as {"K", "gamma"}
-    and flow a FlowParams."""
+    and flow a FlowParams whose eps is leg 1's, the schedule's first."""
     problems = []
     dim = None  # the chart dimension, once the chart's n is known
 
@@ -244,11 +241,21 @@ def parse_config(raw: dict, base_dir: Path) -> SimpleNamespace:
                 and spec["kind"] == "csv":
             exists(name, spec["path"])
 
+    first = 0.1  # leg 1's eps: the schedule's first, None while the schedule is broken
+    if cfg["schedule"] is not None:
+        first = None
+        if "schedule" not in reported:
+            cfg["schedule"] = collect(lambda: eps_schedule(cfg["schedule"]))
+            first = cfg["schedule"] and cfg["schedule"][0]
     flow = None
     if "flow" not in reported and not check("flow", cfg["flow"], FlowParams._fields):
-        flow = cfg["flow"] = collect(lambda: FlowParams(**{"eps": 0.1, **cfg["flow"]}), "flow: ")
-    if cfg["schedule"] is not None and "schedule" not in reported:
-        cfg["schedule"] = collect(lambda: eps_schedule(cfg["schedule"]))
+        # the legs and the time check take their eps from the schedule; a
+        # config may still state leg 1's (0.1 stands in while the schedule is broken)
+        given = cfg["flow"].get("eps", first)
+        if first is not None and given != first:
+            problems.append(f"flow eps must equal the first eps of schedule, {first}, got {given}")
+        flow = cfg["flow"] = collect(lambda: FlowParams(**{**cfg["flow"], "eps": first or 0.1}),
+                                     "flow: ")
 
     barrier = cfg["barrier"]
     if "barrier" not in reported and not check("barrier", barrier, ("K", "gamma")):
@@ -358,99 +365,10 @@ def _build_problem(cfg: SimpleNamespace, base_dir: Path):
     return domain, phi, u0
 
 
-def _runnable_and_cpu() -> tuple[int, int]:
-    """The host's count of runnable tasks and the CPU this process runs on."""
-    with open("/proc/loadavg", "rb") as fh:  # ... runnable/total last-pid
-        running = int(fh.read().split()[3].split(b"/")[0])
-    with open("/proc/self/stat", "rb") as fh:  # field 39, after the ")" of comm
-        return running, int(fh.read().rsplit(b")", 1)[1].split()[36])
-
-
-def _worker_cpus(mask: set) -> set | None:
-    """The CPUs of mask a worker may run on beside this process: all but
-    the one this process runs on, while the host has fewer runnable tasks
-    than mask has CPUs (this process among them), so that one is idle.
-    None when none is, and where /proc does not tell."""
-    try:
-        running, cpu = _runnable_and_cpu()
-    except (OSError, ValueError, IndexError):
-        return None
-    return mask - {cpu} if running < len(mask) else None
-
-
-def _pickled_failure(exc: BaseException) -> bytes:
-    """(False, exc) pickled, exc noted with the worker's traceback; a
-    RuntimeError with its repr and that traceback when exc does not survive
-    pickling."""
-    import traceback  # in the worker, on failure only
-    trace = "".join(traceback.format_exception(exc)).rstrip()
-    if hasattr(exc, "add_note"):  # Python 3.11 and later
-        exc.add_note(f"in the time-check worker:\n{trace}")
-    try:
-        message = pickle.dumps((False, exc))
-        pickle.loads(message)
-        return message
-    except Exception:
-        return pickle.dumps((False, RuntimeError(f"{exc!r} in the time-check worker:\n{trace}")))
-
-
-@contextmanager
-def _beside(fn):
-    """Start fn() in a forked worker process and yield join(), which returns
-    fn's result or raises its exception.  The worker is pinned to the CPUs
-    of this process's affinity mask but the one this process runs on, and
-    is forked only while one of them is idle (see _worker_cpus); otherwise,
-    or without os.fork or os.sched_setaffinity, join() calls fn inline, and
-    without fn returns None.  On leaving, the worker is always reaped,
-    killed if join was not reached, so the block's own exception wins."""
-    setaffinity = getattr(os, "sched_setaffinity", None)
-    mask = os.sched_getaffinity(0) if fn and setaffinity and hasattr(os, "fork") else set()
-    cpus = _worker_cpus(mask) if len(mask) >= 2 else None
-    if not cpus:
-        yield fn or (lambda: None)
-        return
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the worker: one pickled (ok, result or exception), no cleanup
-        try:
-            os.close(read)
-            try:
-                setaffinity(0, cpus)
-                message = pickle.dumps((True, fn()))
-            except BaseException as exc:
-                message = _pickled_failure(exc)
-            with open(write, "wb") as fh:
-                fh.write(message)
-        finally:
-            os._exit(0)
-    os.close(write)
-    reader = open(read, "rb")
-
-    def join():
-        nonlocal pid
-        try:
-            ok, value = pickle.load(reader)
-        except EOFError:
-            ok, value = False, ChildProcessError(f"worker {pid} exited without a result")
-        os.waitpid(pid, 0)
-        pid = None
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield join
-    finally:
-        reader.close()
-        if pid is not None:
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-
-
 def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
     """Full pipeline for one config, or with barrier_only the solvability
-    certification alone; returns the process exit code.  A time check runs
-    beside the barrier check and the eps-legs (see _beside)."""
+    certification alone; returns the process exit code.  A time check rides
+    eps-leg 1 (eps_continuation)."""
     out = None
     try:
         raw, base_dir = _read_raw(config_path)
@@ -459,23 +377,17 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
         _dump_json({**vars(cfg), "flow": cfg.flow._asdict()}, out / "config_resolved.json")
 
         domain, phi, u0 = _build_problem(cfg, base_dir)
-        time_check = None
         if not barrier_only:
             probe_mask(domain)  # an empty probe set fails before the barrier work
-            if cfg.time_check is not None:  # explicit, at flow.eps, from u0
-                def time_check():
-                    return time_sequence_uniqueness_check(cfg.flow, phi, u0, **cfg.time_check).gap
-        with _beside(time_check) as time_gap:
-            solv = check_dirichlet_solvability(phi, domain, **cfg.barrier)
-            _dump_json(solv.json_dict(), out / "barrier.json")
-            if barrier_only:
-                write_manifest(out, ("config_resolved.json", "barrier.json"))
-                return 0
+        solv = check_dirichlet_solvability(phi, domain, **cfg.barrier)
+        _dump_json(solv.json_dict(), out / "barrier.json")
+        if barrier_only:
+            write_manifest(out, ("config_resolved.json", "barrier.json"))
+            return 0
 
-            report = eps_continuation(cfg.schedule, cfg.flow, phi, u0, tol=cfg.tol,
-                                      warm_start=cfg.warm_start,
-                                      sample_every=cfg.snapshot_every_steps, stages=SUPER_STAGES)
-            report = report._replace(time_uniqueness_gap=time_gap())
+        report = eps_continuation(cfg.schedule, cfg.flow, phi, u0, tol=cfg.tol,
+                                  warm_start=cfg.warm_start, sample_every=cfg.snapshot_every_steps,
+                                  stages=SUPER_STAGES, time_check=cfg.time_check)
         _dump_json(report.json_dict(), out / "continuation.json")
         if not report.converged:
             raise ConvergenceError(

@@ -10,9 +10,10 @@ uniqueness gap measured inside a single run.
 All stepping goes through one loop, _step_until, which states the mixing
 and sampling rules; flow.flow_step states the RKL1 super-step.  Mixed
 super-steps reach the same leg limits as explicit steps in fewer operator
-sweeps.  The time check is a stop rule (TimeSnapshots) on its own explicit
-run, because it reads the states at the requested times, which
-super-steps step over.
+sweeps.  The time check is a stop rule (TimeSnapshots) on explicit steps,
+because it reads the states at the requested times, which super-steps step
+over: eps_continuation runs it as leg 1's explicit prefix, from u0 at leg
+1's eps, and time_sequence_uniqueness_check as a run of its own.
 
 Convergence statements live on compact interior subsets, so the probe set
 excludes a 4-cell boundary collar; trace behavior at the boundary itself is
@@ -119,13 +120,16 @@ def _step_until(state: FlowState, params: FlowParams, stop, sample_every=0, stag
 
 
 def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
-                        sample_every: int = 1, stages: int = 1) -> tuple[FlowState, bool]:
+                        sample_every: int = 1, stages: int = 1,
+                        snapshots: TimeSnapshots | None = None) -> tuple[FlowState, bool]:
     """Step the flow until sup|u_t| drops below tol * (1 + sup|u0|).
 
     Returns the final state and whether the threshold was reached before
     t_end.  Stationary data converges in zero steps: the initial residual
-    sup|L^eps u0| is checked before any stepping.  sample_every and stages
-    go to _step_until; the history holds its samples and the last step.
+    sup|L^eps u0| is checked before any stepping.  With snapshots, the run
+    first takes explicit steps until they hold, whatever the residual, and
+    t_end counts those steps.  sample_every and stages go to _step_until;
+    the history holds its samples and the last step.
     """
     problems = [] if tol > 0 else [f"quasi-steady tolerance must be positive, got {tol}"]
     problems += [f"{name} must be a positive integer, got {value!r}"
@@ -136,6 +140,8 @@ def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
     state = initial_state(u0, phi, params)
     threshold = tol * (1.0 + state.u.sup_abs())
 
+    if snapshots is not None:
+        _step_until(state, params, snapshots, sample_every)
     _step_until(state, params, lambda s: s.sup_ut < threshold or s.t >= params.t_end,
                 sample_every, stages)
     if state.step and state.history[-1].step != state.step:
@@ -220,7 +226,8 @@ def eps_schedule(schedule) -> list:
 
 def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
                      tol: float = 1e-5, warm_start: bool = True,
-                     sample_every: int = 1, stages: int = 1) -> ContinuationReport:
+                     sample_every: int = 1, stages: int = 1,
+                     time_check: dict | None = None) -> ContinuationReport:
     """Continuation over a decreasing eps schedule.
 
     schedule None uses eps_i = 0.1 * 2^-i and stops once the probe-set gap
@@ -230,6 +237,11 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     that fails to reach quasi-steady state within t_end is recorded and
     aborts the remaining schedule.  sample_every and stages go to
     run_to_quasi_steady; the report's history holds each leg's samples.
+
+    time_check, {"times_a": [...], "times_b": [...]}, rides leg 1: its
+    TimeSnapshots are leg 1's explicit prefix (run_to_quasi_steady), and
+    once the legs end their gap is the report's time_uniqueness_gap, the
+    same as time_sequence_uniqueness_check's at leg 1's eps from u0.
     """
     dom = u0.domain
     phi = as_field(dom, phi)
@@ -237,11 +249,14 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     sched_iter = ([0.1 * 2.0 ** (-i) for i in range(DEFAULT_MAX_LEGS)] if dynamic
                   else eps_schedule(schedule))
     probe = probe_mask(dom)
+    check = (None if time_check is None else
+             TimeSnapshots(params._replace(eps=sched_iter[0]), **time_check))
 
     legs, gaps, history, current = [], [], [], u0
     for eps in sched_iter:
         state, ok = run_to_quasi_steady(params._replace(eps=eps), phi,
-                                        current if warm_start else u0, tol, sample_every, stages)
+                                        current if warm_start else u0, tol, sample_every, stages,
+                                        None if legs else check)
         history.extend(state.history)
         current = state.u
         energy = state.history[-1].energy_eps if state.step else e_eps(current, eps)
@@ -259,7 +274,8 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     return ContinuationReport(eps_schedule=[leg.eps for leg in legs], legs=legs,
                               cauchy_gaps=gaps, trace_error=trace_error(current, phi, dom),
                               converged=all(leg.converged for leg in legs), u_bar=current,
-                              probe_count=int(probe.sum()), history=history)
+                              probe_count=int(probe.sum()), history=history,
+                              time_uniqueness_gap=None if check is None else check.result().gap)
 
 
 class AttainmentPoint(NamedTuple):

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from itertools import product
 from pathlib import Path
 
@@ -489,25 +488,40 @@ MOVING = {"phi": {"kind": "scherk"},
 CHECKED = {**MOVING, "time_check": {"times_a": [0.05, 0.1], "times_b": [0.075, 0.125]}}
 
 
+def solution_values(run_dir):
+    return np.loadtxt(run_dir / "solution.csv", delimiter=",", skiprows=1)[:, -1]
+
+
 @pytest.mark.parametrize("data,times", [
     (MOVING, ([0.05, 0.1], [0.075, 0.125])),  # leg 1 runs past the last time
-    (MOVING, ([0.3], [0.6])),                # leg 1 converges before it
-    ({}, ([0.01], [0.02])),                  # stationary: leg 1 takes 0 steps
+    (MOVING, ([0.3], [0.6])),                # leg 1 would converge before it: 756 explicit steps
+    ({}, ([0.01], [0.02])),                  # stationary: leg 1 takes only the check's steps
 ], ids=["past", "converged", "stationary"])
 def test_time_check_changes_no_artifact_but_its_gap(tmp_path, data, times):
+    # the check rides leg 1 as its explicit prefix, so leg 1's steps and rows
+    # change and u_bar moves within tol: by 1.6e-7 (past) and 1.0e-6
+    # (converged) at tol 3e-4, held here to 1e-5.  The barrier and the
+    # attainment verdicts stay those of the bare run
     runs = {}
     for name, check in (("checked", {"times_a": times[0], "times_b": times[1]}), ("bare", None)):
         cfg_path, _ = write_config(tmp_path, f"{name}.json", time_check=check, **data)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / name)]) == 0
         runs[name] = tmp_path / name
-    for name in set(RUN_ARTIFACTS) - {"config_resolved.json", "continuation.json"}:
-        assert (runs["checked"] / name).read_bytes() == (runs["bare"] / name).read_bytes(), name
+    assert (runs["checked"] / "barrier.json").read_bytes() == (runs["bare"] / "barrier.json").read_bytes()
+    attained, bare_attained = (json.loads((d / "attainment.json").read_text()) for d in runs.values())
+    for key in ("attained", "detached", "uncertified"):
+        assert attained[key] == bare_attained[key], key
+    assert np.max(np.abs(solution_values(runs["checked"]) - solution_values(runs["bare"]))) <= 1e-5
     cont, bare = (json.loads((d / "continuation.json").read_text()) for d in runs.values())
-    assert {**cont, "time_uniqueness_gap": None} == bare
-    assert (cont["legs"][0]["steps"] > 0) == bool(data)
-    # the gap is the library's explicit check at flow.eps, from u0
+    assert cont["legs"][0]["steps"] > bare["legs"][0]["steps"]
+    if not data:  # the prefix's explicit steps keep stationary data as it is
+        assert bare["legs"][0]["steps"] == 0
+        assert (runs["checked"] / "solution.csv").read_bytes() == \
+            (runs["bare"] / "solution.csv").read_bytes()
+    # the gap is the library's explicit check at leg 1's eps, from u0
     cfg = parse_config(json.loads((tmp_path / "checked.json").read_text()), tmp_path)
     _, phi, u0 = graphflow.cli._build_problem(cfg, tmp_path)
+    assert cfg.flow.eps == cfg.schedule[0]
     assert cont["time_uniqueness_gap"] == time_sequence_uniqueness_check(
         cfg.flow, phi, u0, *times).gap
 
@@ -552,11 +566,10 @@ def test_run_snapshot_cadence_thins_diagnostics(tmp_path):
 
 
 def test_run_default_cadence_samples_each_leg(tmp_path, monkeypatch):
-    # moving data and a time check, which records no rows: each leg keeps
-    # steps 1, 11, 21, ... and its last step, row for row as the dense run
-    # writes them, and E^eps is evaluated for those rows only.  The time
-    # check runs inline, so the count sees every call of this process
-    one_cpu(monkeypatch)
+    # moving data and a time check, whose explicit steps are leg 1's first
+    # steps and rows: each leg keeps steps 1, 11, 21, ... and its last step,
+    # row for row as the dense run writes them, and E^eps is evaluated for
+    # those rows only
     energies, real = [], graphflow.flow.e_eps
     monkeypatch.setattr(graphflow.flow, "e_eps",
                         lambda *args: energies.append(1) or real(*args))
@@ -571,7 +584,7 @@ def test_run_default_cadence_samples_each_leg(tmp_path, monkeypatch):
         assert len(energies) == len(rows[name])
     cont = json.loads((tmp_path / "default" / "continuation.json").read_text())
     steps = [leg["steps"] for leg in cont["legs"]]
-    assert steps == [12, 5]
+    assert steps == [756, 5]
     assert len(rows["dense"]) == sum(steps)
     legs = [rows["dense"][:steps[0]], rows["dense"][steps[0]:]]
     assert rows["default"] == [row for leg in legs for i, row in enumerate(leg)
@@ -583,9 +596,8 @@ def test_run_default_cadence_samples_each_leg(tmp_path, monkeypatch):
 
 def test_run_is_byte_identical_across_blas_threads(tmp_path):
     # the least-squares fit of the legs' Anderson mixing is the first
-    # BLAS-sized reduction on the flow path, and the time check's worker is
-    # forked from a process whose BLAS may hold threads: the thread count of
-    # a fresh interpreter must not change a byte
+    # BLAS-sized reduction on the flow path: the thread count of a fresh
+    # interpreter must not change a byte
     import graphflow
     src = str(Path(graphflow.__file__).resolve().parents[1])
     cfg_path, _ = write_config(tmp_path, **CHECKED)
@@ -619,194 +631,96 @@ def test_run_checks_estimates_on_steps_the_cadence_skips(tmp_path, monkeypatch):
     assert fail["message"].startswith("maximum principle violated at step 5:")
 
 
-# ------------------------------------------------------- the time check worker
-
-TWO_CPUS = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-
-def one_cpu(monkeypatch):
-    """Allow this process one CPU, so a time check runs inline."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+def run_files(out):
+    return sorted(p.name for p in out.iterdir())
 
 
-def idle_host(monkeypatch, running=1):
-    """Report running runnable tasks on the host (1: this process alone),
-    with the CPU this process really runs on."""
-    real = graphflow.cli._runnable_and_cpu
-    monkeypatch.setattr(graphflow.cli, "_runnable_and_cpu", lambda: (running, real()[1]))
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the workers forked from this process."""
-    pids, fork = [], os.fork
-
-    def counting():
-        pid = fork()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    return pids
-
-
-def run_both_ways(tmp_path, monkeypatch, forks, **overrides):
-    """Run one config with the time check in a worker, then inline; returns
-    the exit codes and the two output directories."""
-    cfg_path, _ = write_config(tmp_path, **overrides)
-    codes, affinity = [], os.sched_getaffinity
-    mask = affinity(0)
-    idle_host(monkeypatch)
-    for way in ("worker", "inline"):
-        if way == "inline":
-            one_cpu(monkeypatch)
-        codes.append(main(["run", str(cfg_path), "--out", str(tmp_path / way)]))
-        with pytest.raises(ChildProcessError):  # every worker was reaped
-            os.waitpid(-1, os.WNOHANG)
-        assert affinity(0) == mask
-    assert len(forks) == TWO_CPUS and all(pid > 0 for pid in forks)
-    return codes, tmp_path / "worker", tmp_path / "inline"
-
-
-def same_files(a, b):
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir())
-    for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    return names
-
-
-def test_time_check_worker_writes_the_inline_bytes(tmp_path, monkeypatch, forks):
-    codes, worker, inline = run_both_ways(tmp_path, monkeypatch, forks, **CHECKED)
-    assert codes == [0, 0]
-    assert same_files(worker, inline) == sorted(RUN_ARTIFACTS + ("manifest.json",))
-    assert json.loads((worker / "continuation.json").read_text())["time_uniqueness_gap"] > 0
-
-
-def test_time_check_worker_estimate_violation_fails_as_inline(tmp_path, monkeypatch, forks):
-    # patched before the fork, so the worker's time check reads it too: the
-    # negated defect rises wherever the real one falls
+def test_time_check_estimate_violation_exits_2(tmp_path, monkeypatch):
+    # the negated defect rises wherever the real one falls
     real = graphflow.continuation._source_norm
     monkeypatch.setattr(graphflow.continuation, "_source_norm", lambda u, eps: -real(u, eps))
-    codes, worker, inline = run_both_ways(tmp_path, monkeypatch, forks, **CHECKED)
-    assert codes == [2, 2]
-    assert same_files(worker, inline) == ["barrier.json", "config_resolved.json", "failure.json"]
-    fail = json.loads((worker / "failure.json").read_text())
+    cfg_path, out = write_config(tmp_path, **CHECKED)
+    assert main(["run", str(cfg_path)]) == 2
+    assert run_files(out) == ["barrier.json", "config_resolved.json", "failure.json"]
+    fail = json.loads((out / "failure.json").read_text())
     assert fail["error"] == "EstimateViolation"
     assert fail["message"].startswith("stationarity defect rose from")
 
 
-def test_time_check_worker_divergence_keeps_step_and_node(tmp_path, monkeypatch, forks):
-    def diverged(*args, **kwargs):
-        raise graphflow.errors.FlowDiverged("non-finite value at node (3, 4) on step 7",
-                                            step=7, node=(3, 4))
+def test_time_check_divergence_keeps_step_and_node(tmp_path, monkeypatch):
+    # a step of leg 1's explicit prefix diverges
+    step, taken = graphflow.continuation.flow_step, []
 
-    monkeypatch.setattr(graphflow.cli, "time_sequence_uniqueness_check", diverged)
-    codes, worker, inline = run_both_ways(tmp_path, monkeypatch, forks, **CHECKED)
-    assert codes == [3, 3]
-    same_files(worker, inline)
-    fail = json.loads((worker / "failure.json").read_text())
+    def diverging(state, params, sample, stages):
+        taken.append(stages)
+        if state.step == 6:
+            raise graphflow.errors.FlowDiverged("non-finite value at node (3, 4) on step 7",
+                                                step=7, node=(3, 4))
+        return step(state, params, sample, stages)
+
+    monkeypatch.setattr(graphflow.continuation, "flow_step", diverging)
+    cfg_path, out = write_config(tmp_path, **CHECKED)
+    assert main(["run", str(cfg_path)]) == 3
+    assert taken == [1] * 7
+    assert run_files(out) == ["barrier.json", "config_resolved.json", "failure.json"]
+    fail = json.loads((out / "failure.json").read_text())
     assert (fail["error"], fail["step"], fail["node"]) == ("FlowDiverged", 7, [3, 4])
 
 
-def test_time_check_worker_loses_to_a_failing_leg(tmp_path, monkeypatch, forks):
-    # the legs fail while the worker still runs: the worker is killed, and
-    # the legs' error is the run's, as when the check runs inline after them
-    def legs(*args, **kwargs):
-        raise graphflow.errors.FlowDiverged("the legs diverged", step=2, node=(1, 1))
-
-    monkeypatch.setattr(graphflow.cli, "eps_continuation", legs)
-    monkeypatch.setattr(graphflow.cli, "time_sequence_uniqueness_check",
-                        lambda *args, **kwargs: time.sleep(60))
-    began = time.monotonic()
-    codes, worker, inline = run_both_ways(tmp_path, monkeypatch, forks, **CHECKED)
-    assert time.monotonic() - began < 30
-    assert codes == [3, 3]
-    assert same_files(worker, inline) == ["barrier.json", "config_resolved.json", "failure.json"]
-    assert json.loads((worker / "failure.json").read_text())["message"] == "the legs diverged"
+def test_time_check_gap_is_recorded_when_a_leg_does_not_converge(tmp_path):
+    cfg_path, out = write_config(tmp_path, **{**CHECKED, "flow": {"eps": 0.1, "t_end": 0.2}})
+    assert main(["run", str(cfg_path)]) == 3
+    assert "continuation.json" in run_files(out) and "manifest.json" not in run_files(out)
+    cont = json.loads((out / "continuation.json").read_text())
+    assert cont["converged"] is False and cont["time_uniqueness_gap"] > 0
 
 
-def test_time_check_worker_joins_before_a_convergence_failure(tmp_path, monkeypatch, forks):
-    # a leg that does not converge still records the gap, as inline
-    codes, worker, inline = run_both_ways(tmp_path, monkeypatch, forks,
-                                          **{**CHECKED, "flow": {"eps": 0.1, "t_end": 0.2}})
-    assert codes == [3, 3]
-    assert "continuation.json" in same_files(worker, inline)
-    cont = json.loads((worker / "continuation.json").read_text())
-    assert cont["converged"] is False and cont["time_uniqueness_gap"] is not None
+@pytest.mark.parametrize("t_end,times,code", [
+    (0.125, CHECKED["time_check"], 3),                # leg 1 still moves at t_end
+    (0.6, {"times_a": [0.3], "times_b": [0.6]}, 0),  # leg 1 has converged by t_end
+])
+def test_time_check_up_to_t_end(tmp_path, t_end, times, code):
+    # a requested time may equal t_end, and t_end counts leg 1's explicit steps
+    cfg_path, out = write_config(tmp_path, **{**MOVING, "flow": {"eps": 0.1, "t_end": t_end}},
+                                 time_check=times)
+    assert main(["run", str(cfg_path)]) == code
+    cont = json.loads((out / "continuation.json").read_text())
+    assert cont["legs"][0]["converged"] is (code == 0)
+    assert cont["time_uniqueness_gap"] > 0
 
 
-def test_time_check_runs_inline_while_no_cpu_is_idle(tmp_path, monkeypatch, forks):
-    # as many runnable tasks as allowed CPUs, as with concurrent runs: the
-    # check runs inline, as on one CPU, and writes the worker's bytes
-    cfg_path, _ = write_config(tmp_path, **CHECKED)
-    idle_host(monkeypatch, running=len(os.sched_getaffinity(0)))
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "busy")]) == 0
-    assert forks == []
-    idle_host(monkeypatch)
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "idle")]) == 0
-    assert len(forks) == TWO_CPUS
-    same_files(tmp_path / "busy", tmp_path / "idle")
+@pytest.mark.parametrize("flow,schedule", [
+    ({"eps": 0.1, "t_end": 50.0}, [0.1, 0.05, 0.025]),  # the benchmark's scherk_flow
+    ({"eps": 0.1}, None),
+    ({}, [0.05, 0.025]),
+])
+def test_parse_accepts_flow_eps_of_leg_1(tmp_path, flow, schedule):
+    cfg = parse_config(base_config(tmp_path / "out", flow=flow, schedule=schedule), tmp_path)
+    assert cfg.flow.eps == (0.1 if schedule is None else schedule[0])
 
 
-@pytest.mark.parametrize("running,cpus", [(1, {1, 2}), (2, {1, 2}), (3, None), (9, None)])
-def test_worker_cpus_leave_this_process_its_cpu_while_one_is_idle(monkeypatch, running, cpus):
-    monkeypatch.setattr(graphflow.cli, "_runnable_and_cpu", lambda: (running, 0))
-    assert graphflow.cli._worker_cpus({0, 1, 2}) == cpus
+@pytest.mark.parametrize("schedule,first", [([0.1, 0.05], 0.1), (None, 0.1)])
+def test_run_flow_eps_other_than_leg_1s_exits_1(tmp_path, schedule, first):
+    cfg_path, out = write_config(tmp_path, flow={"eps": 0.05}, schedule=schedule)
+    assert main(["run", str(cfg_path)]) == 1
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["error"] == "ConfigError" and fail["problems"] == [
+        f"flow eps must equal the first eps of schedule, {first}, got 0.05"]
+    assert not (out / "barrier.json").exists()
 
 
-def test_worker_cpus_none_where_proc_does_not_tell(monkeypatch):
-    def unreadable():
-        raise FileNotFoundError("/proc/loadavg")
-
-    monkeypatch.setattr(graphflow.cli, "_runnable_and_cpu", unreadable)
-    assert graphflow.cli._worker_cpus({0, 1}) is None
-
-
-def test_runnable_and_cpu_reads_this_process():
-    running, cpu = graphflow.cli._runnable_and_cpu()
-    assert running >= 1 and cpu in os.sched_getaffinity(0)
-
-
-def test_time_check_worker_is_pinned_off_this_process_cpu(monkeypatch, forks):
-    # this process stays on its whole mask; the worker gets the rest of it
-    mask = os.sched_getaffinity(0)
-    cpu = min(mask)
-    monkeypatch.setattr(graphflow.cli, "_runnable_and_cpu", lambda: (1, cpu))
-    with graphflow.cli._beside(lambda: os.sched_getaffinity(0)) as join:
-        assert os.sched_getaffinity(0) == mask
-        worker = join()
-    assert len(forks) == TWO_CPUS
-    assert worker == (mask - {cpu} if TWO_CPUS else mask)
-
-
-def test_time_check_worker_error_keeps_its_traceback(monkeypatch, forks):
-    # an unexpected error shows the worker's failing frame, not only join's
-    def failing():
-        return {}["missing"]
-
-    idle_host(monkeypatch)
-    with pytest.raises(KeyError) as info:
-        with graphflow.cli._beside(failing) as join:
-            join()
-    notes = "\n".join(getattr(info.value, "__notes__", []))
-    assert ("in failing" in notes and "in the time-check worker" in notes) == TWO_CPUS
-
-
-def test_time_check_worker_error_that_does_not_pickle(monkeypatch, forks):
-    class Local(Exception):  # a class local to a function does not pickle
-        pass
-
-    def failing():
-        raise Local("odd")
-
-    idle_host(monkeypatch)
-    with pytest.raises(RuntimeError if TWO_CPUS else Local) as info:
-        with graphflow.cli._beside(failing) as join:
-            join()
-    if TWO_CPUS:
-        assert str(info.value).startswith("Local('odd') in the time-check worker:")
-        assert "in failing" in str(info.value)
+def test_run_time_check_runs_at_the_first_eps_of_the_schedule(tmp_path):
+    # no flow eps: the check, like leg 1, runs at 0.05, not at 0.1
+    cfg_path, out = write_config(tmp_path, **{**CHECKED, "flow": {"t_end": 5.0},
+                                              "schedule": [0.05, 0.025]})
+    assert main(["run", str(cfg_path)]) == 0
+    gap = json.loads((out / "continuation.json").read_text())["time_uniqueness_gap"]
+    cfg = parse_config(json.loads(cfg_path.read_text()), tmp_path)
+    _, phi, u0 = graphflow.cli._build_problem(cfg, tmp_path)
+    times = CHECKED["time_check"].values()
+    for eps, same in ((0.05, True), (0.1, False)):
+        check = time_sequence_uniqueness_check(cfg.flow._replace(eps=eps), phi, u0, *times)
+        assert (gap == check.gap) is same, eps
 
 
 def test_run_empty_probe_set_fails_before_barrier(tmp_path):
@@ -1187,8 +1101,8 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_process_pool_module():
-    # graphflow forks its one worker itself: multiprocessing and
-    # concurrent.futures would add their import time to every run
+    # a run is one process: multiprocessing and concurrent.futures would
+    # add their import time to every run
     import graphflow
     src = str(Path(graphflow.__file__).resolve().parents[1])
     code = ("import sys, graphflow.cli; print(sorted(m for m in sys.modules "

@@ -360,6 +360,29 @@ def test_time_sequences_validation():
         time_sequence_uniqueness_check(PARAMS, lambda x: 0.0, u0, [0.0], [0.5, -1.0])
 
 
+def test_time_check_rides_leg_1_as_its_explicit_prefix(monkeypatch):
+    # leg 1 steps explicitly from u0 until the last requested time, as the
+    # library check does at leg 1's eps, then takes super-steps; the
+    # stationarity defect is read at leg 1's eps too
+    defects, real = [], continuation._source_norm
+    monkeypatch.setattr(continuation, "_source_norm",
+                        lambda u, eps: defects.append(eps) or real(u, eps))
+    dom = euclid(1 / 16)
+    u0 = GridField.from_function(
+        dom, lambda x: 0.5 * np.sin(np.pi * x[0]) * np.sin(2 * np.pi * x[1]))
+    times = ([0.02, 0.05], [0.03])
+    rep = eps_continuation([0.05, 0.025], PARAMS, lambda x: 0.0, u0, tol=1e-6, stages=8,
+                           time_check={"times_a": times[0], "times_b": times[1]})
+    leg1 = PARAMS._replace(eps=0.05)
+    assert defects == [0.05] * 3
+    assert rep.time_uniqueness_gap == time_sequence_uniqueness_check(
+        leg1, lambda x: 0.0, u0, *times).gap
+    explicit, _ = run_to_quasi_steady(leg1, lambda x: 0.0, u0, 1e-6)
+    prefix = 1 + next(i for i, s in enumerate(explicit.history) if s.t >= 0.05)
+    assert rep.history[:prefix] == explicit.history[:prefix]
+    assert rep.legs[0].evaluations > rep.legs[0].steps > prefix
+
+
 # ------------------------------------------------------------------ attainment
 
 
