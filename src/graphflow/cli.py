@@ -436,6 +436,8 @@ def emit_report(run_dir: str) -> int:
             raise ConfigError(f"{manifest_path} has no artifacts object")
         bundle = {"manifest": manifest}
         for name, digest in manifest["artifacts"].items():
+            if name in ("", "..") or Path(name).name != name:  # absolute, nested or parent
+                raise ConfigError(f"manifest lists {name!r}, which is not a file in {run_dir}")
             path = out / name
             if not path.is_file():
                 raise ConfigError(f"manifest lists {name} but it is missing")

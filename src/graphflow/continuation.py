@@ -7,6 +7,12 @@ the schedule) is summarized by Cauchy gaps between successive leg limits on
 an interior probe set, a boundary trace error, and a cross-time-sequence
 uniqueness gap measured inside a single run.
 
+For eps > 0 a leg is the gradient flow of the strictly convex
+E^eps = integral W + (eps/2)|Du|^2, so its limit does not depend on its
+start.  The run's limit is the last leg's; an explicit schedule's earlier
+legs only warm-start the next one and feed the Cauchy gaps, so they stop
+at the gap resolution DEFAULT_GAP_STOP when tol is finer (eps_continuation).
+
 All stepping goes through one loop, _step_until, which states the mixing
 and sampling rules; flow.flow_step states the RKL1 super-step.  Mixed
 super-steps reach the same leg limits as explicit steps in fewer operator
@@ -22,6 +28,7 @@ classified separately against the barrier certificates.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from numbers import Integral
 from typing import NamedTuple
@@ -34,7 +41,12 @@ from .functionals import e_eps, interior_integral, total_variation
 from .grid import GridDomain, GridField, _norm, as_field
 
 PROBE_COLLAR = 4          # probe set: interior nodes >= this many cells inside
-DEFAULT_GAP_STOP = 1e-4   # default schedule stops once legs agree this well
+# The default schedule stops once two legs agree this well on the probe set.
+# The same scale bounds an explicit schedule's intermediate legs: a leg held
+# to it moves its gaps far less than the gap resolution itself (at most
+# 2.8e-7 on the benchmark's configs), while 1e-3 moved poincare_mixed's gap
+# x9.4 and 1e-5 saved half as many evaluations on scherk_flow (24, not 48)
+DEFAULT_GAP_STOP = 1e-4
 DEFAULT_MAX_LEGS = 13     # eps_i = 0.1 * 2^-i for i = 0..12
 # RKL1 stages per eps-leg super-step in graphflow run.  Operator
 # evaluations summed over the legs of the benchmark's scherk_flow at
@@ -131,7 +143,8 @@ def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
     t_end counts those steps.  sample_every and stages go to _step_until;
     the history holds its samples and the last step.
     """
-    problems = [] if tol > 0 else [f"quasi-steady tolerance must be positive, got {tol}"]
+    problems = [] if 0 < tol < math.inf else [
+        f"quasi-steady tolerance must be finite and positive, got {tol}"]
     problems += [f"{name} must be a positive integer, got {value!r}"
                  for name, value in (("sample_every", sample_every), ("stages", stages))
                  if not (isinstance(value, Integral) and value >= 1)]
@@ -152,12 +165,14 @@ def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
 class EpsLeg(NamedTuple):
     """Summary of one eps level, with a reference to its quasi-steady field.
 
-    tv_final is the graph total variation of the leg limit, the discrete
-    stand-in for the flow staying in W^{1,1}.  evaluations counts the
-    operator sweeps, the stages summed over the steps.
+    tol is the quasi-steady tolerance the leg was held to, and converged
+    says whether it reached it.  tv_final is the graph total variation of
+    the leg limit, the discrete stand-in for the flow staying in W^{1,1}.
+    evaluations counts the operator sweeps, the stages summed over the steps.
     """
 
     eps: float
+    tol: float
     steps: int
     evaluations: int
     final_sup_ut: float
@@ -168,7 +183,7 @@ class EpsLeg(NamedTuple):
     u_ref: GridField
 
     def json_dict(self) -> dict:
-        return {"eps": float(self.eps), "steps": int(self.steps),
+        return {"eps": float(self.eps), "tol": float(self.tol), "steps": int(self.steps),
                 "evaluations": int(self.evaluations),
                 "final_sup_ut": float(self.final_sup_ut),
                 "converged": bool(self.converged),
@@ -212,9 +227,11 @@ def trace_error(u: GridField, phi, domain: GridDomain) -> float:
 
 def eps_schedule(schedule) -> list:
     """An explicit eps schedule as floats; ConfigError listing every broken
-    rule unless it is nonempty, positive and strictly decreasing."""
+    rule unless it is nonempty, finite, positive and strictly decreasing."""
     sched = [float(e) for e in schedule]
     problems = [] if sched else ["eps schedule is empty"]
+    if not all(map(math.isfinite, sched)):
+        problems.append(f"eps schedule must be finite: {sched}")
     if any(e <= 0 for e in sched):
         problems.append(f"eps schedule must be positive: {sched}")
     if any(b >= a for a, b in zip(sched, sched[1:])):
@@ -238,6 +255,12 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     aborts the remaining schedule.  sample_every and stages go to
     run_to_quasi_steady; the report's history holds each leg's samples.
 
+    The last leg is held to tol.  So is every leg of the default schedule,
+    since any of them may turn out to be the last.  An explicit schedule's
+    earlier legs are held to max(tol, DEFAULT_GAP_STOP): each has a unique
+    limit, and they serve only as warm starts and as the Cauchy gaps, which
+    need no more than the gap resolution.  Each leg records its tol.
+
     time_check, {"times_a": [...], "times_b": [...]}, rides leg 1: its
     TimeSnapshots are leg 1's explicit prefix (run_to_quasi_steady), and
     once the legs end their gap is the report's time_uniqueness_gap, the
@@ -253,14 +276,15 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
              TimeSnapshots(params._replace(eps=sched_iter[0]), **time_check))
 
     legs, gaps, history, current = [], [], [], u0
-    for eps in sched_iter:
+    for i, eps in enumerate(sched_iter):
+        leg_tol = tol if dynamic or i == len(sched_iter) - 1 else max(tol, DEFAULT_GAP_STOP)
         state, ok = run_to_quasi_steady(params._replace(eps=eps), phi,
-                                        current if warm_start else u0, tol, sample_every, stages,
-                                        None if legs else check)
+                                        current if warm_start else u0, leg_tol, sample_every,
+                                        stages, None if legs else check)
         history.extend(state.history)
         current = state.u
         energy = state.history[-1].energy_eps if state.step else e_eps(current, eps)
-        legs.append(EpsLeg(eps=eps, steps=state.step, evaluations=state.evaluations,
+        legs.append(EpsLeg(eps=eps, tol=leg_tol, steps=state.step, evaluations=state.evaluations,
                            final_sup_ut=float(state.sup_ut),
                            converged=ok, energy_final=float(energy),
                            dissipation_total=float(state.dissipation_cum),

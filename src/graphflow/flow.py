@@ -56,22 +56,23 @@ class _FlowFields(NamedTuple):
 
 class FlowParams(_FlowFields):
     """Stepping parameters.  cfl scales stable_dt and lies in (0, 1/4]: for
-    n >= 2 the explicit step is stable only up to cfl 1/4.  Every
-    construction, _make and _replace included, checks the values."""
+    n >= 2 the explicit step is stable only up to cfl 1/4; eps, delta and
+    t_end are finite.  Every construction, _make and _replace included,
+    checks the values."""
 
     __slots__ = ()
 
     def __new__(cls, eps: float, delta: float = 0.0, cfl: float = 0.25, t_end: float = 1.0,
                 assert_estimates: bool = False):
-        problems = []
-        if eps < 0:
-            problems.append(f"eps must be nonnegative, got {eps}")
-        if delta < 0:
-            problems.append(f"delta must be nonnegative, got {delta}")
+        problems = []  # each test is written to fail on NaN
+        if not 0 <= eps < math.inf:
+            problems.append(f"eps must be finite and nonnegative, got {eps}")
+        if not 0 <= delta < math.inf:
+            problems.append(f"delta must be finite and nonnegative, got {delta}")
         if not 0.0 < cfl <= 0.25:
             problems.append(f"cfl must lie in (0, 1/4], got {cfl}")
-        if t_end <= 0:
-            problems.append(f"t_end must be positive, got {t_end}")
+        if not 0 < t_end < math.inf:
+            problems.append(f"t_end must be finite and positive, got {t_end}")
         if problems:
             raise ConfigError(problems)
         return super().__new__(cls, eps, delta, cfl, t_end, assert_estimates)

@@ -526,6 +526,65 @@ def test_time_check_changes_no_artifact_but_its_gap(tmp_path, data, times):
         cfg.flow, phi, u0, *times).gap
 
 
+SCHERK_BOX = {"chart": {"kind": "euclidean", "n": 2, "box": [[-1.0, 1.0], [-1.0, 1.0]]},
+              "region": {"region": "box"}, "phi": {"kind": "scherk"},
+              "u0": {"kind": "constant", "value": 0.0}, "flow": {"t_end": 50.0}}
+
+
+def run_with_every_leg_at_tol(monkeypatch, cfg_path, out):
+    """graphflow run with no leg held to the gap resolution: every leg at tol."""
+    with monkeypatch.context() as patch:
+        patch.setattr(graphflow.continuation, "DEFAULT_GAP_STOP", 0.0)
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    return json.loads((out / "continuation.json").read_text())
+
+
+def test_intermediate_legs_stop_at_the_gap_resolution(tmp_path, monkeypatch):
+    # scherk_flow's config: legs 1 and 2 only warm-start the next leg and
+    # feed the gaps, so they stop at DEFAULT_GAP_STOP; the last keeps tol.
+    # Measured against every leg at tol: 202/48/72 against 226/72/72
+    # evaluations, u_bar within 6.8e-13 and the gaps within 1.2e-7 (bench
+    # seeds 0-15: 8.0e-12 and 2.8e-7)
+    cfg_path, _ = write_config(tmp_path, **SCHERK_BOX, h=0.0625, schedule=[0.1, 0.05, 0.025],
+                               time_check={"times_a": [0.05, 0.1], "times_b": [0.075, 0.125]})
+    loose, tight = tmp_path / "loose", tmp_path / "tight"
+    assert main(["run", str(cfg_path), "--out", str(loose)]) == 0
+    ref = run_with_every_leg_at_tol(monkeypatch, cfg_path, tight)
+    cont = json.loads((loose / "continuation.json").read_text())
+    assert [leg["tol"] for leg in cont["legs"]] == [1e-4, 1e-4, 1e-6]
+    assert [leg["tol"] for leg in ref["legs"]] == [1e-6] * 3
+    # each leg converged against its own tol; leg 1 (from u0 = 0) stopped
+    # above the threshold tol * (1 + 0) of the last leg's tol
+    assert all(leg["converged"] for leg in cont["legs"]) and cont["converged"]
+    assert cont["legs"][0]["final_sup_ut"] > 1e-6
+    assert sum(leg["evaluations"] for leg in cont["legs"]) < \
+        sum(leg["evaluations"] for leg in ref["legs"])
+    assert np.max(np.abs(solution_values(loose) - solution_values(tight))) <= 1e-10
+    assert np.max(np.abs(np.subtract(cont["cauchy_gaps"], ref["cauchy_gaps"]))) <= 1e-5
+    assert cont["time_uniqueness_gap"] == ref["time_uniqueness_gap"]
+    assert (loose / "barrier.json").read_bytes() == (tight / "barrier.json").read_bytes()
+    attained, ref_attained = (json.loads((d / "attainment.json").read_text())
+                              for d in (loose, tight))
+    for key in ("attained", "detached", "uncertified"):
+        assert attained[key] == ref_attained[key], key
+
+
+def test_default_schedule_holds_every_leg_to_tol(tmp_path, monkeypatch):
+    # with schedule null any leg may be the last, so each keeps tol: the run
+    # writes what the explicit schedule of its own legs writes at tol
+    cfg_path, _ = write_config(tmp_path, "null.json", **SCHERK_BOX, h=0.125, schedule=None)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "null")]) == 0
+    cont = json.loads((tmp_path / "null" / "continuation.json").read_text())
+    assert len(cont["legs"]) > 2 and all(leg["steps"] for leg in cont["legs"])
+    assert [leg["tol"] for leg in cont["legs"]] == [1e-6] * len(cont["legs"])
+    explicit, _ = write_config(tmp_path, "explicit.json", **SCHERK_BOX, h=0.125,
+                               schedule=cont["eps_schedule"])
+    run_with_every_leg_at_tol(monkeypatch, explicit, tmp_path / "explicit")
+    for name in ("continuation.json", "attainment.json", "solution.csv", "diagnostics.csv"):
+        assert (tmp_path / "null" / name).read_bytes() == \
+            (tmp_path / "explicit" / name).read_bytes(), name
+
+
 def test_resolved_config_is_a_config(tmp_path):
     # running a run's own config_resolved.json, elsewhere, writes the same bytes
     cfg_path, _ = write_config(tmp_path, **CHECKED)
@@ -978,6 +1037,20 @@ def test_report_detects_missing_artifact(tmp_path, capsys):
     (out / "attainment.json").unlink()
     assert main(["report", str(out)]) == 1
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute"])
+def test_report_refuses_artifacts_outside_the_run_directory(tmp_path, capsys, where):
+    # the entry's hash is right, so only its name can refuse it
+    run_dir, outside = tmp_path / "run", tmp_path / "x.json"
+    run_dir.mkdir()
+    outside.write_text('{"secret": 1}\n')
+    name = "../x.json" if where == "parent" else str(outside)
+    (run_dir / "manifest.json").write_text(json.dumps({"artifacts": {name: sha256(outside)}}))
+    assert main(["report", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and repr(name) in err
+    assert not (run_dir / "report.json").exists()
 
 
 # --------------------------------------------------------------------- barrier

@@ -61,8 +61,10 @@ def test_one_dimensional_affine_limit():
 def test_quasi_steady_tolerance_validation():
     dom = euclid(1 / 8)
     u0 = GridField.constant(dom, 0.0)
-    with pytest.raises(ConfigError):
-        run_to_quasi_steady(PARAMS, lambda x: 0.0, u0, 0.0)
+    # an infinite tol would stop every leg at its start, reported converged
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            run_to_quasi_steady(PARAMS, lambda x: 0.0, u0, tol)
 
 
 @pytest.mark.parametrize("key", ["sample_every", "stages"])
@@ -158,9 +160,39 @@ def test_failed_leg_recorded_and_aborts_schedule():
 def test_bad_schedules_rejected():
     dom = euclid(1 / 16)
     u0 = GridField.constant(dom, 0.0)
-    for sched in ([], [0.1, 0.1], [0.05, 0.1], [0.1, -0.05]):
+    nan, inf = float("nan"), float("inf")
+    for sched in ([], [0.1, 0.1], [0.05, 0.1], [0.1, -0.05], [nan], [inf, 0.1], [0.1, nan]):
         with pytest.raises(ConfigError):
             eps_continuation(sched, PARAMS, lambda x: 0.0, u0)
+
+
+def _scherk_legs(tol, warm_start=True):
+    dom = euclid(1 / 8, box=[[-1.0, 1.0], [-1.0, 1.0]])
+    return eps_continuation([0.1, 0.05, 0.025], PARAMS, scherk, GridField.constant(dom, 0.0),
+                            tol=tol, warm_start=warm_start, stages=8)
+
+
+@pytest.mark.parametrize("tol,warm_start,tols", [
+    (1e-6, True, [1e-4, 1e-4, 1e-6]),
+    (1e-6, False, [1e-4, 1e-4, 1e-6]),
+    (1e-4, True, [1e-4] * 3),
+    (3e-4, True, [3e-4] * 3),
+])
+def test_legs_before_the_last_are_held_to_the_gap_resolution(monkeypatch, tol, warm_start, tols):
+    # max(tol, DEFAULT_GAP_STOP) before the last leg, tol on it; a tol of
+    # DEFAULT_GAP_STOP or more binds every leg, which then runs as before
+    rep = _scherk_legs(tol, warm_start)
+    assert [leg.tol for leg in rep.legs] == tols
+    assert [leg.json_dict()["tol"] for leg in rep.legs] == tols
+    monkeypatch.setattr(continuation, "DEFAULT_GAP_STOP", 0.0)
+    tight = _scherk_legs(tol, warm_start)
+    assert [leg.tol for leg in tight.legs] == [tol] * 3
+    if tol >= 1e-4:
+        assert [leg.evaluations for leg in rep.legs] == [leg.evaluations for leg in tight.legs]
+        assert np.array_equal(rep.u_bar.values, tight.u_bar.values)
+    else:
+        assert rep.legs[0].evaluations < tight.legs[0].evaluations
+        assert np.max(np.abs(rep.u_bar.values - tight.u_bar.values)) <= 1e-10
 
 
 def test_probe_set_requires_room():

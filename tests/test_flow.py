@@ -89,6 +89,16 @@ def test_params_validation_collects_problems():
         assert frag in msg
 
 
+@pytest.mark.parametrize("field,value", [
+    ("eps", float("nan")), ("eps", float("inf")), ("delta", float("nan")),
+    ("delta", float("inf")), ("t_end", float("nan")), ("t_end", float("inf")),
+])
+def test_params_must_be_finite(field, value):
+    # a NaN passed the old sign checks, and a NaN t_end never ends a leg
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        FlowParams(**{"eps": 0.1, field: value})
+
+
 def test_cfl_is_bounded_by_the_explicit_limit():
     # for n >= 2 the explicit step is stable only up to cfl 1/4
     assert FlowParams(eps=0.1, cfl=0.25).cfl == 0.25
