@@ -30,7 +30,7 @@ from .flow import (DiagnosticSample, FlowParams, FlowState,
 from .functionals import (DiscreteSet, FunctionalReport, area, e_eps,
                           interior_integral, j_functional, product_grid,
                           set_perimeter, subgraph_perimeter, subgraph_set,
-                          total_variation, vertical_rearrangement, w_factor)
+                          total_variation, vertical_rearrangement)
 from .grid import (DIRICHLET, EXTERIOR, INTERIOR, GridDomain, GridField,
                    build_domain, interpolate_to, load_field_csv, save_field_csv)
 from .manifold import (MetricChart, builtin_chart, chart_from_spec,
@@ -58,5 +58,5 @@ __all__ = [
     "run_to_quasi_steady", "save_field_csv", "search_alpha", "set_perimeter",
     "stable_dt", "subgraph_perimeter", "subgraph_set",
     "time_sequence_uniqueness_check", "total_variation", "trace_error",
-    "vertical_rearrangement", "w_factor", "write_diagnostics_csv",
+    "vertical_rearrangement", "write_diagnostics_csv",
 ]

@@ -546,8 +546,14 @@ def run_selftest(out_override: str | None = None, seed: int = 0) -> int:
 # ----------------------------------------------------------------- interface
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as a config error does
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphflow",
         description="Minimal graphs via a viscosity-perturbed graphical "
                     "mean curvature flow: batch experiment runner.")

@@ -141,8 +141,8 @@ def l_eps_apply(u: GridField, eps: float) -> np.ndarray:
 
     At eps = 0 this is bit-for-bit the unperturbed operator.
     """
-    if eps < 0:
-        raise FunctionalError(f"eps must be nonnegative, got {eps}")
+    if not 0 <= eps < math.inf:  # written to fail on NaN
+        raise FunctionalError(f"eps must be finite and nonnegative, got {eps}")
     return _operator_arrays(u.domain, u.values, eps)[0]
 
 

@@ -28,8 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FunctionalError
-from .grid import (GridDomain, GridField, as_field, cell_gradient, contract,
-                   gradient_sweep, matvec)
+from .grid import GridDomain, GridField, as_field, cell_gradient, contract, matvec
 
 # vertical mollification band of the subgraph indicator, in t-cells
 MOLLIFY_BAND_CELLS = 3
@@ -57,14 +56,6 @@ def _cell_sum(domain: GridDomain, density: np.ndarray) -> float:
     """Midpoint quadrature of a density given at the complete cells, in
     cell_flat order."""
     return float((density * domain.cell_weights).sum() * domain.cell_volume)
-
-
-def w_factor(u: GridField) -> np.ndarray:
-    """Area density W = sqrt(1 + |Du|^2_sigma) at the interior nodes, in
-    interior_flat order."""
-    dom = u.domain
-    _, _, gradsq = gradient_sweep(dom, u.values.take(dom.node_table))
-    return np.sqrt(1.0 + gradsq)
 
 
 def area(u: GridField) -> float:
@@ -103,8 +94,8 @@ def total_variation(u: GridField) -> float:
 
 def e_eps(u: GridField, eps: float) -> float:
     """Perturbed energy E^eps(u) = integral W + (eps/2) |Du|^2."""
-    if eps < 0:
-        raise FunctionalError(f"epsilon must be nonnegative, got {eps}")
+    if not 0 <= eps < np.inf:  # written to fail on NaN
+        raise FunctionalError(f"eps must be finite and nonnegative, got {eps}")
     dom = u.domain
     gradsq, w = _cell_w(dom, u.values)
     return _cell_sum(dom, w + 0.5 * eps * gradsq)

@@ -20,7 +20,7 @@ itself, its neighbours along +e_a and -e_a, and its four diagonal
 neighbours per axis pair.  One values.take(node_table) gathers every value
 a sweep reads, and the sweeps return one stacked array per quantity whose
 last axis runs over the interior nodes in interior_flat order (sigma^{ij}
-and Gamma^k_ij are gathered the same way once per domain).  The cell
+and Gamma^k_ij are laid out the same way once per domain).  The cell
 stencils used for quadrature likewise read the 2^n corners of the complete
 cells through a corner table (cell_table), in cell_flat order.  Components
 are summed left to right over the stacked axis, so each value is one fixed
@@ -248,17 +248,15 @@ class GridDomain:
         return self.sqrt_det.take(self.interior_flat)
 
     @cached_property
-    def sig_inv(self) -> np.ndarray:
-        return self.chart.inverse(self.points)
-
-    @cached_property
     def sqrt_det(self) -> np.ndarray:
         return self.chart.sqrt_det(self.points)
 
     @cached_property
     def interior_sig_inv(self) -> np.ndarray:
-        """sigma^{ij} at the interior nodes, (n, n, interior) in interior_flat order."""
-        return np.ascontiguousarray(np.moveaxis(self.sig_inv[self.interior_index], 0, -1))
+        """sigma^{ij}, evaluated at the interior nodes only: (n, n, interior)
+        in interior_flat order."""
+        sig = self.chart.inverse(self.points[self.interior_index])
+        return np.ascontiguousarray(np.moveaxis(sig, 0, -1))
 
     @cached_property
     def interior_gamma(self) -> np.ndarray:
@@ -271,7 +269,7 @@ class GridDomain:
     @cached_property
     def interior_lambda_max(self) -> np.ndarray:
         """Largest eigenvalue of sigma^{ij} at each interior node."""
-        return np.linalg.eigvalsh(self.sig_inv[self.interior_index])[..., -1]
+        return np.linalg.eigvalsh(np.moveaxis(self.interior_sig_inv, -1, 0))[..., -1]
 
     @cached_property
     def node_table(self) -> np.ndarray:
@@ -336,10 +334,10 @@ class GridDomain:
 
     @cached_property
     def cell_sig_inv(self) -> np.ndarray:
-        """sigma^{ij} at the centers of the complete cells, (n, n, cells)
-        in cell_flat order."""
-        sig = self.chart.inverse(self.cell_centers).reshape(-1, self.dim, self.dim)
-        return np.ascontiguousarray(np.moveaxis(sig.take(self.cell_flat, axis=0), 0, -1))
+        """sigma^{ij}, evaluated at the centers of the complete cells only:
+        (n, n, cells) in cell_flat order."""
+        centers = self.cell_centers.reshape(-1, self.dim).take(self.cell_flat, axis=0)
+        return np.ascontiguousarray(np.moveaxis(self.chart.inverse(centers), 0, -1))
 
     @cached_property
     def cell_sqrt_det(self) -> np.ndarray:

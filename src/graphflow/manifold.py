@@ -1,8 +1,9 @@
 """Riemannian coordinate charts.
 
-A chart supplies, at any point x of its coordinate box, the metric
-sigma_ij(x), its inverse sigma^{ij}, the volume factor sqrt(det sigma) and
-the Christoffel symbols
+A chart kind supplies, at any point x of its coordinate box, the metric
+sigma_ij(x) and closed-form Christoffel symbols where it has them; the
+inverse sigma^{ij} and the volume factor sqrt(det sigma) are derived from
+the metric for every kind.  The Christoffel symbols are
 
     Gamma^k_ij = (1/2) sigma^{kl} (d_i sigma_{jl} + d_j sigma_{il} - d_l sigma_{ij}).
 
@@ -39,8 +40,11 @@ _PD_SAMPLES_PER_AXIS = 9
 class MetricChart(NamedTuple):
     """A coordinate chart with metric callbacks and bounds.
 
-    The box is the closed coordinate rectangle on which the chart is valid.
-    christoffel_h is the differencing step used when no closed form exists.
+    A kind supplies metric_fn and, where it has a closed form,
+    christoffel_fn; sigma^{ij} and sqrt(det sigma) are derived from the
+    metric.  The box is the closed coordinate rectangle on which the chart
+    is valid.  christoffel_h is the differencing step used when no closed
+    form exists.
     """
 
     kind: str
@@ -48,7 +52,6 @@ class MetricChart(NamedTuple):
     box: tuple[tuple[float, float], ...]
     params: dict
     metric_fn: Callable[[np.ndarray], np.ndarray]
-    inverse_fn: Callable[[np.ndarray], np.ndarray] | None = None
     christoffel_fn: Callable[[np.ndarray], np.ndarray] | None = None
     christoffel_h: float = 0.0
     is_euclidean: bool = False
@@ -57,14 +60,10 @@ class MetricChart(NamedTuple):
         return self.metric_fn(np.asarray(x, dtype=float))
 
     def inverse(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.inverse_fn is not None:
-            return self.inverse_fn(x)
-        return np.linalg.inv(self.metric_fn(x))
+        return np.linalg.inv(self.metric(x))
 
     def sqrt_det(self, x) -> np.ndarray:
-        sig = self.metric(np.asarray(x, dtype=float))
-        sign, logdet = np.linalg.slogdet(sig)
+        sign, logdet = np.linalg.slogdet(self.metric(x))
         if np.any(sign <= 0):
             raise ChartError(f"metric of chart '{self.kind}' is not positive definite")
         return np.exp(0.5 * logdet)
@@ -147,15 +146,6 @@ def fd_christoffel_at(chart: MetricChart, x, h: float) -> np.ndarray:
     return np.einsum("...kl,...lij->...kij", inv, low)
 
 
-def _euclidean_metric(n: int):
-    eye = np.eye(n)
-
-    def metric(x):
-        return np.broadcast_to(eye, x.shape[:-1] + (n, n)).copy()
-
-    return metric
-
-
 def _poincare_chart(n: int, box, params) -> MetricChart:
     def conf(x):
         r2 = np.sum(x * x, axis=-1)
@@ -166,10 +156,6 @@ def _poincare_chart(n: int, box, params) -> MetricChart:
     def metric(x):
         lam = conf(x) ** 2
         return lam[..., None, None] * np.eye(n)
-
-    def inverse(x):
-        lam = conf(x) ** 2
-        return (1.0 / lam)[..., None, None] * np.eye(n)
 
     def christoffel(x):
         # Conformal metric e^{2f} delta with f = log(2/(1-|x|^2)):
@@ -184,7 +170,7 @@ def _poincare_chart(n: int, box, params) -> MetricChart:
                                          - (i == j) * f[..., k])
         return out
 
-    return MetricChart("poincare_disk", n, box, params, metric, inverse, christoffel)
+    return MetricChart("poincare_disk", n, box, params, metric, christoffel)
 
 
 def _sphere_chart(box, params) -> MetricChart:
@@ -199,13 +185,6 @@ def _sphere_chart(box, params) -> MetricChart:
         out[..., 1, 1] = (radius * np.sin(theta)) ** 2
         return out
 
-    def inverse(x):
-        theta = x[..., 0]
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 0] = radius ** -2
-        out[..., 1, 1] = 1.0 / (radius * np.sin(theta)) ** 2
-        return out
-
     def christoffel(x):
         theta = x[..., 0]
         out = np.zeros(x.shape[:-1] + (2, 2, 2))
@@ -215,7 +194,7 @@ def _sphere_chart(box, params) -> MetricChart:
         out[..., 1, 1, 0] = cot
         return out
 
-    return MetricChart("sphere_polar", 2, box, params, metric, inverse, christoffel)
+    return MetricChart("sphere_polar", 2, box, params, metric, christoffel)
 
 
 def _warped_chart(n: int, box, params) -> MetricChart:
@@ -225,20 +204,18 @@ def _warped_chart(n: int, box, params) -> MetricChart:
     def warp(s):
         return a + b * s
 
+    lo, hi = box[0]
+    ends = (warp(lo), warp(hi))
+    if not (min(ends) > 0 or max(ends) < 0):  # w is affine: one sign at both ends holds between
+        raise ChartError(f"warped_product warp a + b x1 vanishes on the chart box: it is "
+                         f"{ends[0]!r} at x1 = {lo!r} and {ends[1]!r} at x1 = {hi!r}")
+
     def metric(x):
         w2 = warp(x[..., 0]) ** 2
         out = np.zeros(x.shape[:-1] + (n, n))
         out[..., 0, 0] = 1.0
         for j in range(1, n):
             out[..., j, j] = w2
-        return out
-
-    def inverse(x):
-        w2 = warp(x[..., 0]) ** 2
-        out = np.zeros(x.shape[:-1] + (n, n))
-        out[..., 0, 0] = 1.0
-        for j in range(1, n):
-            out[..., j, j] = 1.0 / w2
         return out
 
     def christoffel(x):
@@ -250,7 +227,7 @@ def _warped_chart(n: int, box, params) -> MetricChart:
             out[..., j, j, 0] = b / w
         return out
 
-    return MetricChart("warped_product", n, box, params, metric, inverse, christoffel)
+    return MetricChart("warped_product", n, box, params, metric, christoffel)
 
 
 def _multilinear_interp(axes: tuple[np.ndarray, ...], table: np.ndarray, x: np.ndarray):
@@ -282,6 +259,10 @@ def _table_chart(n: int, box, params) -> MetricChart:
         raise ChartError("custom_table axes do not match the chart dimension")
     if table.shape != tuple(len(a) for a in axes) + (n, n):
         raise ChartError(f"custom_table shape {table.shape} does not match axes")
+    if not np.all(np.isfinite(table)):
+        *node, i, j = np.argwhere(~np.isfinite(table))[0].tolist()
+        raise ChartError(f"custom_table metric entry s{i + 1}{j + 1} at sample {tuple(node)} "
+                         "is not finite")
     if not np.allclose(table, np.swapaxes(table, -1, -2), atol=1e-12):
         raise ChartError("custom_table metric samples are not symmetric")
 
@@ -317,10 +298,9 @@ def builtin_chart(kind: str, n: int = 2, box=None, params: dict | None = None) -
         raise ChartError(f"invalid chart box {box}")
 
     if kind == "euclidean":
-        chart = MetricChart(kind, n, box, params, _euclidean_metric(n),
-                            inverse_fn=_euclidean_metric(n),
-                            christoffel_fn=lambda x: np.zeros(x.shape[:-1] + (n, n, n)),
-                            is_euclidean=True)
+        eye = np.eye(n)
+        chart = MetricChart(kind, n, box, params, lambda x: np.zeros(x.shape[:-1] + (n, n)) + eye,
+                            lambda x: np.zeros(x.shape[:-1] + (n, n, n)), is_euclidean=True)
     elif kind == "poincare_disk":
         corner = max(abs(v) for b in box for v in b)
         if corner ** 2 * n >= 1.0:

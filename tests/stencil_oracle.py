@@ -39,7 +39,7 @@ def _components(arr, depth):
 @lru_cache(maxsize=16)
 def block_sig_inv(domain):
     """sigma^{ij} on the inner block, [i][j] one contiguous array each."""
-    return _components(domain.sig_inv[(INNER,) * domain.dim], 2)
+    return _components(domain.chart.inverse(domain.points[(INNER,) * domain.dim]), 2)
 
 
 @lru_cache(maxsize=16)

@@ -1157,10 +1157,16 @@ def test_selftest_seed_is_recorded(tmp_path):
 # ------------------------------------------------------------------- interface
 
 
-def test_main_requires_a_subcommand():
+def test_main_requires_a_subcommand(capsys):
+    # every usage error exits 1, as a config error does: 2 is a violated estimate
+    for argv in ([], ["bogus"], ["run"], ["selftest", "--seed", "x"], ["report"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+        main(["run", "--help"])
+    assert exc.value.code == 0
 
 
 def test_import_loads_no_scipy():

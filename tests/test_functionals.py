@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from graphflow.errors import FunctionalError
-from graphflow.flow import l_eps_apply
+from graphflow.flow import _operator_arrays, l_eps_apply
 from graphflow.functionals import (DiscreteSet, area, e_eps, interior_integral,
                                    j_functional, product_grid, set_perimeter,
                                    subgraph_perimeter, subgraph_set, total_variation,
-                                   vertical_rearrangement, w_factor)
+                                   vertical_rearrangement)
 from graphflow.grid import GridField, build_domain
 from graphflow.manifold import builtin_chart
 
@@ -23,7 +23,7 @@ def test_w_factor_poincare_origin():
     chart = builtin_chart("poincare_disk", n=2, box=[[-0.5, 0.5], [-0.5, 0.5]])
     dom = build_domain(chart, 0.125)
     u = GridField.from_function(dom, lambda x: x[0])
-    w = w_factor(u)
+    w = _operator_arrays(dom, u.values, 0.0)[1]
     center = np.searchsorted(dom.interior_flat, np.ravel_multi_index((4, 4), dom.shape))
     assert w[center] == pytest.approx(np.sqrt(5.0) / 2.0, rel=1e-13)
 
@@ -114,11 +114,13 @@ def test_e_eps_tilted_plane_closed_form():
 
 
 def test_e_eps_negative_eps_rejected():
+    # negative and non-finite eps, every value FlowParams refuses
     dom = euclid_square(0.25)
-    with pytest.raises(FunctionalError):
-        e_eps(GridField.constant(dom, 0.0), -0.1)
-    with pytest.raises(FunctionalError, match="eps must be nonnegative, got -0.1"):
-        l_eps_apply(GridField.constant(dom, 0.0), -0.1)
+    for eps in (-0.1, math.nan, math.inf):
+        for fn in (e_eps, l_eps_apply):
+            with pytest.raises(FunctionalError,
+                               match=f"eps must be finite and nonnegative, got {eps}"):
+                fn(GridField.constant(dom, 0.0), eps)
 
 
 def test_e_eps_midpoint_convexity():

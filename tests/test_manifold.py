@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,86 @@ def test_inverse_consistency(kind, params):
     pts = lo + (hi - lo) * (0.05 + 0.9 * rng.random((100, 2)))
     prod = chart.metric(pts) @ chart.inverse(pts)
     assert np.max(np.abs(prod - np.eye(2))) < 1e-12
+
+
+def _closed_form_inverse(chart, x):
+    """sigma^{ij} written out per kind, as the built-in kinds once carried it:
+    the reference for the inverse every chart now derives from its metric."""
+    n, out = chart.dim, np.zeros(x.shape[:-1] + (chart.dim, chart.dim))
+    if chart.kind == "euclidean":
+        out[...] = np.eye(n)
+    elif chart.kind == "poincare_disk":
+        lam = (2.0 / (1.0 - np.sum(x * x, axis=-1))) ** 2
+        out = (1.0 / lam)[..., None, None] * np.eye(n)
+    elif chart.kind == "sphere_polar":
+        radius = chart.params.get("radius", 1.0)
+        out[..., 0, 0] = radius ** -2
+        out[..., 1, 1] = 1.0 / (radius * np.sin(x[..., 0])) ** 2
+    else:
+        w2 = (chart.params["a"] + chart.params["b"] * x[..., 0]) ** 2
+        out[..., 0, 0] = 1.0
+        for j in range(1, n):
+            out[..., j, j] = 1.0 / w2
+    return out
+
+
+def _box_points(chart, count, seed):
+    lo, hi = np.array(chart.box).T
+    return lo + (hi - lo) * np.random.default_rng(seed).random((count, chart.dim))
+
+
+@pytest.mark.parametrize("kind,n,box,params", [
+    ("euclidean", 2, None, {}),
+    ("euclidean", 3, None, {}),
+    ("poincare_disk", 2, None, {}),
+    ("poincare_disk", 3, [[-0.5, 0.5]] * 3, {}),
+    ("warped_product", 2, None, {"a": 1.0, "b": 0.25}),
+    ("warped_product", 3, None, {"a": 0.7, "b": -0.3}),
+    ("sphere_polar", 2, None, {"radius": 1.0}),
+    ("sphere_polar", 2, None, {"radius": 2.0}),
+])
+def test_derived_inverse_is_the_closed_form_bit_for_bit(kind, n, box, params):
+    chart = builtin_chart(kind, n=n, box=box, params=params)
+    x = _box_points(chart, 2000, 3)
+    assert np.array_equal(chart.inverse(x), _closed_form_inverse(chart, x))
+
+
+@pytest.mark.parametrize("radius", [1.3, 0.3])
+def test_derived_sphere_inverse_within_an_ulp_at_inexact_radii(radius):
+    # LAPACK forms sigma^{theta theta} as fl(1 / fl(R^2)), the closed form as
+    # R ** -2; at R = 0.3 the two differ in the last place at every point
+    chart = builtin_chart("sphere_polar", params={"radius": radius})
+    x = _box_points(chart, 2000, 4)
+    got, ref = chart.inverse(x), _closed_form_inverse(chart, x)
+    assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+
+
+@pytest.mark.parametrize("params,ends", [
+    ({"a": 1.0, "b": -1.05}, "1.0 at x1 = 0.0 and -0.050000000000000044 at x1 = 1.0"),
+    ({"a": 1.0, "b": -1.0}, "1.0 at x1 = 0.0 and 0.0 at x1 = 1.0"),
+    ({"a": float("nan"), "b": 0.25}, "nan at x1 = 0.0 and nan at x1 = 1.0"),
+])
+def test_warp_vanishing_on_the_box_rejected(params, ends):
+    # the warp is affine, so its signs at the two ends of axis 0 decide
+    message = f"warp a + b x1 vanishes on the chart box: it is {ends}"
+    with pytest.raises(ChartError, match=re.escape(message)):
+        builtin_chart("warped_product", n=2, params=params)
+    assert builtin_chart("warped_product", n=2, params={"a": -1.0, "b": -0.5}).dim == 2
+
+
+def test_non_finite_table_entry_named(tmp_path):
+    rows = ["x1,x2,s11,s12,s21,s22"]
+    for x1, x2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        s12 = "nan" if (x1, x2) == (1, 0) else "0"
+        rows.append(f"{x1},{x2},1,{s12},0,1")
+    path = tmp_path / "metric.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ChartError, match=r"metric entry s12 at sample \(1, 0\) is not finite"):
+        chart_from_spec({"kind": "custom_table", "n": 2, "params": {"csv": str(path)}})
+    table = np.broadcast_to(np.eye(2), (2, 2, 2, 2)).copy()
+    table[0, 1, 1, 1] = np.inf
+    with pytest.raises(ChartError, match=r"metric entry s22 at sample \(0, 1\) is not finite"):
+        builtin_chart("custom_table", n=2, params={"axes": [[0, 1], [0, 1]], "table": table})
 
 
 @pytest.mark.parametrize("kind,params,x", [

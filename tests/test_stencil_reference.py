@@ -9,8 +9,7 @@ import stencil_oracle as oracle
 from graphflow.continuation import time_sequence_uniqueness_check
 from graphflow.errors import FlowDiverged
 from graphflow.flow import FlowParams, _operator_arrays, flow_step, initial_state, stable_dt
-from graphflow.functionals import (_product_cell_tv, area, e_eps, product_grid, total_variation,
-                                   w_factor)
+from graphflow.functionals import _product_cell_tv, area, e_eps, product_grid, total_variation
 from graphflow.grid import GridField, build_domain, gradient_sweep, hessian_sweep
 from graphflow.manifold import builtin_chart
 from test_grid import ORACLE_DOMAINS, _disc
@@ -67,8 +66,27 @@ def test_sweeps_and_operator_match_reference(name):
         for eps in (0.0, 0.1):
             _same(_operator_arrays(dom, vals, eps),
                   [_at_interior(dom, r) for r in _block_l_eps(dom, vals, eps)])
-        assert np.array_equal(w_factor(GridField(dom, vals)),
-                              _at_interior(dom, np.sqrt(1.0 + ref_lowered[2])))
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_sig_inv_is_evaluated_where_read(name):
+    dom = DOMAINS[name]()
+    n = dom.dim
+    nodes = dom.chart.inverse(dom.points).reshape(-1, n, n).take(dom.interior_flat, axis=0)
+    cells = dom.chart.inverse(dom.cell_centers).reshape(-1, n, n).take(dom.cell_flat, axis=0)
+    assert np.array_equal(dom.interior_sig_inv, np.moveaxis(nodes, 0, -1))
+    assert np.array_equal(dom.interior_lambda_max, np.linalg.eigvalsh(nodes)[:, -1])
+    assert np.array_equal(dom.cell_sig_inv, np.moveaxis(cells, 0, -1))
+    # the metric is evaluated once per interior node and complete cell, not on the lattice
+    points = []
+
+    def counted(x):
+        points.append(x.size // n)
+        return dom.chart.metric_fn(x)
+
+    fresh = build_domain(dom.chart._replace(metric_fn=counted), dom.h, dom.region)
+    fresh.interior_sig_inv, fresh.interior_lambda_max, fresh.cell_sig_inv
+    assert sum(points) == len(dom.interior_flat) + len(dom.cell_flat)
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))
