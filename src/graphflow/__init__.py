@@ -8,9 +8,9 @@ detaches along a vertical portion of the boundary cylinder.
 
 Module map: manifold (charts and metric tables), grid (lattice domains and
 fields, point windows, boundary crossings), functionals (area, perturbed
-energy, BV machinery), flow (the explicit eps-flow stepper), barrier
-(solvability certification), continuation (quasi-steady runs, eps limits,
-attainment), cli (batch runner).
+energy, BV machinery), flow (the eps-flow stepper: explicit steps and RKL1
+super-steps), barrier (solvability certification), continuation
+(quasi-steady runs, eps limits, attainment), cli (batch runner).
 """
 
 from .barrier import (BarrierSearchResult, BarrierSpec, SolvabilityReport,
@@ -26,7 +26,7 @@ from .errors import (BarrierError, ChartError, ConfigError, ConvergenceError,
                      GraphflowError, GridError)
 from .flow import (DiagnosticSample, FlowParams, FlowState,
                    compatibility_ramp, flow_step, initial_state, l_eps_apply,
-                   q_operator, stable_dt, write_diagnostics_csv)
+                   stable_dt, write_diagnostics_csv)
 from .functionals import (DiscreteSet, FunctionalReport, area, e_eps,
                           interior_integral, j_functional, product_grid,
                           set_perimeter, subgraph_perimeter, subgraph_set,
@@ -54,7 +54,7 @@ __all__ = [
     "interior_integral", "interpolate_to", "j_functional", "l_eps_apply",
     "load_field_csv", "load_metric_table",
     "probe_mask", "product_grid",
-    "q_on_barrier", "q_operator",
+    "q_on_barrier",
     "run_to_quasi_steady", "save_field_csv", "search_alpha", "set_perimeter",
     "stable_dt", "subgraph_perimeter", "subgraph_set",
     "time_sequence_uniqueness_check", "total_variation", "trace_error",

@@ -213,7 +213,7 @@ def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
     for p in np.flatnonzero(window <= 0):
         why[p] = f"boundary samples near {x0s[p].tolist()} collapse onto it"
 
-    sig0, _, _ = metric_at(chart, x0s)
+    sig0 = metric_at(chart, x0s)
     chol = np.linalg.cholesky(sig0)
     _, _, vt = np.linalg.svd(centered @ chol, full_matrices=True)  # z = chol^T (s - x0)
     # columns, normal (least variance) last
@@ -342,7 +342,7 @@ def q_on_barrier(spec: BarrierSpec, x) -> np.ndarray:
                for a in (np.linalg.inv(spec.frame), spec.frame, spec.w_fit))
     qv, psi, v = _qv(
         matvec(E, (pts - spec.x0).T), spec.K, spec.alpha, H, F, E,
-        _congruence(E, np.moveaxis(metric_at(spec.chart, pts)[1], 0, -1)),
+        _congruence(E, np.moveaxis(np.linalg.inv(metric_at(spec.chart, pts)), 0, -1)),
         np.moveaxis(christoffel_at(spec.chart, pts), 0, -1))
     if np.any(psi <= 0):
         raise BarrierError("psi is not positive at a requested point")
@@ -404,7 +404,7 @@ def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) ->
     E_p, F_p, H_p, x0_p = (np.moveaxis(a, 0, -1) for a in (Einv, frames, H, x0s))
     ipts = np.moveaxis(domain.points[domain.interior], 0, -1)
     if chart.is_euclidean:  # sigma^-1 is one matrix: the frame's inverse metric per point
-        inv_p = _congruence(E_p, np.moveaxis(metric_at(chart, x0s)[1], 0, -1))
+        inv_p = _congruence(E_p, np.moveaxis(np.linalg.inv(metric_at(chart, x0s)), 0, -1))
     else:  # sigma^{ab} and Gamma^k_ab at the interior nodes, from the domain's caches
         sig_n = domain.interior_sig_inv
         gam_n = np.take(domain.interior_gamma, _pair_rows(n)[1], axis=1)
@@ -489,7 +489,7 @@ def boundary_lipschitz(phi, domain: GridDomain) -> float:
         hi = tuple(slice(max(o, 0), s + min(o, 0)) for o, s in zip(off, domain.shape))
         pair = domain.dirichlet[lo] & domain.dirichlet[hi]
         a, b = domain.points[lo][pair], domain.points[hi][pair]
-        sig, _, _ = metric_at(domain.chart, 0.5 * (a + b))
+        sig = metric_at(domain.chart, 0.5 * (a + b))
         d = np.sqrt(np.einsum("kj,kj->k", np.einsum("ki,kij->kj", b - a, sig), b - a))
         quotient = np.abs(vals[hi][pair] - vals[lo][pair]) / d
         worst = max(worst, float(np.max(quotient, initial=0.0)))

@@ -29,8 +29,7 @@ from .continuation import (SUPER_STAGES, TimeSnapshots, boundary_attainment_repo
                            eps_continuation, eps_schedule, probe_mask)
 from .errors import (ConfigError, ConvergenceError, EstimateViolation,
                      FlowDiverged, GraphflowError)
-from .flow import (FlowParams, compatibility_ramp, q_operator,
-                   write_diagnostics_csv)
+from .flow import FlowParams, compatibility_ramp, l_eps_apply, write_diagnostics_csv
 from .functionals import (DiscreteSet, area, j_functional, set_perimeter,
                           subgraph_perimeter)
 from .grid import REGION_KEYS, GridField, build_domain, load_field_csv, save_field_csv
@@ -472,7 +471,7 @@ def _selftest_battery(seed: int) -> dict:
     dom8 = build_domain(chart, 1.0 / 8,
                         region={"region": "box", "bounds": [[0, 1], [0, 1]]})
     aff = GridField(dom8, dom8.points @ np.array([0.25, -0.5]) + 0.125)
-    results["affine_residual"] = float(np.max(np.abs(q_operator(aff))))
+    results["affine_residual"] = float(np.max(np.abs(l_eps_apply(aff, 0.0))))
 
     # one-dimensional dirichlet recovery
     chart1 = builtin_chart("euclidean", 1, box=[[0.0, 1.0]])

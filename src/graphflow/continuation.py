@@ -1,11 +1,12 @@
 """Vanishing-viscosity continuation toward the generalized Dirichlet solution.
 
-Each leg runs the eps-perturbed flow to quasi-steady state, then eps is
-halved and the next leg warm-starts from the previous limit.  The
-double-limit structure (t -> infinity inside each leg, then eps -> 0 along
-the schedule) is summarized by Cauchy gaps between successive leg limits on
-an interior probe set, a boundary trace error, and a cross-time-sequence
-uniqueness gap measured inside a single run.
+Each leg runs the eps-perturbed flow to quasi-steady state, then eps takes
+the schedule's next value (halved when no schedule is given) and the next
+leg warm-starts from the previous limit.  The double-limit structure
+(t -> infinity inside each leg, then eps -> 0 along the schedule) is
+summarized by Cauchy gaps between successive leg limits on an interior
+probe set, a boundary trace error, and a cross-time-sequence uniqueness gap
+measured inside a single run.
 
 For eps > 0 a leg is the gradient flow of the strictly convex
 E^eps = integral W + (eps/2)|Du|^2, so its limit does not depend on its
@@ -134,7 +135,8 @@ def _step_until(state: FlowState, params: FlowParams, stop, sample_every=0, stag
 def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
                         sample_every: int = 1, stages: int = 1,
                         snapshots: TimeSnapshots | None = None) -> tuple[FlowState, bool]:
-    """Step the flow until sup|u_t| drops below tol * (1 + sup|u0|).
+    """Step the flow until sup|u_t| drops below tol * (1 + sup|u|), u the
+    start state: u0 with phi on the dirichlet nodes.
 
     Returns the final state and whether the threshold was reached before
     t_end.  Stationary data converges in zero steps: the initial residual

@@ -11,13 +11,13 @@ class ChartError(GraphflowError, ValueError):
 
 
 class GridError(GraphflowError, ValueError):
-    """Domain construction or stencil failure (empty region, spacing not
-    dividing the box, stencil touching exterior nodes)."""
+    """Domain or field failure (empty region, spacing not dividing the box,
+    a field CSV that does not match its domain)."""
 
 
 class FunctionalError(GraphflowError, ValueError):
-    """Invalid functional input: missing boundary data, negative epsilon,
-    window out of range, truncation too small, containment violated."""
+    """Invalid functional input: an eps that is negative or not finite, a
+    window out of range, a truncation too small, containment violated."""
 
 
 class FlowDiverged(GraphflowError, RuntimeError):

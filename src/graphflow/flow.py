@@ -129,12 +129,6 @@ def _operator_arrays(domain: GridDomain, values: np.ndarray, eps: float):
     return l_eps, w
 
 
-def q_operator(u: GridField) -> np.ndarray:
-    """Mean curvature operator Qu = g^{ij} D^2_ij u at the interior nodes,
-    in interior_flat order."""
-    return _operator_arrays(u.domain, u.values, 0.0)[0]
-
-
 def l_eps_apply(u: GridField, eps: float) -> np.ndarray:
     """Perturbed operator L^eps u = Qu + eps W Delta_M u at the interior
     nodes, in interior_flat order.

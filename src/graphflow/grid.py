@@ -244,11 +244,13 @@ class GridDomain:
 
     @cached_property
     def interior_sqrt_det(self) -> np.ndarray:
-        """sqrt(det sigma) at the interior nodes, in interior_flat order."""
-        return self.sqrt_det.take(self.interior_flat)
+        """sqrt(det sigma), evaluated at the interior nodes only, in
+        interior_flat order."""
+        return self.chart.sqrt_det(self.points[self.interior_index])
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
+        """sqrt(det sigma) at every lattice node, for the set functionals."""
         return self.chart.sqrt_det(self.points)
 
     @cached_property
@@ -260,9 +262,9 @@ class GridDomain:
 
     @cached_property
     def interior_gamma(self) -> np.ndarray:
-        """Gamma^k_ab at the interior nodes, (n, pairs, interior): k first,
-        then the axis pairs (a, b) in _pair_rows order."""
-        gamma = self.chart.christoffel(self.points)[self.interior_index]
+        """Gamma^k_ab, evaluated at the interior nodes only, (n, pairs,
+        interior): k first, then the axis pairs (a, b) in _pair_rows order."""
+        gamma = self.chart.christoffel(self.points[self.interior_index])
         a, b = np.array(_pair_rows(self.dim)[0]).T
         return np.ascontiguousarray(np.moveaxis(gamma[:, :, a, b], 0, -1))
 
@@ -323,25 +325,27 @@ class GridDomain:
         return lowest + corners[:, None]
 
     @cached_property
-    def cell_weights(self) -> np.ndarray:
-        """sqrt(det sigma) at the complete cells, in cell_flat order."""
-        return self.cell_sqrt_det.take(self.cell_flat)
-
-    @cached_property
     def cell_centers(self) -> np.ndarray:
+        """Center of every lattice cell, complete or not."""
         half = [0.5 * (a[1:] + a[:-1]) for a in self.axes]
         return np.stack(np.meshgrid(*half, indexing="ij"), axis=-1)
+
+    @property
+    def complete_centers(self) -> np.ndarray:
+        """Centers of the complete cells, (cells, n) in cell_flat order."""
+        return self.cell_centers.reshape(-1, self.dim).take(self.cell_flat, axis=0)
+
+    @cached_property
+    def cell_weights(self) -> np.ndarray:
+        """sqrt(det sigma), evaluated at the centers of the complete cells
+        only, in cell_flat order."""
+        return self.chart.sqrt_det(self.complete_centers)
 
     @cached_property
     def cell_sig_inv(self) -> np.ndarray:
         """sigma^{ij}, evaluated at the centers of the complete cells only:
         (n, n, cells) in cell_flat order."""
-        centers = self.cell_centers.reshape(-1, self.dim).take(self.cell_flat, axis=0)
-        return np.ascontiguousarray(np.moveaxis(self.chart.inverse(centers), 0, -1))
-
-    @cached_property
-    def cell_sqrt_det(self) -> np.ndarray:
-        return self.chart.sqrt_det(self.cell_centers)
+        return np.ascontiguousarray(np.moveaxis(self.chart.inverse(self.complete_centers), 0, -1))
 
     @cached_property
     def cell_volume(self) -> float:
@@ -574,10 +578,10 @@ def save_field_csv(u: GridField, path) -> None:
 
 def load_field_csv(path, domain: GridDomain) -> GridField:
     """Rebuild a field over a matching domain from its CSV form; every
-    non-exterior node needs a row."""
+    non-exterior node needs a row, and no node has two."""
     n = domain.dim
     values = np.full(domain.shape, np.nan)
-    listed = np.zeros(domain.shape, dtype=bool)
+    listed = np.zeros(domain.shape, dtype=np.intp)  # the row that gave each node, 0 for none
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:
@@ -588,12 +592,14 @@ def load_field_csv(path, domain: GridDomain) -> GridField:
                 if not all(0 <= i < size for i, size in zip(idx, domain.shape)):
                     raise IndexError(f"node {idx} is outside the grid of shape {domain.shape}")
                 mask, values[idx] = int(row[2 * n]), float(row[2 * n + 1])
+                if listed[idx]:
+                    raise ValueError(f"node {idx} repeats row {listed[idx]}")
             except (ValueError, IndexError) as exc:
                 raise GridError(f"field csv {str(path)!r} row {line}: {exc}") from None
             if mask != int(domain.mask[idx]):
                 raise GridError(f"mask mismatch at node {idx}: CSV does not match domain")
-            listed[idx] = True
-    unlisted = np.argwhere(domain.used & ~listed)
+            listed[idx] = line
+    unlisted = np.argwhere(domain.used & (listed == 0))
     if unlisted.size:
         node = tuple(int(i) for i in unlisted[0])
         raise GridError(f"field csv {str(path)!r} has no row for node {node}")

@@ -1,9 +1,9 @@
 """Riemannian coordinate charts.
 
 A chart kind supplies, at any point x of its coordinate box, the metric
-sigma_ij(x) and closed-form Christoffel symbols where it has them; the
-inverse sigma^{ij} and the volume factor sqrt(det sigma) are derived from
-the metric for every kind.  The Christoffel symbols are
+sigma_ij(x) and its Christoffel symbols; the inverse sigma^{ij} and the
+volume factor sqrt(det sigma) are derived from the metric for every kind.
+The Christoffel symbols are
 
     Gamma^k_ij = (1/2) sigma^{kl} (d_i sigma_{jl} + d_j sigma_{il} - d_l sigma_{ij}).
 
@@ -11,7 +11,7 @@ Built-in kinds: ``euclidean``, ``poincare_disk`` (4 delta_ij/(1-|x|^2)^2),
 ``sphere_polar`` (diag(R^2, R^2 sin^2 theta)), ``warped_product``
 (diag(1, w(x1)^2, ...) with affine w) and ``custom_table`` (metric entries
 interpolated multilinearly from nodal samples, Christoffels by central
-differencing).
+differencing with step 1e-4 times the smallest box width).
 
 All evaluators are vectorized over leading point axes: x of shape (..., n)
 yields metric arrays of shape (..., n, n).
@@ -40,11 +40,10 @@ _PD_SAMPLES_PER_AXIS = 9
 class MetricChart(NamedTuple):
     """A coordinate chart with metric callbacks and bounds.
 
-    A kind supplies metric_fn and, where it has a closed form,
-    christoffel_fn; sigma^{ij} and sqrt(det sigma) are derived from the
-    metric.  The box is the closed coordinate rectangle on which the chart
-    is valid.  christoffel_h is the differencing step used when no closed
-    form exists.
+    A kind supplies metric_fn (sigma_ij) and christoffel_fn (Gamma^k_ij,
+    closed form or differenced); sigma^{ij} and sqrt(det sigma) are derived
+    from the metric on each call, at the points asked for.  The box is the
+    closed coordinate rectangle on which the chart is valid.
     """
 
     kind: str
@@ -52,8 +51,7 @@ class MetricChart(NamedTuple):
     box: tuple[tuple[float, float], ...]
     params: dict
     metric_fn: Callable[[np.ndarray], np.ndarray]
-    christoffel_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    christoffel_h: float = 0.0
+    christoffel_fn: Callable[[np.ndarray], np.ndarray]
     is_euclidean: bool = False
 
     def metric(self, x) -> np.ndarray:
@@ -69,11 +67,8 @@ class MetricChart(NamedTuple):
         return np.exp(0.5 * logdet)
 
     def christoffel(self, x) -> np.ndarray:
-        """Gamma indexed [..., k, i, j]: closed form, else central differences."""
-        x = np.asarray(x, dtype=float)
-        if self.christoffel_fn is not None:
-            return self.christoffel_fn(x)
-        return fd_christoffel_at(self, x, self.christoffel_h)
+        """Gamma indexed [..., k, i, j]."""
+        return self.christoffel_fn(np.asarray(x, dtype=float))
 
     def contains(self, x) -> np.ndarray:
         """Componentwise box membership."""
@@ -85,41 +80,40 @@ class MetricChart(NamedTuple):
         return np.all(ok, axis=-1)
 
 
-def _check_point_shape(chart: MetricChart, x: np.ndarray) -> np.ndarray:
+def _checked_points(chart: MetricChart, x) -> np.ndarray:
+    """x as a float array; ChartError unless its points are chart.dim long
+    and lie in the chart box."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != chart.dim:
         raise ChartError(f"point has dimension {x.shape[-1]}, chart has {chart.dim}")
+    if not np.all(chart.contains(x)):
+        raise ChartError(f"point {x} outside chart box {chart.box}")
     return x
 
 
-def metric_at(chart: MetricChart, x):
-    """Metric data at a point: (sigma, sigma_inv, sqrt_det).
+def metric_at(chart: MetricChart, x) -> np.ndarray:
+    """The metric sigma_ij at points x (..., n), indexed [..., i, j].
 
-    Raises ChartError if x leaves the chart box or the metric fails to be
-    positive definite there.
+    The metric is evaluated once.  Raises ChartError if x leaves the chart
+    box or the metric fails to be positive definite there.
     """
-    x = _check_point_shape(chart, x)
-    if not np.all(chart.contains(x)):
-        raise ChartError(f"point {x} outside chart box {chart.box}")
+    x = _checked_points(chart, x)
     sig = chart.metric(x)
     try:
         np.linalg.cholesky(sig)
     except np.linalg.LinAlgError:
         raise ChartError(f"metric not positive definite at {x}") from None
-    return sig, chart.inverse(x), chart.sqrt_det(x)
+    return sig
 
 
 def christoffel_at(chart: MetricChart, x) -> np.ndarray:
-    """Christoffel symbols Gamma^k_ij at x, indexed [k, i, j].
+    """Christoffel symbols Gamma^k_ij at points x (..., n), indexed [..., k, i, j].
 
     Raises ChartError if x leaves the chart box.  A differenced chart reads
     its metric a differencing step past the box edge there, which a
     custom_table metric extrapolates linearly.
     """
-    x = _check_point_shape(chart, x)
-    if not np.all(chart.contains(x)):
-        raise ChartError(f"point {x} outside chart box {chart.box}")
-    return chart.christoffel(x)
+    return chart.christoffel(_checked_points(chart, x))
 
 
 def fd_christoffel_at(chart: MetricChart, x, h: float) -> np.ndarray:
@@ -175,8 +169,9 @@ def _poincare_chart(n: int, box, params) -> MetricChart:
 
 def _sphere_chart(box, params) -> MetricChart:
     radius = float(params.get("radius", 1.0))
-    if radius <= 0:
-        raise ChartError("sphere_polar radius must be positive")
+    if not (radius > 0 and radius * radius < np.inf):  # NaN fails, and so does an infinite R^2
+        raise ChartError("sphere_polar radius must be positive with a finite square, "
+                         f"got {radius!r}")
 
     def metric(x):
         theta = x[..., 0]
@@ -257,6 +252,10 @@ def _table_chart(n: int, box, params) -> MetricChart:
     table = np.asarray(params["table"], dtype=float)
     if len(axes) != n:
         raise ChartError("custom_table axes do not match the chart dimension")
+    for a, ax in enumerate(axes):
+        if ax.ndim != 1 or len(ax) < 2 or not np.all(ax[1:] > ax[:-1]):
+            raise ChartError(f"custom_table axis {a} needs at least two strictly increasing "
+                             f"samples, got {ax.tolist()}")
     if table.shape != tuple(len(a) for a in axes) + (n, n):
         raise ChartError(f"custom_table shape {table.shape} does not match axes")
     if not np.all(np.isfinite(table)):
@@ -269,7 +268,10 @@ def _table_chart(n: int, box, params) -> MetricChart:
     def metric(x):
         return _multilinear_interp(axes, table, x)
 
-    return MetricChart("custom_table", n, box, dict(params, axes=axes, table=table), metric)
+    step = 1e-4 * min(hi - lo for lo, hi in box)
+    chart = MetricChart("custom_table", n, box, dict(params, axes=axes, table=table), metric,
+                        lambda x: fd_christoffel_at(chart, x, step))
+    return chart
 
 
 def _default_box(kind: str, n: int):
@@ -294,6 +296,8 @@ def builtin_chart(kind: str, n: int = 2, box=None, params: dict | None = None) -
     if n < 1:
         raise ChartError("chart dimension must be at least 1")
     box = tuple(tuple(map(float, b)) for b in (box or _default_box(kind, n)))
+    if not np.isfinite([v for b in box for v in b]).all():
+        raise ChartError(f"chart box bounds must be finite, got {box}")
     if len(box) != n or any(b[1] <= b[0] for b in box):
         raise ChartError(f"invalid chart box {box}")
 
@@ -315,16 +319,18 @@ def builtin_chart(kind: str, n: int = 2, box=None, params: dict | None = None) -
     else:
         chart = _table_chart(n, box, params)
 
-    width = min(b[1] - b[0] for b in box)
-    chart = chart._replace(christoffel_h=1e-4 * width)
     _check_positive_definite(chart)
     return chart
 
 
 def _check_positive_definite(chart: MetricChart) -> None:
     axes = [np.linspace(b[0], b[1], _PD_SAMPLES_PER_AXIS) for b in chart.box]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    sig = chart.metric(pts.reshape(-1, chart.dim))
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.dim)
+    sig = chart.metric(pts)
+    bad = ~np.all(np.isfinite(sig), axis=(-2, -1))
+    if np.any(bad):
+        raise ChartError(f"metric of kind '{chart.kind}' is not finite at "
+                         f"{pts[np.argmax(bad)].tolist()} on the chart box")
     try:
         np.linalg.cholesky(sig)
     except np.linalg.LinAlgError:
@@ -357,10 +363,10 @@ def chart_from_spec(spec: dict) -> MetricChart:
 def load_metric_table(path: str, n: int):
     """Read nodal metric samples from CSV columns x1..xn, s11, s12, ..., snn.
 
-    Rows must form a full tensor lattice; the row-major entry order of the
-    metric block is symmetric-redundant but stored in full.
+    Rows must form a full tensor lattice, each point once; the row-major
+    entry order of the metric block is symmetric-redundant but stored in full.
     """
-    rows = []
+    rows, seen = [], {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -374,8 +380,14 @@ def load_metric_table(path: str, n: int):
                 if len(row) != width:
                     raise ValueError(f"{len(row)} columns, expected {width}")
                 rows.append([float(v) for v in row])
+                point = tuple(rows[-1][:n])
+                first = seen.setdefault(point, line)
+                if first != line:
+                    raise ValueError(f"repeats the lattice point {point} of row {first}")
             except ValueError as exc:
                 raise ChartError(f"metric table {str(path)!r} row {line}: {exc}") from None
+    if not rows:
+        raise ChartError(f"metric table {str(path)!r} has no data rows")
     data = np.asarray(rows, dtype=float)
     axes = []
     for a in range(n):

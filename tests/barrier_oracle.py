@@ -78,7 +78,7 @@ def fit_boundary_graph(domain: GridDomain, x0) -> tuple[np.ndarray, np.ndarray, 
     if window <= 0:
         raise BarrierError(f"boundary samples near {x0.tolist()} collapse onto it")
 
-    sig0, _, _ = metric_at(chart, x0)
+    sig0 = metric_at(chart, x0)
     chol = np.linalg.cholesky(sig0)
     centered = samples - x0
     z = centered @ chol            # rows z_k = chol^T (s_k - x0)
@@ -212,7 +212,7 @@ def q_on_barrier(spec: BarrierSpec, x) -> np.ndarray:
     vij = (-pg[..., :, None] * pg[..., None, :] / (4.0 * psi[..., None, None] * v[..., None, None])
            + ph / (2.0 * v[..., None, None]))
 
-    _, inv, _ = metric_at(spec.chart, pts)
+    inv = np.linalg.inv(metric_at(spec.chart, pts))
     gam = christoffel_at(spec.chart, pts)
     E = spec.frame
     Einv = np.linalg.inv(E)
@@ -347,7 +347,7 @@ def q_on_barrier_fd(spec: BarrierSpec, x, step: float | None = None) -> float:
             cross = (v_at(x + ei + ej) - v_at(x + ei - ej)
                      - v_at(x - ei + ej) + v_at(x - ei - ej)) / (4 * step ** 2)
             hess[i, j] = hess[j, i] = cross
-    _, inv, _ = metric_at(chart, x)
+    inv = np.linalg.inv(metric_at(chart, x))
     gam = christoffel_at(chart, x)
     grad_up = inv @ grad
     w2 = 1.0 + float(grad @ grad_up)

@@ -151,11 +151,13 @@ def e_eps(u, eps):
     w = np.sqrt(1.0 + gradsq)
     integrand = w + 0.5 * eps * gradsq
     cells = dom.cell_complete
-    return float(np.sum(integrand[cells] * dom.cell_sqrt_det[cells]) * dom.cell_volume)
+    sdet = dom.chart.sqrt_det(dom.cell_centers)
+    return float(np.sum(integrand[cells] * sdet[cells]) * dom.cell_volume)
 
 
 def _cell_sum(dom, density):
-    return float((density.take(dom.cell_flat) * dom.cell_sqrt_det.take(dom.cell_flat)).sum()
+    sdet = dom.chart.sqrt_det(dom.cell_centers)
+    return float((density.take(dom.cell_flat) * sdet.take(dom.cell_flat)).sum()
                  * dom.cell_volume)
 
 
@@ -177,7 +179,7 @@ def product_cell_tv(pg, chi):
         sig = [[s[..., None] for s in row] for row in sig]
     gs = grad[:n]
     norm2 = contract(gs, matvec(sig, gs)) + grad[n] ** 2
-    sdet = np.broadcast_to(base.cell_sqrt_det[..., None], cells_shape)
+    sdet = np.broadcast_to(base.chart.sqrt_det(base.cell_centers)[..., None], cells_shape)
     complete = np.broadcast_to(base.cell_complete[..., None], cells_shape)
     vol = float(np.prod(pg.h))
     return float(np.sum(np.sqrt(norm2[complete]) * sdet[complete]) * vol)

@@ -15,7 +15,7 @@ from graphflow import (DiscreteSet, FlowParams, GridField, area, build_domain,
                        builtin_chart, check_dirichlet_solvability, e_eps,
                        eps_continuation, flow_step, initial_state,
                        interior_integral, interpolate_to, j_functional,
-                       probe_mask, q_on_barrier, q_operator,
+                       l_eps_apply, probe_mask, q_on_barrier,
                        run_to_quasi_steady, search_alpha, set_perimeter,
                        subgraph_perimeter, subgraph_set, vertical_rearrangement)
 from graphflow.cli import main as cli_main
@@ -51,14 +51,14 @@ def test_criterion_01_operator_residual(acceptance_log):
     for k in (16, 32, 64):
         dom = unit_square(1.0 / k)
         aff = GridField(dom, dom.points @ np.array([0.3, -0.7]) + 0.2)
-        q = q_operator(aff)
+        q = l_eps_apply(aff, 0.0)
         affine_worst = max(affine_worst, float(np.max(np.abs(q))))
 
     sups, rmss = [], []
     for k in (16, 32, 64):
         dom = build_domain(SCHERK_CHART, 1.0 / k, region=SCHERK_REGION)
         u = GridField.from_function(dom, scherk)
-        r = np.abs(q_operator(u))
+        r = np.abs(l_eps_apply(u, 0.0))
         sups.append(float(np.max(r)))
         rmss.append(float(np.sqrt(interior_integral(dom, r ** 2) / 4.0)))
 

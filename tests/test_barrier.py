@@ -654,7 +654,7 @@ def test_rows_last_qv_matches_rows_first_reference(name):
     for spec in specs:
         k = np.flatnonzero(np.linalg.norm(ipts - spec.x0, axis=1) <= spec.radius)
         x, Einv = ipts[k], np.linalg.inv(spec.frame)
-        y, inv_t = (x - spec.x0) @ Einv.T, Einv @ metric_at(dom.chart, x)[1] @ Einv.T
+        y, inv_t = (x - spec.x0) @ Einv.T, Einv @ np.linalg.inv(metric_at(dom.chart, x)) @ Einv.T
         gam = christoffel_at(dom.chart, x) if curved else None
         first = [np.broadcast_to(a, (len(k),) + a.shape) for a in (spec.w_fit, spec.frame, Einv)]
         want = oracle._qv(y, spec.K, spec.alpha, *first, inv_t, gam)

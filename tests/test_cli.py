@@ -397,6 +397,27 @@ def test_run_field_csv_negative_node_index_exits_1(tmp_path, capsys):
                        "node (-1, -1) is outside the grid of shape (17, 17)")
 
 
+def test_run_field_csv_repeated_node_exits_1(tmp_path, capsys):
+    # a second row for node (0, 0), after the full field, must not override the first
+    save_field_csv(GridField.constant(unit_domain(1.0 / 16), 0.25), tmp_path / "full.csv")
+    lines = (tmp_path / "full.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "u0.csv").write_text("".join(lines) + lines[1].rsplit(",", 1)[0] + ",99.0\n")
+    cfg_path, out = write_config(tmp_path, u0={"kind": "csv", "path": "u0.csv"})
+    _failed_run(cfg_path, out, capsys, "GridError")
+    message = json.loads((out / "failure.json").read_text())["message"]
+    assert message == f"field csv {str(tmp_path / 'u0.csv')!r} row 291: node (0, 0) repeats row 2"
+
+
+def test_run_table_chart_with_repeated_axis_sample_exits_1(tmp_path, capsys):
+    table = np.broadcast_to(np.eye(2), (3, 2, 2, 2)).tolist()
+    cfg_path, out = write_config(tmp_path, chart={
+        "kind": "custom_table", "n": 2,
+        "params": {"axes": [[0.0, 0.0, 1.0], [0.0, 1.0]], "table": table}})
+    err = _failed_run(cfg_path, out, capsys, "ChartError")
+    assert ("custom_table axis 0 needs at least two strictly increasing samples, "
+            "got [0.0, 0.0, 1.0]") in err
+
+
 def test_run_empty_metric_table_exits_1(tmp_path, capsys):
     (tmp_path / "metric.csv").write_text("")
     cfg_path, out = write_config(tmp_path, chart={"kind": "custom_table", "n": 2,

@@ -10,7 +10,8 @@ from graphflow.manifold import (builtin_chart, chart_from_spec, christoffel_at,
 
 def test_euclidean_metric_is_identity():
     chart = builtin_chart("euclidean", n=2)
-    sig, inv, vol = metric_at(chart, [0.3, 0.7])
+    x = [0.3, 0.7]
+    sig, inv, vol = metric_at(chart, x), chart.inverse(x), chart.sqrt_det(x)
     assert np.array_equal(sig, np.eye(2))
     assert np.array_equal(inv, np.eye(2))
     assert vol == 1.0
@@ -20,7 +21,7 @@ def test_euclidean_metric_is_identity():
 def test_poincare_metric_value():
     # sigma_11 at (0.5, 0): 4 / (1 - 0.25)^2 = 64/9
     chart = builtin_chart("poincare_disk", n=2)
-    sig, inv, vol = metric_at(chart, [0.5, 0.0])
+    sig, vol = metric_at(chart, [0.5, 0.0]), chart.sqrt_det([0.5, 0.0])
     assert sig[0, 0] == pytest.approx(64.0 / 9.0, rel=1e-14)
     assert sig[0, 1] == 0.0
     assert vol == pytest.approx(64.0 / 9.0, rel=1e-13)
@@ -28,7 +29,7 @@ def test_poincare_metric_value():
 
 def test_sphere_equator_metric():
     chart = builtin_chart("sphere_polar")
-    sig, inv, vol = metric_at(chart, [np.pi / 2, 0.3])
+    sig, vol = metric_at(chart, [np.pi / 2, 0.3]), chart.sqrt_det([np.pi / 2, 0.3])
     assert np.allclose(sig, np.eye(2), atol=1e-15)
     assert vol == pytest.approx(1.0, abs=1e-15)
 
@@ -147,6 +148,55 @@ def test_non_finite_table_entry_named(tmp_path):
         builtin_chart("custom_table", n=2, params={"axes": [[0, 1], [0, 1]], "table": table})
 
 
+@pytest.mark.parametrize("kind,params,box,message", [
+    *[("sphere_polar", {"radius": r}, None,
+       f"sphere_polar radius must be positive with a finite square, got {r!r}")
+      for r in (float("nan"), float("inf"), 1e200, -1.0)],
+    ("warped_product", {"a": float("inf")}, None, "metric of kind 'warped_product' is not finite"),
+    ("euclidean", {}, [[0, float("nan")], [0, 1]], "chart box bounds must be finite"),
+    ("euclidean", {}, [[0, 1], [float("-inf"), 1]], "chart box bounds must be finite"),
+])
+def test_non_finite_metric_or_box_rejected(kind, params, box, message):
+    with pytest.raises(ChartError, match=re.escape(message)):
+        builtin_chart(kind, n=2, box=box, params=params)
+
+
+@pytest.mark.parametrize("axes,bad", [([[0, 0, 1], [0, 1]], 0), ([[0, 1], [1, 0]], 1),
+                                      ([[0], [0, 1]], 0), ([[0, 1], [0, float("nan")]], 1)])
+def test_table_axes_must_increase_strictly(axes, bad):
+    table = np.broadcast_to(np.eye(2), tuple(len(a) for a in axes) + (2, 2))
+    with pytest.raises(ChartError, match=re.escape(
+            f"custom_table axis {bad} needs at least two strictly increasing samples, "
+            f"got {[float(v) for v in axes[bad]]}")):
+        builtin_chart("custom_table", n=2, params={"axes": axes, "table": table})
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["0,0", "0,1", "1,0", "1,0"], "row 5: repeats the lattice point (1.0, 0.0) of row 4"),
+    (["0,0", "0,1", "0.0,-0.0", "1,1"], "row 4: repeats the lattice point (0.0, -0.0) of row 2"),
+    ([], "has no data rows"),
+])
+def test_load_metric_table_rejects_repeated_points(tmp_path, rows, message):
+    path = tmp_path / "metric.csv"
+    path.write_text("\n".join(["x1,x2,s11,s12,s21,s22"] + [f"{r},1,0,0,1" for r in rows]) + "\n")
+    with pytest.raises(ChartError, match=re.escape(f"metric table {str(path)!r} {message}")):
+        load_metric_table(str(path), 2)
+
+
+def test_metric_at_evaluates_the_metric_once():
+    chart = builtin_chart("poincare_disk", n=2)
+    calls = []
+    counted = chart._replace(metric_fn=lambda x: calls.append(x.shape) or chart.metric_fn(x))
+    x = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, 0.0]])
+    assert np.array_equal(metric_at(counted, x), chart.metric(x))
+    assert calls == [x.shape]
+    with pytest.raises(ChartError, match="outside chart box"):
+        metric_at(counted, [0.8, 0.0])
+    flipped = chart._replace(metric_fn=lambda x: -chart.metric_fn(x))
+    with pytest.raises(ChartError, match="metric not positive definite"):
+        metric_at(flipped, x)
+
+
 @pytest.mark.parametrize("kind,params,x", [
     ("poincare_disk", {}, [0.31, -0.22]),
     ("sphere_polar", {}, [1.1, 0.7]),
@@ -207,12 +257,13 @@ def test_table_chart_interpolates_and_differences(tmp_path):
                              "box": [[-0.5, 0.5], [-0.5, 0.5]],
                              "params": {"csv": str(path)}})
     x = np.array([0.17, -0.23])
-    sig_t, inv_t, _ = metric_at(chart, x)
-    sig_r, _, _ = metric_at(ref, x)
+    sig_t, inv_t = metric_at(chart, x), chart.inverse(x)
+    sig_r = metric_at(ref, x)
     assert np.max(np.abs(sig_t - sig_r)) < 5e-4
     assert np.max(np.abs(sig_t @ inv_t - np.eye(2))) < 1e-8
     gam = christoffel_at(chart, x)
-    assert chart.christoffel_fn is None  # differenced, no closed form
+    # differenced at 1e-4 times the smallest box width, here 1
+    assert np.array_equal(gam, fd_christoffel_at(chart, x, 1e-4))
     assert np.max(np.abs(gam - christoffel_at(ref, x))) < 5e-3
 
 
@@ -226,7 +277,7 @@ def test_load_metric_table_rejects_ragged(tmp_path):
 def test_chart_spec_roundtrip():
     chart = chart_from_spec({"kind": "sphere_polar", "n": 2,
                              "box": [[0.5, 2.5], [0.0, 1.0]], "params": {"radius": 2.0}})
-    sig, _, _ = metric_at(chart, [np.pi / 2, 0.5])
+    sig = metric_at(chart, [np.pi / 2, 0.5])
     assert sig[0, 0] == pytest.approx(4.0)
     assert sig[1, 1] == pytest.approx(4.0)
 

@@ -10,7 +10,7 @@ from graphflow.continuation import time_sequence_uniqueness_check
 from graphflow.errors import FlowDiverged
 from graphflow.flow import FlowParams, _operator_arrays, flow_step, initial_state, stable_dt
 from graphflow.functionals import _product_cell_tv, area, e_eps, product_grid, total_variation
-from graphflow.grid import GridField, build_domain, gradient_sweep, hessian_sweep
+from graphflow.grid import GridField, _pair_rows, build_domain, gradient_sweep, hessian_sweep
 from graphflow.manifold import builtin_chart
 from test_grid import ORACLE_DOMAINS, _disc
 
@@ -87,6 +87,32 @@ def test_sig_inv_is_evaluated_where_read(name):
     fresh = build_domain(dom.chart._replace(metric_fn=counted), dom.h, dom.region)
     fresh.interior_sig_inv, fresh.interior_lambda_max, fresh.cell_sig_inv
     assert sum(points) == len(dom.interior_flat) + len(dom.cell_flat)
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_sqrt_det_and_gamma_are_evaluated_where_read(name):
+    dom = DOMAINS[name]()
+    chart, n = dom.chart, dom.dim
+    a, b = np.array(_pair_rows(n)[0]).T
+    gamma = chart.christoffel(dom.points).reshape(-1, n, n, n).take(dom.interior_flat, axis=0)
+    assert np.array_equal(dom.interior_gamma, np.moveaxis(gamma[:, :, a, b], 0, -1))
+    assert np.array_equal(dom.interior_sqrt_det, chart.sqrt_det(dom.points).take(dom.interior_flat))
+    assert np.array_equal(dom.cell_weights, chart.sqrt_det(dom.cell_centers).take(dom.cell_flat))
+    # each cache evaluates the chart once per interior node or complete cell
+    points = []
+
+    def counted(fn):
+        return lambda x: points.append(x.size // n) or fn(x)
+
+    fresh = build_domain(chart._replace(metric_fn=counted(chart.metric_fn),
+                                        christoffel_fn=counted(chart.christoffel_fn)),
+                         dom.h, dom.region)
+    seen = []
+    for cache in ("interior_sqrt_det", "cell_weights", "interior_gamma"):
+        points.clear()
+        getattr(fresh, cache)
+        seen.append(sum(points))
+    assert seen == [len(dom.interior_flat), len(dom.cell_flat), len(dom.interior_flat)]
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))
