@@ -35,7 +35,10 @@ a (P, n) array, and return one result per point:
   the nearest 4n form a (P, 4n, n) array;
 - fit: the Cholesky factor, the SVD frame and the inward-normal probe are
   stacked calls, and the rotate-and-refit loop runs on the points that have
-  not converged yet; a failed fit becomes the point's reason string;
+  not left it yet; a point leaves when its slope is below FLAT_SLOPE, when
+  it loses rank or its tangent collapses, or when its slope, shrinking at
+  the rate of its last refit, cannot get below FLAT_SLOPE in the refits
+  left of MAX_REFITS; a failed fit becomes the point's reason string;
 - rungs: the interior nodes within the fit window of each point are found
   once, among its lattice window (GridDomain.windows); the (radius,
   alpha) pairs are walked in a fixed order, and on each rung Qv (on
@@ -69,6 +72,8 @@ QV_MARGIN = -1e-8          # certification demands Qv below this at every sample
 ALPHA_FLOOR = 1e-6
 FIT_WINDOW_CELLS = 8       # boundary sampling window, in units of max h
 DEGENERATE_RESIDUAL = 0.05 # rms graph-fit residual / window above this is no graph
+MAX_REFITS = 24            # rotate-and-refit cap of the boundary fit
+FLAT_SLOPE = 1e-11         # a fitted linear term below this has converged
 
 
 class BarrierSpec(NamedTuple):
@@ -215,7 +220,7 @@ def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
 
     sig0 = metric_at(chart, x0s)
     chol = np.linalg.cholesky(sig0)
-    _, _, vt = np.linalg.svd(centered @ chol, full_matrices=True)  # z = chol^T (s - x0)
+    _, _, vt = np.linalg.svd(centered @ chol, full_matrices=False)  # z = chol^T (s - x0)
     # columns, normal (least variance) last
     frame = np.linalg.solve(np.swapaxes(chol, 1, 2), np.swapaxes(vt, 1, 2))
     # orient the normal inward
@@ -230,39 +235,49 @@ def _fit_group(domain: GridDomain, x0s: np.ndarray, samples: np.ndarray):
         quad = np.stack([yp[..., i] * yp[..., j] for i, j in pairs], axis=-1)
         return (np.concatenate([yp, quad], axis=-1) if linear else quad), y[..., n - 1]
 
-    def dot(u, w, rows):
-        return np.einsum("pi,pij,pj->p", u, sig0[rows], w)
+    def dot(u, w, sig):
+        return np.einsum("pi,pij,pj->p", u, sig, w)
 
     # rotate the frame until the fitted linear term vanishes: this is what
-    # pins Dw(0) = 0, and an unrotated frame would bias the Hessian
+    # pins Dw(0) = 0, and an unrotated frame would bias the Hessian.  A point
+    # leaves the loop when its slope is below FLAT_SLOPE, when it loses rank
+    # or its tangent collapses, or when its slope, shrinking at the rate of
+    # its last refit, cannot get below FLAT_SLOPE in the refits left
     k = n - 1 + len(pairs)
     active = np.array([w is None for w in why])
-    for _ in range(24):
+    last = np.full(G, np.inf)  # each point's slope size at its previous refit
+    for left in range(MAX_REFITS - 1, -1, -1):
         rows = np.flatnonzero(active)
         if not rows.size:
             break
         coef, rank = _lstsq(*design(rows, True))
         fail(rows[rank < k], [f"rank {r} < {k}" for r in rank[rank < k]])
         slope = coef[:, :n - 1]
-        done = np.max(np.abs(slope), axis=1) < 1e-11
-        active[rows[(rank < k) | done]] = False
-        turn = (rank == k) & ~done
+        size = np.max(np.abs(slope), axis=1)
+        done = size < FLAT_SLOPE
+        # a rate of 1 or more already fails; capping it there keeps r^left finite
+        stuck = (rank == k) & ~done & (
+            size * np.minimum(size / last[rows], 1.0) ** left >= FLAT_SLOPE)
+        fail(rows[stuck], ["no stable tangent plane"] * len(rows))
+        last[rows] = size
+        active[rows[(rank < k) | done | stuck]] = False
+        turn = (rank == k) & ~done & ~stuck
         rows, slope = rows[turn], slope[turn]
+        sig = sig0[rows]
         nu = np.einsum("pij,pj->pi", frame[rows],
                        np.concatenate([-slope, np.ones((len(rows), 1))], axis=1))
-        cols = [nu / np.sqrt(dot(nu, nu, rows))[:, None]]
+        cols = [nu / np.sqrt(dot(nu, nu, sig))[:, None]]
         ok = np.ones(len(rows), dtype=bool)
         for a in range(n - 1):
             t = frame[rows, :, a]
             for c in cols:
-                t = t - dot(t, c, rows)[:, None] * c
-            norm = np.sqrt(dot(t, t, rows))
+                t = t - dot(t, c, sig)[:, None] * c
+            norm = np.sqrt(dot(t, t, sig))
             ok &= norm >= 1e-12
             cols.append(t / np.maximum(norm, 1e-12)[:, None])
         fail(rows[~ok], ["tangent collapse"] * len(rows))
         active[rows[~ok]] = False
         frame[rows[ok]] = np.stack(cols[1:] + cols[:1], axis=-1)[ok]
-    fail(np.flatnonzero(active), ["no stable tangent plane"] * G)
 
     rows = np.flatnonzero([w is None for w in why])
     for a in range(n - 1):  # the first entry of largest size (to 1e-12) is positive

@@ -33,6 +33,7 @@ the domain: node windows (windows) and edge crossings (boundary_facts).
 from __future__ import annotations
 
 import csv
+import math
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
@@ -420,25 +421,31 @@ def build_domain(chart: MetricChart, h, region=None) -> GridDomain:
 
     h is a scalar or per-axis sequence and must divide every box width;
     region is a region spec dict, None for the whole chart box.  Raises
-    GridError when no interior node survives the mask.
+    GridError when no interior node survives the mask, and when numpy
+    cannot allocate the lattice.
     """
     n = chart.dim
     h_arr = np.broadcast_to(np.asarray(h, dtype=float), (n,)).copy()
     if np.any(h_arr <= 0):
         raise GridError(f"spacing must be positive, got {h_arr}")
-    axes = []
+    shape = ()
     for a in range(n):
         lo, hi = chart.box[a]
         steps = (hi - lo) / h_arr[a]
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise GridError(f"h={h_arr[a]} does not divide box width {hi - lo} on axis {a}")
-        axes.append(np.linspace(lo, hi, int(round(steps)) + 1))
-    shape = tuple(len(ax) for ax in axes)
+        shape += (int(round(steps)) + 1,)
     if isinstance(region, dict) and region.get("region") == "table" \
             and np.shape(region.get("values")) != shape:
         raise GridError(f"table region shape {np.shape(region.get('values'))} does "
                         f"not match lattice shape {shape}")
-    dom = GridDomain(chart, h_arr, np.zeros(shape, dtype=np.int8), region, axes)
+    try:  # the node mask first: it is the smallest lattice array
+        mask = np.zeros(shape, dtype=np.int8)
+    except MemoryError as exc:
+        raise GridError(f"cannot allocate the lattice of shape {shape} "
+                        f"({math.prod(shape)} nodes): {exc}") from None
+    axes = [np.linspace(lo, hi, count) for (lo, hi), count in zip(chart.box, shape)]
+    dom = GridDomain(chart, h_arr, mask, region, axes)
 
     # Interior nodes must keep the full Moore neighborhood on the lattice,
     # so only the inner block (every node off the rim) can hold them.

@@ -204,6 +204,11 @@ def _warped_chart(n: int, box, params) -> MetricChart:
     if not (min(ends) > 0 or max(ends) < 0):  # w is affine: one sign at both ends holds between
         raise ChartError(f"warped_product warp a + b x1 vanishes on the chart box: it is "
                          f"{ends[0]!r} at x1 = {lo!r} and {ends[1]!r} at x1 = {hi!r}")
+    squares = tuple(w * w for w in ends)  # |w| is largest at an end, so these bound w^2
+    if not max(squares) < np.inf:
+        raise ChartError(f"metric of kind 'warped_product' is not finite on the chart box: "
+                         f"the warp a + b x1 with a = {a!r}, b = {b!r} squares to "
+                         f"{squares[0]!r} at x1 = {lo!r} and {squares[1]!r} at x1 = {hi!r}")
 
     def metric(x):
         w2 = warp(x[..., 0]) ** 2

@@ -85,6 +85,21 @@ def test_corner_fit_is_degenerate(square_16):
         fit_one(square_16, np.array([0.0, 0.0]))
 
 
+def test_fit_stops_slopes_that_cannot_converge_in_the_refits_left(square_16, monkeypatch):
+    # next to each corner the fitted slope shrinks by about x0.75 a refit, too
+    # slowly to get below FLAT_SLOPE within MAX_REFITS refits: the fit stops
+    # those points after their second refit, with the verdict the cap gives
+    lstsq, calls = barrier_mod._lstsq, []
+    monkeypatch.setattr(barrier_mod, "_lstsq", lambda *a: calls.append(None) or lstsq(*a))
+    x0s = np.unique(square_16.boundary_facts[1], axis=0)
+    reasons = dict(zip(map(tuple, x0s.tolist()), fit_boundary_graph(square_16, x0s)[4]))
+    near = {p for c in (1 / 16, 15 / 16) for p in ((0.0, c), (1.0, c), (c, 0.0), (c, 1.0))}
+    assert {x for x, r in reasons.items() if r and r.endswith("tangent plane")} == near
+    for x in near:
+        assert reasons[x] == f"degenerate boundary fit at {list(x)}: no stable tangent plane"
+    assert len(calls) <= 9  # 24 refits and the Hessian fit without the stop
+
+
 def test_boundary_crossings_on_flat_face(square_16):
     pts = crossings_near(square_16, np.array([0.5, 0.0]), 0.2)
     assert pts.shape[0] >= 4

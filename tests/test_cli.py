@@ -345,6 +345,15 @@ def test_run_non_utf8_config_exits_1(tmp_path, capsys):
     assert f"config file {str(bad)!r} is not UTF-8 text" in err
 
 
+def test_run_lattice_too_large_to_allocate_exits_1(tmp_path, capsys):
+    # a 10000001 x 10000001 node mask (90.9 TiB), which numpy refuses at once
+    cfg_path, out = write_config(tmp_path, h=1e-7)
+    _failed_run(cfg_path, out, capsys, "GridError")
+    message = json.loads((out / "failure.json").read_text())["message"]
+    assert message.startswith("cannot allocate the lattice of shape (10000001, 10000001) "
+                              "(100000020000001 nodes): ")
+
+
 def test_run_non_numeric_field_csv_exits_1(tmp_path, capsys):
     save_field_csv(GridField.constant(unit_domain(1.0 / 16), 0.25), tmp_path / "u0.csv")
     lines = (tmp_path / "u0.csv").read_text().splitlines()

@@ -155,6 +155,11 @@ def test_non_finite_table_entry_named(tmp_path):
     ("warped_product", {"a": float("inf")}, None, "metric of kind 'warped_product' is not finite"),
     ("euclidean", {}, [[0, float("nan")], [0, 1]], "chart box bounds must be finite"),
     ("euclidean", {}, [[0, 1], [float("-inf"), 1]], "chart box bounds must be finite"),
+    # finite warps whose square overflows: named before the metric is sampled
+    ("warped_product", {"a": 1e200}, None, "the warp a + b x1 with a = 1e+200, b = 0.25 "
+     "squares to inf at x1 = 0.0 and inf at x1 = 1.0"),
+    ("warped_product", {"b": 1e200}, None, "the warp a + b x1 with a = 1.0, b = 1e+200 "
+     "squares to 1.0 at x1 = 0.0 and inf at x1 = 1.0"),
 ])
 def test_non_finite_metric_or_box_rejected(kind, params, box, message):
     with pytest.raises(ChartError, match=re.escape(message)):
