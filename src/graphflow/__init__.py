@@ -7,10 +7,12 @@ certificates decide where the limit attains its boundary data and where it
 detaches along a vertical portion of the boundary cylinder.
 
 Module map: manifold (charts and metric tables), grid (lattice domains and
-fields, point windows, boundary crossings), functionals (area, perturbed
-energy, BV machinery), flow (the eps-flow stepper: explicit steps and RKL1
-super-steps), barrier (solvability certification), continuation
-(quasi-steady runs, eps limits, attainment), cli (batch runner).
+fields, point windows, boundary crossings), functionals (area, penalized
+area, perturbed energy, total variation), flow (the eps-flow stepper:
+explicit steps and RKL1 super-steps), barrier (solvability certification),
+continuation (quasi-steady runs, eps limits, attainment), cli (batch
+runner).  The product-lattice set functionals behind the perimeter and
+rearrangement identities are test code (tests/set_functionals.py).
 """
 
 from .barrier import (BarrierSearchResult, BarrierSpec, SolvabilityReport,
@@ -27,10 +29,8 @@ from .errors import (BarrierError, ChartError, ConfigError, ConvergenceError,
 from .flow import (DiagnosticSample, FlowParams, FlowState,
                    compatibility_ramp, flow_step, initial_state, l_eps_apply,
                    stable_dt, write_diagnostics_csv)
-from .functionals import (DiscreteSet, FunctionalReport, area, e_eps,
-                          interior_integral, j_functional, product_grid,
-                          set_perimeter, subgraph_perimeter, subgraph_set,
-                          total_variation, vertical_rearrangement)
+from .functionals import (FunctionalReport, area, e_eps, interior_integral,
+                          j_functional, total_variation)
 from .grid import (DIRICHLET, EXTERIOR, INTERIOR, GridDomain, GridField,
                    build_domain, interpolate_to, load_field_csv, save_field_csv)
 from .manifold import (MetricChart, builtin_chart, chart_from_spec,
@@ -41,22 +41,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AttainmentPoint", "AttainmentReport", "BarrierError",
     "BarrierSearchResult", "BarrierSpec", "ChartError", "ConfigError",
-    "ContinuationReport", "ConvergenceError", "DIRICHLET", "DiagnosticSample",
-    "DiscreteSet", "EXTERIOR", "EpsLeg", "EstimateViolation", "FlowDiverged",
-    "FlowParams", "FlowState", "FunctionalError", "FunctionalReport",
-    "GraphflowError", "GridDomain", "GridError", "GridField", "INTERIOR",
-    "MetricChart", "SolvabilityReport", "TimeUniquenessResult", "area",
-    "boundary_attainment_report",
-    "boundary_lipschitz", "build_domain",
-    "builtin_chart", "chart_from_spec", "check_dirichlet_solvability",
-    "compatibility_ramp", "e_eps",
-    "eps_continuation", "fit_boundary_graph", "flow_step", "initial_state",
-    "interior_integral", "interpolate_to", "j_functional", "l_eps_apply",
-    "load_field_csv", "load_metric_table",
-    "probe_mask", "product_grid",
-    "q_on_barrier",
-    "run_to_quasi_steady", "save_field_csv", "search_alpha", "set_perimeter",
-    "stable_dt", "subgraph_perimeter", "subgraph_set",
-    "time_sequence_uniqueness_check", "total_variation", "trace_error",
-    "vertical_rearrangement", "write_diagnostics_csv",
+    "ContinuationReport", "ConvergenceError", "DIRICHLET",
+    "DiagnosticSample", "EXTERIOR", "EpsLeg", "EstimateViolation",
+    "FlowDiverged", "FlowParams", "FlowState", "FunctionalError",
+    "FunctionalReport", "GraphflowError", "GridDomain", "GridError",
+    "GridField", "INTERIOR", "MetricChart", "SolvabilityReport",
+    "TimeUniquenessResult", "area", "boundary_attainment_report",
+    "boundary_lipschitz", "build_domain", "builtin_chart",
+    "chart_from_spec", "check_dirichlet_solvability", "compatibility_ramp",
+    "e_eps", "eps_continuation", "fit_boundary_graph", "flow_step",
+    "initial_state", "interior_integral", "interpolate_to", "j_functional",
+    "l_eps_apply", "load_field_csv", "load_metric_table", "probe_mask",
+    "q_on_barrier", "run_to_quasi_steady", "save_field_csv",
+    "search_alpha", "stable_dt", "time_sequence_uniqueness_check",
+    "total_variation", "trace_error", "write_diagnostics_csv",
 ]

@@ -30,8 +30,7 @@ from .continuation import (SUPER_STAGES, TimeSnapshots, boundary_attainment_repo
 from .errors import (ConfigError, ConvergenceError, EstimateViolation,
                      FlowDiverged, GraphflowError)
 from .flow import FlowParams, compatibility_ramp, l_eps_apply, write_diagnostics_csv
-from .functionals import (DiscreteSet, area, j_functional, set_perimeter,
-                          subgraph_perimeter)
+from .functionals import j_functional
 from .grid import REGION_KEYS, GridField, build_domain, load_field_csv, save_field_csv
 from .manifold import (BUILTIN_KINDS, CHART_KEYS, CHART_PARAMS, builtin_chart,
                        chart_dimension, chart_from_spec)
@@ -444,10 +443,14 @@ def emit_report(run_dir: str) -> int:
                 raise ConfigError(f"{name} does not match its manifest hash")
         for name in manifest["artifacts"]:
             key = name.rsplit(".", 1)[0]
-            if name.endswith(".json"):
-                bundle[key] = json.loads((out / name).read_text("utf-8"))
-            elif name == "diagnostics.csv":
-                bundle["diagnostics"] = _diagnostics_summary(out / name)
+            try:
+                if name.endswith(".json"):
+                    bundle[key] = json.loads((out / name).read_text("utf-8"))
+                elif name == "diagnostics.csv":
+                    bundle["diagnostics"] = _diagnostics_summary(out / name)
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both
+                raise ConfigError(f"{name} matches its manifest hash but cannot be "
+                                  f"read: {exc}")
         _dump_json(bundle, out / "report.json")
         return 0
     except GraphflowError as exc:
@@ -458,7 +461,7 @@ def emit_report(run_dir: str) -> int:
 # ------------------------------------------------------------------- selftest
 
 
-def _selftest_battery(seed: int) -> dict:
+def _selftest_battery() -> dict:
     """Small deterministic end-to-end battery; every number lands in JSON."""
     results = {}
 
@@ -505,24 +508,6 @@ def _selftest_battery(seed: int) -> dict:
                                    "lipschitz": solv.lipschitz_constant,
                                    "points": len(solv.points)}
 
-    # graph area against the product-lattice perimeter
-    tilt = GridField(dom8, dom8.points @ np.array([1.0, 0.0]))
-    results["subgraph_perimeter"] = {"area": area(tilt),
-                                     "perimeter": subgraph_perimeter(tilt)}
-
-    # seeded submodularity slack
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    for _ in range(10):
-        e = (rng.random(dom8.shape) < 0.5).astype(np.int8)
-        f = (rng.random(dom8.shape) < 0.5).astype(np.int8)
-        lhs = (set_perimeter(DiscreteSet(dom8, np.maximum(e, f)))
-               + set_perimeter(DiscreteSet(dom8, np.minimum(e, f))))
-        rhs = (set_perimeter(DiscreteSet(dom8, e))
-               + set_perimeter(DiscreteSet(dom8, f)))
-        worst = max(worst, lhs - rhs)
-    results["submodularity_worst_slack"] = worst
-
     # penalized functional on a matching field is pure area
     jr = j_functional(aff, lambda x: 0.25 * x[0] - 0.5 * x[1] + 0.125)
     results["j_boundary_term"] = jr.boundary_term
@@ -530,12 +515,11 @@ def _selftest_battery(seed: int) -> dict:
     return results
 
 
-def run_selftest(out_override: str | None = None, seed: int = 0) -> int:
+def run_selftest(out_override: str | None = None) -> int:
     """Run the deterministic battery and persist selftest.json + manifest."""
     try:
         out = _resolve_out("graphflow_selftest", out_override)
-        results = {"seed": seed, "results": _selftest_battery(seed)}
-        _dump_json(results, out / "selftest.json")
+        _dump_json({"results": _selftest_battery()}, out / "selftest.json")
         write_manifest(out, ("selftest.json",))
         return 0
     except GraphflowError as exc:
@@ -576,7 +560,6 @@ def main(argv=None) -> int:
                             help="deterministic reduced verification battery")
     p_self.add_argument("--out", default=None,
                         help="override the output directory")
-    p_self.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
     if args.command == "run":
@@ -585,7 +568,7 @@ def main(argv=None) -> int:
         return emit_report(args.rundir)
     if args.command == "barrier":
         return _run(args.config, args.out, barrier_only=True)
-    return run_selftest(args.out, args.seed)
+    return run_selftest(args.out)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ that record a DiagnosticSample.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -211,7 +212,8 @@ def flow_step(state: FlowState, params: FlowParams, sample: bool = True,
     FlowDiverged on non-finite values and EstimateViolation when
     assert_estimates is set and a monitored bound fails, sampled or not.
     """
-    if stages < 1:  # tau would be 0 or negative
+    # run_to_quasi_steady's rule: below 1, tau would be 0 or negative
+    if not (isinstance(stages, Integral) and stages >= 1):
         raise ConfigError(f"stages must be a positive integer, got {stages!r}")
     dom = state.u.domain
     vals = state.u.values

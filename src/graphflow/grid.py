@@ -251,7 +251,8 @@ class GridDomain:
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
-        """sqrt(det sigma) at every lattice node, for the set functionals."""
+        """sqrt(det sigma) at every lattice node; j_functional reads it at
+        the dirichlet nodes."""
         return self.chart.sqrt_det(self.points)
 
     @cached_property
@@ -528,7 +529,8 @@ def cell_gradient(domain, corners) -> np.ndarray:
     Along each axis: difference of the opposite face averages over h.
     Second order at the cell center and free of exterior reads on
     complete cells.  domain is any lattice with dim and per-axis spacings
-    h: a GridDomain, or a ProductGrid with its vertical axis last.
+    h: a GridDomain, or the tests' product lattice (tests/set_functionals.py)
+    with its vertical axis last.
     corners holds one array per corner in product((0, 1), repeat=n) order,
     such as values.take(domain.cell_table).  Returns the stacked (n, ...)
     gradient; each component sums the corners in that order.

@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 from barrier_oracle import psi_eval, q_on_barrier_fd
-from graphflow import (DiscreteSet, FlowParams, GridField, area, build_domain,
-                       builtin_chart, check_dirichlet_solvability, e_eps,
-                       eps_continuation, flow_step, initial_state,
-                       interior_integral, interpolate_to, j_functional,
-                       l_eps_apply, probe_mask, q_on_barrier,
-                       run_to_quasi_steady, search_alpha, set_perimeter,
-                       subgraph_perimeter, subgraph_set, vertical_rearrangement)
+from graphflow import (FlowParams, GridField, area, build_domain, builtin_chart,
+                       check_dirichlet_solvability, e_eps, eps_continuation,
+                       flow_step, initial_state, interior_integral, interpolate_to,
+                       j_functional, l_eps_apply, probe_mask, q_on_barrier,
+                       run_to_quasi_steady, search_alpha)
 from graphflow.cli import main as cli_main
 from graphflow.grid import EXTERIOR
+from set_functionals import (DiscreteSet, set_perimeter, subgraph_perimeter,
+                             subgraph_set, vertical_rearrangement)
 
 EUCLID = builtin_chart("euclidean", 2)
 UNIT_SQUARE = {"region": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]]}

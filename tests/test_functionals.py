@@ -5,12 +5,12 @@ import pytest
 
 from graphflow.errors import FunctionalError
 from graphflow.flow import _operator_arrays, l_eps_apply
-from graphflow.functionals import (DiscreteSet, area, e_eps, interior_integral,
-                                   j_functional, product_grid, set_perimeter,
-                                   subgraph_perimeter, subgraph_set, total_variation,
-                                   vertical_rearrangement)
+from graphflow.functionals import (area, e_eps, interior_integral, j_functional,
+                                   total_variation)
 from graphflow.grid import GridField, build_domain
 from graphflow.manifold import builtin_chart
+from set_functionals import (DiscreteSet, ProductGrid, product_grid, set_perimeter,
+                             subgraph_perimeter, subgraph_set, vertical_rearrangement)
 
 
 def euclid_square(h, width=1.0):
@@ -259,6 +259,13 @@ def test_rearrangement_exact_on_lattice_subgraphs():
     F = subgraph_set(u, T=T, h_t=h_t)
     w = vertical_rearrangement(F)
     assert np.array_equal(w.values, u.values)
+
+
+def test_product_grid_fields_cannot_be_assigned():
+    pg = ProductGrid(*range(len(ProductGrid._fields)))
+    for attr in (ProductGrid._fields[0], "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(pg, attr, 1.0)
 
 
 def test_rearrangement_containment_guard():

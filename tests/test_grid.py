@@ -8,11 +8,12 @@ import sympy as sp
 import graphflow.grid as grid_mod
 from graphflow.errors import GridError
 from graphflow.flow import l_eps_apply
-from graphflow.functionals import e_eps, product_grid
+from graphflow.functionals import e_eps
 from graphflow.grid import (DIRICHLET, EXTERIOR, INTERIOR, GridField, _region_sdf, build_domain,
                             cell_gradient, gradient_sweep, hessian_sweep,
                             interpolate_to, load_field_csv, save_field_csv)
 from graphflow.manifold import builtin_chart
+from set_functionals import product_grid
 
 
 def unit_square(h):

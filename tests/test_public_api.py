@@ -1,7 +1,8 @@
 """The package's public surface: every name in __all__ is listed once and
-resolves, so `from graphflow import *` cannot break on a deleted name; no
-module reaches into barrier's private names; and the immutable records stay
-immutable, FlowParams checking its values on every way of building one."""
+resolves, so `from graphflow import *` cannot break on a deleted name; the
+set functionals that moved to tests/ left no name behind; no module reaches
+into barrier's private names; and the immutable records stay immutable,
+FlowParams checking its values on every way of building one."""
 
 import ast
 import copy
@@ -11,14 +12,19 @@ from pathlib import Path
 import pytest
 
 import graphflow
+import graphflow.functionals
 from graphflow import (AttainmentPoint, AttainmentReport, BarrierSearchResult, BarrierSpec,
                        ConfigError, ContinuationReport, DiagnosticSample, EpsLeg, FlowParams,
                        FunctionalReport, MetricChart, SolvabilityReport, TimeUniquenessResult)
-from graphflow.functionals import ProductGrid
 
 IMMUTABLE_RECORDS = (BarrierSpec, BarrierSearchResult, SolvabilityReport, FunctionalReport,
-                     ProductGrid, DiagnosticSample, EpsLeg, ContinuationReport, AttainmentPoint,
+                     DiagnosticSample, EpsLeg, ContinuationReport, AttainmentPoint,
                      AttainmentReport, TimeUniquenessResult, MetricChart, FlowParams)
+
+# the product-lattice set functionals, test code in tests/set_functionals.py
+MOVED_TO_TESTS = ("ProductGrid", "product_grid", "DiscreteSet", "set_perimeter", "subgraph_set",
+                  "_product_cell_tv", "subgraph_perimeter", "vertical_rearrangement",
+                  "MOLLIFY_BAND_CELLS")
 
 
 def test_all_has_no_duplicates():
@@ -28,6 +34,12 @@ def test_all_has_no_duplicates():
 def test_every_name_in_all_resolves():
     missing = [name for name in graphflow.__all__ if not hasattr(graphflow, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", [graphflow, graphflow.functionals],
+                         ids=lambda module: module.__name__)
+def test_moved_set_functionals_leave_no_name_behind(module):
+    assert [name for name in MOVED_TO_TESTS if hasattr(module, name)] == []
 
 
 def test_no_module_imports_a_private_barrier_name():

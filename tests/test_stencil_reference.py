@@ -9,9 +9,10 @@ import stencil_oracle as oracle
 from graphflow.continuation import time_sequence_uniqueness_check
 from graphflow.errors import FlowDiverged
 from graphflow.flow import FlowParams, _operator_arrays, flow_step, initial_state, stable_dt
-from graphflow.functionals import _product_cell_tv, area, e_eps, product_grid, total_variation
+from graphflow.functionals import area, e_eps, total_variation
 from graphflow.grid import GridField, _pair_rows, build_domain, gradient_sweep, hessian_sweep
 from graphflow.manifold import builtin_chart
+from set_functionals import _product_cell_tv, product_grid
 from test_grid import ORACLE_DOMAINS, _disc
 
 # ORACLE_DOMAINS are disc (ball) regions with exterior nodes in the inner

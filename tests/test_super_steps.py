@@ -3,6 +3,8 @@ leg limits on every stencil-reference domain with a probe set and on a
 strongly nonlinear detached case, and explicit steps, bit for bit,
 wherever the super-step does not apply."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -98,13 +100,15 @@ def test_ramp_steps_explicitly_until_it_ends():
     assert stepped.evaluations == explicit.step + SUPER_STAGES
 
 
-@pytest.mark.parametrize("stages", [0, -3])
+@pytest.mark.parametrize("stages", [0, -3, 2.5, "3"])
 def test_flow_step_rejects_stage_counts_below_one(stages):
-    # 0 stages gave a step of length 0 and a division by it
+    # 0 stages gave a step of length 0 and a division by it; a float or a
+    # string gave a bare TypeError
     dom = DOMAINS["euclidean_2d"]()
     u0, phi = _start(dom)
     params = FlowParams(eps=0.1)
     state = initial_state(u0, phi, params)
-    with pytest.raises(ConfigError, match=f"stages must be a positive integer, got {stages}"):
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"stages must be a positive integer, got {stages!r}")):
         flow_step(state, params, True, stages)
     assert state.step == 0
