@@ -8,11 +8,12 @@ detaches along a vertical portion of the boundary cylinder.
 
 Module map: manifold (charts and metric tables), grid (lattice domains and
 fields, point windows, boundary crossings), functionals (area, penalized
-area, perturbed energy, total variation), flow (the eps-flow stepper:
-explicit steps and RKL1 super-steps), barrier (solvability certification),
-continuation (quasi-steady runs, eps limits, attainment), cli (batch
-runner).  The product-lattice set functionals behind the perimeter and
-rearrangement identities are test code (tests/set_functionals.py).
+area, perturbed energy, total variation), flow (explicit eps-flow steps,
+the operator and its derivative), barrier (solvability certification),
+continuation (quasi-steady runs, Newton-Krylov legs, eps limits,
+attainment), cli (batch runner).  The product-lattice set functionals
+behind the perimeter and rearrangement identities are test code
+(tests/set_functionals.py).
 """
 
 from .barrier import (BarrierSearchResult, BarrierSpec, SolvabilityReport,

@@ -25,8 +25,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .barrier import check_dirichlet_solvability, search_alpha
-from .continuation import (SUPER_STAGES, TimeSnapshots, boundary_attainment_report,
-                           eps_continuation, eps_schedule, probe_mask)
+from .continuation import (TimeSnapshots, boundary_attainment_report, eps_continuation,
+                           eps_schedule, probe_mask)
 from .errors import (ConfigError, ConvergenceError, EstimateViolation,
                      FlowDiverged, GraphflowError)
 from .flow import FlowParams, compatibility_ramp, l_eps_apply, write_diagnostics_csv
@@ -385,12 +385,14 @@ def _run(config_path: str, out_override: str | None, barrier_only: bool) -> int:
 
         report = eps_continuation(cfg.schedule, cfg.flow, phi, u0, tol=cfg.tol,
                                   warm_start=cfg.warm_start, sample_every=cfg.snapshot_every_steps,
-                                  stages=SUPER_STAGES, time_check=cfg.time_check)
+                                  newton=True, time_check=cfg.time_check)
         _dump_json(report.json_dict(), out / "continuation.json")
         if not report.converged:
+            leg = report.legs[-1]
             raise ConvergenceError(
-                "continuation aborted: a leg failed to reach quasi-steady "
-                f"state within t_end = {cfg.flow.t_end}")
+                f"continuation aborted: the leg at eps = {leg.eps} is not quasi-steady: sup|L^eps "
+                f"u| = {leg.final_sup_ut} (tol {leg.tol}) after {leg.steps} explicit steps (t_end "
+                f"= {cfg.flow.t_end}) and {leg.newton_iterations} Newton iterations")
 
         att = boundary_attainment_report(report.u_bar, phi, solv)
         _dump_json(att.json_dict(), out / "attainment.json")

@@ -14,13 +14,14 @@ start.  The run's limit is the last leg's; an explicit schedule's earlier
 legs only warm-start the next one and feed the Cauchy gaps, so they stop
 at the gap resolution DEFAULT_GAP_STOP when tol is finer (eps_continuation).
 
-All stepping goes through one loop, _step_until, which states the mixing
-and sampling rules; flow.flow_step states the RKL1 super-step.  Mixed
-super-steps reach the same leg limits as explicit steps in fewer operator
-sweeps.  The time check is a stop rule (TimeSnapshots) on explicit steps,
-because it reads the states at the requested times, which super-steps step
-over: eps_continuation runs it as leg 1's explicit prefix, from u0 at leg
-1's eps, and time_sequence_uniqueness_check as a run of its own.
+That limit is also the unique root of L^eps u = 0 with phi on the
+dirichlet nodes, which with newton set a leg solves for (_newton_solve,
+after Knoll & Keyes, J. Comput. Phys. 193, 2004).  Explicit steps stay the
+library default and the path of what belongs to the flow's time: the
+delta-ramp, the estimates, and the time check, a stop rule (TimeSnapshots)
+that reads the states at the requested times.  eps_continuation runs the
+check as leg 1's explicit prefix, from u0 at leg 1's eps, and
+time_sequence_uniqueness_check as a run of its own.
 
 Convergence statements live on compact interior subsets, so the probe set
 excludes a 4-cell boundary collar; trace behavior at the boundary itself is
@@ -37,30 +38,26 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EstimateViolation
-from .flow import FlowParams, FlowState, _operator_arrays, flow_step, initial_state, record_sample
+from .flow import (FlowParams, FlowState, _operator_arrays, flow_step, initial_state,
+                   record_sample, stable_dt)
 from .functionals import e_eps, interior_integral, total_variation
 from .grid import GridDomain, GridField, _norm, as_field
 
 PROBE_COLLAR = 4          # probe set: interior nodes >= this many cells inside
 # The default schedule stops once two legs agree this well on the probe set.
-# The same scale bounds an explicit schedule's intermediate legs: a leg held
-# to it moves its gaps far less than the gap resolution itself (at most
-# 2.8e-7 on the benchmark's configs), while 1e-3 moved poincare_mixed's gap
-# x9.4 and 1e-5 saved half as many evaluations on scherk_flow (24, not 48)
+# The same scale bounds an explicit schedule's intermediate legs: on the
+# benchmark's configs, against legs held to tol, Newton legs held to it move
+# the gaps by at most 1.0e-7 and u_bar by 2.9e-9, and cut the evaluations
+# after the time check 50 -> 40-45 (scherk_flow) and 25-27 -> 20-23
+# (poincare_mixed); 1e-3 cuts no more, 1e-5 about half as much
 DEFAULT_GAP_STOP = 1e-4
 DEFAULT_MAX_LEGS = 13     # eps_i = 0.1 * 2^-i for i = 0..12
-# RKL1 stages per eps-leg super-step in graphflow run.  Operator
-# evaluations summed over the legs of the benchmark's scherk_flow at
-# h=1/16, 1/32, 1/64 with ANDERSON_DEPTH 5: 4 stages 172/728/2552, 8 stages
-# 248/384/1560, 12 stages 324/420/1104 (unmixed at h=1/16: 4 stages 936,
-# 8: 480, 12: 504, 16: 512; explicit: 2374)
-SUPER_STAGES = 8
-# Anderson depth m: the last m + 1 super-step maps mix each start.  The
-# same sums with 8 stages: m=3 264/528/2680, m=5 248/384/1560, m=8
-# 248/344/1000 (unmixed 480/2088/8496).  Past 5 nothing is saved at the
-# benchmark's h=1/16, and the least-squares fit costs more: 48 us at m=5,
-# 81 us at m=8, against 70 us per operator evaluation there
-ANDERSON_DEPTH = 5
+# Newton iterations per leg; a leg that reaches the cap is not converged.  The most
+# measured is 21: the detached annulus's pseudo-transient leg at h=1/64
+NEWTON_MAX_ITERATIONS = 50
+NEWTON_HALVINGS = 10        # of a step whose |F|_2 does not drop, before the solve turns
+PTC_STEPS = 100             # pseudo-transient, at a first step of this many explicit dt
+GMRES_FORCING, GMRES_MAX_ITERATIONS = 1e-2, 60  # |J s + F| <= GMRES_FORCING |F|
 
 
 def probe_mask(domain: GridDomain) -> np.ndarray:
@@ -73,94 +70,141 @@ def probe_mask(domain: GridDomain) -> np.ndarray:
     return mask
 
 
-class _AndersonMix:
-    """Type-II Anderson mixing (Anderson 1965; Walker & Ni, SIAM J. Numer.
-    Anal. 49, 2011) of a fixed-point map G on the interior values.
-
-    Called with a start x_k and its image G(x_k), it returns
-    x_{k+1} = G(x_k) - dG gamma, where gamma is the least-squares fit of
-    f_k = G(x_k) - x_k by the columns of dF, and dF, dG hold the
-    differences of f and G over the last depth + 1 calls, so dG = dX + dF.
-    The first call returns G(x_0).  The differences live in preallocated
-    rings; their order does not change the mix."""
-
-    def __init__(self, size: int, depth: int):
-        self.df, self.dg = np.empty((depth, size)), np.empty((depth, size))
-        self.stored = 0
-        self.f = self.g = None
-
-    def __call__(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        f = g - x
-        if self.f is not None:
-            slot = self.stored % len(self.df)
-            np.subtract(f, self.f, out=self.df[slot])
-            np.subtract(g, self.g, out=self.dg[slot])
-            self.stored += 1
-        self.f, self.g = f, g
-        k = min(self.stored, len(self.df))
-        if not k:
-            return g
-        gamma = np.linalg.lstsq(self.df[:k].T, f, rcond=None)[0]
-        return g - gamma @ self.dg[:k]
+def _inverse_laplacian(domain: GridDomain, r: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """S (S r / (eigenvalues - shift)) on r zero-extended to the inner block,
+    read back at the interior nodes; S, symmetric, transforms every axis
+    (GridDomain.sine_basis)."""
+    mats, eig, at = domain.sine_basis
+    block = np.zeros(eig.shape)
+    block.flat[at] = r
+    for scale in (1.0, 1.0 / (eig - shift)):
+        block = scale * block
+        for m in mats:  # transform the leading axis and move it last
+            block = np.einsum("i...,ij->...j", block, m)
+    return block.take(at)
 
 
-def _step_until(state: FlowState, params: FlowParams, stop, sample_every=0, stages=1) -> None:
-    """Step state, stages at a time (flow.flow_step), until stop(state)
-    holds; stop sees the initial state and every step.  Steps 1, 1+k,
-    1+2k, ... for k = sample_every > 0 record a DiagnosticSample; with 0,
-    no step does.
+def _dot(a, b) -> float:  # the solves sum by einsum, not BLAS: no thread count changes a bit
+    return float(np.einsum("i,i", a, b))
 
-    When a step took more than one stage and stop does not hold, the next
-    step starts from the Anderson mix (_AndersonMix) of the last
-    ANDERSON_DEPTH + 1 super-step maps: its interior values replace those of
-    the step's result, its dirichlet values stay phi.  t, the samples and
-    dissipation_cum stay those of the super-steps, and the stop rule, read
-    after each step, sees sup|L^eps| at that step's start, so a leg stops on
-    the residual of its last start and ends on that start's super-step."""
-    dom = state.u.domain
-    interior = dom.interior_flat
-    mix = _AndersonMix(interior.size, ANDERSON_DEPTH) if stages > 1 else None
-    start = None  # the last step's start values, when that step was a super-step
+
+def _gmres(apply, b: np.ndarray, rtol: float, max_iterations: int):
+    """(x, iterations), x from 0 with |b - apply(x)| <= rtol |b| or least
+    after max_iterations (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+    1986); Givens rotations track that residual as |g[k + 1]|."""
+    basis, hess = np.zeros((max_iterations + 1, b.size)), np.zeros((max_iterations,) * 2)
+    rot, g = np.zeros((max_iterations, 2)), np.zeros(max_iterations + 1)
+    g[0] = beta = math.sqrt(_dot(b, b))
+    basis[0] = b / beta
+    for k in range(max_iterations):
+        w, col = apply(basis[k]), hess[:, k]
+        for i in range(k + 1):  # modified Gram-Schmidt
+            col[i] = _dot(basis[i], w)
+            w -= col[i] * basis[i]
+        norm = math.sqrt(_dot(w, w))
+        for i, (c, s) in enumerate(rot[:k]):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        r = math.hypot(col[k], norm)
+        rot[k], col[k] = (col[k] / r, norm / r), r
+        g[k], g[k + 1] = rot[k, 0] * g[k], -rot[k, 1] * g[k]
+        if abs(g[k + 1]) <= rtol * beta or norm == 0.0:
+            break
+        basis[k + 1] = w / norm
+    y = np.linalg.solve(hess[:k + 1, :k + 1], g[:k + 1])
+    return np.einsum("i,ij", y, basis[:k + 1]), k + 1
+
+
+def _newton_solve(state: FlowState, params: FlowParams, threshold: float,
+                  sample_every: int) -> None:
+    """Inexact Newton on the interior values until sup|L^eps u| < threshold,
+    for at most NEWTON_MAX_ITERATIONS updates of the state (t kept).  GMRES
+    solves (J - shift) s = -F, right preconditioned by the block Laplacian
+    times lambda_max (1 + eps W); s halves until |F|_2 drops enough.  Where no
+    halving does, shift turns from 0 to 1 / (PTC_STEPS dt), then scales by
+    each |F|_2 ratio, and any finite step is taken: pseudo-transient
+    continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998)."""
+    dom, eps, shift = state.u.domain, params.eps, 0.0
+    lam_max = 1.0 if dom.chart.is_euclidean else dom.interior_lambda_max
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trial is halved
+        f, w, jv = _operator_arrays(dom, state.u.values, eps, tangent=True)
+        state.evaluations += 1
+        state.sup_ut = float(np.abs(f).max())
+        while state.sup_ut >= threshold and state.newton_iterations < NEWTON_MAX_ITERATIONS:
+            coeff = lam_max * (1.0 + eps * w)
+            sigma = shift / float(np.max(coeff))
+
+            def apply(r):  # (J - shift) M^-1 r, M = coeff (Laplacian - sigma)
+                z = _inverse_laplacian(dom, r / coeff, sigma)
+                return jv(z) - shift * z
+            y, krylov = _gmres(apply, -f, GMRES_FORCING, GMRES_MAX_ITERATIONS)
+            step, norm_sq = _inverse_laplacian(dom, y / coeff, sigma), _dot(f, f)
+            state.evaluations += krylov
+            state.krylov_iterations += krylov
+            for halving in range(NEWTON_HALVINGS):
+                trial = state.u.values.copy()
+                trial.flat[dom.interior_flat] += 0.5 ** halving * step
+                trial_op = _operator_arrays(dom, trial, eps, tangent=True)
+                state.evaluations += 1
+                new_sq = _dot(trial_op[0], trial_op[0])
+                if new_sq <= (1.0 - 1e-4 * 0.5 ** halving) ** 2 * norm_sq or (
+                        shift and new_sq < math.inf):
+                    break
+            else:
+                if shift:
+                    return
+                shift = 1.0 / (PTC_STEPS * stable_dt(dom, params, w))
+                continue
+            (f, w, jv), shift = trial_op, shift * math.sqrt(new_sq / norm_sq)
+            state.u, state.sup_ut = GridField.trusted(dom, trial), float(np.abs(f).max())
+            state.sup_u = float(np.abs(trial[dom.used]).max())
+            state.step += 1
+            state.newton_iterations += 1
+            if (state.step - 1) % sample_every == 0:
+                record_sample(state, params)
+
+
+def _step_until(state: FlowState, params: FlowParams, stop, sample_every=0) -> None:
+    """Take explicit steps (flow.flow_step) until stop(state) holds; stop
+    sees the initial state and every step.  Steps 1, 1+k, 1+2k, ... for
+    k = sample_every > 0 record a DiagnosticSample; with 0, no step does."""
     while not stop(state):
-        if start is not None:
-            vals = state.u.values.copy()
-            vals[dom.interior] = mix(start, vals.take(interior))
-            state.u = GridField.trusted(dom, vals)
-        evaluations = state.evaluations
-        x = state.u.values.take(interior) if stages > 1 else None
-        flow_step(state, params, sample_every > 0 and state.step % sample_every == 0, stages)
-        start = x if state.evaluations > evaluations + 1 else None
+        flow_step(state, params, sample_every > 0 and state.step % sample_every == 0)
 
 
 def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
-                        sample_every: int = 1, stages: int = 1,
+                        sample_every: int = 1, newton: bool = False,
                         snapshots: TimeSnapshots | None = None) -> tuple[FlowState, bool]:
-    """Step the flow until sup|u_t| drops below tol * (1 + sup|u|), u the
-    start state: u0 with phi on the dirichlet nodes.
-
-    Returns the final state and whether the threshold was reached before
-    t_end.  Stationary data converges in zero steps: the initial residual
-    sup|L^eps u0| is checked before any stepping.  With snapshots, the run
-    first takes explicit steps until they hold, whatever the residual, and
-    t_end counts those steps.  sample_every and stages go to _step_until;
-    the history holds its samples and the last step.
-    """
+    """Run a leg until sup|L^eps u| < tol * (1 + sup|u|), u the start
+    state u0 with phi on the dirichlet nodes; returns the final state and
+    whether it got there.  Stationary data converges in zero steps.
+    Explicit steps stop at t_end and read sup|L^eps| at each step's start.
+    With snapshots, the leg first steps until they hold, whatever the
+    residual.  With newton, it then steps only while the delta-ramp moves
+    the boundary (throughout with assert_estimates) and, unless that
+    settles it or reaches t_end, solves for the root (_newton_solve).  The
+    history holds the samples at the sample_every cadence and the last update."""
     problems = [] if 0 < tol < math.inf else [
         f"quasi-steady tolerance must be finite and positive, got {tol}"]
-    problems += [f"{name} must be a positive integer, got {value!r}"
-                 for name, value in (("sample_every", sample_every), ("stages", stages))
-                 if not (isinstance(value, Integral) and value >= 1)]
+    if not (isinstance(sample_every, Integral) and sample_every >= 1):
+        problems.append(f"sample_every must be a positive integer, got {sample_every!r}")
     if problems:
         raise ConfigError(problems)
     state = initial_state(u0, phi, params)
     threshold = tol * (1.0 + state.u.sup_abs())
 
+    def done(s):
+        return s.sup_ut < threshold or s.t >= params.t_end
+
     if snapshots is not None:
         _step_until(state, params, snapshots, sample_every)
-    _step_until(state, params, lambda s: s.sup_ut < threshold or s.t >= params.t_end,
-                sample_every, stages)
+    if newton and not params.assert_estimates:
+        _step_until(state, params, lambda s: done(s) or s.t >= 2.0 * params.delta, sample_every)
+        if not done(state):
+            _newton_solve(state, params, threshold, sample_every)
+    else:
+        _step_until(state, params, done, sample_every)
     if state.step and state.history[-1].step != state.step:
-        record_sample(state, params)  # the last step, when the cadence missed it
+        record_sample(state, params)  # the last update, when the cadence missed it
     return state, state.sup_ut < threshold
 
 
@@ -170,13 +214,16 @@ class EpsLeg(NamedTuple):
     tol is the quasi-steady tolerance the leg was held to, and converged
     says whether it reached it.  tv_final is the graph total variation of
     the leg limit, the discrete stand-in for the flow staying in W^{1,1}.
-    evaluations counts the operator sweeps, the stages summed over the steps.
+    steps counts explicit steps; evaluations counts the operator sweeps:
+    explicit steps, residuals and Krylov products (J v).
     """
 
     eps: float
     tol: float
     steps: int
     evaluations: int
+    newton_iterations: int
+    krylov_iterations: int
     final_sup_ut: float
     converged: bool
     energy_final: float
@@ -185,13 +232,9 @@ class EpsLeg(NamedTuple):
     u_ref: GridField
 
     def json_dict(self) -> dict:
-        return {"eps": float(self.eps), "tol": float(self.tol), "steps": int(self.steps),
-                "evaluations": int(self.evaluations),
-                "final_sup_ut": float(self.final_sup_ut),
-                "converged": bool(self.converged),
-                "energy_final": float(self.energy_final),
-                "dissipation_total": float(self.dissipation_total),
-                "tv_final": float(self.tv_final)}
+        counts = ("steps", "evaluations", "newton_iterations", "krylov_iterations")
+        return {key: bool(v) if key == "converged" else int(v) if key in counts else float(v)
+                for key, v in self._asdict().items() if key != "u_ref"}
 
 
 class ContinuationReport(NamedTuple):
@@ -245,7 +288,7 @@ def eps_schedule(schedule) -> list:
 
 def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
                      tol: float = 1e-5, warm_start: bool = True,
-                     sample_every: int = 1, stages: int = 1,
+                     sample_every: int = 1, newton: bool = False,
                      time_check: dict | None = None) -> ContinuationReport:
     """Continuation over a decreasing eps schedule.
 
@@ -253,9 +296,9 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     falls below DEFAULT_GAP_STOP or after DEFAULT_MAX_LEGS legs.  Each leg
     warm-starts from the previous limit by default; warm_start False reruns
     every leg from u0, exposing any dependence on the eps sequence.  A leg
-    that fails to reach quasi-steady state within t_end is recorded and
-    aborts the remaining schedule.  sample_every and stages go to
-    run_to_quasi_steady; the report's history holds each leg's samples.
+    that fails to reach quasi-steady state is recorded and aborts the
+    remaining schedule.  sample_every and newton go to run_to_quasi_steady;
+    the report's history holds each leg's samples.
 
     The last leg is held to tol.  So is every leg of the default schedule,
     since any of them may turn out to be the last.  An explicit schedule's
@@ -282,11 +325,14 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
         leg_tol = tol if dynamic or i == len(sched_iter) - 1 else max(tol, DEFAULT_GAP_STOP)
         state, ok = run_to_quasi_steady(params._replace(eps=eps), phi,
                                         current if warm_start else u0, leg_tol, sample_every,
-                                        stages, None if legs else check)
+                                        newton, None if legs else check)
         history.extend(state.history)
         current = state.u
         energy = state.history[-1].energy_eps if state.step else e_eps(current, eps)
-        legs.append(EpsLeg(eps=eps, tol=leg_tol, steps=state.step, evaluations=state.evaluations,
+        legs.append(EpsLeg(eps=eps, tol=leg_tol, steps=state.step - state.newton_iterations,
+                           evaluations=state.evaluations,
+                           newton_iterations=state.newton_iterations,
+                           krylov_iterations=state.krylov_iterations,
                            final_sup_ut=float(state.sup_ut),
                            converged=ok, energy_final=float(energy),
                            dissipation_total=float(state.dissipation_cum),

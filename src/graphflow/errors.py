@@ -39,7 +39,7 @@ class BarrierError(GraphflowError, ValueError):
 
 
 class ConvergenceError(GraphflowError, RuntimeError):
-    """A flow leg failed to reach quasi-steady state within its horizon."""
+    """A leg failed to reach quasi-steady state: by t_end, the Newton cap or a stall."""
 
 
 class ConfigError(GraphflowError, ValueError):

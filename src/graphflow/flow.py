@@ -6,11 +6,8 @@ The interior update integrates
     Q u = (sigma^{ij} - u^i u^j / W^2) D^2_ij u,   W = sqrt(1 + |Du|^2_sigma),
 
 with forward Euler under a parabolic step restriction recomputed every
-step, or with first-order Runge-Kutta-Legendre (RKL1) super-steps (Meyer,
-Balsara & Aslam, J. Comput. Phys. 257, 2014), stated in flow_step.  Their
-stages reuse the same stencil and keep every fixed point L^eps u = 0, so
-both schemes approach the same discrete limit.  The leg loop that mixes
-super-steps is continuation._step_until.
+step.  The operator and its exact derivative also serve continuation's
+Newton-Krylov leg solves for the steps' fixed point L^eps u = 0.
 
 The eps term is the uniformly parabolic viscosity perturbation: it makes
 the flow the metric gradient flow of the energy
@@ -33,7 +30,6 @@ that record a DiagnosticSample.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -94,40 +90,53 @@ class DiagnosticSample(NamedTuple):
 
 class FlowState:
     """Mutable state of one flow run.  Each step sets a new u and the last
-    step's sup|u|, sup|u_t| (sup|L^eps u0| before the first step) and adds
-    its dissipation to dissipation_cum and its stage count to evaluations,
-    the operator sweeps taken; history holds the samples of the steps that
-    recorded one."""
+    step's sup|u|, sup|u_t| (sup|L^eps u0| before the first step), and adds
+    its dissipation and 1 to step and evaluations (operator sweeps); history
+    holds the samples.  Newton iterations (continuation) are steps too."""
 
-    def __init__(self, u: GridField, t: float = 0.0, step: int = 0, history: list | None = None,
-                 phi_dirichlet: np.ndarray | None = None, ramp_base: np.ndarray | None = None,
-                 sup_l0: float = 0.0, bound_lo: float = 0.0, bound_hi: float = 0.0,
-                 sup_u: float = 0.0, sup_ut: float = 0.0, dissipation_cum: float = 0.0,
-                 evaluations: int = 0):
-        self.u, self.t, self.step = u, t, step
-        self.history = [] if history is None else history
-        self.phi_dirichlet, self.ramp_base, self.sup_l0 = phi_dirichlet, ramp_base, sup_l0
-        self.bound_lo, self.bound_hi, self.sup_u, self.sup_ut = bound_lo, bound_hi, sup_u, sup_ut
-        self.dissipation_cum, self.evaluations = dissipation_cum, evaluations
+    def __init__(self, u: GridField, phi_dirichlet: np.ndarray, ramp_base: np.ndarray,
+                 sup_l0: float, bound_lo: float, bound_hi: float):
+        self.u, self.phi_dirichlet, self.ramp_base, self.history = u, phi_dirichlet, ramp_base, []
+        self.sup_l0 = self.sup_ut = sup_l0
+        self.bound_lo, self.bound_hi = bound_lo, bound_hi
+        self.t = self.sup_u = self.dissipation_cum = 0.0
+        self.step = self.evaluations = self.newton_iterations = self.krylov_iterations = 0
 
 
-def _operator_arrays(domain: GridDomain, values: np.ndarray, eps: float):
-    """(L^eps u, W) at the interior nodes, in interior_flat order; at
-    eps = 0, L^eps u is Qu bit for bit."""
+def _laplacian(domain: GridDomain, hess: np.ndarray) -> np.ndarray:
     n = domain.dim
+    if domain.chart.is_euclidean:
+        return hess.reshape(n * n, -1)[::n + 1].sum(axis=0)
+    return (domain.interior_sig_inv * hess).reshape(n * n, -1).sum(axis=0)
+
+
+def _operator_arrays(domain: GridDomain, values: np.ndarray, eps: float, tangent: bool = False):
+    """(L^eps u, W) at the interior nodes, in interior_flat order; at
+    eps = 0, L^eps u is Qu bit for bit.  With tangent, also J: interior v
+    (0 elsewhere) to the exact derivative of L^eps u along v."""
     nbrs = values.take(domain.node_table)
     lowered, raised, gradsq = gradient_sweep(domain, nbrs)
     hess = hessian_sweep(domain, nbrs, lowered)
     w2 = 1.0 + gradsq
-    if domain.chart.is_euclidean:
-        lap = hess.reshape(n * n, -1)[::n + 1].sum(axis=0)
-    else:
-        lap = (domain.interior_sig_inv * hess).reshape(n * n, -1).sum(axis=0)
-    quu = contract(raised, matvec(hess, raised))
+    lap, h_raised = _laplacian(domain, hess), matvec(hess, raised)
+    quu = contract(raised, h_raised)
     l_eps, w = lap - quu / w2, np.sqrt(w2)
     if eps != 0.0:
         l_eps = l_eps + eps * w * lap
-    return l_eps, w
+    if not tangent:
+        return l_eps, w
+    lifted = np.zeros(values.size)
+
+    def jv(v):
+        lifted[domain.interior_flat] = v
+        dn = lifted.take(domain.node_table)
+        d_low, d_raised, _ = gradient_sweep(domain, dn)
+        d_hess = hessian_sweep(domain, dn, d_low)
+        d_lap, d_w2 = _laplacian(domain, d_hess), 2.0 * contract(raised, d_low)
+        d_quu = 2.0 * contract(d_raised, h_raised) + contract(raised, matvec(d_hess, raised))
+        out = d_lap - d_quu / w2 + quu * d_w2 / (w2 * w2)
+        return out + eps * (w * d_lap + lap * d_w2 / (2.0 * w)) if eps != 0.0 else out
+    return l_eps, w, jv
 
 
 def l_eps_apply(u: GridField, eps: float) -> np.ndarray:
@@ -176,8 +185,7 @@ def initial_state(u0: GridField, phi, params: FlowParams) -> FlowState:
 
     used = u.values[dom.used]
     return FlowState(u=u, phi_dirichlet=phi_vals, ramp_base=ramp_base,
-                     sup_l0=sup_l0, bound_lo=float(np.min(used)),
-                     bound_hi=float(np.max(used)), sup_ut=sup_l0)
+                     sup_l0=sup_l0, bound_lo=float(np.min(used)), bound_hi=float(np.max(used)))
 
 
 def stable_dt(domain: GridDomain, params: FlowParams, w: np.ndarray) -> float:
@@ -195,39 +203,23 @@ def stable_dt(domain: GridDomain, params: FlowParams, w: np.ndarray) -> float:
     return params.cfl * min(1.0, 2.0 / domain.dim) * domain.h_min_sq / coeff_max
 
 
-def flow_step(state: FlowState, params: FlowParams, sample: bool = True,
-              stages: int = 1) -> FlowState:
-    """One explicit step, or with stages s > 1 one RKL1 super-step of length
-    dt (s^2 + s)/2, dt = stable_dt at the start state; mutates and returns
-    the state.  stages is a positive integer.
-
-    The super-step's stages are Y_1 = Y_0 + dt L^eps(Y_0), the explicit
-    step, and Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + mu_j dt L^eps(Y_{j-1})
-    with mu_j = (2j - 1)/j and nu_j = (1 - j)/j, each on a lattice whose
-    dirichlet values stay phi.  While the delta-ramp moves the boundary
-    (t < 2 delta), and when assert_estimates is set, since the estimates
-    belong to the explicit scheme, the step is explicit whatever stages is.
+def flow_step(state: FlowState, params: FlowParams, sample: bool = True) -> FlowState:
+    """One explicit step of length stable_dt at the start state; mutates
+    and returns the state.
 
     With sample set, appends a DiagnosticSample (record_sample); raises
     FlowDiverged on non-finite values and EstimateViolation when
     assert_estimates is set and a monitored bound fails, sampled or not.
     """
-    # run_to_quasi_steady's rule: below 1, tau would be 0 or negative
-    if not (isinstance(stages, Integral) and stages >= 1):
-        raise ConfigError(f"stages must be a positive integer, got {stages!r}")
     dom = state.u.domain
     vals = state.u.values
-    interior = dom.interior_flat
-    if params.assert_estimates or state.t < 2.0 * params.delta:
-        stages = 1
     # overflow here surfaces as the FlowDiverged guard below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         rhs, w = _operator_arrays(dom, vals, params.eps)
         dt = stable_dt(dom, params, w)
-        tau = dt * (stages * (stages + 1) // 2)
-        old = vals.take(interior)
-        first = new = old + dt * rhs
-        t_new = state.t + tau
+        old = vals.take(dom.interior_flat)
+        new = old + dt * rhs
+        t_new = state.t + dt
 
         bc = state.phi_dirichlet
         ramp = compatibility_ramp(t_new, params.delta)
@@ -235,12 +227,6 @@ def flow_step(state: FlowState, params: FlowParams, sample: bool = True,
             bc = bc + ramp * state.ramp_base
         new_vals = vals.copy()
         new_vals[dom.dirichlet] = bc
-        prev = old
-        for j in range(2, stages + 1):
-            new_vals[dom.interior] = new
-            rhs_j = _operator_arrays(dom, new_vals, params.eps)[0]
-            mu, nu = (2 * j - 1) / j, (1 - j) / j
-            prev, new = new, mu * new + nu * prev + (mu * dt) * rhs_j
         new_vals[dom.interior] = new
 
         # NaN and inf propagate through max, so the sups double as the guard
@@ -250,16 +236,15 @@ def flow_step(state: FlowState, params: FlowParams, sample: bool = True,
             raise FlowDiverged(f"non-finite value at node {bad} on step "
                                f"{state.step + 1}", step=state.step + 1, node=bad)
 
-        rate = (first - old) / dt  # the explicit step's, or the first stage's
+        rate = (new - old) / dt
         state.sup_ut = float(np.abs(rate).max())
-        ut = rate if stages == 1 else (new - old) / tau
         state.sup_u = max(sup_new, sup_bc)
-        state.dissipation_cum += interior_integral(dom, ut * ut / w) * tau
+        state.dissipation_cum += interior_integral(dom, rate * rate / w) * dt
 
     state.u = GridField.trusted(dom, new_vals)
     state.t = t_new
     state.step += 1
-    state.evaluations += stages
+    state.evaluations += 1
     if sample:
         record_sample(state, params)
     if params.assert_estimates:

@@ -276,6 +276,19 @@ class GridDomain:
         return np.linalg.eigvalsh(np.moveaxis(self.interior_sig_inv, -1, 0))[..., -1]
 
     @cached_property
+    def sine_basis(self) -> tuple:
+        """Per-axis orthonormal DST-I matrices of the inner block (the lattice
+        without its rim), the eigenvalues of the block's 5-point Dirichlet
+        Laplacian, and the interior nodes' flat positions in the block."""
+        sizes = [s - 2 for s in self.shape]
+        mats, eig = [], 0.0
+        for size, h in zip(sizes, self.h):
+            k = np.arange(1, size + 1)
+            mats.append(math.sqrt(2.0 / (size + 1)) * np.sin(np.pi * np.outer(k, k) / (size + 1)))
+            eig = np.add.outer(eig, -4.0 / h ** 2 * np.sin(0.5 * np.pi * k / (size + 1)) ** 2)
+        return mats, eig, np.ravel_multi_index([i - 1 for i in self.interior_index], sizes)
+
+    @cached_property
     def node_table(self) -> np.ndarray:
         """Flat lattice indices read by the node stencils, one column per
         interior node in interior_flat order.  The rows are the node, the

@@ -510,8 +510,8 @@ def test_run_bad_schedule_fails_before_any_work(tmp_path, schedule, problem):
     assert not (out / "config_resolved.json").exists() and not (out / "barrier.json").exists()
 
 
-# moving data: both legs move.  Leg 1 reaches quasi-steady state near
-# t = 0.33 in 12 super-steps, off the default cadence; leg 2 takes 5
+# moving data: both legs move.  Explicit steps take leg 1 to quasi-steady
+# state near t = 0.33; without a time check both legs solve by Newton
 MOVING = {"phi": {"kind": "scherk"},
           "u0": {"kind": "sine_product", "amplitude": 0.3, "waves": [1, 1]},
           "schedule": [0.1, 0.05], "tol": 3e-4}
@@ -605,7 +605,7 @@ def test_default_schedule_holds_every_leg_to_tol(tmp_path, monkeypatch):
     cfg_path, _ = write_config(tmp_path, "null.json", **SCHERK_BOX, h=0.125, schedule=None)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "null")]) == 0
     cont = json.loads((tmp_path / "null" / "continuation.json").read_text())
-    assert len(cont["legs"]) > 2 and all(leg["steps"] for leg in cont["legs"])
+    assert len(cont["legs"]) > 2 and all(leg["newton_iterations"] for leg in cont["legs"])
     assert [leg["tol"] for leg in cont["legs"]] == [1e-6] * len(cont["legs"])
     explicit, _ = write_config(tmp_path, "explicit.json", **SCHERK_BOX, h=0.125,
                                schedule=cont["eps_schedule"])
@@ -629,9 +629,9 @@ def test_run_snapshot_cadence_thins_diagnostics(tmp_path):
     moving = {
         "phi": {"kind": "constant", "value": 0.0},
         "u0": {"kind": "sine_product", "amplitude": 0.3, "waves": [1, 1]},
-        "flow": {"eps": 0.1, "t_end": 5.0},
+        # 24 explicit steps while the delta-ramp moves, then 3 Newton iterations
+        "flow": {"eps": 0.1, "delta": 0.01, "t_end": 5.0},
         "schedule": [0.1],
-        # the mixed super-steps take u to phi = 0 fast: 14 steps at this tol
         "tol": 1e-9,
     }
     cfg_path, _ = write_config(tmp_path, snapshot_every_steps=1, **moving)
@@ -648,7 +648,7 @@ def test_run_snapshot_cadence_thins_diagnostics(tmp_path):
     assert len(full) > 12
     assert len(thin) < len(full)
     assert thin[0] == full[0]          # header
-    assert thin[1] == full[1]          # step 0 kept
+    assert thin[1] == full[1]          # step 1 kept
     assert thin[-1] == full[-1]        # final row always kept
     resolved = json.loads((thin_dir / "config_resolved.json").read_text())
     assert resolved["snapshot_every_steps"] == 5
@@ -656,7 +656,8 @@ def test_run_snapshot_cadence_thins_diagnostics(tmp_path):
 
 def test_run_default_cadence_samples_each_leg(tmp_path, monkeypatch):
     # moving data and a time check, whose explicit steps are leg 1's first
-    # steps and rows: each leg keeps steps 1, 11, 21, ... and its last step,
+    # updates and rows, and leg 1 is quasi-steady when they end; leg 2 solves
+    # by Newton.  Each leg keeps updates 1, 11, 21, ... and its last update,
     # row for row as the dense run writes them, and E^eps is evaluated for
     # those rows only
     energies, real = [], graphflow.flow.e_eps
@@ -672,10 +673,10 @@ def test_run_default_cadence_samples_each_leg(tmp_path, monkeypatch):
         rows[name] = (tmp_path / name / "diagnostics.csv").read_bytes().split(b"\r\n")[1:-1]
         assert len(energies) == len(rows[name])
     cont = json.loads((tmp_path / "default" / "continuation.json").read_text())
-    steps = [leg["steps"] for leg in cont["legs"]]
-    assert steps == [756, 5]
-    assert len(rows["dense"]) == sum(steps)
-    legs = [rows["dense"][:steps[0]], rows["dense"][steps[0]:]]
+    assert [(leg["steps"], leg["newton_iterations"]) for leg in cont["legs"]] == [(756, 0), (0, 2)]
+    updates = [leg["steps"] + leg["newton_iterations"] for leg in cont["legs"]]
+    assert len(rows["dense"]) == sum(updates)
+    legs = [rows["dense"][:updates[0]], rows["dense"][updates[0]:]]
     assert rows["default"] == [row for leg in legs for i, row in enumerate(leg)
                                if i % 10 == 0 or i == len(leg) - 1]
     for name in set(RUN_ARTIFACTS) - {"config_resolved.json", "diagnostics.csv"}:
@@ -684,8 +685,8 @@ def test_run_default_cadence_samples_each_leg(tmp_path, monkeypatch):
 
 
 def test_run_is_byte_identical_across_blas_threads(tmp_path):
-    # the least-squares fit of the legs' Anderson mixing is the first
-    # BLAS-sized reduction on the flow path: the thread count of a fresh
+    # the Newton solves sum by einsum, not BLAS, and the rest of the flow
+    # path has no BLAS-sized product: the thread count of a fresh
     # interpreter must not change a byte
     import graphflow
     src = str(Path(graphflow.__file__).resolve().parents[1])
@@ -696,7 +697,7 @@ def test_run_is_byte_identical_across_blas_threads(tmp_path):
         subprocess.run([sys.executable, "-m", "graphflow.cli", "run", str(cfg_path),
                         "--out", str(tmp_path / threads)], env=env, check=True)
     cont = json.loads((tmp_path / "1" / "continuation.json").read_text())
-    assert all(leg["steps"] > 1 for leg in cont["legs"])
+    assert all(leg["newton_iterations"] > 1 for leg in cont["legs"])
     for name in RUN_ARTIFACTS + ("manifest.json",):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
@@ -740,25 +741,29 @@ def test_time_check_divergence_keeps_step_and_node(tmp_path, monkeypatch):
     # a step of leg 1's explicit prefix diverges
     step, taken = graphflow.continuation.flow_step, []
 
-    def diverging(state, params, sample, stages):
-        taken.append(stages)
+    def diverging(state, params, sample):
+        taken.append(state.step)
         if state.step == 6:
             raise graphflow.errors.FlowDiverged("non-finite value at node (3, 4) on step 7",
                                                 step=7, node=(3, 4))
-        return step(state, params, sample, stages)
+        return step(state, params, sample)
 
     monkeypatch.setattr(graphflow.continuation, "flow_step", diverging)
     cfg_path, out = write_config(tmp_path, **CHECKED)
     assert main(["run", str(cfg_path)]) == 3
-    assert taken == [1] * 7
+    assert taken == list(range(7))
     assert run_files(out) == ["barrier.json", "config_resolved.json", "failure.json"]
     fail = json.loads((out / "failure.json").read_text())
     assert (fail["error"], fail["step"], fail["node"]) == ("FlowDiverged", 7, [3, 4])
 
 
-def test_time_check_gap_is_recorded_when_a_leg_does_not_converge(tmp_path):
-    cfg_path, out = write_config(tmp_path, **{**CHECKED, "flow": {"eps": 0.1, "t_end": 0.2}})
+def test_time_check_gap_is_recorded_when_a_leg_does_not_converge(tmp_path, monkeypatch):
+    # one Newton iteration after the explicit prefix leaves leg 1 unconverged
+    monkeypatch.setattr(graphflow.continuation, "NEWTON_MAX_ITERATIONS", 1)
+    cfg_path, out = write_config(tmp_path, **CHECKED)
     assert main(["run", str(cfg_path)]) == 3
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["error"] == "ConvergenceError" and fail["exit_code"] == 3
     assert "continuation.json" in run_files(out) and "manifest.json" not in run_files(out)
     cont = json.loads((out / "continuation.json").read_text())
     assert cont["converged"] is False and cont["time_uniqueness_gap"] > 0
@@ -769,12 +774,15 @@ def test_time_check_gap_is_recorded_when_a_leg_does_not_converge(tmp_path):
     (0.6, {"times_a": [0.3], "times_b": [0.6]}, 0),  # leg 1 has converged by t_end
 ])
 def test_time_check_up_to_t_end(tmp_path, t_end, times, code):
-    # a requested time may equal t_end, and t_end counts leg 1's explicit steps
+    # a requested time may equal t_end, and t_end binds leg 1's explicit
+    # steps: a leg that still moves when they reach it is not converged,
+    # and no Newton solve follows them
     cfg_path, out = write_config(tmp_path, **{**MOVING, "flow": {"eps": 0.1, "t_end": t_end}},
                                  time_check=times)
     assert main(["run", str(cfg_path)]) == code
     cont = json.loads((out / "continuation.json").read_text())
     assert cont["legs"][0]["converged"] is (code == 0)
+    assert cont["legs"][0]["newton_iterations"] == 0
     assert cont["time_uniqueness_gap"] > 0
 
 
@@ -905,13 +913,15 @@ def test_run_unknown_nested_key_exits_1(tmp_path, level, overrides):
 
 def test_run_divergence_records_step_and_node(tmp_path, capsys, monkeypatch):
     # four times the default step is four times the explicit limit in two
-    # dimensions; no accepted cfl reaches it
+    # dimensions; no accepted cfl reaches it.  The time check's explicit
+    # prefix diverges before its first requested time
     bound = graphflow.flow.stable_dt
     monkeypatch.setattr(graphflow.flow, "stable_dt", lambda *args: 4.0 * bound(*args))
     cfg_path, out = write_config(
         tmp_path, phi={"kind": "linear", "coeffs": [1.0, 0.5]},
         u0={"kind": "constant", "value": 0.0},
-        flow={"eps": 0.1, "t_end": 5.0}, schedule=[0.1])
+        flow={"eps": 0.1, "t_end": 5.0}, schedule=[0.1],
+        time_check={"times_a": [1.0], "times_b": [2.0]})
     assert main(["run", str(cfg_path)]) == 3
     assert "FlowDiverged" in capsys.readouterr().err
     fail = json.loads((out / "failure.json").read_text())
@@ -942,19 +952,21 @@ def test_run_malformed_json_exits_1(tmp_path, capsys):
 
 
 def test_run_nonconvergence_exits_3(tmp_path, capsys):
-    # a horizon of 1e-3 cannot relax linear data from a flat start
+    # the delta-ramp moves the boundary until t = 2e-3, and its explicit
+    # steps reach the horizon of 1e-3 first, before any Newton solve
     cfg_path, out = write_config(
         tmp_path,
         chart={"kind": "euclidean", "n": 1, "box": [[0.0, 1.0]]},
         region={"region": "box", "bounds": [[0.0, 1.0]]},
         phi={"kind": "linear", "coeffs": [1.0], "offset": 0.0},
         u0={"kind": "constant", "value": 0.0},
-        flow={"eps": 0.1, "t_end": 1e-3},
+        flow={"eps": 0.1, "delta": 1e-3, "t_end": 1e-3},
         tol=1e-9)
     assert main(["run", str(cfg_path)]) == 3
     assert "quasi-steady" in capsys.readouterr().err
     cont = json.loads((out / "continuation.json").read_text())
     assert cont["converged"] is False
+    assert cont["legs"][0]["steps"] > 0 and cont["legs"][0]["newton_iterations"] == 0
     fail = json.loads((out / "failure.json").read_text())
     assert fail["exit_code"] == 3
     assert not (out / "manifest.json").exists()
@@ -1030,9 +1042,10 @@ def test_report_bundles_and_reruns_identically(tmp_path):
 
 
 def test_report_summarises_a_run_that_steps(tmp_path):
+    # one leg of 6 Newton iterations, sampled at 1, 3, 5 and its last
     cfg_path, out = write_config(
         tmp_path, phi={"kind": "linear", "coeffs": [0.5, -0.25], "offset": 0.0},
-        u0={"kind": "constant", "value": 0.0})
+        u0={"kind": "constant", "value": 0.0}, schedule=[0.1], snapshot_every_steps=2)
     assert main(["run", str(cfg_path)]) == 0
     assert main(["report", str(out)]) == 0
     summary = json.loads((out / "report.json").read_text())["diagnostics"]

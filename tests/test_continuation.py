@@ -67,7 +67,7 @@ def test_quasi_steady_tolerance_validation():
             run_to_quasi_steady(PARAMS, lambda x: 0.0, u0, tol)
 
 
-@pytest.mark.parametrize("key", ["sample_every", "stages"])
+@pytest.mark.parametrize("key", ["sample_every"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_step_counts_below_one_are_config_errors(key, value):
     # sample_every 0 used to record no sample and then read history[-1]
@@ -169,7 +169,7 @@ def test_bad_schedules_rejected():
 def _scherk_legs(tol, warm_start=True):
     dom = euclid(1 / 8, box=[[-1.0, 1.0], [-1.0, 1.0]])
     return eps_continuation([0.1, 0.05, 0.025], PARAMS, scherk, GridField.constant(dom, 0.0),
-                            tol=tol, warm_start=warm_start, stages=8)
+                            tol=tol, warm_start=warm_start, newton=True)
 
 
 @pytest.mark.parametrize("tol,warm_start,tols", [
@@ -394,8 +394,8 @@ def test_time_sequences_validation():
 
 def test_time_check_rides_leg_1_as_its_explicit_prefix(monkeypatch):
     # leg 1 steps explicitly from u0 until the last requested time, as the
-    # library check does at leg 1's eps, then takes super-steps; the
-    # stationarity defect is read at leg 1's eps too
+    # library check does at leg 1's eps, then solves by Newton, which adds
+    # no explicit step; the stationarity defect is read at leg 1's eps too
     defects, real = [], continuation._source_norm
     monkeypatch.setattr(continuation, "_source_norm",
                         lambda u, eps: defects.append(eps) or real(u, eps))
@@ -403,7 +403,7 @@ def test_time_check_rides_leg_1_as_its_explicit_prefix(monkeypatch):
     u0 = GridField.from_function(
         dom, lambda x: 0.5 * np.sin(np.pi * x[0]) * np.sin(2 * np.pi * x[1]))
     times = ([0.02, 0.05], [0.03])
-    rep = eps_continuation([0.05, 0.025], PARAMS, lambda x: 0.0, u0, tol=1e-6, stages=8,
+    rep = eps_continuation([0.05, 0.025], PARAMS, lambda x: 0.0, u0, tol=1e-6, newton=True,
                            time_check={"times_a": times[0], "times_b": times[1]})
     leg1 = PARAMS._replace(eps=0.05)
     assert defects == [0.05] * 3
@@ -412,7 +412,9 @@ def test_time_check_rides_leg_1_as_its_explicit_prefix(monkeypatch):
     explicit, _ = run_to_quasi_steady(leg1, lambda x: 0.0, u0, 1e-6)
     prefix = 1 + next(i for i, s in enumerate(explicit.history) if s.t >= 0.05)
     assert rep.history[:prefix] == explicit.history[:prefix]
-    assert rep.legs[0].evaluations > rep.legs[0].steps > prefix
+    assert rep.legs[0].steps == prefix and rep.legs[0].newton_iterations > 0
+    newton_row = rep.history[prefix]
+    assert newton_row.step == prefix + 1 and newton_row.t == rep.history[prefix - 1].t
 
 
 # ------------------------------------------------------------------ attainment
