@@ -20,10 +20,9 @@ from .barrier import (BarrierSearchResult, BarrierSpec, SolvabilityReport,
                       boundary_lipschitz, check_dirichlet_solvability,
                       fit_boundary_graph, q_on_barrier, search_alpha)
 from .continuation import (AttainmentPoint, AttainmentReport,
-                           ContinuationReport, EpsLeg, TimeUniquenessResult,
+                           ContinuationReport, EpsLeg,
                            boundary_attainment_report, eps_continuation,
-                           probe_mask, run_to_quasi_steady,
-                           time_sequence_uniqueness_check, trace_error)
+                           probe_mask, run_to_quasi_steady, trace_error)
 from .errors import (BarrierError, ChartError, ConfigError, ConvergenceError,
                      EstimateViolation, FlowDiverged, FunctionalError,
                      GraphflowError, GridError)
@@ -46,14 +45,13 @@ __all__ = [
     "DiagnosticSample", "EXTERIOR", "EpsLeg", "EstimateViolation",
     "FlowDiverged", "FlowParams", "FlowState", "FunctionalError",
     "FunctionalReport", "GraphflowError", "GridDomain", "GridError",
-    "GridField", "INTERIOR", "MetricChart", "SolvabilityReport",
-    "TimeUniquenessResult", "area", "boundary_attainment_report",
-    "boundary_lipschitz", "build_domain", "builtin_chart",
-    "chart_from_spec", "check_dirichlet_solvability", "compatibility_ramp",
-    "e_eps", "eps_continuation", "fit_boundary_graph", "flow_step",
-    "initial_state", "interior_integral", "interpolate_to", "j_functional",
-    "l_eps_apply", "load_field_csv", "load_metric_table", "probe_mask",
-    "q_on_barrier", "run_to_quasi_steady", "save_field_csv",
-    "search_alpha", "stable_dt", "time_sequence_uniqueness_check",
-    "total_variation", "trace_error", "write_diagnostics_csv",
+    "GridField", "INTERIOR", "MetricChart", "SolvabilityReport", "area",
+    "boundary_attainment_report", "boundary_lipschitz", "build_domain",
+    "builtin_chart", "chart_from_spec", "check_dirichlet_solvability",
+    "compatibility_ramp", "e_eps", "eps_continuation", "fit_boundary_graph",
+    "flow_step", "initial_state", "interior_integral", "interpolate_to",
+    "j_functional", "l_eps_apply", "load_field_csv", "load_metric_table",
+    "probe_mask", "q_on_barrier", "run_to_quasi_steady", "save_field_csv",
+    "search_alpha", "stable_dt", "total_variation", "trace_error",
+    "write_diagnostics_csv",
 ]

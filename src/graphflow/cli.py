@@ -265,7 +265,7 @@ def parse_config(raw: dict, base_dir: Path) -> SimpleNamespace:
     times, time_check = ("times_a", "times_b"), cfg["time_check"]
     if time_check is not None and "time_check" not in reported and \
             not check("time_check", time_check, times, times) and flow is not None:
-        collect(lambda: TimeSnapshots(flow, **time_check))  # nonempty, >= 0, <= t_end
+        collect(lambda: TimeSnapshots(flow, **time_check))  # nonempty, finite, >= 0, <= t_end
 
     if problems:
         raise ConfigError(problems)

@@ -19,9 +19,9 @@ dirichlet nodes, which with newton set a leg solves for (_newton_solve,
 after Knoll & Keyes, J. Comput. Phys. 193, 2004).  Explicit steps stay the
 library default and the path of what belongs to the flow's time: the
 delta-ramp, the estimates, and the time check, a stop rule (TimeSnapshots)
-that reads the states at the requested times.  eps_continuation runs the
-check as leg 1's explicit prefix, from u0 at leg 1's eps, and
-time_sequence_uniqueness_check as a run of its own.
+that reads the states at the requested times.  It rides a leg as its
+explicit prefix (run_to_quasi_steady's snapshots); eps_continuation runs it
+on leg 1, from u0 at leg 1's eps.
 
 Convergence statements live on compact interior subsets, so the probe set
 excludes a 4-cell boundary collar; trace behavior at the boundary itself is
@@ -163,14 +163,6 @@ def _newton_solve(state: FlowState, params: FlowParams, threshold: float,
                 record_sample(state, params)
 
 
-def _step_until(state: FlowState, params: FlowParams, stop, sample_every=0) -> None:
-    """Take explicit steps (flow.flow_step) until stop(state) holds; stop
-    sees the initial state and every step.  Steps 1, 1+k, 1+2k, ... for
-    k = sample_every > 0 record a DiagnosticSample; with 0, no step does."""
-    while not stop(state):
-        flow_step(state, params, sample_every > 0 and state.step % sample_every == 0)
-
-
 def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
                         sample_every: int = 1, newton: bool = False,
                         snapshots: TimeSnapshots | None = None) -> tuple[FlowState, bool]:
@@ -192,17 +184,24 @@ def run_to_quasi_steady(params: FlowParams, phi, u0: GridField, tol: float,
     state = initial_state(u0, phi, params)
     threshold = tol * (1.0 + state.u.sup_abs())
 
+    def step_until(stop):
+        """Explicit steps until stop(state) holds; stop sees the start and
+        every step.  Steps 1, 1+k, 1+2k, ... for k = sample_every record a
+        DiagnosticSample."""
+        while not stop(state):
+            flow_step(state, params, state.step % sample_every == 0)
+
     def done(s):
         return s.sup_ut < threshold or s.t >= params.t_end
 
     if snapshots is not None:
-        _step_until(state, params, snapshots, sample_every)
+        step_until(snapshots)
     if newton and not params.assert_estimates:
-        _step_until(state, params, lambda s: done(s) or s.t >= 2.0 * params.delta, sample_every)
+        step_until(lambda s: done(s) or s.t >= 2.0 * params.delta)
         if not done(state):
             _newton_solve(state, params, threshold, sample_every)
     else:
-        _step_until(state, params, done, sample_every)
+        step_until(done)
     if state.step and state.history[-1].step != state.step:
         record_sample(state, params)  # the last update, when the cadence missed it
     return state, state.sup_ut < threshold
@@ -215,7 +214,8 @@ class EpsLeg(NamedTuple):
     says whether it reached it.  tv_final is the graph total variation of
     the leg limit, the discrete stand-in for the flow staying in W^{1,1}.
     steps counts explicit steps; evaluations counts the operator sweeps:
-    explicit steps, residuals and Krylov products (J v).
+    explicit steps, residuals and Krylov products (J v), but neither the
+    start residual (initial_state) nor the time check's source norms.
     """
 
     eps: float
@@ -307,9 +307,9 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
     need no more than the gap resolution.  Each leg records its tol.
 
     time_check, {"times_a": [...], "times_b": [...]}, rides leg 1: its
-    TimeSnapshots are leg 1's explicit prefix (run_to_quasi_steady), and
-    once the legs end their gap is the report's time_uniqueness_gap, the
-    same as time_sequence_uniqueness_check's at leg 1's eps from u0.
+    TimeSnapshots, at leg 1's eps, are leg 1's explicit prefix from u0
+    (run_to_quasi_steady), and once the legs end their gap is the report's
+    time_uniqueness_gap.
     """
     dom = u0.domain
     phi = as_field(dom, phi)
@@ -347,7 +347,7 @@ def eps_continuation(schedule, params: FlowParams, phi, u0: GridField,
                               cauchy_gaps=gaps, trace_error=trace_error(current, phi, dom),
                               converged=all(leg.converged for leg in legs), u_bar=current,
                               probe_count=int(probe.sum()), history=history,
-                              time_uniqueness_gap=None if check is None else check.result().gap)
+                              time_uniqueness_gap=None if check is None else check.result()[0])
 
 
 class AttainmentPoint(NamedTuple):
@@ -424,15 +424,6 @@ def boundary_attainment_report(u_bar: GridField, phi,
                             uncertified=labels.count("uncertified"))
 
 
-class TimeUniquenessResult(NamedTuple):
-    """Gap between two time-sequence limits sampled from one run."""
-
-    gap: float
-    times_a: list
-    times_b: list
-    source_norms: list
-
-
 def _source_norm(u: GridField, eps: float) -> float:
     """integral of (L^eps u / W)^2 dV, the stationarity defect density."""
     l_eps, w = _operator_arrays(u.domain, u.values, eps)
@@ -443,18 +434,24 @@ class TimeSnapshots:
     """Time-check stop rule: keeps the first state it sees with t >= each
     requested time, and holds once every time is reached.  flow_step
     builds a new lattice array every step, so a snapshot needs no copy.
+    The check compares the flow limits extracted along the two time
+    sequences: their last states on the probe set (result).
 
     ConfigError, listing every broken rule, unless both sequences are
-    nonempty, hold no negative time (the run starts at t = 0, so such a
-    time would read the initial state) and stay within params.t_end."""
+    nonempty, hold finite times (a NaN is never reached), no negative time
+    (the run starts at t = 0, so such a time would read the initial state)
+    and stay within params.t_end."""
 
     def __init__(self, params: FlowParams, times_a, times_b):
         self.params, self.snaps = params, {}
         self.times = [sorted(float(t) for t in ts) for ts in (times_a, times_b)]
         if not all(self.times):
             raise ConfigError("both time sequences must be nonempty")
-        problems = [f"{name} must hold no negative time, got {ts}"
-                    for name, ts in zip(("times_a", "times_b"), self.times) if ts[0] < 0]
+        named = list(zip(("times_a", "times_b"), self.times))
+        problems = [f"{name} must hold finite times, got {ts}"
+                    for name, ts in named if not all(map(math.isfinite, ts))]
+        problems += [f"{name} must hold no negative time, got {ts}"
+                     for name, ts in named if ts[0] < 0]
         horizon = max(ts[-1] for ts in self.times)
         if horizon > params.t_end:
             problems.append(f"time sequences reach {horizon}, beyond the horizon {params.t_end}")
@@ -467,8 +464,12 @@ class TimeSnapshots:
             self.snaps[self.pending.pop(0)] = state.u
         return not self.pending
 
-    def result(self) -> TimeUniquenessResult:
-        """Gap and source norms of the snapshots, once every time is reached."""
+    def result(self) -> tuple[float, list]:
+        """(gap, source norms), once every time is reached: the sup over the
+        probe set between the two sequences' last snapshots, and the
+        stationarity defect at each requested time in increasing order.
+        The defect must not rise along the times, as the dissipation bound
+        demands; where it does, EstimateViolation."""
         probe = probe_mask(self.snaps[self.times[0][0]].domain)
         norms = [(t, _source_norm(u, self.params.eps)) for t, u in self.snaps.items()]
         slack = 1e-12 + 1e-9 * norms[0][1]
@@ -477,19 +478,4 @@ class TimeSnapshots:
                 raise EstimateViolation(
                     f"stationarity defect rose from {n0} at t={t0} to {n1} at t={t1}")
         ua, ub = (self.snaps[ts[-1]].values[probe] for ts in self.times)
-        return TimeUniquenessResult(gap=float(np.max(np.abs(ua - ub))), times_a=self.times[0],
-                                    times_b=self.times[1], source_norms=[n for _, n in norms])
-
-
-def time_sequence_uniqueness_check(params: FlowParams, phi, u0: GridField,
-                                   times_a, times_b) -> TimeUniquenessResult:
-    """Compare the flow limits extracted along two time sequences.
-
-    One explicit run at params, snapshots at every requested time (first
-    step crossing it), last-iterate limits on the probe set.  Also checks
-    that the stationarity defect norms decrease along the sampled times, as
-    the dissipation bound demands; a violation raises EstimateViolation.
-    """
-    check = TimeSnapshots(params, times_a, times_b)
-    _step_until(initial_state(u0, phi, params), params, check)
-    return check.result()
+        return float(np.max(np.abs(ua - ub))), [n for _, n in norms]

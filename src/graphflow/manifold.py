@@ -20,6 +20,7 @@ yields metric arrays of shape (..., n, n).
 from __future__ import annotations
 
 import csv
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -280,8 +281,9 @@ def _table_chart(n: int, box, params) -> MetricChart:
 
 
 def _default_box(kind: str, n: int):
-    if kind == "poincare_disk":
-        return tuple((-0.7, 0.7) for _ in range(n))
+    if kind == "poincare_disk":  # corner^2 n <= 0.98, inside the unit ball for every n
+        half = 0.7 * min(1.0, math.sqrt(2.0 / n))
+        return tuple((-half, half) for _ in range(n))
     if kind == "sphere_polar":
         return ((0.4, np.pi - 0.4), (0.0, 1.5))
     return tuple((0.0, 1.0) for _ in range(n))

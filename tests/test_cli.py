@@ -17,10 +17,10 @@ import graphflow.errors
 import graphflow.flow
 from graphflow.cli import (FIELD_KEYS, FORMS, RUN_ARTIFACTS, field_from_spec, main,
                            parse_config)
-from graphflow.continuation import time_sequence_uniqueness_check
 from graphflow.errors import ConfigError
 from graphflow.grid import EXTERIOR, REGION_KEYS, GridField, build_domain, save_field_csv
 from graphflow.manifold import CHART_KEYS, CHART_PARAMS, builtin_chart
+from test_continuation import explicit_time_gap
 
 UNIT_BOX = {"region": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]]}
 
@@ -548,12 +548,11 @@ def test_time_check_changes_no_artifact_but_its_gap(tmp_path, data, times):
         assert bare["legs"][0]["steps"] == 0
         assert (runs["checked"] / "solution.csv").read_bytes() == \
             (runs["bare"] / "solution.csv").read_bytes()
-    # the gap is the library's explicit check at leg 1's eps, from u0
+    # the gap is that of explicit steps at leg 1's eps, from u0
     cfg = parse_config(json.loads((tmp_path / "checked.json").read_text()), tmp_path)
     _, phi, u0 = graphflow.cli._build_problem(cfg, tmp_path)
     assert cfg.flow.eps == cfg.schedule[0]
-    assert cont["time_uniqueness_gap"] == time_sequence_uniqueness_check(
-        cfg.flow, phi, u0, *times).gap
+    assert cont["time_uniqueness_gap"] == explicit_time_gap(cfg.flow, phi, u0, *times)
 
 
 SCHERK_BOX = {"chart": {"kind": "euclidean", "n": 2, "box": [[-1.0, 1.0], [-1.0, 1.0]]},
@@ -816,8 +815,7 @@ def test_run_time_check_runs_at_the_first_eps_of_the_schedule(tmp_path):
     _, phi, u0 = graphflow.cli._build_problem(cfg, tmp_path)
     times = CHECKED["time_check"].values()
     for eps, same in ((0.05, True), (0.1, False)):
-        check = time_sequence_uniqueness_check(cfg.flow._replace(eps=eps), phi, u0, *times)
-        assert (gap == check.gap) is same, eps
+        assert (gap == explicit_time_gap(cfg.flow._replace(eps=eps), phi, u0, *times)) is same, eps
 
 
 def test_run_empty_probe_set_fails_before_barrier(tmp_path):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from graphflow import continuation, flow
+from graphflow import continuation
 from graphflow.barrier import check_dirichlet_solvability
-from graphflow.continuation import (boundary_attainment_report, eps_continuation,
-                                    probe_mask, run_to_quasi_steady,
-                                    time_sequence_uniqueness_check, trace_error)
+from graphflow.continuation import (TimeSnapshots, boundary_attainment_report,
+                                    eps_continuation, probe_mask, run_to_quasi_steady,
+                                    trace_error)
 from graphflow.errors import ConfigError, EstimateViolation
-from graphflow.flow import FlowParams
+from graphflow.flow import FlowParams, flow_step, initial_state
 from graphflow.functionals import j_functional
 from graphflow.grid import GridField, build_domain
 from graphflow.manifold import builtin_chart
@@ -318,18 +318,35 @@ def test_energy_monotone_up_to_quadrature_error_when_boundary_driven():
 # -------------------------------------------------------------- time sequences
 
 
+def time_check(params, phi, u0, times_a, times_b):
+    """(gap, source norms) of the time check riding a Newton leg at params."""
+    check = TimeSnapshots(params, times_a, times_b)
+    run_to_quasi_steady(params, phi, u0, 1e-6, newton=True, snapshots=check)
+    return check.result()
+
+
+def explicit_time_gap(params, phi, u0, times_a, times_b):
+    """The time check's gap by hand: explicit steps from u0 at params, the
+    first state at or past each sequence's last time, compared on the probe set."""
+    state, last = initial_state(u0, phi, params), []
+    for t in sorted((max(times_a), max(times_b))):
+        while state.t < t:
+            flow_step(state, params)
+        last.append(state.u.values[probe_mask(u0.domain)])
+    return float(np.max(np.abs(last[0] - last[1])))
+
+
 def test_time_sequences_stationary_gap_zero():
     dom = euclid(1 / 16, box=[[0.0, 1.0]], n=1)
     u0 = GridField.from_function(dom, lambda x: x[0])
-    res = time_sequence_uniqueness_check(PARAMS, lambda x: float(x[0]), u0,
-                                         [1.0, 2.0], [1.5, 2.5])
-    assert res.gap == 0.0
+    gap, _ = time_check(PARAMS, lambda x: float(x[0]), u0, [1.0, 2.0], [1.5, 2.5])
+    assert gap == 0.0
 
 
 def test_time_sequences_sine_bump(sine_bump_time_check):
-    res = sine_bump_time_check
-    assert res.gap < 1e-6
-    norms = np.array(res.source_norms)
+    gap, norms = sine_bump_time_check
+    assert gap < 1e-6
+    norms = np.array(norms)
     assert np.all(np.diff(norms) <= 1e-12 + 1e-9 * norms[0])
 
 
@@ -337,36 +354,28 @@ def test_source_norms_decrease_along_run():
     dom = euclid(1 / 16)
     u0 = GridField.from_function(
         dom, lambda x: 0.5 * np.sin(np.pi * x[0]) * np.sin(2 * np.pi * x[1]))
-    res = time_sequence_uniqueness_check(PARAMS, lambda x: 0.0, u0,
-                                         [0.02, 0.05, 0.1, 0.2], [0.03, 0.15])
-    norms = res.source_norms
+    _, norms = time_check(PARAMS, lambda x: 0.0, u0, [0.02, 0.05, 0.1, 0.2], [0.03, 0.15])
     assert len(norms) == 6
     assert all(b <= a for a, b in zip(norms, norms[1:]))
 
 
-def test_time_check_records_no_samples(monkeypatch):
-    # the check keeps states only: no step of its run evaluates E^eps
-    calls, real = [], flow.e_eps
-    monkeypatch.setattr(flow, "e_eps", lambda *args: calls.append(1) or real(*args))
-    dom = euclid(1 / 16)
-    u0 = GridField.from_function(
-        dom, lambda x: 0.5 * np.sin(np.pi * x[0]) * np.sin(2 * np.pi * x[1]))
-    res = time_sequence_uniqueness_check(PARAMS, lambda x: 0.0, u0, [0.02, 0.05], [0.03])
-    assert len(res.source_norms) == 3 and calls == []
-
-
 def test_time_check_starts_from_the_imposed_boundary(monkeypatch):
     # u0 = 0 disagrees with phi = x1 on the boundary; the time check must
-    # start from phi there, as run_to_quasi_steady does
+    # start from phi there, as a bare run_to_quasi_steady does, and its
+    # snapshots keep phi on the dirichlet nodes
     dom = euclid(1 / 16)
     u0 = GridField.constant(dom, 0.0)
     starts = []
     real = continuation.initial_state
     monkeypatch.setattr(continuation, "initial_state",
                         lambda *args: starts.append(real(*args)) or starts[-1])
-    time_sequence_uniqueness_check(PARAMS, lambda x: float(x[0]), u0, [0.01], [0.02])
+    check = TimeSnapshots(PARAMS, [0.01], [0.02])
+    run_to_quasi_steady(PARAMS, lambda x: float(x[0]), u0, 1e-6, newton=True, snapshots=check)
     state, _ = run_to_quasi_steady(PARAMS, lambda x: float(x[0]), u0, 1e-6)
     assert starts[0].sup_l0 == state.sup_l0 > 0.0
+    phi = GridField.from_function(dom, lambda x: float(x[0]))
+    for snap in check.snaps.values():
+        assert np.array_equal(snap.values[dom.dirichlet], phi.values[dom.dirichlet])
 
 
 def test_time_check_trips_when_the_stationarity_defect_rises(monkeypatch):
@@ -377,24 +386,43 @@ def test_time_check_trips_when_the_stationarity_defect_rises(monkeypatch):
         dom, lambda x: 0.5 * np.sin(np.pi * x[0]) * np.sin(2 * np.pi * x[1]))
     with pytest.raises(EstimateViolation, match=r"stationarity defect rose from 1\.0 at "
                                                 r"t=0\.02 to 2\.0 at t=0\.03$"):
-        time_sequence_uniqueness_check(PARAMS, lambda x: 0.0, u0, [0.02, 0.05], [0.03])
+        time_check(PARAMS, lambda x: 0.0, u0, [0.02, 0.05], [0.03])
+
+
+# a NaN passes the negative and the horizon tests, and no step reaches it
+NAN_TIMES = [([float("nan")], [0.5], "times_a must hold finite times, got [nan]"),
+             ([0.5], [0.25, float("nan")], "times_b must hold finite times, got [0.25, nan]")]
 
 
 def test_time_sequences_validation():
-    dom = euclid(1 / 16)
-    u0 = GridField.constant(dom, 0.0)
     with pytest.raises(ConfigError):
-        time_sequence_uniqueness_check(PARAMS, lambda x: 0.0, u0, [], [1.0])
+        TimeSnapshots(PARAMS, [], [1.0])
     with pytest.raises(ConfigError):
-        time_sequence_uniqueness_check(PARAMS, lambda x: 0.0, u0,
-                                       [1.0], [PARAMS.t_end + 1.0])
+        TimeSnapshots(PARAMS, [1.0], [PARAMS.t_end + 1.0])
     with pytest.raises(ConfigError, match=r"^times_b must hold no negative time, got \[-1\.0, 0\.5\]$"):
-        time_sequence_uniqueness_check(PARAMS, lambda x: 0.0, u0, [0.0], [0.5, -1.0])
+        TimeSnapshots(PARAMS, [0.0], [0.5, -1.0])
+    for times_a, times_b, problem in NAN_TIMES:
+        with pytest.raises(ConfigError) as exc:
+            TimeSnapshots(PARAMS, times_a, times_b)
+        assert exc.value.problems == [problem]
+
+
+@pytest.mark.parametrize("times_a,times_b,problem", NAN_TIMES, ids=["times_a", "times_b"])
+def test_continuation_rejects_nan_times_before_a_leg(monkeypatch, times_a, times_b, problem):
+    # a leg that starts with a NaN pending would step forever
+    def no_leg(*args):
+        raise AssertionError("a leg started")
+    monkeypatch.setattr(continuation, "initial_state", no_leg)
+    u0 = GridField.constant(euclid(1 / 16), 0.0)
+    with pytest.raises(ConfigError) as exc:
+        eps_continuation([0.1], PARAMS, lambda x: 0.0, u0,
+                         time_check={"times_a": times_a, "times_b": times_b})
+    assert exc.value.problems == [problem]
 
 
 def test_time_check_rides_leg_1_as_its_explicit_prefix(monkeypatch):
-    # leg 1 steps explicitly from u0 until the last requested time, as the
-    # library check does at leg 1's eps, then solves by Newton, which adds
+    # leg 1 steps explicitly from u0 at leg 1's eps until the last requested
+    # time, as a bare explicit run does, then solves by Newton, which adds
     # no explicit step; the stationarity defect is read at leg 1's eps too
     defects, real = [], continuation._source_norm
     monkeypatch.setattr(continuation, "_source_norm",
@@ -407,8 +435,7 @@ def test_time_check_rides_leg_1_as_its_explicit_prefix(monkeypatch):
                            time_check={"times_a": times[0], "times_b": times[1]})
     leg1 = PARAMS._replace(eps=0.05)
     assert defects == [0.05] * 3
-    assert rep.time_uniqueness_gap == time_sequence_uniqueness_check(
-        leg1, lambda x: 0.0, u0, *times).gap
+    assert rep.time_uniqueness_gap == explicit_time_gap(leg1, lambda x: 0.0, u0, *times)
     explicit, _ = run_to_quasi_steady(leg1, lambda x: 0.0, u0, 1e-6)
     prefix = 1 + next(i for i, s in enumerate(explicit.history) if s.t >= 0.05)
     assert rep.history[:prefix] == explicit.history[:prefix]

@@ -27,6 +27,16 @@ def test_poincare_metric_value():
     assert vol == pytest.approx(64.0 / 9.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("n,half", [(1, 0.7), (2, 0.7), (3, 0.7 * np.sqrt(2.0 / 3.0)),
+                                     (4, 0.7 * np.sqrt(0.5))], ids=["n1", "n2", "n3", "n4"])
+def test_poincare_default_box_stays_inside_the_ball(n, half):
+    # (-0.7, 0.7)^n has corner^2 n = 1.47 at n = 3, outside the unit ball
+    spec = chart_from_spec({"kind": "poincare_disk", "n": n})
+    for chart in (builtin_chart("poincare_disk", n), spec):
+        assert chart.box == ((-half, half),) * n
+        assert max(b[1] for b in chart.box) ** 2 * n < 1.0
+
+
 def test_sphere_equator_metric():
     chart = builtin_chart("sphere_polar")
     sig, vol = metric_at(chart, [np.pi / 2, 0.3]), chart.sqrt_det([np.pi / 2, 0.3])

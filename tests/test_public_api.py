@@ -15,11 +15,11 @@ import graphflow
 import graphflow.functionals
 from graphflow import (AttainmentPoint, AttainmentReport, BarrierSearchResult, BarrierSpec,
                        ConfigError, ContinuationReport, DiagnosticSample, EpsLeg, FlowParams,
-                       FunctionalReport, MetricChart, SolvabilityReport, TimeUniquenessResult)
+                       FunctionalReport, MetricChart, SolvabilityReport)
 
 IMMUTABLE_RECORDS = (BarrierSpec, BarrierSearchResult, SolvabilityReport, FunctionalReport,
                      DiagnosticSample, EpsLeg, ContinuationReport, AttainmentPoint,
-                     AttainmentReport, TimeUniquenessResult, MetricChart, FlowParams)
+                     AttainmentReport, MetricChart, FlowParams)
 
 # the product-lattice set functionals, test code in tests/set_functionals.py
 MOVED_TO_TESTS = ("ProductGrid", "product_grid", "DiscreteSet", "set_perimeter", "subgraph_set",

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import stencil_oracle as oracle
-from graphflow.continuation import time_sequence_uniqueness_check
 from graphflow.errors import FlowDiverged
 from graphflow.flow import FlowParams, _operator_arrays, flow_step, initial_state, stable_dt
 from graphflow.functionals import area, e_eps, total_variation
 from graphflow.grid import GridField, _pair_rows, build_domain, gradient_sweep, hessian_sweep
 from graphflow.manifold import builtin_chart
 from set_functionals import _product_cell_tv, product_grid
+from test_continuation import time_check
 from test_grid import ORACLE_DOMAINS, _disc
 
 # ORACLE_DOMAINS are disc (ball) regions with exterior nodes in the inner
@@ -204,7 +204,7 @@ def test_time_check_source_norms_match_reference(name):
     u0, phi = _start(dom)
     params = FlowParams(eps=0.1, t_end=10.0)
     times = [40 * dom.h_min_sq, 80 * dom.h_min_sq]
-    got = time_sequence_uniqueness_check(params, phi, u0, times[:1], times[1:])
+    _, norms = time_check(params, phi, u0, times[:1], times[1:])
     state, ref, block = initial_state(u0, phi, params), [], oracle.block_interior(dom)
     for t in times:
         while state.t < t:
@@ -212,4 +212,4 @@ def test_time_check_source_norms_match_reference(name):
         residual, w = _block_l_eps(dom, state.u.values, params.eps)
         density = (residual.take(block) / w.take(block)) ** 2
         ref.append(float(np.sum(density * dom.sqrt_det[dom.interior]) * float(np.prod(dom.h))))
-    assert got.source_norms == ref
+    assert norms == ref
