@@ -434,8 +434,6 @@ class TimeSnapshots:
     """Time-check stop rule: keeps the first state it sees with t >= each
     requested time, and holds once every time is reached.  flow_step
     builds a new lattice array every step, so a snapshot needs no copy.
-    The check compares the flow limits extracted along the two time
-    sequences: their last states on the probe set (result).
 
     ConfigError, listing every broken rule, unless both sequences are
     nonempty, hold finite times (a NaN is never reached), no negative time
@@ -465,9 +463,10 @@ class TimeSnapshots:
         return not self.pending
 
     def result(self) -> tuple[float, list]:
-        """(gap, source norms), once every time is reached: the sup over the
-        probe set between the two sequences' last snapshots, and the
-        stationarity defect at each requested time in increasing order.
+        """(gap, source norms), once every time is reached: the gap between
+        the flow limits along the two sequences, the sup over the probe set
+        between their last snapshots, and the stationarity defect at each
+        requested time in increasing order.
         The defect must not rise along the times, as the dissipation bound
         demands; where it does, EstimateViolation."""
         probe = probe_mask(self.snaps[self.times[0][0]].domain)
