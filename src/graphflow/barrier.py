@@ -390,13 +390,13 @@ def search_alpha(domain: GridDomain, x0s: np.ndarray, K: float, gamma: float) ->
     point-limit margin is positive.  Everything is deterministic.
     """
     chart, n, P = domain.chart, domain.chart.dim, len(x0s)
-    for bad, what in ((K <= 0, f"K must be positive, got {K}"),
-                      (gamma <= 1, f"gamma must exceed 1, got {gamma}"),
+    for bad, what in ((not K > 0, f"K must be positive, got {K}"),  # written to fail on NaN
+                      (not gamma > 1, f"gamma must exceed 1, got {gamma}"),
                       (n < 2, "barriers need dimension >= 2")):
         if bad:
             raise BarrierError(what)
     bound = 1.0 / np.sqrt((n - 1) * gamma)
-    if K >= bound:
+    if not K < bound:
         return [BarrierSearchResult(
             x0=x0, admissible=False, certified=False,
             reason=f"K={K} is not below 1/sqrt((n-1)*gamma)={bound:.6g}") for x0 in x0s]
@@ -523,12 +523,11 @@ def check_dirichlet_solvability(phi, domain: GridDomain, K: float,
     Never raises; per-point failures become uncertified entries.
     """
     phi = as_field(domain, phi)
-    vals = phi.values[domain.dirichlet_index]
+    vals = phi.values.take(domain.dirichlet_flat)
     lip = boundary_lipschitz(phi, domain)
     lip_ok = lip <= K + 1e-12
     osc = float(np.max(vals) - np.min(vals)) if vals.size else 0.0
 
-    inner, outer = domain.inner_index, domain.dirichlet_index
     crossings = domain.boundary_facts[1]
     missing = np.isnan(crossings[:, 0])
     hit = np.flatnonzero(~missing)
@@ -542,11 +541,11 @@ def check_dirichlet_solvability(phi, domain: GridDomain, K: float,
                                      reason=str(err)) for x0 in crossings[hit]]
     points = dict(zip(hit.tolist(), found))
     for k in np.flatnonzero(missing).tolist():
-        idx = tuple(int(ix[k]) for ix in outer)
+        inner, idx = (tuple(map(int, np.unravel_index(nodes[k], domain.shape)))
+                      for nodes in (domain.inner_flat, domain.dirichlet_flat))
         points[k] = BarrierSearchResult(
             x0=domain.points[idx], admissible=False, certified=False,
-            reason=f"no boundary crossing between {tuple(int(ix[k]) for ix in inner)} "
-                   f"and {idx}")
+            reason=f"no boundary crossing between {inner} and {idx}")
     points = [points[k] for k in sorted(points)]
 
     margins = [p.limit_margin for p in points if p.certified]

@@ -86,7 +86,7 @@ def field_from_spec(spec: dict, domain) -> GridField:
             vals = np.log(np.cos(x1) / np.cos(x2))
         if not np.all(np.isfinite(vals[domain.used])):
             raise ConfigError("scherk field is singular on this domain")
-        return GridField(domain, np.nan_to_num(vals))
+        return GridField(domain, vals)
     if kind == "radial_step":
         center = np.asarray(spec["center"], dtype=float)
         r = float(spec["radius"])

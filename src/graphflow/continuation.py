@@ -266,8 +266,8 @@ class ContinuationReport(NamedTuple):
 
 def trace_error(u: GridField, phi, domain: GridDomain) -> float:
     """sup of |u - phi| over interior nodes adjacent to a dirichlet node."""
-    inner = domain.inner_index
-    return float(np.max(np.abs(u.values[inner] - as_field(domain, phi).values[inner])))
+    inner = domain.inner_flat
+    return float(np.max(np.abs(u.values.take(inner) - as_field(domain, phi).values.take(inner))))
 
 
 def eps_schedule(schedule) -> list:
@@ -395,7 +395,7 @@ def boundary_attainment_report(u_bar: GridField, phi,
     h_max = float(np.max(dom.h))
     phi_flat, u_flat = as_field(dom, phi).values.reshape(-1), u_bar.values.reshape(-1)
     bgap = np.zeros(u_flat.shape)  # at each dirichlet node, the gap at its inner neighbor
-    bgap[dom.dirichlet_flat] = np.abs(u_bar.values[dom.inner_index] - phi_flat[dom.dirichlet_flat])
+    bgap[dom.dirichlet_flat] = np.abs(u_flat[dom.inner_flat] - phi_flat[dom.dirichlet_flat])
     dirichlet, interior = dom.dirichlet.reshape(-1), dom.interior.reshape(-1)
     x0s = np.array([p.x0 for p in solvability.points], dtype=float).reshape(-1, dom.dim)
     gap, modulus = np.zeros(len(x0s)), np.zeros(len(x0s))
@@ -403,7 +403,7 @@ def boundary_attainment_report(u_bar: GridField, phi,
         sup = reduce(np.maximum, (np.abs(d) for d in offsets)).reshape(nodes.shape)
         close = dirichlet[nodes] & (sup <= 1.5 * h_max)
         gap[blk] = np.max(np.where(close, bgap[nodes], 0.0), axis=1, initial=0.0)
-        # nodes run in C order, which is dirichlet_index order
+        # nodes run in C order, which is dirichlet_flat order
         on = close & (sup < 1e-12)
         pick = np.where(on.any(axis=1), on.argmax(axis=1), close.argmax(axis=1))
         phi0 = np.where(close.any(axis=1), phi_flat[nodes[np.arange(len(pick)), pick]], 0.0)

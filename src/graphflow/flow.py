@@ -174,14 +174,13 @@ def initial_state(u0: GridField, phi, params: FlowParams) -> FlowState:
     that start carried to each dirichlet node from its interior neighbor.
     """
     dom = u0.domain
-    phi_vals = as_field(dom, phi).values[dom.dirichlet_index]
+    phi_vals = as_field(dom, phi).values.take(dom.dirichlet_flat)
     u = u0.copy()
-    u.values[dom.dirichlet_index] = phi_vals
+    u.values.flat[dom.dirichlet_flat] = phi_vals
 
     residual = l_eps_apply(u, params.eps)
     sup_l0 = float(np.max(np.abs(residual)))
-    ramp_base = residual[np.searchsorted(dom.interior_flat,
-                                         np.ravel_multi_index(dom.inner_index, dom.shape))]
+    ramp_base = residual[np.searchsorted(dom.interior_flat, dom.inner_flat)]
 
     used = u.values[dom.used]
     return FlowState(u=u, phi_dirichlet=phi_vals, ramp_base=ramp_base,

@@ -72,9 +72,9 @@ def j_functional(u: GridField, phi) -> FunctionalReport:
     """
     dom = u.domain
     a = area(u)
-    bvals = as_field(dom, phi).values[dom.dirichlet_index]
-    uvals = u.values[dom.dirichlet_index]
-    facets = dom.sqrt_det[dom.dirichlet_index] * _facet_measure(dom)
+    bvals = as_field(dom, phi).values.take(dom.dirichlet_flat)
+    uvals = u.values.take(dom.dirichlet_flat)
+    facets = dom.chart.sqrt_det(dom.node_points(dom.dirichlet_flat)) * _facet_measure(dom)
     boundary = float(np.sum(np.abs(uvals - bvals) * facets))
     return FunctionalReport(a + boundary, boundary_term=boundary)
 

@@ -6,7 +6,9 @@ region and keep their full Moore neighborhood on the lattice; dirichlet
 nodes are exactly the non-interior nodes touching an interior one, so every
 stencil read from an interior node lands on classified data.  Regions are
 snapped inscribed: a node exactly on the region boundary is dirichlet at
-best, never interior.
+best, never interior.  Node sets are flat lattice indices: interior_flat,
+dirichlet_flat, and inner_flat for each dirichlet node's interior neighbour.
+A GridField holds NaN at every exterior node.
 
 Stencils are the plain second-order ones: central first differences,
 central second differences on the axes, the 4-point cross stencil for mixed
@@ -20,7 +22,7 @@ itself, its neighbours along +e_a and -e_a, and its four diagonal
 neighbours per axis pair.  One values.take(node_table) gathers every value
 a sweep reads, and the sweeps return one stacked array per quantity whose
 last axis runs over the interior nodes in interior_flat order (sigma^{ij}
-and Gamma^k_ij are laid out the same way once per domain).  The cell
+and Gamma^k_ij are evaluated there once per domain and laid out the same way).  The cell
 stencils used for quadrature likewise read the 2^n corners of the complete
 cells through a corner table (cell_table), in cell_flat order.  Components
 are summed left to right over the stacked axis, so each value is one fixed
@@ -126,37 +128,35 @@ class GridDomain:
         return self.mask == DIRICHLET
 
     @cached_property
-    def interior_index(self):
-        return np.nonzero(self.interior)
-
-    @cached_property
-    def dirichlet_index(self):
-        return np.nonzero(self.dirichlet)
-
-    @cached_property
     def interior_flat(self) -> np.ndarray:
-        """Flat lattice indices of the interior nodes, ascending as in
-        interior_index: the interior_flat order of every interior vector."""
+        """Flat lattice indices of the interior nodes, ascending: the
+        interior_flat order of every interior vector."""
         return np.flatnonzero(self.interior)
 
     @cached_property
     def dirichlet_flat(self) -> np.ndarray:
-        """Flat lattice indices of the dirichlet nodes, in dirichlet_index order."""
+        """Flat lattice indices of the dirichlet nodes, ascending."""
         return np.flatnonzero(self.dirichlet)
 
     @cached_property
-    def inner_index(self):
-        """Interior neighbor of each dirichlet node, aligned with dirichlet_index.
+    def inner_flat(self) -> np.ndarray:
+        """Flat index of an interior neighbor of each dirichlet node, in
+        dirichlet_flat order.
 
         Every dirichlet node touches an interior node; each takes the first
         in product((-1, 0, 1), repeat=n) offset order.
         """
-        offsets = np.array([off for off in product((-1, 0, 1), repeat=self.dim) if any(off)])
-        nbrs = np.stack(self.dirichlet_index, axis=-1)[:, None, :] + offsets
-        # a one-node frame of False keeps rim nodes' neighbours in range
-        hit = np.pad(self.interior, 1)[tuple(np.moveaxis(nbrs + 1, -1, 0))]
-        first = nbrs[np.arange(len(nbrs)), np.argmax(hit, axis=1)]
-        return tuple(np.ascontiguousarray(axis) for axis in first.T)
+        # on the lattice framed by one node no move from a node wraps a row
+        framed = np.pad(np.arange(self.mask.size).reshape(self.shape), 1).reshape(-1)
+        inside = np.pad(self.interior, 1).reshape(-1)
+        strides = np.ravel_multi_index(np.eye(self.dim, dtype=np.intp), np.add(self.shape, 2))
+        moves = np.array([off for off in product((-1, 0, 1), repeat=self.dim) if any(off)])
+        nbrs = np.flatnonzero(np.pad(self.dirichlet, 1))[:, None] + moves @ strides
+        return framed[nbrs[np.arange(len(nbrs)), np.argmax(inside[nbrs], axis=1)]]
+
+    def node_points(self, flat: np.ndarray) -> np.ndarray:
+        """Chart coordinates of the nodes with flat lattice indices flat, (len, n)."""
+        return self.points.reshape(-1, self.dim).take(flat, axis=0)
 
     def windows(self, x0s: np.ndarray, reach: float):
         """(blk, nodes, offsets) per block of x0s (P, n), at most BLOCK offset
@@ -225,14 +225,14 @@ class GridDomain:
         lower node in C order.  A segment along the edge crosses at its lower
         end, so its upper end (a box's (hi, ..., hi) corner is no segment's
         lower end) is a row after the crossings.  dirichlet holds the
-        crossings inner_index -> dirichlet_index, NaN where none; key numbers
+        crossings inner_flat -> dirichlet_flat, NaN where none; key numbers
         the table's points equal to 1e-12."""
         flat = np.arange(self.sdf.size).reshape(self.shape)
         lo, hi = (np.concatenate([flat[(slice(None),) * a + (cut,)].reshape(-1)
                                   for a in range(self.dim)])
                   for cut in (slice(None, -1), slice(1, None)))
         pts, F = self.points.reshape(-1, self.dim), self.sdf.reshape(-1)
-        a = np.concatenate([lo, np.ravel_multi_index(self.inner_index, self.shape)])
+        a = np.concatenate([lo, self.inner_flat])
         b = np.concatenate([hi, self.dirichlet_flat])
         cross, dirichlet = np.split(self.segment_crossings(pts[a], pts[b], F[a], F[b]), [len(lo)])
         hit = ~np.isnan(cross[:, 0])
@@ -247,26 +247,20 @@ class GridDomain:
     def interior_sqrt_det(self) -> np.ndarray:
         """sqrt(det sigma), evaluated at the interior nodes only, in
         interior_flat order."""
-        return self.chart.sqrt_det(self.points[self.interior_index])
-
-    @cached_property
-    def sqrt_det(self) -> np.ndarray:
-        """sqrt(det sigma) at every lattice node; j_functional reads it at
-        the dirichlet nodes."""
-        return self.chart.sqrt_det(self.points)
+        return self.chart.sqrt_det(self.node_points(self.interior_flat))
 
     @cached_property
     def interior_sig_inv(self) -> np.ndarray:
         """sigma^{ij}, evaluated at the interior nodes only: (n, n, interior)
         in interior_flat order."""
-        sig = self.chart.inverse(self.points[self.interior_index])
+        sig = self.chart.inverse(self.node_points(self.interior_flat))
         return np.ascontiguousarray(np.moveaxis(sig, 0, -1))
 
     @cached_property
     def interior_gamma(self) -> np.ndarray:
         """Gamma^k_ab, evaluated at the interior nodes only, (n, pairs,
         interior): k first, then the axis pairs (a, b) in _pair_rows order."""
-        gamma = self.chart.christoffel(self.points[self.interior_index])
+        gamma = self.chart.christoffel(self.node_points(self.interior_flat))
         a, b = np.array(_pair_rows(self.dim)[0]).T
         return np.ascontiguousarray(np.moveaxis(gamma[:, :, a, b], 0, -1))
 
@@ -286,7 +280,8 @@ class GridDomain:
             k = np.arange(1, size + 1)
             mats.append(math.sqrt(2.0 / (size + 1)) * np.sin(np.pi * np.outer(k, k) / (size + 1)))
             eig = np.add.outer(eig, -4.0 / h ** 2 * np.sin(0.5 * np.pi * k / (size + 1)) ** 2)
-        return mats, eig, np.ravel_multi_index([i - 1 for i in self.interior_index], sizes)
+        nodes = np.unravel_index(self.interior_flat, self.shape)
+        return mats, eig, np.ravel_multi_index([i - 1 for i in nodes], sizes)
 
     @cached_property
     def node_table(self) -> np.ndarray:
@@ -339,16 +334,11 @@ class GridDomain:
         corners = np.ravel_multi_index(np.array([*product((0, 1), repeat=self.dim)]).T, self.shape)
         return lowest + corners[:, None]
 
-    @cached_property
-    def cell_centers(self) -> np.ndarray:
-        """Center of every lattice cell, complete or not."""
-        half = [0.5 * (a[1:] + a[:-1]) for a in self.axes]
-        return np.stack(np.meshgrid(*half, indexing="ij"), axis=-1)
-
     @property
     def complete_centers(self) -> np.ndarray:
         """Centers of the complete cells, (cells, n) in cell_flat order."""
-        return self.cell_centers.reshape(-1, self.dim).take(self.cell_flat, axis=0)
+        lowest = np.unravel_index(self.cell_flat, tuple(s - 1 for s in self.shape))
+        return np.stack([0.5 * (a[i + 1] + a[i]) for a, i in zip(self.axes, lowest)], axis=-1)
 
     @cached_property
     def cell_weights(self) -> np.ndarray:
@@ -374,12 +364,14 @@ class GridField:
     __slots__ = ("domain", "values")
 
     def __init__(self, domain: GridDomain, values: np.ndarray):
-        self.domain, self.values = domain, np.asarray(values, dtype=float)
-        if self.values.shape != self.domain.shape:
-            raise GridError(f"field shape {self.values.shape} does not match "
-                            f"lattice shape {self.domain.shape}")
-        if not np.all(np.isfinite(self.values[self.domain.used])):
+        values = np.asarray(values, dtype=float)
+        if values.shape != domain.shape:
+            raise GridError(f"field shape {values.shape} does not match "
+                            f"lattice shape {domain.shape}")
+        if not np.all(np.isfinite(values[domain.used])):
             raise GridError("field has non-finite values on non-exterior nodes")
+        # a copy of values with NaN at the exterior nodes, whatever values holds there
+        self.domain, self.values = domain, np.where(domain.used, values, np.nan)
 
     @classmethod
     def from_function(cls, domain: GridDomain, fn) -> "GridField":
@@ -391,18 +383,18 @@ class GridField:
     @classmethod
     def trusted(cls, domain: GridDomain, values: np.ndarray) -> "GridField":
         """Field over a float lattice array the caller has already checked
-        finite on every non-exterior node; skips that scan."""
+        finite on every non-exterior node and NaN on every exterior one;
+        skips that scan and keeps values itself."""
         u = object.__new__(cls)
         u.domain, u.values = domain, values
         return u
 
     @classmethod
     def constant(cls, domain: GridDomain, value: float) -> "GridField":
-        vals = np.where(domain.used, float(value), np.nan)
-        return cls(domain, vals)
+        return cls(domain, np.full(domain.shape, float(value)))
 
     def copy(self) -> "GridField":
-        return GridField(self.domain, self.values.copy())
+        return GridField.trusted(self.domain, self.values.copy())
 
     def sup_abs(self) -> float:
         return float(np.max(np.abs(self.values[self.domain.used])))
@@ -440,8 +432,8 @@ def build_domain(chart: MetricChart, h, region=None) -> GridDomain:
     """
     n = chart.dim
     h_arr = np.broadcast_to(np.asarray(h, dtype=float), (n,)).copy()
-    if np.any(h_arr <= 0):
-        raise GridError(f"spacing must be positive, got {h_arr}")
+    if not np.all((h_arr > 0) & (h_arr < np.inf)):  # written to fail on NaN
+        raise GridError(f"spacing must be finite and positive, got {h_arr}")
     shape = ()
     for a in range(n):
         lo, hi = chart.box[a]
@@ -575,9 +567,7 @@ def interpolate_to(u: GridField, fine: GridDomain) -> GridField:
     coarse = u.domain
     if np.any(coarse.mask == EXTERIOR):
         raise GridError("interpolate_to needs a coarse domain without exterior nodes")
-    vals = _multilinear_interp(tuple(coarse.axes), u.values, fine.points)
-    vals = np.where(fine.used, vals, np.nan)
-    return GridField(fine, vals)
+    return GridField(fine, _multilinear_interp(tuple(coarse.axes), u.values, fine.points))
 
 
 # -- CSV persistence ---------------------------------------------------------

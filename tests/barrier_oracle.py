@@ -30,6 +30,7 @@ from graphflow.continuation import AttainmentPoint, AttainmentReport
 from graphflow.errors import BarrierError
 from graphflow.grid import GridDomain, _blocks, _norm, _region_sdf, as_field
 from graphflow.manifold import christoffel_at, metric_at
+from stencil_oracle import inner_neighbours
 
 
 def boundary_crossings(domain: GridDomain, x0: np.ndarray,
@@ -426,12 +427,12 @@ def check_dirichlet_solvability(phi, domain: GridDomain, K: float,
     raises; per-point failures become uncertified entries.
     """
     phi = as_field(domain, phi)
-    vals = phi.values[domain.dirichlet_index]
+    vals = phi.values[domain.dirichlet]
     lip = boundary_lipschitz(phi, domain)
     lip_ok = lip <= K + 1e-12
     osc = float(np.max(vals) - np.min(vals)) if vals.size else 0.0
 
-    inner, outer = domain.inner_index, domain.dirichlet_index
+    inner, outer = inner_neighbours(domain), np.nonzero(domain.dirichlet)
     points = []
     seen = set()
     crossings = domain.segment_crossings(domain.points[inner], domain.points[outer],
@@ -476,10 +477,9 @@ def boundary_attainment_report(u_bar: GridField, phi,
     dom = u_bar.domain
     h_max = float(np.max(dom.h))
     pts = dom.points
-    didx = dom.dirichlet_index
-    bpts = pts[didx]
-    bphi = as_field(dom, phi).values[didx]
-    bgap = np.abs(u_bar.values[dom.inner_index] - bphi)
+    bpts = pts[dom.dirichlet]
+    bphi = as_field(dom, phi).values[dom.dirichlet]
+    bgap = np.abs(u_bar.values[inner_neighbours(dom)] - bphi)
     interior_pts = pts[dom.interior]
     interior_vals = u_bar.values[dom.interior]
 
@@ -578,8 +578,8 @@ def attainment_all_pairs(u_bar: GridField, phi, solvability) -> AttainmentReport
     dirichlet and every interior node, in blocks of points."""
     dom = u_bar.domain
     h_max = float(np.max(dom.h))
-    bpts, bphi = dom.points[dom.dirichlet_index], as_field(dom, phi).values[dom.dirichlet_index]
-    bgap = np.abs(u_bar.values[dom.inner_index] - bphi)
+    bpts, bphi = dom.points[dom.dirichlet], as_field(dom, phi).values[dom.dirichlet]
+    bgap = np.abs(u_bar.values[inner_neighbours(dom)] - bphi)
     interior_pts, interior_vals = dom.points[dom.interior], u_bar.values[dom.interior]
     x0s = np.array([p.x0 for p in solvability.points], dtype=float).reshape(-1, dom.dim)
     gap, modulus = np.zeros(len(x0s)), np.zeros(len(x0s))

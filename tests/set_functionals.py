@@ -47,10 +47,6 @@ class ProductGrid(NamedTuple):
     def used(self) -> np.ndarray:
         return np.broadcast_to(self.base.used[..., None], self.shape)
 
-    @property
-    def sqrt_det(self) -> np.ndarray:
-        return np.broadcast_to(self.base.sqrt_det[..., None], self.shape)
-
 
 def product_grid(base: GridDomain, T: float, h_t: float) -> ProductGrid:
     """Vertical lattice with layers at -T + k h_t covering [-T, T]."""
@@ -61,6 +57,14 @@ def product_grid(base: GridDomain, T: float, h_t: float) -> ProductGrid:
     layers = int(round(2.0 * T / h_t)) + 1
     t_axis = -T + h_t * np.arange(layers)
     return ProductGrid(base, t_axis, h_t)
+
+
+def node_sqrt_det(domain: GridDomain | ProductGrid) -> np.ndarray:
+    """sqrt(det sigma) of the spatial chart at every node of a grid or a
+    product grid."""
+    if isinstance(domain, ProductGrid):
+        return np.broadcast_to(node_sqrt_det(domain.base)[..., None], domain.shape)
+    return domain.chart.sqrt_det(domain.points)
 
 
 class DiscreteSet:
@@ -96,7 +100,7 @@ def set_perimeter(E: DiscreteSet, window=None) -> float:
         if lo < 0 or hi > s - 1 or lo >= hi:
             raise FunctionalError(f"window {window} exceeds the lattice {shape}")
 
-    sdet = dom.sqrt_det
+    sdet = node_sqrt_det(dom)
     chi = np.where(dom.used, E.indicator.astype(float), np.nan)
     total = 0.0
     vol = float(np.prod(spacings))

@@ -7,11 +7,12 @@ array per component over the inner block values[1:-1, ..., 1:-1], the cell
 stencils one array per axis over every lattice cell.  Every slice tuple is
 rebuilt per call, every sum starts from the int 0 and the quadrature
 gathers complete cells with a boolean mask.  The block helpers (sigma^{ij}
-and Gamma^k_ij on the inner block, the interior nodes' block indices,
-sigma^{ij} at every cell center) are built here from the domain's node
-data, so the package code is free to lay its arrays out differently.  It
-must evaluate the same floating-point expressions in the same order, so
-tests compare the two with np.array_equal and exact history equality.
+and Gamma^k_ij on the inner block, the interior nodes' block indices, every
+cell center and sigma^{ij} there, each dirichlet node's inner neighbour)
+are built here from the domain's node data and masks, so the package code
+is free to lay its arrays out differently.  It must evaluate the same
+floating-point expressions in the same order, so tests compare the two
+with np.array_equal and exact history equality.
 """
 
 from __future__ import annotations
@@ -51,14 +52,37 @@ def block_gamma(domain):
 @lru_cache(maxsize=16)
 def block_interior(domain):
     """Flat indices of the interior nodes within the inner block, in
-    interior_index order."""
+    C order."""
     return np.flatnonzero(domain.interior[(INNER,) * domain.dim])
+
+
+def every_cell_center(domain):
+    """Center of every lattice cell, complete or not, (cells..., n)."""
+    half = [0.5 * (a[1:] + a[:-1]) for a in domain.axes]
+    return np.stack(np.meshgrid(*half, indexing="ij"), axis=-1)
 
 
 @lru_cache(maxsize=16)
 def cell_sig_inv(domain):
     """sigma^{ij} at every cell center, [i][j] one contiguous array each."""
-    return _components(domain.chart.inverse(domain.cell_centers), 2)
+    return _components(domain.chart.inverse(every_cell_center(domain)), 2)
+
+
+def inner_neighbours(domain):
+    """Per dirichlet node, in np.nonzero(domain.dirichlet) order, the first
+    interior neighbour in product((-1, 0, 1), repeat=n) order: one index
+    array per axis, as np.nonzero gives them."""
+    offsets = [off for off in product((-1, 0, 1), repeat=domain.dim) if any(off)]
+    out = []
+    for idx in zip(*np.nonzero(domain.dirichlet)):
+        for off in offsets:
+            nb = tuple(int(i + o) for i, o in zip(idx, off))
+            if all(0 <= v < s for v, s in zip(nb, domain.shape)) and domain.interior[nb]:
+                out.append(nb)
+                break
+        else:
+            raise AssertionError(f"dirichlet node {idx} has no interior neighbour")
+    return tuple(np.array(axis, dtype=np.intp) for axis in zip(*out))
 
 
 def _shifted(values, steps):
@@ -151,12 +175,12 @@ def e_eps(u, eps):
     w = np.sqrt(1.0 + gradsq)
     integrand = w + 0.5 * eps * gradsq
     cells = dom.cell_complete
-    sdet = dom.chart.sqrt_det(dom.cell_centers)
+    sdet = dom.chart.sqrt_det(every_cell_center(dom))
     return float(np.sum(integrand[cells] * sdet[cells]) * dom.cell_volume)
 
 
 def _cell_sum(dom, density):
-    sdet = dom.chart.sqrt_det(dom.cell_centers)
+    sdet = dom.chart.sqrt_det(every_cell_center(dom))
     return float((density.take(dom.cell_flat) * sdet.take(dom.cell_flat)).sum()
                  * dom.cell_volume)
 
@@ -179,7 +203,7 @@ def product_cell_tv(pg, chi):
         sig = [[s[..., None] for s in row] for row in sig]
     gs = grad[:n]
     norm2 = contract(gs, matvec(sig, gs)) + grad[n] ** 2
-    sdet = np.broadcast_to(base.chart.sqrt_det(base.cell_centers)[..., None], cells_shape)
+    sdet = np.broadcast_to(base.chart.sqrt_det(every_cell_center(base))[..., None], cells_shape)
     complete = np.broadcast_to(base.cell_complete[..., None], cells_shape)
     vol = float(np.prod(pg.h))
     return float(np.sum(np.sqrt(norm2[complete]) * sdet[complete]) * vol)
@@ -212,7 +236,7 @@ def flow_step(state, params):
             bc = bc + ramp * state.ramp_base
         new_vals = vals.copy()
         new_vals.put(interior, new)
-        new_vals[dom.dirichlet_index] = bc
+        new_vals[np.nonzero(dom.dirichlet)] = bc
 
         if not (np.isfinite(new).all() and np.isfinite(bc).all()):
             bad = tuple(int(i) for i in np.argwhere(~np.isfinite(new_vals) & dom.used)[0])
@@ -222,7 +246,7 @@ def flow_step(state, params):
         ut = (new - old) / dt
         sup_ut = float(np.abs(ut).max())
         sup_u = max(float(np.abs(new).max()), float(np.abs(bc).max()))
-        diss_density = ut * ut / w * dom.sqrt_det.take(interior)
+        diss_density = ut * ut / w * dom.chart.sqrt_det(dom.points)[dom.interior]
         state.dissipation_cum += float(diss_density.sum() * dom.cell_volume) * dt
 
     state.u = GridField.trusted(dom, new_vals)

@@ -143,8 +143,7 @@ def random_battery():
         u0 = GridField.from_function(
             dom, lambda x, c=c, d=d:
             c @ x + d * np.sin(2 * np.pi * x[0]) * np.sin(np.pi * x[1]))
-        u0.values[dom.dirichlet_index] = [phi(p)
-                                          for p in dom.points[dom.dirichlet_index]]
+        u0.values[dom.dirichlet] = [phi(p) for p in dom.points[dom.dirichlet]]
         params = FlowParams(eps=eps, t_end=0.3)
         state = initial_state(u0, phi, params)
         lo, hi, sup_l0 = state.bound_lo, state.bound_hi, state.sup_l0

@@ -17,6 +17,7 @@ from graphflow.continuation import boundary_attainment_report
 from graphflow.errors import BarrierError
 from graphflow.grid import GridDomain, GridField, _pair_rows, _region_sdf, build_domain
 from graphflow.manifold import builtin_chart, christoffel_at, metric_at
+from stencil_oracle import inner_neighbours
 
 EUCLID = builtin_chart("euclidean", n=2)
 # rows-last against rows-first Qv, psi and v, per row, in units of its largest
@@ -45,8 +46,8 @@ def crossings_near(domain, x0, window):
 
 def projections(domain):
     """Boundary point between each dirichlet node and its inner neighbour,
-    in dirichlet_index order."""
-    inner, outer = domain.inner_index, domain.dirichlet_index
+    in C order of the dirichlet nodes."""
+    inner, outer = inner_neighbours(domain), np.nonzero(domain.dirichlet)
     return domain.segment_crossings(domain.points[inner], domain.points[outer],
                                     domain.sdf[inner], domain.sdf[outer])
 
@@ -238,7 +239,7 @@ def test_crossings_match_closed_form_circle_roots(region, radii):
     center = np.asarray(region["center"])
     pts = dom.points.reshape(-1, 2)
     lo, hi, table = dom.boundary_facts[0]
-    inner, outer = dom.inner_index, dom.dirichlet_index
+    inner, outer = inner_neighbours(dom), np.nonzero(dom.dirichlet)
     proj = projections(dom)
     assert not np.isnan(proj).any()
     for a, b, got in ((pts[lo], pts[hi], table),
@@ -393,6 +394,19 @@ def test_search_validates_inputs(square_16):
         search_alpha(square_16, np.array([[0.5, 0.0]]), K=-0.1, gamma=1.1)
     with pytest.raises(BarrierError):
         search_alpha(square_16, np.array([[0.5, 0.0]]), K=0.3, gamma=0.9)
+
+
+@pytest.mark.parametrize("K,gamma,message", [(0.3, float("nan"), "gamma must exceed 1, got nan"),
+                                             (float("nan"), 1.1, "K must be positive, got nan")])
+def test_nan_barrier_parameters_are_refused(K, gamma, message):
+    dom = build_domain(EUCLID, 1.0 / 16, region={"region": "disc", "center": [0.5, 0.5],
+                                                 "radius": 0.4})
+    with pytest.raises(BarrierError, match=message):
+        search_alpha(dom, np.array([[0.5, 0.1]]), K, gamma)
+    rep = check_dirichlet_solvability(GridField.constant(dom, 0.2), dom, K=K, gamma=gamma)
+    assert rep.points and not rep.certified
+    assert not any(p.certified for p in rep.points)
+    assert {p.reason for p in rep.points} == {message}
 
 
 def test_assumed_curvature_bound_checked():
@@ -577,7 +591,7 @@ def certified_case(name):
            else build_domain(builtin_chart("euclidean", n=1), 1.0 / 16))
     h = float(np.max(dom.h))
     lo, hi = np.array(dom.chart.box).T
-    extra = np.concatenate([dom.points[dom.dirichlet_index][::5], np.random.default_rng(1)
+    extra = np.concatenate([dom.points[dom.dirichlet][::5], np.random.default_rng(1)
                             .uniform(lo - 2 * h, hi + 2 * h, (40, dom.dim))])
     phi = GridField.from_function(dom, lambda x: 0.1 * float(np.sum(x)))
     u = GridField.from_function(dom, lambda x: 0.1 * float(np.sum(np.sin(3 * x))))
@@ -741,10 +755,7 @@ def test_fit_ignores_sub_ulp_moves_of_the_base_point():
     # to depend on the last bit of x0 (L moved by 6e-4 for 3.3e-16 moves)
     dom = build_domain(builtin_chart("euclidean", n=3), 1.0 / 16, region={
         "region": "disc", "center": [0.5, 0.5, 0.5], "radius": 0.35})
-    x0s = np.unique(dom.segment_crossings(dom.points[dom.inner_index],
-                                          dom.points[dom.dirichlet_index],
-                                          dom.sdf[dom.inner_index],
-                                          dom.sdf[dom.dirichlet_index]), axis=0)
+    x0s = np.unique(projections(dom), axis=0)
     frames, _, L, _, reasons = fit_boundary_graph(dom, x0s)
     assert not any(reasons)
     rng = np.random.default_rng(5)

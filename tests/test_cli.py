@@ -133,6 +133,36 @@ def test_field_unknown_kind():
         field_from_spec({"kind": "fourier"}, dom)
 
 
+DISC = {"region": "disc", "center": [0.5, 0.5], "radius": 0.4}
+
+
+@pytest.mark.parametrize("kind", FIELD_KEYS)
+def test_every_field_kind_holds_nan_at_exterior_nodes(tmp_path, kind):
+    dom = build_domain(builtin_chart("euclidean", 2), 1.0 / 16, region=DISC)
+    # a CSV whose exterior rows hold numbers, as a box field's would
+    save_field_csv(GridField.constant(dom, 0.5), tmp_path / "u.csv")
+    (tmp_path / "u.csv").write_text((tmp_path / "u.csv").read_text().replace("nan", "1.5"))
+    spec = {"constant": {"value": 0.5}, "linear": {"coeffs": [0.5, -0.25], "offset": 1.0},
+            "sine_product": {"amplitude": 0.3, "waves": [2, 1]}, "scherk": {},
+            "radial_step": {"center": [0.5, 0.5], "radius": 0.25, "inside": 2.0,
+                            "outside": 0.0},
+            "csv": {"path": str(tmp_path / "u.csv")}}[kind]
+    f = field_from_spec({"kind": kind, **spec}, dom)
+    assert np.isnan(f.values[dom.mask == EXTERIOR]).all()
+    assert np.isfinite(f.values[dom.used]).all()
+
+
+def test_disc_run_writes_nan_in_every_exterior_row(tmp_path):
+    cfg_path, out = write_config(tmp_path, region=DISC,
+                                 u0={"kind": "linear", "coeffs": [0.5, -0.25]})
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    with open(out / "solution.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    exterior = [row["value"] for row in rows if row["mask"] == str(EXTERIOR)]
+    assert len(exterior) == 104 and set(exterior) == {"nan"}
+    assert all(row["value"] != "nan" for row in rows if row["mask"] != str(EXTERIOR))
+
+
 # -------------------------------------------------------------- config parsing
 
 
@@ -940,6 +970,13 @@ def test_run_missing_config_exits_1(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
     fail = json.loads((out / "failure.json").read_text())
     assert fail["error"] == "ConfigError"
+
+
+def test_run_config_that_is_not_an_object_exits_1(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([base_config(tmp_path / "o")]))
+    assert "config must be a JSON object" in _failed_run(bad, tmp_path / "o", capsys,
+                                                         "ConfigError")
 
 
 def test_run_malformed_json_exits_1(tmp_path, capsys):

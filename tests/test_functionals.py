@@ -37,11 +37,12 @@ def test_interior_integral_is_the_metric_node_sum():
     lattice = np.full(dom.shape, np.nan)
     lattice[dom.interior] = values
     # the boolean gather lists the interior nodes in interior_flat order
-    expected = float(np.sum(lattice[dom.interior] * dom.sqrt_det[dom.interior])
+    sdet = dom.chart.sqrt_det(dom.points)
+    expected = float(np.sum(lattice[dom.interior] * sdet[dom.interior])
                      * float(np.prod(dom.h)))
     assert interior_integral(dom, values) == expected
-    nodes = zip(*dom.interior_index)
-    exact = math.fsum(v * dom.sqrt_det[node] for v, node in zip(values, nodes))
+    nodes = zip(*np.nonzero(dom.interior))
+    exact = math.fsum(v * sdet[node] for v, node in zip(values, nodes))
     assert expected == pytest.approx(exact * 0.0625 ** 2, rel=1e-13)
 
 
@@ -82,9 +83,9 @@ def test_j_matches_brute_resummation():
     # independent traversal: Python loop over dirichlet nodes, reversed order
     h = float(dom.h[0])
     acc = 0.0
-    nodes = list(zip(*dom.dirichlet_index))
+    nodes = list(zip(*np.nonzero(dom.dirichlet)))
     for idx in reversed(nodes):
-        acc += abs(u.values[idx] - phi.values[idx]) * dom.sqrt_det[idx] * h
+        acc += abs(u.values[idx] - phi.values[idx]) * dom.chart.sqrt_det(dom.points[idx]) * h
     assert rep.boundary_term == pytest.approx(acc, rel=1e-12)
 
 
@@ -208,7 +209,7 @@ def test_metric_weighted_perimeter():
     per = set_perimeter(DiscreteSet(dom, ind))
     # faces between rows 1 and 2 at x2 in {-0.25, 0, 0.25}: weight is the mean
     # of sqrt(det) at the two endpoint nodes times h
-    sd = dom.sqrt_det
+    sd = dom.chart.sqrt_det(dom.points)
     expected = 0.25 * sum(0.5 * (sd[1, j] + sd[2, j]) for j in (1, 2, 3))
     assert per == pytest.approx(expected, rel=1e-13)
 

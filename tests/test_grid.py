@@ -1,4 +1,5 @@
 import csv
+import re
 from itertools import product
 
 import numpy as np
@@ -14,6 +15,7 @@ from graphflow.grid import (DIRICHLET, EXTERIOR, INTERIOR, GridField, _region_sd
                             interpolate_to, load_field_csv, save_field_csv)
 from graphflow.manifold import builtin_chart
 from set_functionals import product_grid
+from stencil_oracle import every_cell_center, inner_neighbours
 
 
 def unit_square(h):
@@ -23,7 +25,7 @@ def unit_square(h):
 def at_node(dom, swept, node):
     """A sweep's output at an interior lattice node: the sweeps return
     stacked arrays whose last axis runs over the interior nodes in
-    interior_index order."""
+    interior_flat order."""
     column = np.flatnonzero(dom.interior_flat == np.ravel_multi_index(node, dom.shape))
     assert column.size == 1, f"{node} is not an interior node"
     return np.asarray(swept)[..., column[0]]
@@ -72,6 +74,23 @@ def test_spacing_must_divide_box():
         unit_square(0.3)
 
 
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), [0.25, float("nan")]])
+def test_non_finite_spacing_rejected(h):
+    with pytest.raises(GridError, match="spacing must be finite and positive"):
+        unit_square(h)
+
+
+def test_field_holds_nan_at_exterior_nodes():
+    dom = build_domain(builtin_chart("euclidean", n=2), 0.125,
+                       {"region": "disc", "center": [0.5, 0.5], "radius": 0.4})
+    exterior = dom.mask == EXTERIOR
+    assert exterior.any()
+    given = np.full(dom.shape, 0.5)
+    for u in (GridField(dom, given), GridField.constant(dom, 0.5), GridField(dom, given).copy()):
+        assert np.isnan(u.values[exterior]).all() and np.all(u.values[~exterior] == 0.5)
+    assert np.all(given == 0.5)  # the constructor leaves its input alone
+
+
 def test_interior_nodes_never_touch_exterior():
     chart = builtin_chart("euclidean", n=2)
     dom = build_domain(chart, 1.0 / 16,
@@ -93,25 +112,11 @@ def test_dirichlet_exactly_the_touching_nodes():
 
 def test_boundary_nodes_point_outward():
     dom = unit_square(0.25)
-    for idx, inner in zip(zip(*dom.dirichlet_index), zip(*dom.inner_index)):
-        assert dom.mask[inner] == INTERIOR
-        assert max(abs(i - j) for i, j in zip(idx, inner)) == 1
-
-
-def first_interior_neighbours(dom):
-    """Reference: per dirichlet node, the first interior neighbour in
-    product((-1, 0, 1), repeat=n) order."""
-    offsets = [off for off in product((-1, 0, 1), repeat=dom.dim) if any(off)]
-    out = []
-    for idx in zip(*dom.dirichlet_index):
-        for off in offsets:
-            nb = tuple(int(i + o) for i, o in zip(idx, off))
-            if all(0 <= v < s for v, s in zip(nb, dom.shape)) and dom.mask[nb] == INTERIOR:
-                out.append(nb)
-                break
-        else:
-            raise AssertionError(f"dirichlet node {idx} has no interior neighbour")
-    return out
+    assert np.array_equal(dom.dirichlet_flat, np.flatnonzero(dom.dirichlet))
+    for idx, inner in zip(np.argwhere(dom.dirichlet),
+                          np.column_stack(np.unravel_index(dom.inner_flat, dom.shape))):
+        assert dom.mask[tuple(inner)] == INTERIOR
+        assert np.max(np.abs(idx - inner)) == 1
 
 
 INNER_INDEX_DOMAINS = {
@@ -132,8 +137,9 @@ INNER_INDEX_DOMAINS = {
 @pytest.mark.parametrize("name", sorted(INNER_INDEX_DOMAINS))
 def test_inner_index_is_first_interior_neighbour(name):
     dom = build_domain(*INNER_INDEX_DOMAINS[name])
-    got = list(zip(*(axis.tolist() for axis in dom.inner_index)))
-    assert got == first_interior_neighbours(dom)
+    ref = np.ravel_multi_index(inner_neighbours(dom), dom.shape)
+    assert dom.inner_flat.dtype == np.intp
+    assert dom.inner_flat.tolist() == ref.tolist()
 
 
 def chebyshev_distance_to(dom, target):
@@ -315,7 +321,7 @@ def test_operators_match_per_node_reference(name):
     assert np.any(np.isnan(u.values[(slice(1, -1),) * dom.dim]))
     eps = 0.05
     ref_q, ref_l = [], []
-    for node in zip(*dom.interior_index):
+    for node in zip(*np.nonzero(dom.interior)):
         _, raised, g2, hess = _per_node_ops(u, node)
         lap = float(np.sum(dom.chart.inverse(dom.points[node]) * hess))
         q = lap - raised @ hess @ raised / (1.0 + g2)
@@ -352,11 +358,11 @@ def test_cell_gradient_and_energy_match_corner_loop(name):
     assert np.array_equal(cell_gradient(dom, u.values.take(dom.cell_table)), cells)
 
     eps = 0.05
-    sig = dom.chart.inverse(dom.cell_centers)
+    sig = dom.chart.inverse(every_cell_center(dom))
     gradsq = np.einsum("...i,...i->...", ref, np.matmul(sig, ref[..., None])[..., 0])
     integrand = np.sqrt(1.0 + gradsq) + 0.5 * eps * gradsq
     cells = dom.cell_complete
-    sdet = dom.chart.sqrt_det(dom.cell_centers)
+    sdet = dom.chart.sqrt_det(every_cell_center(dom))
     expect = float(np.sum(integrand[cells] * sdet[cells]) * dom.cell_volume)
     assert e_eps(u, eps) == pytest.approx(expect, rel=1e-12)
 
@@ -397,6 +403,15 @@ def test_field_csv_roundtrip(tmp_path):
     back = load_field_csv(path, dom)
     used = dom.mask != EXTERIOR
     assert np.array_equal(back.values[used], u.values[used])
+
+
+def test_field_csv_mask_mismatch_rejected(tmp_path):
+    chart = builtin_chart("euclidean", n=2)
+    save_field_csv(GridField.constant(build_domain(chart, 0.125), 0.5), tmp_path / "box.csv")
+    disc = build_domain(chart, 0.125, {"region": "disc", "center": [0.5, 0.5], "radius": 0.4})
+    with pytest.raises(GridError, match=re.escape(
+            "mask mismatch at node (0, 0): CSV does not match domain")):
+        load_field_csv(tmp_path / "box.csv", disc)
 
 
 def csv_writer_field(u, path):
@@ -451,6 +466,12 @@ def test_interpolation_reproduces_smooth_fields():
     exact = np.sin(np.pi * fine.points[..., 0]) * fine.points[..., 1]
     # linear interpolation error bound h^2 |D^2 u| / 8 with h = 1/8
     assert np.max(np.abs(v.values - exact)) < np.pi ** 2 / (8 * 64) * 1.05
+    disc = build_domain(chart, 1.0 / 32, {"region": "disc", "center": [0.5, 0.5], "radius": 0.4})
+    w = interpolate_to(u, disc)
+    assert np.array_equal(w.values[disc.used], v.values[disc.used])
+    assert np.isnan(w.values[~disc.used]).all()
+    with pytest.raises(GridError, match="needs a coarse domain without exterior nodes"):
+        interpolate_to(w, fine)
 
 
 def test_one_dimensional_domain():

@@ -282,6 +282,33 @@ def test_table_chart_interpolates_and_differences(tmp_path):
     assert np.max(np.abs(gam - christoffel_at(ref, x))) < 5e-3
 
 
+@pytest.mark.parametrize("kind,n,box,params,message", [
+    ("sphere_polar", 3, None, {}, "sphere_polar chart is two-dimensional"),
+    ("sphere_polar", 2, [[0.0, 1.0], [0.0, 1.0]], {},
+     "sphere_polar box must avoid the poles theta = 0, pi"),
+    ("sphere_polar", 2, [[1.0, np.pi], [0.0, 1.0]], {},
+     "sphere_polar box must avoid the poles theta = 0, pi"),
+    ("poincare_disk", 2, [[-0.8, 0.8], [-0.8, 0.8]], {},
+     "poincare_disk box must stay inside the open unit ball"),
+    ("custom_table", 2, None, {"axes": [[0, 0.5, 1], [0, 1]],
+                               "table": np.broadcast_to(np.eye(2), (2, 2, 2, 2))},
+     "custom_table shape (2, 2, 2, 2) does not match axes"),
+    ("custom_table", 2, None, {"axes": [[0, 1], [0, 1]],
+                               "table": np.broadcast_to([[1.0, 0.1], [0.0, 1.0]], (2, 2, 2, 2))},
+     "custom_table metric samples are not symmetric"),
+])
+def test_chart_kind_rules_rejected(kind, n, box, params, message):
+    with pytest.raises(ChartError, match=re.escape(message)):
+        builtin_chart(kind, n=n, box=box, params=params)
+
+
+def test_load_metric_table_rejects_a_header_of_the_wrong_width(tmp_path):
+    path = tmp_path / "metric.csv"
+    path.write_text("x1,x2,s11,s12,s22\n0,0,1,0,1\n")
+    with pytest.raises(ChartError, match="metric table needs 6 columns, found 5"):
+        load_metric_table(str(path), 2)
+
+
 def test_load_metric_table_rejects_ragged(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x1,x2,s11,s12,s21,s22\n0,0,1,0,0,1\n0,1,1,0,0,1\n1,0,1,0,0,1\n")

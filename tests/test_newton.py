@@ -216,6 +216,30 @@ def test_newton_cap_exits_3(tmp_path, monkeypatch, capsys):
         "barrier.json", "config_resolved.json", "continuation.json", "failure.json"]
 
 
+def test_non_finite_pseudo_transient_steps_exit_3(tmp_path, monkeypatch, capsys):
+    # every trial state's residual is NaN: no halving of the Newton step
+    # lowers |F|_2, the solve turns pseudo-transient, no halving of that
+    # step is finite either, and the solve gives the leg up unconverged
+    real, calls = graphflow.continuation._operator_arrays, []
+    halvings = graphflow.continuation.NEWTON_HALVINGS
+
+    def poisoned(dom, values, eps, tangent=False):
+        f, *rest = real(dom, values, eps, tangent=tangent)
+        calls.append(eps)
+        assert len(calls) <= 1 + 2 * halvings, "the solve kept stepping"
+        return (f if len(calls) == 1 else f * np.nan, *rest)
+
+    monkeypatch.setattr(graphflow.continuation, "_operator_arrays", poisoned)
+    (tmp_path / "config.json").write_text(json.dumps(MOVING))
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "config.json"), "--out", str(out)]) == 3
+    assert "ConvergenceError" in capsys.readouterr().err
+    assert len(calls) == 1 + 2 * halvings
+    leg, = json.loads((out / "continuation.json").read_text())["legs"]
+    assert (leg["converged"], leg["steps"], leg["newton_iterations"]) == (False, 0, 0)
+    assert json.loads((out / "failure.json").read_text())["exit_code"] == 3
+
+
 @pytest.mark.parametrize("name,bound", [("poincare_mixed", 40), ("scherk_flow", 60)])
 def test_run_evaluations_stay_within_their_gate(tmp_path, name, bound):
     # seed 0 of the benchmark's configs, copied: the evaluations after leg
